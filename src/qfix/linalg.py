@@ -1,158 +1,74 @@
 """Dense complex-Hermitian linear algebra for small matrices.
 
-Everything the interference game needs: eigendecomposition via cyclic
-complex Jacobi rotations, positive-definite solves, and log-determinant.
-Matrices here are tiny (N <= 8), so robustness beats asymptotics.
+Everything the interference game needs: eigendecomposition through
+LAPACK's Hermitian eigensolver (`numpy.linalg.eigh`), and positive-definite
+solves and log-determinants on top of it.  Each public function validates
+its input once; the positive-definite ones refuse a smallest eigenvalue at
+or below 1e-12 * ||A||_F.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _HERM_ATOL = 1e-10
 _PD_REL_FLOOR = 1e-12
-_JACOBI_SWEEP_CAP = 100
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Square complex matrix kept Hermitian by symmetrization on construction."""
-
-    data: np.ndarray
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise ValueError("non-finite entries")
-        dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-        if dev > _HERM_ATOL * max(1.0, float(np.max(np.abs(a)))):
-            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-        object.__setattr__(self, "data", 0.5 * (a + a.conj().T))
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
+def _hermitian(a) -> np.ndarray:
+    """Complex copy of a square, finite, Hermitian `a`, symmetrized exactly."""
+    A = np.asarray(a, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
+    scale = float(np.abs(A).max())
+    if not math.isfinite(scale):
+        raise ValueError("non-finite entries")
+    AH = A.conj().T
+    dev = float(np.abs(A - AH).max())
+    if dev > _HERM_ATOL * max(1.0, scale):
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    return 0.5 * (A + AH)
 
 
-@dataclass(frozen=True)
-class ComplexMatrix:
-    """Thin wrapper for a dense complex matrix."""
-
-    data: np.ndarray
-
-    def __init__(self, entries):
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise ValueError("non-finite entries")
-        object.__setattr__(self, "data", a)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
-def _as_herm_array(a) -> np.ndarray:
-    if isinstance(a, HermitianMatrix):
-        return a.data.copy()
-    return HermitianMatrix(a).data
-
-
-def _as_array(b) -> np.ndarray:
-    if isinstance(b, (HermitianMatrix, ComplexMatrix)):
-        return np.asarray(b.data, dtype=complex)
-    return np.asarray(b, dtype=complex)
+def _require_pd(lam: np.ndarray) -> None:
+    # ||A||_F is the 2-norm of A's eigenvalues.
+    if lam[0] <= _PD_REL_FLOOR * float(np.linalg.norm(lam)):
+        raise ValueError(f"matrix not positive definite (min eigenvalue {lam[0]:.3e})")
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(_as_array(a)))
+    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix U) with
-    A = U diag(lam) U^H.  Sweeps stop once the off-diagonal Frobenius mass
-    drops below 1e-12 * ||A||_F, with a hard cap of 100 sweeps.
+    A = U diag(lam) U^H.  Raises ValueError on non-square, empty,
+    non-finite or non-Hermitian input.
     """
-    A = _as_herm_array(a)
+    A = _hermitian(a)
     n = A.shape[0]
-    V = np.eye(n, dtype=complex)
     if n == 1:
-        return np.array([A[0, 0].real]), V
-
-    norm_a = float(np.linalg.norm(A))
-    if norm_a == 0.0:
-        return np.zeros(n), V
-    threshold = _PD_REL_FLOOR * norm_a
-
-    for _ in range(_JACOBI_SWEEP_CAP):
-        off = math.sqrt(max(0.0, float(np.sum(np.abs(A) ** 2) - np.sum(np.abs(np.diag(A)) ** 2))))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                b = abs(apq)
-                if b <= threshold / (n * n):
-                    continue
-                phi = cmath.phase(apq)
-                theta = 0.5 * math.atan2(2.0 * b, (A[p, p].real - A[q, q].real))
-                c = math.cos(theta)
-                s = math.sin(theta)
-                ephi = cmath.exp(1j * phi)
-                # Unitary plane rotation J (identity except rows/cols p,q):
-                # columns p,q of J are (c, s e^{-i phi}) and (-s e^{i phi}, c).
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p + s * np.conj(ephi) * col_q
-                A[:, q] = -s * ephi * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p + s * ephi * row_q
-                A[q, :] = -s * np.conj(ephi) * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p + s * np.conj(ephi) * vcol_q
-                V[:, q] = -s * ephi * vcol_p + c * vcol_q
-
-    lam = np.real(np.diag(A))
-    order = np.argsort(lam, kind="stable")
-    return lam[order], V[:, order]
+        return np.array([A[0, 0].real]), np.eye(1, dtype=complex)
+    if not A.any():
+        return np.zeros(n), np.eye(n, dtype=complex)
+    lam, U = np.linalg.eigh(A)
+    return lam, U
 
 
 def psd_solve(a, b) -> np.ndarray:
     """Solve A X = B for Hermitian positive-definite A via eigendecomposition."""
-    A = _as_herm_array(a)
-    B = _as_array(b)
-    lam, U = herm_eig(A)
-    floor = _PD_REL_FLOOR * float(np.linalg.norm(A))
-    if lam[0] <= floor:
-        raise ValueError(f"matrix not positive definite (min eigenvalue {lam[0]:.3e})")
-    Y = U.conj().T @ B
-    return U @ (Y / lam[:, None])
+    lam, U = herm_eig(a)
+    _require_pd(lam)
+    Y = U.conj().T @ np.asarray(b, dtype=complex)
+    return U @ (Y.T / lam).T
 
 
 def logdet_psd(a) -> float:
     """Natural-log determinant of a Hermitian positive-definite matrix."""
-    A = _as_herm_array(a)
-    lam, _ = herm_eig(A)
-    floor = _PD_REL_FLOOR * float(np.linalg.norm(A))
-    if lam[0] <= floor:
-        raise ValueError(f"matrix not positive definite (min eigenvalue {lam[0]:.3e})")
+    lam, _ = herm_eig(a)
+    _require_pd(lam)
     return float(np.sum(np.log(lam)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -168,6 +169,12 @@ class ChannelSet:
                 h[j, k] = math.sqrt(d[j, k] ** (-game.gamma)) * (re + 1j * im) / math.sqrt(2.0)
         return ChannelSet(game=game, h=h)
 
+    @cached_property
+    def direct_cond(self) -> np.ndarray:
+        """2-norm condition number of each direct channel H_kk, computed once."""
+        K = self.game.num_links
+        return np.linalg.cond(self.h[range(K), range(K)])
+
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -256,7 +263,7 @@ def waterfill(channels: ChannelSet, profile: StrategyProfile, k: int) -> np.ndar
     """
     game = channels.game
     Hkk = channels.h[k, k]
-    if np.linalg.cond(Hkk) > _COND_GUARD:
+    if channels.direct_cond[k] > _COND_GUARD:
         raise ValueError(f"direct channel of link {k} is ill-conditioned")
     R = interference_covariance(channels, profile, k)
     M = Hkk.conj().T @ psd_solve(R, Hkk)

@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qfix.linalg import frobenius_norm, herm_eig, logdet_psd, psd_solve
+
+# Entries below 1e-100 would only probe the underflow of squared norms.
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).filter(
+    lambda x: x == 0.0 or abs(x) >= 1e-100
+)
 
 
 def _random_hermitian(rng, n):
@@ -98,3 +106,109 @@ def test_logdet_rejects_singular():
 def test_frobenius_norm():
     a = np.array([[3.0, 0.0], [0.0, 4.0j]])
     assert frobenius_norm(a) == pytest.approx(5.0, rel=1e-15)
+
+
+def _random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _assert_decomposes(a, lam, u, atol):
+    n = a.shape[0]
+    assert lam.shape == (n,) and u.shape == (n, n)
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
+    assert np.max(np.abs((u * lam) @ u.conj().T - a)) <= atol
+
+
+def test_eig_one_by_one():
+    lam, u = herm_eig(np.array([[-2.5 + 0j]]))
+    assert lam.tolist() == [-2.5]
+    assert u.tolist() == [[1.0]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_eig_all_zero_matrix(n):
+    lam, u = herm_eig(np.zeros((n, n), dtype=complex))
+    assert np.array_equal(lam, np.zeros(n))
+    assert np.array_equal(u, np.eye(n))
+
+
+def test_eig_repeated_eigenvalues():
+    rng = np.random.default_rng(4)
+    for spectrum in ([1.0, 1.0, 2.0, 2.0, 2.0], [3.0] * 4, [-1.0, 0.0, 0.0, 5.0]):
+        n = len(spectrum)
+        q = _random_unitary(rng, n)
+        a = (q * np.array(spectrum)) @ q.conj().T
+        a = 0.5 * (a + a.conj().T)
+        lam, u = herm_eig(a)
+        assert np.allclose(lam, sorted(spectrum), atol=1e-12)
+        _assert_decomposes(a, lam, u, atol=1e-12)
+
+
+def test_eig_sixteen_by_sixteen():
+    # N^2 = 16 is the block size of a 4-antenna game.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = _random_hermitian(rng, 16)
+        lam, u = herm_eig(a)
+        assert np.allclose(lam, np.linalg.eigvalsh(a), atol=1e-12 * frobenius_norm(a))
+        _assert_decomposes(a, lam, u, atol=1e-12 * frobenius_norm(a))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.ones((2, 3)),
+        np.ones(3),
+        np.ones((2, 2, 2)),
+        np.zeros((0, 0)),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]]),
+    ],
+)
+def test_eig_solve_logdet_reject_malformed(bad):
+    with pytest.raises(ValueError):
+        herm_eig(bad)
+    with pytest.raises(ValueError):
+        psd_solve(bad, np.ones((bad.shape[0], 1)))
+    with pytest.raises(ValueError):
+        logdet_psd(bad)
+
+
+def test_psd_solve_vector_rhs():
+    rng = np.random.default_rng(6)
+    a = _random_pd(rng, 4)
+    b = rng.normal(size=4) + 1j * rng.normal(size=4)
+    x = psd_solve(a, b)
+    assert x.shape == (4,)
+    assert np.allclose(a @ x, b, atol=1e-10)
+    assert np.allclose(x, psd_solve(a, b[:, None])[:, 0], atol=0.0)
+
+
+def test_pd_floor_refuses_tiny_positive_eigenvalue():
+    # 0 < lam_min <= 1e-12 ||A||_F: positive definite in exact arithmetic and
+    # accepted by a Cholesky factorization, but below the relative floor.
+    q = _random_unitary(np.random.default_rng(7), 3)
+    for a in (np.diag([1.0, 2.0, 5e-13]), (q * np.array([1.0, 2.0, 1e-12])) @ q.conj().T):
+        a = 0.5 * (a + a.conj().T)
+        lam, _ = herm_eig(a)
+        assert 0.0 < lam[0] <= 1e-12 * frobenius_norm(a)
+        np.linalg.cholesky(a)
+        with pytest.raises(ValueError, match="not positive definite"):
+            psd_solve(a, np.eye(3))
+        with pytest.raises(ValueError, match="not positive definite"):
+            logdet_psd(a)
+
+
+@given(
+    st.integers(1, 16).flatmap(
+        lambda n: hnp.arrays(np.float64, (2, n, n), elements=_ENTRIES)
+    )
+)
+def test_eig_reconstructs_random_hermitian(parts):
+    a = parts[0] + 1j * parts[1]
+    a = 0.5 * (a + a.conj().T)
+    lam, u = herm_eig(a)
+    _assert_decomposes(a, lam, u, atol=1e-13 * a.shape[0] * frobenius_norm(a))

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qfix.engine import Scheme
 from qfix.mimo import (
@@ -35,6 +38,11 @@ from qfix.mimo import (
 )
 from qfix.norms import block_norm
 from qfix.ticoq import make_sq_bank, ticoq_sq_lp, uniform_sq_allocation
+
+# Entries below 1e-100 would only probe the underflow of squared norms.
+_ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).filter(
+    lambda x: x == 0.0 or abs(x) >= 1e-100
+)
 
 
 def _identity_channel_game(num_links=1, num_antennas=2, power_dbm=30.0, noise=1.0):
@@ -145,6 +153,21 @@ def test_waterfill_uneven_channel_prefers_strong_mode():
     assert np.allclose(np.sort(np.diag(best).real), [0.0, 1.0], atol=1e-10)
 
 
+def test_waterfill_refuses_singular_direct_channel():
+    game, ch = _identity_channel_game(num_links=2, power_dbm=30.0, noise=1.0)
+    h = ch.h.copy()
+    h[1, 1] = np.array([[1.0, 2.0], [0.5, 1.0]])  # rank 1
+    ch2 = ChannelSet(game, h)
+    prof = uniform_profile(game)
+    for _ in range(2):  # the guard reads a per-channel-set cache; ask twice
+        with pytest.raises(ValueError, match="link 1 is ill-conditioned"):
+            waterfill(ch2, prof, 1)
+        best = waterfill(ch2, prof, 0)
+        assert np.trace(best).real == pytest.approx(1.0, rel=1e-12)
+        assert np.linalg.eigvalsh(best)[0] >= -1e-12
+    assert ch2.direct_cond[0] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_single_antenna_shannon_rate():
     game, ch = _identity_channel_game(num_antennas=1, power_dbm=30.0, noise=0.5)
     prof = StrategyProfile((np.array([[1.0 + 0j]]),))
@@ -192,6 +215,24 @@ def test_vec_mat_round_trip_preserves_frobenius():
         )
         back = vec_to_mat(v)
         assert np.allclose(back, a, atol=1e-12)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: hnp.arrays(np.float64, (2, n, n), elements=_ENTRIES)
+    )
+)
+def test_mat_to_vec_is_frobenius_isometry(parts):
+    a = parts[0] + 1j * parts[1]
+    a = 0.5 * (a + a.conj().T)
+    n = a.shape[0]
+    v = mat_to_vec(a)
+    assert v.shape == (n * n,)
+    fro = np.linalg.norm(a, "fro")
+    assert abs(np.linalg.norm(v) - fro) <= 1e-14 * fro
+    assert np.max(np.abs(vec_to_mat(v) - a)) <= 1e-15 * np.max(np.abs(a))
+    w = np.concatenate([parts[0].ravel(), parts[1].ravel()])[: n * n]
+    assert np.max(np.abs(mat_to_vec(vec_to_mat(w)) - w)) <= 1e-15 * np.max(np.abs(w))
 
 
 def test_profile_vec_round_trip():
