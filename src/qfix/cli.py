@@ -307,13 +307,11 @@ def _simulate_mimo(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
             banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
         except ValueError as e:
             raise ConfigError(f"quantizer: {e}")
-        if isinstance(banks, list):
-            banks = [mimo.feasible_bank(b, game) for b in banks]
 
         reference = mimo.nash_reference(channels, alpha)
         result = mimo.iwfa_run(
             channels,
-            quantizers=None if banks is None else banks,
+            quantizers=banks,
             mode=run_mode,
             steps=steps,
             modulus=alpha,

@@ -1,9 +1,11 @@
 """Fixed-point iteration under quantized message passing.
 
-Runs block mappings in Jacobi (all blocks from the old iterate) or
-Gauss-Seidel (later blocks see the already-quantized earlier blocks of
-the new iterate) order, records the actual quantization residuals e(t),
-and evaluates the matching accumulated / worst-case convergence-error
+One loop runs block mappings in three update orders: Jacobi (every block
+from the old iterate), Gauss-Seidel (a sweep over every block, later
+blocks seeing the already-quantized earlier blocks of the new iterate)
+and sequential (one block per step, k = t mod K, reading the current
+iterate).  It records the actual quantization residuals e(t), and the
+module evaluates the matching accumulated / worst-case convergence-error
 bounds.  The totally asynchronous scheme is supported only through its
 bound constants, not as a scheduler.
 """
@@ -18,13 +20,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, block_norm
-from .squant import ScalarBlockQuantizer
-from .vquant import LatticeQuantizer
 
 
 class Scheme(enum.Enum):
     JACOBI = "jacobi"
     GAUSS_SEIDEL = "gauss-seidel"
+    SEQUENTIAL = "sequential"
     ASYNC_BOUND_ONLY = "async-bound-only"
 
 
@@ -34,22 +35,30 @@ class IdentityQuantizer:
     def quantize(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float).copy()
 
-    def worst_case_errors(self) -> np.ndarray:
-        return np.zeros(1)
+    def worst_case_block_error(self, norm) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
 class QuantizerBank:
-    """One quantizer per block: scalar banks, lattice quantizers, or wrappers."""
+    """One quantizer per block.
+
+    Every block quantizer exposes `quantize(v)` and
+    `worst_case_block_error(norm)`, its bound on ||q(v) - v|| in the
+    block's component norm.
+    """
 
     blocks: tuple
 
     def __init__(self, blocks: Sequence):
         object.__setattr__(self, "blocks", tuple(blocks))
 
-    def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
+    def _check_blocks(self, part: BlockPartition) -> None:
         if len(self.blocks) != part.num_blocks:
             raise ValueError(f"{len(self.blocks)} quantizers for {part.num_blocks} blocks")
+
+    def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
+        self._check_blocks(part)
         out = np.empty(part.n)
         for k in range(part.num_blocks):
             sl = part.block_slice(k)
@@ -59,28 +68,10 @@ class QuantizerBank:
     def worst_case_error(self, part: BlockPartition, spec: NormSpec) -> float:
         """Block-norm bound on any single-step quantization error e(t)."""
         spec.check_partition(part)
+        self._check_blocks(part)
         worst = 0.0
-        for k in range(part.num_blocks):
-            q = self.blocks[k]
-            norm_k = spec.per_block[k]
-            if isinstance(q, LatticeQuantizer):
-                if isinstance(norm_k, WeightedMax) or (isinstance(norm_k, Lp) and norm_k.p < 2):
-                    raise ValueError(
-                        "lattice quantizer error bound requires an L_p block norm with p >= 2"
-                    )
-                val = q.worst_case_error
-            elif isinstance(q, ScalarBlockQuantizer):
-                errs = q.worst_case_errors()
-                if isinstance(norm_k, WeightedMax):
-                    val = float(np.max(errs / np.asarray(norm_k.a)))
-                else:
-                    val = float(np.sum(errs**norm_k.p)) ** (1.0 / norm_k.p)
-            elif isinstance(q, IdentityQuantizer):
-                val = 0.0
-            else:
-                # Wrapped/custom quantizers expose a block-norm bound directly.
-                val = float(q.worst_case_block_error(norm_k))
-            worst = max(worst, val / spec.block_weights[k])
+        for q, norm_k, w_k in zip(self.blocks, spec.per_block, spec.block_weights):
+            worst = max(worst, float(q.worst_case_block_error(norm_k)) / w_k)
         return worst
 
 
@@ -191,14 +182,19 @@ def run_iteration(
 ) -> Trajectory:
     """Iterate x(t+1) = T(x(t)) + e(t) for `steps` steps.
 
-    Jacobi evaluates every block at x(t) and then quantizes; Gauss-Seidel
-    evaluates block k at the partially updated iterate whose earlier blocks
-    already hold their *quantized* values, so the quantized message — not
-    the raw one — is what later blocks consume.  With quantizers=None the
-    dynamics reduce to the exact iteration and e(t) = 0.
+    Each step decides which blocks update and what they read.  Jacobi
+    updates every block from one evaluation at x(t).  Gauss-Seidel sweeps
+    every block, and sequential updates block t mod K only; both evaluate
+    a block at the partially updated iterate whose earlier blocks already
+    hold their *quantized* values, so the quantized message — not the raw
+    one — is what later blocks consume.  With quantizers=None the dynamics
+    reduce to the exact iteration and e(t) = 0.
     """
     if scheme == Scheme.ASYNC_BOUND_ONLY:
-        raise ValueError("the asynchronous scheme has bound calculators only; run Jacobi or Gauss-Seidel")
+        raise ValueError(
+            "the asynchronous scheme has bound calculators only; "
+            "run Jacobi, Gauss-Seidel or sequential"
+        )
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
     part = mapping.partition
@@ -208,6 +204,7 @@ def run_iteration(
     if not mapping.domain.contains(x, tol=1e-9):
         raise ValueError("x0 lies outside the box domain")
 
+    K = part.num_blocks
     iterates = np.empty((steps + 1, part.n))
     errors = np.empty((steps, part.n))
     error_norms = np.empty(steps)
@@ -217,38 +214,29 @@ def run_iteration(
         bank = _bank_for_step(quantizers, t, steps)
         if scheme == Scheme.JACOBI:
             raw = mapping.eval_full(x)
-            if bank is None:
-                new = raw
-                e = np.zeros(part.n)
-            else:
-                new = np.empty(part.n)
-                e = np.empty(part.n)
-                for k in range(part.num_blocks):
-                    sl = part.block_slice(k)
-                    q = bank.blocks[k].quantize(raw[sl])
-                    new[sl] = q
-                    e[sl] = q - raw[sl]
-        else:  # Gauss-Seidel sweep over all blocks
-            y = x.copy()
-            e = np.zeros(part.n)
-            for k in range(part.num_blocks):
-                sl = part.block_slice(k)
-                raw_k = mapping.eval_block(k, y)
-                q = raw_k if bank is None else bank.blocks[k].quantize(raw_k)
-                e[sl] = q - raw_k
-                y[sl] = q
-            new = y
-        x = new
+        y = x.copy()
+        e = np.zeros(part.n)
+        for k in (t % K,) if scheme == Scheme.SEQUENTIAL else range(K):
+            sl = part.block_slice(k)
+            raw_k = raw[sl] if scheme == Scheme.JACOBI else mapping.eval_block(k, y)
+            q = raw_k if bank is None else bank.blocks[k].quantize(raw_k)
+            e[sl] = q - raw_k
+            y[sl] = q
+        x = y
         iterates[t + 1] = x
         errors[t] = e
         error_norms[t] = block_norm(e, part, mapping.norm)
 
     traj = Trajectory(iterates, errors, error_norms, scheme)
     if reference is not None:
-        ref = np.asarray(reference, dtype=float)
-        traj.reference = ref
-        traj.dist_to_ref = np.array([mapping.distance(iterates[t], ref) for t in range(steps + 1)])
+        traj.reference = np.asarray(reference, dtype=float)
+        traj.dist_to_ref = _distances(mapping, iterates, traj.reference)
     return traj
+
+
+def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`."""
+    return np.array([mapping.distance(x, ref) for x in iterates])
 
 
 def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:
@@ -260,6 +248,11 @@ def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> f
         return (1.0 - alpha**num_blocks) / (1.0 - alpha)
     if scheme == Scheme.ASYNC_BOUND_ONLY:
         return 1.0 / (1.0 - alpha)
+    if scheme == Scheme.SEQUENTIAL:
+        raise ValueError(
+            "sequential runs have no per-tick closed-form error bound; "
+            "bound_certificate certifies them sweep by sweep"
+        )
     raise ValueError(f"unknown scheme {scheme}")
 
 
@@ -326,17 +319,35 @@ class BoundCertificate:
 
 
 def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundCertificate:
-    """Check ||x(t)-x*|| <= alpha^t ||x(0)-x*|| + E(t) at every step."""
+    """Check ||x(t)-x*|| <= bound(t) at every step.
+
+    Jacobi and Gauss-Seidel runs use bound(t) = alpha^t ||x(0)-x*|| + E(t).
+    A sequential tick changes one block, so d(t+1) <= max(d(t), alpha d(t)
+    + eps_t) <= d(t) + eps_t, and the K ticks of sweep s form one
+    Gauss-Seidel sweep whose block-max error is the largest tick norm m_s.
+    Its bound is therefore B(s) = alpha^s d(0) + E_GS(s) over the sweep
+    maxima, plus the tick norms already spent in the current sweep.
+    """
     if x_star is None:
         raise ValueError("a reference fixed point is required")
     ref = np.asarray(x_star, dtype=float)
     alpha = mapping.modulus
-    scheme = traj.scheme
     num_blocks = mapping.partition.num_blocks
-    d = np.array([mapping.distance(traj.iterates[t], ref) for t in range(traj.steps + 1)])
-    E = accumulated_error_series(alpha, traj.error_norms, scheme, num_blocks)
-    t_idx = np.arange(traj.steps + 1, dtype=float)
-    bound = alpha**t_idx * d[0] + E
+    d = _distances(mapping, traj.iterates, ref)
+    if traj.scheme == Scheme.SEQUENTIAL:
+        eps = traj.error_norms
+        sweeps = traj.steps // num_blocks
+        sweep_max = eps[: sweeps * num_blocks].reshape(sweeps, num_blocks).max(axis=1)
+        E = accumulated_error_series(alpha, sweep_max, Scheme.GAUSS_SEIDEL, num_blocks)
+        spent = np.zeros(traj.steps + 1)  # tick norms of the current sweep before t
+        for t in range(1, traj.steps + 1):
+            if t % num_blocks:
+                spent[t] = spent[t - 1] + eps[t - 1]
+        sweep = np.arange(traj.steps + 1) // num_blocks
+        bound = alpha ** sweep.astype(float) * d[0] + E[sweep] + spent
+    else:
+        E = accumulated_error_series(alpha, traj.error_norms, traj.scheme, num_blocks)
+        bound = alpha ** np.arange(traj.steps + 1, dtype=float) * d[0] + E
     ok = d <= bound + 1e-9
     return BoundCertificate(ok=ok, bound=bound, dist=d)
 

@@ -33,13 +33,15 @@ def _hermitian(a) -> np.ndarray:
 
 
 def _require_pd(lam: np.ndarray) -> None:
-    # ||A||_F is the 2-norm of A's eigenvalues.
-    if lam[0] <= _PD_REL_FLOOR * float(np.linalg.norm(lam)):
+    # ||A||_F is the 2-norm of A's eigenvalues; hypot scales, so it does not
+    # underflow to 0 for tiny eigenvalues.
+    if lam[0] <= _PD_REL_FLOOR * math.hypot(*lam):
         raise ValueError(f"matrix not positive definite (min eigenvalue {lam[0]:.3e})")
 
 
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
+    """||A||_F, computed with scaling so tiny entries do not underflow."""
+    return math.hypot(*np.abs(np.asarray(a, dtype=complex)).ravel())
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:

@@ -29,9 +29,7 @@ from .engine import (
     run_iteration,
 )
 from .linalg import herm_eig, logdet_psd, psd_solve
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, block_norm, lp_norm
-from .squant import ScalarBlockQuantizer
-from .vquant import LatticeQuantizer
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, block_norm
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 DEFAULT_BANDWIDTH_HZ = 10e6
@@ -392,19 +390,29 @@ class ProjectedBlockQuantizer:
         return mat_to_vec(project_feasible(vec_to_mat(q), self.budget))
 
     def worst_case_block_error(self, norm) -> float:
-        if isinstance(self.inner, LatticeQuantizer):
-            return float(self.inner.worst_case_error)
-        if isinstance(self.inner, ScalarBlockQuantizer):
-            p = norm.p if isinstance(norm, Lp) else 2.0
-            return lp_norm(self.inner.worst_case_errors(), p)
-        raise TypeError(f"unsupported inner quantizer {type(self.inner).__name__}")
+        """The inner quantizer's Frobenius (L2) bound, valid for L_p with p >= 2.
+
+        The projection is nonexpansive only in the Frobenius norm, and
+        ||.||_p <= ||.||_2 when p >= 2; no other block norm is bounded.
+        """
+        if not (isinstance(norm, Lp) and norm.p >= 2.0):
+            raise ValueError(
+                "the feasibility projection bounds the error only in L_p block norms with p >= 2"
+            )
+        return self.inner.worst_case_block_error(Lp(2.0))
 
 
 def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
-    """Wrap each block quantizer with the feasibility projection."""
+    """Wrap each block quantizer with the feasibility projection.
+
+    Quantizers that already project are kept as they are.
+    """
     budgets = game.budgets
     return QuantizerBank(
-        [ProjectedBlockQuantizer(q, budgets[k]) for k, q in enumerate(bank.blocks)]
+        [
+            q if isinstance(q, ProjectedBlockQuantizer) else ProjectedBlockQuantizer(q, budgets[k])
+            for k, q in enumerate(bank.blocks)
+        ]
     )
 
 
@@ -494,32 +502,7 @@ class IwfaResult:
     reference: Optional[np.ndarray] = None
 
 
-def _sequential_run(
-    mapping: BlockMapping,
-    quantizers: Optional[QuantizerBank],
-    x0: np.ndarray,
-    steps: int,
-) -> Trajectory:
-    """One best response per tick, cycling k = t mod K; idle links copy."""
-    part = mapping.partition
-    x = np.asarray(x0, dtype=float).copy()
-    iterates = np.empty((steps + 1, part.n))
-    errors = np.empty((steps, part.n))
-    error_norms = np.empty(steps)
-    iterates[0] = x
-    for t in range(steps):
-        k = t % part.num_blocks
-        sl = part.block_slice(k)
-        raw = mapping.eval_block(k, x)
-        q = raw if quantizers is None else quantizers.blocks[k].quantize(raw)
-        e = np.zeros(part.n)
-        e[sl] = q - raw
-        x = x.copy()
-        x[sl] = q
-        iterates[t + 1] = x
-        errors[t] = e
-        error_norms[t] = block_norm(e, part, mapping.norm)
-    return Trajectory(iterates, errors, error_norms, Scheme.GAUSS_SEIDEL)
+_MODE_SCHEMES = {"simultaneous": Scheme.JACOBI, "sequential": Scheme.SEQUENTIAL}
 
 
 def iwfa_run(
@@ -533,10 +516,10 @@ def iwfa_run(
 ) -> IwfaResult:
     """Run (quantized) iterative waterfilling and record rates.
 
-    Simultaneous mode updates every link per step (engine Jacobi);
-    sequential mode updates link t mod K per tick, all others copying
-    their covariance unchanged.  Quantizer banks are wrapped with the
-    feasibility projection automatically.
+    Simultaneous mode updates every link per step (`Scheme.JACOBI`);
+    sequential mode is `Scheme.SEQUENTIAL`: link t mod K best-responds per
+    tick, all others copying their covariance unchanged.  Quantizer banks
+    are wrapped with the feasibility projection automatically.
     """
     game = channels.game
     if modulus is None:
@@ -547,36 +530,18 @@ def iwfa_run(
             "contractive; pass an explicit modulus to proceed"
         )
     mapping = game_mapping(channels, modulus)
-    if quantizers is not None:
-        if isinstance(quantizers, QuantizerBank):
-            if not all(isinstance(b, ProjectedBlockQuantizer) for b in quantizers.blocks):
-                quantizers = feasible_bank(quantizers, game)
-        else:
-            # Per-step schedule: wrap each stage bank individually.
-            if mode != "simultaneous":
-                raise ValueError("per-step quantizer schedules require simultaneous mode")
-            quantizers = [
-                bank
-                if all(isinstance(b, ProjectedBlockQuantizer) for b in bank.blocks)
-                else feasible_bank(bank, game)
-                for bank in quantizers
-            ]
+    if isinstance(quantizers, QuantizerBank):
+        quantizers = feasible_bank(quantizers, game)
+    elif quantizers is not None:
+        if mode != "simultaneous":
+            raise ValueError("per-step quantizer schedules require simultaneous mode")
+        quantizers = [feasible_bank(bank, game) for bank in quantizers]
     if x0 is None:
         x0 = profile_to_vec(uniform_profile(game))
-
-    if mode == "simultaneous":
-        traj = run_iteration(mapping, quantizers, x0, steps, Scheme.JACOBI, reference=reference)
-    elif mode == "sequential":
-        traj = _sequential_run(mapping, quantizers, x0, steps)
-        if reference is not None:
-            ref = np.asarray(reference, dtype=float)
-            traj.reference = ref
-            traj.dist_to_ref = np.array(
-                [mapping.distance(traj.iterates[t], ref) for t in range(steps + 1)]
-            )
-    else:
+    if mode not in _MODE_SCHEMES:
         raise ValueError(f"unknown mode {mode!r}")
 
+    traj = run_iteration(mapping, quantizers, x0, steps, _MODE_SCHEMES[mode], reference=reference)
     rates = np.array(
         [
             sum_throughput(channels, vec_to_profile(traj.iterates[t], game))

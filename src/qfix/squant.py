@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .norms import WeightedMax
+
 
 @dataclass(frozen=True)
 class ScalarQuantizer:
@@ -98,3 +100,10 @@ class ScalarBlockQuantizer:
     def worst_case_errors(self) -> np.ndarray:
         """Per-coordinate worst-case absolute errors."""
         return np.array([q.worst_case_error for q in self.coords])
+
+    def worst_case_block_error(self, norm) -> float:
+        """Bound on the block error in a weighted-max or L_p component norm."""
+        errs = self.worst_case_errors()
+        if isinstance(norm, WeightedMax):
+            return float(np.max(errs / np.asarray(norm.a)))
+        return float(np.sum(errs**norm.p)) ** (1.0 / norm.p)

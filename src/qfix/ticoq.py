@@ -362,13 +362,16 @@ def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
     return np.maximum(snapped, 0.0)
 
 
-def _round_by_fractions(relaxed: np.ndarray, budget: int, rank_weight: np.ndarray) -> np.ndarray:
+def _round_by_fractions(
+    relaxed: np.ndarray, budget: int, rank_weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Floor everywhere, then ceil the entries with the largest fractional parts.
 
     The number of ceils is fixed by the budget (sum of fractional parts is
     an integer in exact arithmetic); ties at the cutoff prefer the entry
-    with the larger constant, then the lower index, which keeps the max
-    term as small as possible.
+    with the larger rank weight, then the lower index, which keeps the max
+    term as small as possible.  Returns the integer allocation and the
+    indices that were ceiled, in ceiling order.
     """
     snapped = _snap_integers(relaxed)
     floors = np.floor(snapped)
@@ -379,10 +382,10 @@ def _round_by_fractions(relaxed: np.ndarray, budget: int, rank_weight: np.ndarra
     order = sorted(
         range(relaxed.size), key=lambda m: (-fracs[m], -rank_weight[m], m)
     )
+    ceiled = np.array(order[:extra], dtype=int)
     bits = floors.astype(int)
-    for m in order[:extra]:
-        bits[m] += 1
-    return bits
+    bits[ceiled] += 1
+    return bits, ceiled
 
 
 def _round_greedy(
@@ -462,7 +465,7 @@ def ticoq_sq_wmax(
     total_bits = _check_budget(total_bits)
     c = sq_wmax_constants(part, spec, box)
     relaxed, tau = _relax_weighted(np.log2(c), np.ones(part.n), total_bits)
-    bits = _round_by_fractions(relaxed, total_bits, c)
+    bits, _ = _round_by_fractions(relaxed, total_bits, c)
     objective = sq_wmax_objective(c)
     constants = DesignConstants(kind="sq-wmax", c=tuple(c), tau=tau)
     return RateAllocation(
@@ -539,7 +542,7 @@ def ticoq_vq_lattice(
 
     equal_sizes = len(set(part.block_sizes)) == 1
     if equal_sizes:
-        bits = _round_by_fractions(relaxed, total_bits, d)
+        bits, _ = _round_by_fractions(relaxed, total_bits, d)
         gap = None
     else:
 

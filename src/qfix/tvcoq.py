@@ -24,6 +24,8 @@ import numpy as np
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec
 from .ticoq import (
     DesignConstants,
+    _round_by_fractions,
+    _snap_integers,
     allocation_oracle,
     bank_for_allocation,
     sq_lp_constants,
@@ -36,7 +38,6 @@ from .ticoq import (
 )
 
 _FALLBACK_ORACLE_LIMIT = 100_000
-_SNAP_TOL = 1e-9
 
 
 @dataclass
@@ -110,28 +111,6 @@ def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: 
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
 
-def _round_stages(relaxed: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Floor, then ceil the stages with the largest fractional parts.
-
-    Ties at the cutoff prefer the stage with the larger relaxed rate
-    (the later stage), which also keeps the schedule lexicographically
-    smallest among tied optima.
-    """
-    snapped = relaxed.copy()
-    near = np.abs(relaxed - np.round(relaxed)) <= _SNAP_TOL
-    snapped[near] = np.round(relaxed[near])
-    floors = np.floor(snapped)
-    fracs = snapped - floors
-    extra = total - int(np.round(float(np.sum(floors))))
-    if extra < 0 or extra > relaxed.size:
-        raise ValueError("relaxed stage rates violate the horizon budget after snapping")
-    order = sorted(range(relaxed.size), key=lambda t: (-fracs[t], -snapped[t], -t))
-    bits = floors.astype(int)
-    for t in order[:extra]:
-        bits[t] += 1
-    return bits, fracs, np.array(order[:extra], dtype=int)
-
-
 def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> list[tuple]:
     """Schedules reachable by moving one ceil to an equal-fraction floored stage."""
     alternates = []
@@ -183,8 +162,11 @@ def tvcoq_master(
 
     alternates: list[tuple] = []
     if in_regime:
-        bits, fracs, ceiled = _round_stages(relaxed, total)
-        alternates = _tied_swaps(bits, fracs, ceiled)
+        # Ties at the cutoff prefer the larger snapped rate (the later
+        # stage), which keeps the schedule lexicographically smallest.
+        snapped = _snap_integers(relaxed)
+        bits, ceiled = _round_by_fractions(relaxed, total, snapped)
+        alternates = _tied_swaps(bits, snapped - np.floor(snapped), ceiled)
     elif math.comb(total + T - 1, T - 1) <= _FALLBACK_ORACLE_LIMIT:
         best = allocation_oracle(objective, T, total)
         bits = np.asarray(best.allocation, dtype=int)

@@ -31,6 +31,8 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
+from .norms import Lp
+
 _ENUM_GUARD = 5_000_000
 
 
@@ -257,9 +259,11 @@ class LatticeQuantizer:
         """Round-trip decode(encode(v))."""
         return vq_decode(self, vq_encode(self, v))
 
-    def worst_case_errors(self) -> np.ndarray:
-        # Single scalar bound on the block's Euclidean error.
-        return np.array([self.worst_case_error])
+    def worst_case_block_error(self, norm) -> float:
+        """The Euclidean bound, which also bounds every L_p norm with p >= 2."""
+        if not (isinstance(norm, Lp) and norm.p >= 2):
+            raise ValueError("lattice quantizer error bound requires an L_p block norm with p >= 2")
+        return self.worst_case_error
 
     def to_json(self) -> str:
         return json.dumps(

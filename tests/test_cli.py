@@ -184,7 +184,8 @@ def test_simulate_rejects_bad_quantizer(tmp_path, capsys):
     assert "quantizer" in capsys.readouterr().err
 
 
-def test_simulate_mimo_csv(tmp_path, capsys):
+@pytest.mark.parametrize("scheme", ["simultaneous", "sequential"])
+def test_simulate_mimo_csv(tmp_path, capsys, scheme):
     doc = {
         "schema": 1,
         "system": "mimo",
@@ -197,6 +198,7 @@ def test_simulate_mimo_csv(tmp_path, capsys):
         },
         "T": 10,
         "quantizer": "none",
+        "scheme": scheme,
         "seed": 0,
     }
     cfg = _write(tmp_path, "mimo.json", doc)

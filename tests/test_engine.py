@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfix.engine import (
     BlockMapping,
@@ -22,6 +24,7 @@ from qfix.engine import (
 from qfix.norms import (
     BlockPartition,
     BoxDomain,
+    Lp,
     NormSpec,
     WeightedMax,
     block_norm,
@@ -151,6 +154,83 @@ def test_certificate_on_quantized_runs():
         cert = bound_certificate(traj, mapping, x_star)
         assert cert.all_ok()
         assert np.all(cert.dist <= cert.bound + 1e-9)
+
+
+def test_sequential_ticks_replay_gauss_seidel_sweeps():
+    part = BlockPartition([2, 1, 3])
+    spec = uniform_l2_spec(part)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    mapping, x_star = random_affine_contraction(part, spec, box, 0.7, rng=3)
+    bank = make_sq_bank(part, box, [3] * part.n)
+    x0 = np.linspace(-0.9, 0.9, part.n)
+    K, sweeps = part.num_blocks, 7
+    gs = run_iteration(mapping, bank, x0, sweeps, Scheme.GAUSS_SEIDEL)
+    seq = run_iteration(mapping, bank, x0, K * sweeps, Scheme.SEQUENTIAL)
+    assert seq.scheme is Scheme.SEQUENTIAL
+    assert np.array_equal(seq.iterates[::K], gs.iterates)
+    # One block moves per tick; the others copy.
+    for t in range(seq.steps):
+        moved = np.flatnonzero(seq.iterates[t + 1] != seq.iterates[t])
+        assert set(moved) <= set(range(*part.block_slice(t % K).indices(part.n)))
+    assert bound_certificate(seq, mapping, x_star).all_ok()
+
+
+def test_sequential_bound_counts_ticks_of_the_current_sweep():
+    # Starting at x*, d(0) = 0 and the first tick moves the iterate by its
+    # quantization error alone: d(1) = eps_0, which B(0) = 0 does not cover.
+    part = BlockPartition([2, 2])
+    spec = uniform_wmax_spec(part)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    mapping, x_star = random_affine_contraction(part, spec, box, 0.5, rng=1)
+    bank = make_sq_bank(part, box, [1] * part.n)
+    traj = run_iteration(mapping, bank, x_star, 6, Scheme.SEQUENTIAL)
+    cert = bound_certificate(traj, mapping, x_star)
+    assert cert.dist[1] == pytest.approx(traj.error_norms[0], rel=1e-12) and cert.dist[1] > 0
+    assert cert.bound[1] == pytest.approx(traj.error_norms[0], rel=1e-12)
+    assert cert.all_ok()
+
+
+def test_sequential_has_no_closed_form_bound():
+    with pytest.raises(ValueError, match="bound_certificate"):
+        accumulated_error(0.5, [0.1], Scheme.SEQUENTIAL, num_blocks=2)
+    with pytest.raises(ValueError, match="bound_certificate"):
+        worst_case_error_bound(0.5, 0.1, 5, Scheme.SEQUENTIAL, num_blocks=2)
+
+
+@st.composite
+def _contraction_runs(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    part = BlockPartition(sizes)
+    weight = st.floats(0.25, 4.0)
+    per_block = [
+        draw(st.sampled_from(["wmax", "l2"])) for _ in sizes
+    ]
+    spec = NormSpec(
+        [draw(weight) for _ in sizes],
+        [
+            WeightedMax([draw(weight) for _ in range(size)]) if kind == "wmax" else Lp(2.0)
+            for size, kind in zip(sizes, per_block)
+        ],
+    )
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    alpha = draw(st.floats(0.05, 0.95))
+    mapping, x_star = random_affine_contraction(
+        part, spec, box, alpha, rng=draw(st.integers(0, 2**32 - 1))
+    )
+    bits = draw(st.none() | st.lists(st.integers(0, 6), min_size=part.n, max_size=part.n))
+    bank = None if bits is None else make_sq_bank(part, box, bits)
+    x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=part.n, max_size=part.n)))
+    scheme = draw(st.sampled_from([Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL]))
+    steps = draw(st.integers(1, 40))
+    return mapping, x_star, bank, x0, scheme, steps
+
+
+@given(_contraction_runs())
+def test_certificate_holds_under_every_update_order(run):
+    mapping, x_star, bank, x0, scheme, steps = run
+    traj = run_iteration(mapping, bank, x0, steps, scheme)
+    cert = bound_certificate(traj, mapping, x_star)
+    assert cert.all_ok(), np.max(cert.dist - cert.bound)
 
 
 def test_certificate_fails_for_understated_modulus():

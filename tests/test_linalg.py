@@ -8,9 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from qfix.linalg import frobenius_norm, herm_eig, logdet_psd, psd_solve
 
-# Entries below 1e-100 would only probe the underflow of squared norms.
+# Subnormal entries are left out: a tolerance relative to a subnormal
+# ||A||_F rounds to 0.
 _ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).filter(
-    lambda x: x == 0.0 or abs(x) >= 1e-100
+    lambda x: x == 0.0 or abs(x) >= np.finfo(float).tiny
 )
 
 
@@ -106,6 +107,23 @@ def test_logdet_rejects_singular():
 def test_frobenius_norm():
     a = np.array([[3.0, 0.0], [0.0, 4.0j]])
     assert frobenius_norm(a) == pytest.approx(5.0, rel=1e-15)
+
+
+def test_frobenius_norm_does_not_underflow():
+    # Squaring 2.5e-244 underflows to 0; a scaled norm does not.
+    assert frobenius_norm(np.full((2, 2), 2.5e-244)) == pytest.approx(5e-244, rel=1e-15, abs=0.0)
+
+
+def test_pd_floor_scales_with_tiny_matrices():
+    # ||A||_F = 1e-200 puts the floor at 1e-212, above lam_min = 1e-215.
+    a = np.diag([1e-200, 1e-215])
+    with pytest.raises(ValueError, match="not positive definite"):
+        psd_solve(a, np.ones(2))
+    with pytest.raises(ValueError, match="not positive definite"):
+        logdet_psd(a)
+    b = 1e-200 * np.eye(2)
+    assert np.allclose(psd_solve(b, np.ones(2)), 1e200, rtol=1e-12)
+    assert logdet_psd(b) == pytest.approx(2 * math.log(1e-200), rel=1e-12)
 
 
 def _random_unitary(rng, n):

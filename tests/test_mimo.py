@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qfix.engine import Scheme
+from qfix.engine import Scheme, bound_certificate
 from qfix.mimo import (
     ChannelSet,
     GameConfig,
@@ -36,8 +36,8 @@ from qfix.mimo import (
     vec_to_profile,
     waterfill,
 )
-from qfix.norms import block_norm
-from qfix.ticoq import make_sq_bank, ticoq_sq_lp, uniform_sq_allocation
+from qfix.norms import Lp, WeightedMax, block_norm
+from qfix.ticoq import make_sq_bank, make_vq_bank, ticoq_sq_lp, uniform_sq_allocation
 
 # Entries below 1e-100 would only probe the underflow of squared norms.
 _ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).filter(
@@ -287,6 +287,45 @@ def test_projected_quantizer_folds_infeasibility():
         assert err <= inner_worst * (1 + 1e-9) + 1e-12
 
 
+def _feasible_banks(game):
+    """A 3-bit-per-coordinate scalar bank and an 8-bit-per-block lattice bank, projected."""
+    part = game_partition(game)
+    box = game_box(game)
+    sq = feasible_bank(make_sq_bank(part, box, uniform_sq_allocation(part.n, 3 * part.n)), game)
+    vq = feasible_bank(make_vq_bank(part, box, [8] * part.num_blocks), game)
+    return sq, vq
+
+
+def test_projected_bound_is_inner_l2_bound():
+    game = paper_style_game(seed=0)
+    for bank in _feasible_banks(game):
+        for q in bank.blocks:
+            inner = q.inner.worst_case_block_error(Lp(2.0))
+            assert q.worst_case_block_error(Lp(2.0)) == inner
+            # ||.||_p <= ||.||_2 for p >= 2, so the L2 bound serves there too.
+            assert q.worst_case_block_error(Lp(4.0)) == inner
+        assert feasible_bank(bank, game).blocks == bank.blocks  # already projected
+
+
+def test_projected_scalar_bank_refuses_weighted_max():
+    # The inner bank's weighted-max bound is 0.0025; the projection is
+    # nonexpansive only in the Frobenius norm, so the wrapper used to report
+    # the smaller L2 value 0.00198 here.
+    sq, _ = _feasible_banks(paper_style_game(seed=0))
+    norm = WeightedMax([0.5] * 4)
+    assert sq.blocks[0].inner.worst_case_block_error(norm) == pytest.approx(0.0025, rel=1e-12)
+    with pytest.raises(ValueError, match="p >= 2"):
+        sq.blocks[0].worst_case_block_error(norm)
+
+
+def test_projected_lattice_bank_refuses_l1():
+    _, vq = _feasible_banks(paper_style_game(seed=0))
+    with pytest.raises(ValueError, match="p >= 2"):
+        vq.blocks[0].inner.worst_case_block_error(Lp(1.0))
+    with pytest.raises(ValueError, match="p >= 2"):
+        vq.blocks[0].worst_case_block_error(Lp(1.0))
+
+
 def test_modulus_estimate_single_link_is_zero():
     game, ch = _identity_channel_game(num_links=1)
     est = estimate_modulus(ch, samples=20, rng=0)
@@ -323,17 +362,26 @@ def test_iwfa_modes_agree_and_certify():
     sim = iwfa_run(ch, mode="simultaneous", steps=60, modulus=est.alpha_hat, reference=ref)
     seq = iwfa_run(ch, mode="sequential", steps=120, modulus=est.alpha_hat, reference=ref)
     assert sim.trajectory.scheme is Scheme.JACOBI
-    assert seq.trajectory.scheme is Scheme.GAUSS_SEIDEL
+    assert seq.trajectory.scheme is Scheme.SEQUENTIAL
     assert np.allclose(sim.trajectory.final(), seq.trajectory.final(), atol=1e-6)
     assert sim.trajectory.dist_to_ref[-1] < 1e-9
+    assert bound_certificate(seq.trajectory, seq.mapping, ref).all_ok()
     # throughput series settles at the equilibrium sum rate
     prof = vec_to_profile(ref, game)
     assert sim.throughputs[-1] == pytest.approx(sum_throughput(ch, prof), rel=1e-9)
+    # A quantized sequential run carries a certificate that holds too.
+    part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
+    bank = make_sq_bank(part, box, ticoq_sq_lp(part, spec, box, 96).bits)
+    qseq = iwfa_run(
+        ch, quantizers=bank, mode="sequential", steps=120,
+        modulus=est.alpha_hat, reference=ref,
+    )
+    assert qseq.trajectory.scheme is Scheme.SEQUENTIAL
+    assert np.any(qseq.trajectory.error_norms > 0)
+    assert bound_certificate(qseq.trajectory, qseq.mapping, ref).all_ok()
 
 
 def test_iwfa_quantized_run_certificate():
-    from qfix.engine import bound_certificate
-
     game = paper_style_game(seed=2)
     ch = ChannelSet.generate(game)
     est = estimate_modulus(ch, samples=50, rng=2)
@@ -373,7 +421,6 @@ def test_game_mapping_matches_waterfill_blocks():
 
 
 def test_iwfa_accepts_per_step_bank_schedule():
-    from qfix.engine import bound_certificate
     from qfix.tvcoq import tvcoq_design
 
     game = paper_style_game(seed=2)
