@@ -133,18 +133,9 @@ def _design_report(cfg: dict) -> tuple[dict, int]:
         report["tied_alternates"] = [list(a) for a in schedule.tied_alternates]
         return report, (_EXIT_OK if schedule.in_regime else _EXIT_REGIME)
 
+    mode = {"ticoq-wmax": "sq-wmax", "ticoq-lp": "sq-lp", "ticoq-vq": "vq"}[kind]
     try:
-        if kind == "ticoq-wmax":
-            alloc = ticoq.ticoq_sq_wmax(part, spec, box, total_bits)
-        elif kind == "ticoq-lp":
-            alloc = ticoq.ticoq_sq_lp(part, spec, box, total_bits)
-        else:
-            p = min(
-                n.p for n in spec.per_block if isinstance(n, norms.Lp)
-            ) if all(isinstance(n, norms.Lp) for n in spec.per_block) else None
-            if p is None:
-                raise ConfigError("norm: lattice designs require L_p blocks")
-            alloc = ticoq.ticoq_vq_lattice(part, spec.block_weights, box, total_bits, p=p)
+        alloc = ticoq.ticoq_design(part, spec, box, total_bits, mode)
     except ValueError as e:
         raise ConfigError(f"{kind}: {e}")
 
@@ -196,13 +187,7 @@ def _banks_for(
     if strategy == "uniform":
         return ticoq.make_sq_bank(part, box, ticoq.uniform_sq_allocation(part.n, total_bits))
     if strategy == "ticoq":
-        if mode == "sq-wmax":
-            alloc = ticoq.ticoq_sq_wmax(part, spec, box, total_bits)
-        elif mode == "sq-lp":
-            alloc = ticoq.ticoq_sq_lp(part, spec, box, total_bits)
-        else:
-            p = min(n.p for n in spec.per_block)
-            alloc = ticoq.ticoq_vq_lattice(part, spec.block_weights, box, total_bits, p=p)
+        alloc = ticoq.ticoq_design(part, spec, box, total_bits, mode)
         return ticoq.bank_for_allocation(part, box, alloc)
     schedule = tvcoq.tvcoq_design(part, spec, box, total_bits, steps, alpha, mode)
     return list(schedule.banks)

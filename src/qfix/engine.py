@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -113,6 +113,7 @@ class Trajectory:
     scheme: Scheme
     dist_to_ref: Optional[np.ndarray] = None  # (steps+1,) when a reference was given
     reference: Optional[np.ndarray] = None
+    dist_norm: Optional[tuple] = field(default=None, init=False, repr=False)  # (partition, norm)
 
     def __post_init__(self):
         if self.iterates.shape[0] != self.errors.shape[0] + 1:
@@ -164,13 +165,14 @@ class Trajectory:
 BankOrSchedule = Union[QuantizerBank, Sequence[QuantizerBank], None]
 
 
-def _bank_for_step(quantizers: BankOrSchedule, t: int, steps: int) -> Optional[QuantizerBank]:
+def _bank_schedule(quantizers: BankOrSchedule, steps: int) -> list[Optional[QuantizerBank]]:
     if quantizers is None or isinstance(quantizers, QuantizerBank):
-        return quantizers
+        return [quantizers] * steps
     banks = list(quantizers)
     if len(banks) != steps:
         raise ValueError(f"{len(banks)} per-step banks for {steps} steps")
-    return banks[t]
+    return banks
+
 
 def run_iteration(
     mapping: BlockMapping,
@@ -204,14 +206,14 @@ def run_iteration(
     if not mapping.domain.contains(x, tol=1e-9):
         raise ValueError("x0 lies outside the box domain")
 
+    banks = _bank_schedule(quantizers, steps)
     K = part.num_blocks
     iterates = np.empty((steps + 1, part.n))
     errors = np.empty((steps, part.n))
     error_norms = np.empty(steps)
     iterates[0] = x
 
-    for t in range(steps):
-        bank = _bank_for_step(quantizers, t, steps)
+    for t, bank in enumerate(banks):
         if scheme == Scheme.JACOBI:
             raw = mapping.eval_full(x)
         y = x.copy()
@@ -231,6 +233,7 @@ def run_iteration(
     if reference is not None:
         traj.reference = np.asarray(reference, dtype=float)
         traj.dist_to_ref = _distances(mapping, iterates, traj.reference)
+        traj.dist_norm = (part, mapping.norm)
     return traj
 
 
@@ -333,7 +336,9 @@ def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundC
     ref = np.asarray(x_star, dtype=float)
     alpha = mapping.modulus
     num_blocks = mapping.partition.num_blocks
-    d = _distances(mapping, traj.iterates, ref)
+    d = traj.dist_to_ref  # measured by run_iteration, if in this norm and to this reference
+    if traj.dist_norm != (mapping.partition, mapping.norm) or not np.array_equal(traj.reference, ref):
+        d = _distances(mapping, traj.iterates, ref)
     if traj.scheme == Scheme.SEQUENTIAL:
         eps = traj.error_norms
         sweeps = traj.steps // num_blocks
@@ -513,13 +518,10 @@ def random_affine_contraction(
             perm = rng.permutation(nk)
             signs = rng.choice([-1.0, 1.0], size=nk)
             core = np.zeros((nk, nk))
-            for i in range(nk):
-                core[i, perm[i]] = signs[i]
+            core[np.arange(nk), perm] = signs
             if isinstance(norm_k, WeightedMax):
-                a_tgt = np.asarray(norm_k.a)
                 a_src = np.asarray(spec.per_block[src].a)
-                for i in range(nk):
-                    core[i, perm[i]] *= a_tgt[i] / a_src[perm[i]]
+                core[np.arange(nk), perm] *= np.asarray(norm_k.a) / a_src[perm]
         scale = alpha * spec.block_weights[k] / spec.block_weights[src]
         rows = part.block_slice(k)
         cols = part.block_slice(src)

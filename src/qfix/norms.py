@@ -11,9 +11,11 @@ block carries its own component norm (weighted-max or L_p).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -24,10 +26,11 @@ class BlockPartition:
     """Contiguous decomposition of an n-dimensional state into K blocks.
 
     Block k covers coordinates [offsets[k], offsets[k+1]); the offsets are
-    cumulative sums of the block sizes.
+    cumulative sums of the block sizes, computed once.
     """
 
     block_sizes: tuple[int, ...]
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, block_sizes: Sequence[int]):
         sizes = tuple(int(s) for s in block_sizes)
@@ -36,33 +39,24 @@ class BlockPartition:
         if any(s < 1 for s in sizes):
             raise ValueError(f"block sizes must be positive, got {sizes}")
         object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "offsets", (0, *itertools.accumulate(sizes)))
 
     @property
     def n(self) -> int:
-        return sum(self.block_sizes)
+        return self.offsets[-1]
 
     @property
     def num_blocks(self) -> int:
         return len(self.block_sizes)
 
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for s in self.block_sizes:
-            out.append(out[-1] + s)
-        return tuple(out)
-
     def block_slice(self, k: int) -> slice:
-        off = self.offsets
-        return slice(off[k], off[k + 1])
+        return slice(self.offsets[k], self.offsets[k + 1])
 
     def block_of(self, m: int) -> int:
         """Index of the block containing coordinate m."""
-        off = self.offsets
-        for k in range(self.num_blocks):
-            if off[k] <= m < off[k + 1]:
-                return k
-        raise IndexError(f"coordinate {m} outside 0..{self.n - 1}")
+        if not (0 <= m < self.n):
+            raise IndexError(f"coordinate {m} outside 0..{self.n - 1}")
+        return bisect.bisect_right(self.offsets, m) - 1
 
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         x = np.asarray(x)
@@ -85,9 +79,6 @@ class WeightedMax:
     def size(self) -> int:
         return len(self.a)
 
-    def __call__(self, v: np.ndarray) -> float:
-        return weighted_max_norm(v, self.a)
-
 
 @dataclass(frozen=True)
 class Lp:
@@ -99,9 +90,6 @@ class Lp:
         if not (self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p}")
 
-    def __call__(self, v: np.ndarray) -> float:
-        return lp_norm(v, self.p)
-
 
 PerBlockNorm = Union[WeightedMax, Lp]
 
@@ -112,6 +100,7 @@ class NormSpec:
 
     block_weights: tuple[float, ...]
     per_block: tuple[PerBlockNorm, ...]
+    _layouts: dict = field(init=False, repr=False, compare=False)  # block sizes -> _BlockLayout
 
     def __init__(self, block_weights: Sequence[float], per_block: Sequence[PerBlockNorm]):
         w = tuple(float(v) for v in block_weights)
@@ -125,6 +114,7 @@ class NormSpec:
                 raise TypeError(f"unsupported per-block norm {item!r}")
         object.__setattr__(self, "block_weights", w)
         object.__setattr__(self, "per_block", pb)
+        object.__setattr__(self, "_layouts", {})
 
     def check_partition(self, part: BlockPartition) -> None:
         if len(self.block_weights) != part.num_blocks:
@@ -136,6 +126,12 @@ class NormSpec:
                 raise ValueError(
                     f"block {k}: {item.size} weights for size {part.block_sizes[k]}"
                 )
+
+    def _layout(self, part: BlockPartition) -> "_BlockLayout":
+        layout = self._layouts.get(part.block_sizes)
+        if layout is None:
+            layout = self._layouts[part.block_sizes] = _BlockLayout(self, part)
+        return layout
 
     def to_json(self, part: BlockPartition) -> str:
         self.check_partition(part)
@@ -222,18 +218,6 @@ def weighted_max_norm(x: Sequence[float], a: Sequence[float]) -> float:
     return float(np.max(np.abs(x) / a))
 
 
-def _kahan_sum_squares(x: np.ndarray) -> float:
-    """Compensated sum of squares (Kahan) for the p = 2 case."""
-    total = 0.0
-    carry = 0.0
-    for v in x:
-        term = v * v - carry
-        t = total + term
-        carry = (t - total) - term
-        total = t
-    return total
-
-
 def lp_norm(x: Sequence[float], p: float) -> float:
     """(sum |x_m|^p)^(1/p) for p >= 1."""
     if not (p >= 1.0):
@@ -244,24 +228,49 @@ def lp_norm(x: Sequence[float], p: float) -> float:
     scale = float(np.max(np.abs(x)))
     if scale == 0.0:
         return 0.0
-    y = np.abs(x) / scale
-    if p == 2.0:
-        return scale * math.sqrt(_kahan_sum_squares(y))
-    return scale * float(np.sum(y**p)) ** (1.0 / p)
+    return scale * float(np.sum((np.abs(x) / scale) ** p)) ** (1.0 / p)
+
+
+class _BlockLayout:
+    """A NormSpec over one partition as arrays, checked once.
+
+    A weighted-max block is the L_inf norm of x/a, so every block has
+    coordinate weights a (1 on L_p blocks) and an exponent p (inf on
+    weighted-max blocks).
+    """
+
+    def __init__(self, spec: NormSpec, part: BlockPartition):
+        spec.check_partition(part)
+        self.starts = np.asarray(part.offsets[:-1])
+        self.sizes = np.asarray(part.block_sizes)
+        self.w = np.asarray(spec.block_weights)
+        self.a = np.concatenate(
+            [
+                item.a if isinstance(item, WeightedMax) else np.ones(size)
+                for item, size in zip(spec.per_block, part.block_sizes)
+            ]
+        )
+        exps = np.array([item.p if isinstance(item, Lp) else math.inf for item in spec.per_block])
+        self.p, self.inv_p = np.repeat(exps, self.sizes), 1.0 / exps
 
 
 def block_norm(x: Sequence[float], part: BlockPartition, spec: NormSpec) -> float:
-    """Weighted block-maximum norm max_k ||x_{M_k}||_k / w_k."""
+    """Weighted block-maximum norm max_k ||x_{M_k}||_k / w_k.
+
+    All K block norms come from one pass over x.  Each block is scaled by
+    its largest weighted entry before the power sum, so no block under- or
+    overflows where its norm is representable; the sum is not compensated.
+    """
     x = np.asarray(x, dtype=float)
     if x.size != part.n:
         raise ValueError(f"vector length {x.size} != partition dimension {part.n}")
-    spec.check_partition(part)
-    best = 0.0
-    for k in range(part.num_blocks):
-        val = spec.per_block[k](x[part.block_slice(k)]) / spec.block_weights[k]
-        if val > best:
-            best = val
-    return best
+    layout = spec._layout(part)
+    ax = np.abs(x) / layout.a
+    scale = np.maximum.reduceat(ax, layout.starts)
+    y = ax / np.repeat(np.where(scale > 0, scale, 1.0), layout.sizes)
+    # On a weighted-max block y**inf counts the maxima, and count**0 = 1 leaves the scale.
+    norms = scale * np.add.reduceat(y**layout.p, layout.starts) ** layout.inv_p
+    return float(np.max(norms / layout.w))
 
 
 def uniform_l2_spec(part: BlockPartition) -> NormSpec:

@@ -44,28 +44,19 @@ class ScalarQuantizer:
 
     def quantize(self, x: float) -> float:
         """Round-trip decode(encode(x))."""
-        return sq_decode(self, sq_encode(self, x))
+        return float(ScalarBlockQuantizer((self,)).quantize(np.array([x]))[0])
 
 
 def sq_encode(q: ScalarQuantizer, x: float) -> int:
     """Index of the cell containing x, after clamping x into [lo, hi]."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot encode non-finite value {x}")
-    if q.hi == q.lo:
-        return 0
-    x = min(max(x, q.lo), q.hi)
-    i = int((x - q.lo) / q.cell_width)
-    return min(i, q.levels - 1)
+    return int(ScalarBlockQuantizer((q,))._encode(np.array([float(x)]))[0])
 
 
 def sq_decode(q: ScalarQuantizer, i: int) -> float:
     """Midpoint of cell i."""
     if not (0 <= i < q.levels):
         raise ValueError(f"index {i} out of range for {q.bits}-bit quantizer")
-    if q.hi == q.lo:
-        return q.lo
-    return q.lo + (i + 0.5) * q.cell_width
+    return float(ScalarBlockQuantizer((q,))._decode(i)[0])
 
 
 def sq_worst_case_error(interval, bits: int) -> float:
@@ -80,22 +71,42 @@ def sq_worst_case_error(interval, bits: int) -> float:
 
 @dataclass(frozen=True)
 class ScalarBlockQuantizer:
-    """One uniform scalar quantizer per coordinate of a block."""
+    """One uniform scalar quantizer per coordinate of a block, applied as arrays."""
 
     coords: tuple[ScalarQuantizer, ...]
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(coords))
+        coords = tuple(coords)
+        object.__setattr__(self, "coords", coords)
+        lo = np.array([q.lo for q in coords], dtype=float)
+        hi = np.array([q.hi for q in coords], dtype=float)
+        levels = np.array([float(q.levels) for q in coords])
+        width = (hi - lo) / levels
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_top", levels - 1.0)
+        # A point interval encodes to 0 (divide by 1) and decodes to lo + 0.5 * -0.0,
+        # which is lo, signed zero included.
+        object.__setattr__(self, "_div", np.where(width > 0, width, 1.0))
+        object.__setattr__(self, "_width", np.where(width > 0, width, -0.0))
 
     @property
     def size(self) -> int:
         return len(self.coords)
 
+    def _encode(self, v: np.ndarray) -> np.ndarray:  # cell indices, as floats
+        if v.shape != self._lo.shape:
+            raise ValueError(f"block of shape {v.shape} for {self.size} coordinates")
+        if not np.isfinite(v).all():
+            raise ValueError(f"cannot encode non-finite value in {v}")
+        x = np.minimum(np.maximum(v, self._lo), self._hi)
+        return np.minimum(np.floor((x - self._lo) / self._div), self._top)
+
+    def _decode(self, i) -> np.ndarray:
+        return self._lo + (i + 0.5) * self._width
+
     def quantize(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.size != len(self.coords):
-            raise ValueError(f"block length {v.size} != {len(self.coords)}")
-        return np.array([q.quantize(x) for q, x in zip(self.coords, v)])
+        return self._decode(self._encode(np.asarray(v, dtype=float)))
 
     def worst_case_errors(self) -> np.ndarray:
         """Per-coordinate worst-case absolute errors."""

@@ -191,14 +191,11 @@ def sq_wmax_constants(part: BlockPartition, spec: NormSpec, box: BoxDomain) -> n
     """c_m = |X_m| / (2 a_m w_k(m)) for weighted-max blocks."""
     spec.check_partition(part)
     lengths = _box_lengths(box, part.n)
-    c = np.empty(part.n)
-    for k in range(part.num_blocks):
-        norm_k = spec.per_block[k]
+    for k, norm_k in enumerate(spec.per_block):
         if not isinstance(norm_k, WeightedMax):
             raise ValueError(f"block {k} does not carry a weighted-max norm")
-        sl = part.block_slice(k)
-        c[sl] = lengths[sl] / (2.0 * np.asarray(norm_k.a) * spec.block_weights[k])
-    return c
+    a = np.concatenate([norm_k.a for norm_k in spec.per_block])
+    return lengths / (2.0 * a * np.repeat(spec.block_weights, part.block_sizes))
 
 
 def sq_lp_constants(
@@ -215,10 +212,7 @@ def sq_lp_constants(
             p = norm_k.p
         elif norm_k.p != p:
             raise ValueError(f"blocks mix exponents {p} and {norm_k.p}")
-    c = np.empty(part.n)
-    for k in range(part.num_blocks):
-        sl = part.block_slice(k)
-        c[sl] = (lengths[sl] / (2.0 * spec.block_weights[k])) ** p
+    c = (lengths / (2.0 * np.repeat(spec.block_weights, part.block_sizes))) ** p
     return c, float(p)
 
 
@@ -567,6 +561,22 @@ def ticoq_vq_lattice(
     )
 
 
+def ticoq_design(
+    part: BlockPartition, spec: NormSpec, box: BoxDomain, total_bits: int, mode: str
+) -> RateAllocation:
+    """The "sq-wmax", "sq-lp" or "vq" design; lattices take the smallest L_p exponent."""
+    if mode == "sq-wmax":
+        return ticoq_sq_wmax(part, spec, box, total_bits)
+    if mode == "sq-lp":
+        return ticoq_sq_lp(part, spec, box, total_bits)
+    if mode != "vq":
+        raise ValueError(f"unknown design mode {mode!r}")
+    if not all(isinstance(norm, Lp) for norm in spec.per_block):
+        raise ValueError("lattice designs require L_p block norms")
+    p = min(norm.p for norm in spec.per_block)
+    return ticoq_vq_lattice(part, spec.block_weights, box, total_bits, p=p)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
@@ -720,18 +730,10 @@ def make_sq_bank(part: BlockPartition, box: BoxDomain, bits: Sequence[int]) -> Q
     bits = np.asarray(bits, dtype=int)
     if bits.size != part.n:
         raise ValueError(f"{bits.size} rates for {part.n} coordinates")
-    blocks = []
-    for k in range(part.num_blocks):
-        sl = part.block_slice(k)
-        blocks.append(
-            ScalarBlockQuantizer(
-                [
-                    ScalarQuantizer(box.lo[m], box.hi[m], int(bits[m]))
-                    for m in range(sl.start, sl.stop)
-                ]
-            )
-        )
-    return QuantizerBank(blocks)
+    coords = [ScalarQuantizer(*iv, int(b)) for iv, b in zip(box.intervals(), bits, strict=True)]
+    return QuantizerBank(
+        [ScalarBlockQuantizer(coords[part.block_slice(k)]) for k in range(part.num_blocks)]
+    )
 
 
 def make_vq_bank(part: BlockPartition, box: BoxDomain, block_bits: Sequence[int]) -> QuantizerBank:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec
+from .norms import BlockPartition, BoxDomain, NormSpec
 from .ticoq import (
     DesignConstants,
     _round_by_fractions,
@@ -30,9 +30,7 @@ from .ticoq import (
     bank_for_allocation,
     sq_lp_constants,
     sq_wmax_constants,
-    ticoq_sq_lp,
-    ticoq_sq_wmax,
-    ticoq_vq_lattice,
+    ticoq_design,
     tradeoff_threshold,
     vq_constants,
 )
@@ -212,20 +210,12 @@ def tvcoq_design(
     """
     if mode == "sq-wmax":
         constants = DesignConstants(kind="sq-wmax", c=tuple(sq_wmax_constants(part, spec, box)))
-        solve = lambda L_t: ticoq_sq_wmax(part, spec, box, L_t)
     elif mode == "sq-lp":
         c, p = sq_lp_constants(part, spec, box)
         constants = DesignConstants(kind="sq-lp", c=tuple(c), p=p, block_sizes=part.block_sizes)
-        solve = lambda L_t: ticoq_sq_lp(part, spec, box, L_t)
     elif mode == "vq":
-        w = spec.block_weights
-        if not all(isinstance(norm, Lp) for norm in spec.per_block):
-            raise ValueError("lattice designs require L_p block norms")
-        p = min(norm.p for norm in spec.per_block)
-        constants = DesignConstants(
-            kind="vq", d=tuple(vq_constants(part, w, box)), block_sizes=part.block_sizes
-        )
-        solve = lambda L_t: ticoq_vq_lattice(part, w, box, L_t, p=p)
+        d = vq_constants(part, spec.block_weights, box)
+        constants = DesignConstants(kind="vq", d=tuple(d), block_sizes=part.block_sizes)
     else:
         raise ValueError(f"unknown design mode {mode!r}")
 
@@ -236,7 +226,7 @@ def tvcoq_design(
     banks = []
     e_stars = []
     for L_t in schedule.rates:
-        alloc = solve(int(L_t))
+        alloc = ticoq_design(part, spec, box, int(L_t), mode)
         allocations.append(alloc)
         banks.append(bank_for_allocation(part, box, alloc))
         e_stars.append(alloc.integer_value)

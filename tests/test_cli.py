@@ -184,6 +184,12 @@ def test_simulate_rejects_bad_quantizer(tmp_path, capsys):
     assert "quantizer" in capsys.readouterr().err
 
 
+def test_simulate_rejects_lattice_design_on_weighted_max_blocks(tmp_path, capsys):
+    cfg = _write(tmp_path, "sim.json", _simulate_doc(quantizer="ticoq", design="vq"))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: quantizer: lattice designs")
+
+
 @pytest.mark.parametrize("scheme", ["simultaneous", "sequential"])
 def test_simulate_mimo_csv(tmp_path, capsys, scheme):
     doc = {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfix import engine
 from qfix.engine import (
     BlockMapping,
     IdentityQuantizer,
@@ -268,6 +269,51 @@ def test_per_step_quantizer_sequence():
     specs = mapping.norm
     for t, bank in enumerate(banks):
         assert traj.error_norms[t] <= bank.worst_case_error(part, specs) + 1e-15
+
+
+def test_generator_schedule_runs_like_a_list():
+    mapping = _halving_map()
+    part = mapping.partition
+    banks = [make_sq_bank(part, mapping.domain, [b, b]) for b in (1, 2, 3)]
+    x0 = np.array([1.0, 1.0])
+    listed = run_iteration(mapping, banks, x0, 3, Scheme.JACOBI)
+    generated = run_iteration(mapping, (b for b in banks), x0, 3, Scheme.JACOBI)
+    assert np.array_equal(generated.iterates, listed.iterates)
+    assert np.array_equal(generated.error_norms, listed.error_norms)
+    for steps in (2, 4):
+        with pytest.raises(ValueError, match=f"3 per-step banks for {steps} steps"):
+            run_iteration(mapping, (b for b in banks), x0, steps, Scheme.JACOBI)
+
+
+def test_certificate_reuses_the_run_distances(monkeypatch):
+    part = BlockPartition([2, 1, 3])
+    spec = NormSpec([1.0, 2.0, 0.5], [WeightedMax([1.0, 2.0]), Lp(2.0), Lp(3.0)])
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    mapping, x_star = random_affine_contraction(part, spec, box, 0.6, rng=4)
+    bank = make_sq_bank(part, box, [3] * part.n)
+    x0 = np.full(part.n, 0.9)
+    plain = bound_certificate(run_iteration(mapping, bank, x0, 12, Scheme.JACOBI), mapping, x_star)
+
+    calls = []
+    distances = engine._distances
+
+    def counted_distances(*args):
+        calls.append(args)
+        return distances(*args)
+
+    monkeypatch.setattr(engine, "_distances", counted_distances)
+    traj = run_iteration(mapping, bank, x0, 12, Scheme.JACOBI, reference=x_star)
+    cert = bound_certificate(traj, mapping, x_star)
+    assert len(calls) == 1
+    for field in ("ok", "bound", "dist"):
+        assert np.array_equal(getattr(cert, field), getattr(plain, field))
+
+    # another reference, or distances in another norm, are measured afresh
+    bound_certificate(traj, mapping, x_star + 1e-3)
+    l2 = BlockMapping(mapping.fn, part, box, uniform_l2_spec(part), mapping.modulus)
+    cert_l2 = bound_certificate(traj, l2, x_star)
+    assert len(calls) == 3
+    assert np.array_equal(cert_l2.dist, [l2.distance(x, x_star) for x in traj.iterates])
 
 
 def test_mapping_validation():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfix.norms import (
     BlockPartition,
@@ -25,6 +27,9 @@ def test_partition_layout():
     assert part.offsets == (0, 2, 5, 6)
     assert part.block_slice(1) == slice(2, 5)
     assert [part.block_of(m) for m in range(6)] == [0, 0, 1, 1, 1, 2]
+    for m in (-1, 6):
+        with pytest.raises(IndexError):
+            part.block_of(m)
     x = np.arange(6.0)
     pieces = part.split(x)
     assert [list(p) for p in pieces] == [[0.0, 1.0], [2.0, 3.0, 4.0], [5.0]]
@@ -154,3 +159,67 @@ def test_block_norm_is_a_norm():
         assert block_norm(c * x, part, spec) == pytest.approx(abs(c) * nx, rel=1e-12)
         assert block_norm(x + y, part, spec) <= nx + block_norm(y, part, spec) + 1e-12
     assert block_norm(np.zeros(5), part, spec) == 0.0
+
+
+def test_block_norm_checks_a_spec_against_a_partition_once(monkeypatch):
+    calls = []
+    check = NormSpec.check_partition
+
+    def counted_check(spec, part):
+        calls.append(part)
+        check(spec, part)
+
+    monkeypatch.setattr(NormSpec, "check_partition", counted_check)
+    part = BlockPartition([2, 1])
+    spec = NormSpec((1.0, 2.0), (WeightedMax([1.0, 0.5]), Lp(3.0)))
+    for _ in range(3):
+        block_norm(np.array([1.0, -2.0, 3.0]), part, spec)
+    assert calls == [part]
+    bad = BlockPartition([1, 2])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            block_norm(np.zeros(3), bad, spec)
+    assert calls == [part, bad, bad]
+
+
+# Entries across 300 decades, with exact zeros (and so zero blocks).
+_ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-150.0, 150.0),
+    ),
+)
+
+
+@st.composite
+def _mixed_blocks(draw):
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    weight = st.floats(0.01, 100.0)
+    per_block = [
+        draw(
+            st.one_of(
+                st.builds(WeightedMax, st.lists(weight, min_size=size, max_size=size)),
+                st.builds(Lp, st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.5])),
+            )
+        )
+        for size in sizes
+    ]
+    spec = NormSpec([draw(weight) for _ in sizes], per_block)
+    x = np.array([draw(_ENTRY) for _ in range(sum(sizes))])
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(sizes) - 1))
+        x[sum(sizes[:k]) : sum(sizes[: k + 1])] = 0.0
+    return BlockPartition(sizes), spec, x
+
+
+@given(_mixed_blocks())
+def test_block_norm_matches_per_block_reference(case):
+    part, spec, x = case
+    ref = 0.0
+    for k, item in enumerate(spec.per_block):
+        v = x[part.block_slice(k)]
+        val = weighted_max_norm(v, item.a) if isinstance(item, WeightedMax) else lp_norm(v, item.p)
+        ref = max(ref, val / spec.block_weights[k])
+    assert block_norm(x, part, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qfix.squant import (
     ScalarBlockQuantizer,
@@ -96,3 +100,39 @@ def test_block_quantizer_shape_check():
     block = ScalarBlockQuantizer([ScalarQuantizer(0.0, 1.0, 1)])
     with pytest.raises(ValueError):
         block.quantize(np.array([0.1, 0.2]))
+
+
+def _loop_quantize(q, x):
+    """The per-coordinate clamp, cell index and midpoint, in Python floats."""
+    if q.hi == q.lo:
+        return q.lo
+    width = (q.hi - q.lo) / q.levels
+    i = min(int((min(max(x, q.lo), q.hi) - q.lo) / width), q.levels - 1)
+    return q.lo + (i + 0.5) * width
+
+
+@st.composite
+def _coordinates(draw):
+    lo = draw(st.floats(-1e6, 1e6))
+    span = draw(st.just(0.0) | st.floats(1e-9, 1e6))
+    q = ScalarQuantizer(lo, lo + span, draw(st.integers(0, 20)))
+    # inside, on the endpoints, just outside and far outside the interval
+    x = draw(
+        st.floats(-1e9, 1e9)
+        | st.sampled_from([q.lo, q.hi])
+        | st.floats(-2.0, 3.0).map(lambda t: q.lo + t * span)
+    )
+    return q, x
+
+
+@given(st.lists(_coordinates(), min_size=1, max_size=12))
+def test_block_quantize_matches_the_per_coordinate_loop_bit_for_bit(coords):
+    block = ScalarBlockQuantizer([q for q, _ in coords])
+    v = np.array([x for _, x in coords])
+    ref = np.array([_loop_quantize(q, x) for q, x in coords])
+    single = np.array([q.quantize(x) for q, x in coords])
+    assert block.quantize(v).tobytes() == ref.tobytes()
+    assert single.tobytes() == ref.tobytes()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            block.quantize(np.where(np.arange(v.size) == v.size - 1, bad, v))
