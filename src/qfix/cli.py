@@ -92,12 +92,22 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _need_alpha(cfg: dict) -> float:
+    alpha = _need(cfg, "alpha", (int, float), "a number in [0, 1)")
+    if isinstance(alpha, bool) or not (0.0 <= alpha < 1.0):
+        raise ConfigError(f"alpha: expected a number in [0, 1), got {alpha!r}")
+    return float(alpha)
+
+
 def _seed_list(args, cfg: dict, default=(0,)) -> list[int]:
     if args.seed_list:
         try:
-            return [int(s) for s in args.seed_list.split(",") if s.strip() != ""]
+            seeds = [int(s) for s in args.seed_list.split(",") if s.strip() != ""]
         except ValueError:
+            seeds = []
+        if not seeds:
             raise ConfigError(f"--seed-list: expected comma-separated integers, got {args.seed_list!r}")
+        return seeds
     seeds = cfg.get("seeds", list(default))
     if not isinstance(seeds, list) or not seeds or not all(
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
@@ -195,7 +205,7 @@ def _banks_for(
 
 def _simulate_synthetic(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
     part, spec, box = _norm_and_box(cfg)
-    alpha = float(_need(cfg, "alpha", (int, float), "a number in [0, 1)"))
+    alpha = _need_alpha(cfg)
     steps = _need_int(cfg, "T", minimum=1)
     strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES))
     if strategy not in _QUANT_STRATEGIES:
@@ -399,7 +409,7 @@ def _cmd_tradeoff(args) -> int:
     if strategy not in _QUANT_STRATEGIES[1:]:
         raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES[1:]}, got {strategy!r}")
     part, spec, box = _norm_and_box(cfg)
-    alpha = float(_need(cfg, "alpha", (int, float), "a number in (0, 1)"))
+    alpha = _need_alpha(cfg)
     seeds = _seed_list(args, cfg)
     mode = _design_mode(cfg, spec) if strategy in ("ticoq", "tvcoq") else ""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,21 +43,26 @@ class ScalarQuantizer:
     def worst_case_error(self) -> float:
         return sq_worst_case_error((self.lo, self.hi), self.bits)
 
+    @cached_property
+    def _block(self) -> "ScalarBlockQuantizer":
+        """This quantizer as a one-coordinate block, built once."""
+        return ScalarBlockQuantizer((self,))
+
     def quantize(self, x: float) -> float:
         """Round-trip decode(encode(x))."""
-        return float(ScalarBlockQuantizer((self,)).quantize(np.array([x]))[0])
+        return float(self._block.quantize(np.array([x]))[0])
 
 
 def sq_encode(q: ScalarQuantizer, x: float) -> int:
     """Index of the cell containing x, after clamping x into [lo, hi]."""
-    return int(ScalarBlockQuantizer((q,))._encode(np.array([float(x)]))[0])
+    return int(q._block._encode(np.array([float(x)]))[0])
 
 
 def sq_decode(q: ScalarQuantizer, i: int) -> float:
     """Midpoint of cell i."""
     if not (0 <= i < q.levels):
         raise ValueError(f"index {i} out of range for {q.bits}-bit quantizer")
-    return float(ScalarBlockQuantizer((q,))._decode(i)[0])
+    return float(q._block._decode(i)[0])
 
 
 def sq_worst_case_error(interval, bits: int) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -448,6 +448,47 @@ def _check_budget(total_bits: int) -> int:
     return int(total_bits)
 
 
+def _allocate(constants: DesignConstants, part: BlockPartition, total_bits: int) -> RateAllocation:
+    """Relax, round and value one design family's constants at a total budget.
+
+    The relaxed optimum is nested water-filling for "sq-lp" and weighted
+    water-filling otherwise.  Rounding by fractional parts is optimal for
+    "sq-wmax" and for lattices over blocks of equal dimension; elsewhere
+    the integer step is greedy and carries its oracle gap.
+    """
+    entries = np.asarray(constants.d if constants.kind == "vq" else constants.c)
+    if constants.kind == "sq-lp":
+        relaxed, tau, levels = _relax_lp(entries, constants.p, part, total_bits)
+        constants = replace(constants, tau=tau, tau_blocks=tuple(levels))
+        relaxed_value = tau ** (1.0 / constants.p)
+    else:
+        logs, sizes, _ = _log_terms(constants)
+        relaxed, tau = _relax_weighted(logs, sizes, total_bits)
+        constants = replace(constants, tau=tau)
+        relaxed_value = tau
+    objective = objective_for(constants, part)
+
+    proven = constants.kind == "sq-wmax" or (
+        constants.kind == "vq" and len(set(part.block_sizes)) == 1
+    )
+    if proven:
+        bits, _ = _round_by_fractions(relaxed, total_bits, entries)
+    else:
+        bits = _round_greedy(relaxed, total_bits, lambda alloc: float(objective(alloc)[0]))
+    integer_value = float(objective(bits)[0])
+    gap = None if proven else _auto_oracle_gap(objective, entries.size, total_bits, integer_value)
+    return RateAllocation(
+        mode="vq" if constants.kind == "vq" else "sq",
+        total_bits=total_bits,
+        relaxed=tuple(relaxed),
+        bits=tuple(int(b) for b in bits),
+        relaxed_value=relaxed_value,
+        integer_value=integer_value,
+        constants=constants,
+        oracle_gap=gap,
+    )
+
+
 def ticoq_sq_wmax(
     part: BlockPartition, spec: NormSpec, box: BoxDomain, total_bits: int
 ) -> RateAllocation:
@@ -458,19 +499,7 @@ def ticoq_sq_wmax(
     """
     total_bits = _check_budget(total_bits)
     c = sq_wmax_constants(part, spec, box)
-    relaxed, tau = _relax_weighted(np.log2(c), np.ones(part.n), total_bits)
-    bits, _ = _round_by_fractions(relaxed, total_bits, c)
-    objective = sq_wmax_objective(c)
-    constants = DesignConstants(kind="sq-wmax", c=tuple(c), tau=tau)
-    return RateAllocation(
-        mode="sq",
-        total_bits=total_bits,
-        relaxed=tuple(relaxed),
-        bits=tuple(int(b) for b in bits),
-        relaxed_value=tau,
-        integer_value=float(objective(bits)[0]),
-        constants=constants,
-    )
+    return _allocate(DesignConstants(kind="sq-wmax", c=tuple(c)), part, total_bits)
 
 
 def ticoq_sq_lp(
@@ -485,32 +514,8 @@ def ticoq_sq_lp(
     """
     total_bits = _check_budget(total_bits)
     c, p = sq_lp_constants(part, spec, box)
-    relaxed, tau, levels = _relax_lp(c, p, part, total_bits)
-    objective = sq_lp_objective(c, p, part)
-
-    def value_of(alloc: np.ndarray) -> float:
-        return float(objective(alloc)[0])
-
-    bits = _round_greedy(relaxed, total_bits, value_of)
-    integer_value = value_of(bits)
-    constants = DesignConstants(
-        kind="sq-lp",
-        c=tuple(c),
-        p=p,
-        block_sizes=part.block_sizes,
-        tau=tau,
-        tau_blocks=tuple(levels),
-    )
-    return RateAllocation(
-        mode="sq",
-        total_bits=total_bits,
-        relaxed=tuple(relaxed),
-        bits=tuple(int(b) for b in bits),
-        relaxed_value=tau ** (1.0 / p),
-        integer_value=integer_value,
-        constants=constants,
-        oracle_gap=_auto_oracle_gap(objective, part.n, total_bits, integer_value),
-    )
+    constants = DesignConstants(kind="sq-lp", c=tuple(c), p=p, block_sizes=part.block_sizes)
+    return _allocate(constants, part, total_bits)
 
 
 def ticoq_vq_lattice(
@@ -530,35 +535,8 @@ def ticoq_vq_lattice(
     if not (p >= 2.0):
         raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
     d = vq_constants(part, w, box)
-    sizes = np.asarray(part.block_sizes, dtype=float)
-    relaxed, tau = _relax_weighted(np.log2(d), sizes, total_bits)
-    objective = vq_lattice_objective(d, part.block_sizes)
-
-    equal_sizes = len(set(part.block_sizes)) == 1
-    if equal_sizes:
-        bits, _ = _round_by_fractions(relaxed, total_bits, d)
-        gap = None
-    else:
-
-        def value_of(alloc: np.ndarray) -> float:
-            return float(objective(alloc)[0])
-
-        bits = _round_greedy(relaxed, total_bits, value_of)
-        gap = _auto_oracle_gap(objective, part.num_blocks, total_bits, value_of(bits))
-
-    constants = DesignConstants(
-        kind="vq", d=tuple(d), block_sizes=part.block_sizes, tau=tau
-    )
-    return RateAllocation(
-        mode="vq",
-        total_bits=total_bits,
-        relaxed=tuple(relaxed),
-        bits=tuple(int(b) for b in bits),
-        relaxed_value=tau,
-        integer_value=float(objective(np.asarray(bits))[0]),
-        constants=constants,
-        oracle_gap=gap,
-    )
+    constants = DesignConstants(kind="vq", d=tuple(d), block_sizes=part.block_sizes)
+    return _allocate(constants, part, total_bits)
 
 
 def ticoq_design(
@@ -634,10 +612,7 @@ def allocation_oracle(
     best_alloc = None
     ties: list[tuple] = []
     for allocs in _compositions_chunked(total_bits, dims, chunk=200_000):
-        try:
-            values = np.asarray(objective(allocs), dtype=float)
-        except Exception:
-            values = np.array([float(objective(row)) for row in allocs])
+        values = np.asarray(objective(allocs), dtype=float)
         if values.shape != (allocs.shape[0],):
             raise ValueError("objective must return one value per allocation row")
         i = int(np.argmin(values))
@@ -667,10 +642,25 @@ def allocation_oracle(
 # High-rate tradeoff threshold and prefactor
 # ---------------------------------------------------------------------------
 
-def _lp_tilde(constants: DesignConstants) -> np.ndarray:
-    sizes = np.asarray(constants.block_sizes, dtype=float)
-    per_coord = np.repeat(sizes, np.asarray(constants.block_sizes, dtype=int))
-    return per_coord * np.asarray(constants.c)
+def _log_terms(constants: DesignConstants) -> tuple[np.ndarray, np.ndarray, float]:
+    """(log2 constants, entry sizes, p) of the high-rate law.
+
+    Past the threshold the relaxed optimum is 2^(sum_i s_i log_i / (p n)) *
+    2^(-L/n) with n = sum_i s_i.  Scalar entries have size 1; the L_p design
+    weights coordinate m of block k by n_k and divides the exponent by p;
+    lattice entries are blocks of size n_k.
+    """
+    if constants.kind == "vq":
+        return (
+            np.log2(np.asarray(constants.d)),
+            np.asarray(constants.block_sizes, dtype=float),
+            1.0,
+        )
+    c = np.asarray(constants.c)
+    if constants.kind == "sq-wmax":
+        return np.log2(c), np.ones(c.size), 1.0
+    sizes = np.asarray(constants.block_sizes, dtype=int)
+    return np.log2(np.repeat(sizes, sizes) * c), np.ones(c.size), constants.p
 
 
 def tradeoff_threshold(constants: DesignConstants) -> float:
@@ -680,29 +670,14 @@ def tradeoff_threshold(constants: DesignConstants) -> float:
     L_p design it is intentionally conservative (the tight value would
     carry an extra 1/p factor), so the guarantee holds for every L >= L'.
     """
-    if constants.kind == "sq-wmax":
-        logs = np.log2(np.asarray(constants.c))
-        return float(np.sum(logs) - logs.size * np.min(logs))
-    if constants.kind == "sq-lp":
-        logs = np.log2(_lp_tilde(constants))
-        return float(np.sum(logs) - logs.size * np.min(logs))
-    logs = np.log2(np.asarray(constants.d))
-    sizes = np.asarray(constants.block_sizes, dtype=float)
-    n = float(np.sum(sizes))
-    return float(np.dot(sizes, logs) - n * np.min(logs))
+    logs, sizes, _ = _log_terms(constants)
+    return float(np.sum(sizes * logs) - np.sum(sizes) * np.min(logs))
 
 
 def relaxed_eta(constants: DesignConstants) -> float:
     """Prefactor eta of the high-rate law: relaxed optimum = eta * 2^(-L/n)."""
-    if constants.kind == "sq-wmax":
-        logs = np.log2(np.asarray(constants.c))
-        return float(2.0 ** np.mean(logs))
-    if constants.kind == "sq-lp":
-        logs = np.log2(_lp_tilde(constants))
-        return float(2.0 ** (np.sum(logs) / (constants.p * logs.size)))
-    logs = np.log2(np.asarray(constants.d))
-    sizes = np.asarray(constants.block_sizes, dtype=float)
-    return float(2.0 ** (np.dot(sizes, logs) / np.sum(sizes)))
+    logs, sizes, p = _log_terms(constants)
+    return float(2.0 ** (np.sum(sizes * logs) / (p * np.sum(sizes))))
 
 
 def tradeoff_value(constants: DesignConstants, total_bits: float) -> float:

@@ -8,8 +8,8 @@ T*L bits across the T stages to minimize the horizon-end error bound
     sum_t alpha^(-t) 2^(-L(t)/n),
 
 whose relaxed solution is linear in t — later stages earn more bits at
-a slope set by the contraction modulus.  Each stage then runs its own
-time-invariant design at budget L(t).
+a slope set by the contraction modulus.  Each distinct stage rate L(t)
+then gets one time-invariant design at that budget.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ import numpy as np
 
 from .norms import BlockPartition, BoxDomain, NormSpec
 from .ticoq import (
-    DesignConstants,
     _round_by_fractions,
     _snap_integers,
     allocation_oracle,
     bank_for_allocation,
-    sq_lp_constants,
-    sq_wmax_constants,
     ticoq_design,
     tradeoff_threshold,
-    vq_constants,
 )
 
 _FALLBACK_ORACLE_LIMIT = 100_000
@@ -201,38 +197,26 @@ def tvcoq_design(
     alpha: float,
     mode: str,
 ) -> StageSchedule:
-    """Master split plus one time-invariant design per stage.
+    """Master split plus one time-invariant design per distinct stage rate.
 
     mode selects the per-stage solver: "sq-wmax", "sq-lp", or "vq".  The
-    master problem uses the matching high-rate threshold, so stage rates
-    stay inside the regime where the per-stage optimum follows the
-    eta * 2^(-L(t)/n) law whenever the budget allows.
+    master problem uses the threshold of the mode's constants, read from its
+    0-bit design, so stage rates stay inside the regime where the per-stage
+    optimum follows the eta * 2^(-L(t)/n) law whenever the budget allows.
+    Stages with equal rates share one allocation and one bank.
     """
-    if mode == "sq-wmax":
-        constants = DesignConstants(kind="sq-wmax", c=tuple(sq_wmax_constants(part, spec, box)))
-    elif mode == "sq-lp":
-        c, p = sq_lp_constants(part, spec, box)
-        constants = DesignConstants(kind="sq-lp", c=tuple(c), p=p, block_sizes=part.block_sizes)
-    elif mode == "vq":
-        d = vq_constants(part, spec.block_weights, box)
-        constants = DesignConstants(kind="vq", d=tuple(d), block_sizes=part.block_sizes)
-    else:
-        raise ValueError(f"unknown design mode {mode!r}")
-
-    l_prime = tradeoff_threshold(constants)
+    base = ticoq_design(part, spec, box, 0, mode)
+    l_prime = tradeoff_threshold(base.constants)
     schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=l_prime)
 
-    allocations = []
-    banks = []
-    e_stars = []
+    designs = {}
     for L_t in schedule.rates:
-        alloc = ticoq_design(part, spec, box, int(L_t), mode)
-        allocations.append(alloc)
-        banks.append(bank_for_allocation(part, box, alloc))
-        e_stars.append(alloc.integer_value)
-    schedule.allocations = tuple(allocations)
-    schedule.banks = tuple(banks)
-    schedule.e_stars = tuple(e_stars)
+        if L_t not in designs:
+            alloc = base if L_t == 0 else ticoq_design(part, spec, box, L_t, mode)
+            designs[L_t] = (alloc, bank_for_allocation(part, box, alloc))
+    schedule.allocations = tuple(designs[L_t][0] for L_t in schedule.rates)
+    schedule.banks = tuple(designs[L_t][1] for L_t in schedule.rates)
+    schedule.e_stars = tuple(alloc.integer_value for alloc in schedule.allocations)
     return schedule
 
 

@@ -190,6 +190,26 @@ def test_simulate_rejects_lattice_design_on_weighted_max_blocks(tmp_path, capsys
     assert capsys.readouterr().err.startswith("config error: quantizer: lattice designs")
 
 
+@pytest.mark.parametrize("command", ["simulate", "tradeoff"])
+@pytest.mark.parametrize("seeds", [",", " , "])
+def test_empty_seed_list_exit_one(tmp_path, capsys, command, seeds):
+    doc = _simulate_doc() if command == "simulate" else _tradeoff_doc()
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg, "--seed-list", seeds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --seed-list:")
+
+
+@pytest.mark.parametrize("command", ["simulate", "tradeoff"])
+@pytest.mark.parametrize("alpha", [1.5, 1.0, -0.1, True, "0.5"])
+def test_bad_alpha_exit_one(tmp_path, capsys, command, alpha):
+    doc = (_simulate_doc if command == "simulate" else _tradeoff_doc)(alpha=alpha)
+    cfg = _write(tmp_path, "c.json", doc)
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: alpha:")
+
+
 @pytest.mark.parametrize("scheme", ["simultaneous", "sequential"])
 def test_simulate_mimo_csv(tmp_path, capsys, scheme):
     doc = {

@@ -37,7 +37,13 @@ from qfix.mimo import (
     waterfill,
 )
 from qfix.norms import Lp, WeightedMax, block_norm
-from qfix.ticoq import make_sq_bank, make_vq_bank, ticoq_sq_lp, uniform_sq_allocation
+from qfix.ticoq import (
+    make_sq_bank,
+    make_vq_bank,
+    ticoq_sq_lp,
+    ticoq_vq_lattice,
+    uniform_sq_allocation,
+)
 
 # Entries below 1e-100 would only probe the underflow of squared norms.
 _ENTRIES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).filter(
@@ -379,6 +385,30 @@ def test_iwfa_modes_agree_and_certify():
     assert qseq.trajectory.scheme is Scheme.SEQUENTIAL
     assert np.any(qseq.trajectory.error_norms > 0)
     assert bound_certificate(qseq.trajectory, qseq.mapping, ref).all_ok()
+
+
+def test_iwfa_iterates_are_feasible_profiles():
+    checked = 0
+    for g in range(4):
+        game = paper_style_game(seed=g)
+        ch = ChannelSet.generate(game)
+        est = estimate_modulus(ch, samples=50, rng=g)
+        if not est.certified:
+            continue
+        part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
+        banks = (
+            None,
+            make_sq_bank(part, box, ticoq_sq_lp(part, spec, box, 20).bits),
+            make_vq_bank(part, box, ticoq_vq_lattice(part, spec.block_weights, box, 20).bits),
+        )
+        for bank in banks:
+            for mode in ("simultaneous", "sequential"):
+                res = iwfa_run(ch, quantizers=bank, mode=mode, steps=30, modulus=est.alpha_hat)
+                for x in res.trajectory.iterates:
+                    vec_to_profile(x, game).validate(game)
+                    checked += 1
+    # Games 0-3 are all certified: 4 games x 3 banks x 2 modes x 31 iterates.
+    assert checked == 744
 
 
 def test_iwfa_quantized_run_certificate():

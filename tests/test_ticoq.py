@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qfix.mimo import game_box, game_norm_spec, game_partition, paper_style_game
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
 from qfix.ticoq import (
     DesignConstants,
@@ -205,6 +206,18 @@ def test_lp_greedy_gap_is_small():
     assert np.median(gaps) == 0.0
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="greedy ties go to the lowest index and the pairwise polish takes only "
+    "strict improvements of the max, so L = 10 is valued worse than L = 9",
+)
+def test_lp_greedy_value_is_monotone_in_budget_on_the_mimo_box():
+    game = paper_style_game(seed=0)
+    part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
+    values = [ticoq_sq_lp(part, spec, box, L).integer_value for L in range(16)]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+
+
 def test_vq_worked_instance():
     # two 2-D blocks over unit boxes, w = 1: D_k = (1/V2)^(1/2) * R2
     part = BlockPartition([2, 2])
@@ -276,6 +289,16 @@ def test_oracle_basics():
         lambda a: np.zeros(np.atleast_2d(a).shape[0]), 2, 1, return_ties=True
     )
     assert ties.ties == ((0, 1), (1, 0))
+
+
+def test_oracle_refuses_a_row_only_objective():
+    weights = np.array([1.0, 2.0])
+
+    def row_only(alloc):  # float() of more than one row raises
+        return float(2.0 ** -(alloc @ weights))
+
+    with pytest.raises(TypeError):
+        allocation_oracle(row_only, 2, 3)
 
 
 def test_oracle_enumeration_guard():

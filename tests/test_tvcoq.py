@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from qfix import tvcoq
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
-from qfix.ticoq import allocation_oracle, relaxed_eta, tradeoff_threshold
+from qfix.ticoq import allocation_oracle, relaxed_eta, ticoq_design, tradeoff_threshold
 from qfix.tvcoq import (
     master_objective,
     schedule_objective,
@@ -158,6 +159,46 @@ def test_design_vq_mode():
     assert sum(sched.rates) == 18
     with pytest.raises(ValueError):
         wrong = NormSpec((1.0, 1.0), (WeightedMax([1.0, 1.0]), Lp(2.0)))
+        tvcoq_design(part, wrong, box, 6, 3, 0.5, "vq")
+
+
+@pytest.mark.parametrize(
+    "mode, L, T, alpha",
+    [("sq-lp", 6, 12, 0.95), ("sq-wmax", 1, 9, 0.3), ("vq", 0, 4, 0.5), ("vq", 8, 10, 0.8)],
+)
+def test_design_runs_one_ticoq_design_per_distinct_rate(monkeypatch, mode, L, T, alpha):
+    part = BlockPartition([2, 2])
+    per_block = (Lp(2.0), Lp(2.0)) if mode != "sq-wmax" else (WeightedMax([1.0, 0.5]),) * 2
+    spec = NormSpec((1.0, 2.0), per_block)
+    box = BoxDomain([(0.0, 1.0), (-1.0, 3.0), (0.0, 2.0), (0.0, 0.5)])
+    rates_designed = []
+
+    def counting(part, spec, box, total_bits, mode):
+        rates_designed.append(total_bits)
+        return ticoq_design(part, spec, box, total_bits, mode)
+
+    monkeypatch.setattr(tvcoq, "ticoq_design", counting)
+    sched = tvcoq_design(part, spec, box, L, T, alpha, mode)
+    distinct = set(sched.rates)
+    assert sorted(rates_designed) == sorted(distinct | {0})
+    for t, rate in enumerate(sched.rates):
+        first = sched.rates.index(rate)
+        assert sched.allocations[t] is sched.allocations[first]
+        assert sched.banks[t] is sched.banks[first]
+        fresh = ticoq_design(part, spec, box, rate, mode)
+        assert sched.allocations[t].as_dict() == fresh.as_dict()
+        assert sched.e_stars[t] == fresh.integer_value
+
+
+def test_design_refuses_a_mode_before_the_master_split(monkeypatch):
+    def master(*args, **kwargs):
+        raise AssertionError("the master split ran")
+
+    monkeypatch.setattr(tvcoq, "tvcoq_master", master)
+    part = BlockPartition([2, 2])
+    wrong = NormSpec((1.0, 1.0), (WeightedMax([1.0, 1.0]), Lp(2.0)))
+    box = BoxDomain([(0.0, 1.0)] * 4)
+    with pytest.raises(ValueError, match="lattice designs require L_p block norms"):
         tvcoq_design(part, wrong, box, 6, 3, 0.5, "vq")
 
 
