@@ -5,20 +5,25 @@ Given a total bit budget L, these solvers split it across coordinates
 worst-case quantization error — and with it the limiting error bound of
 the quantized iteration — is as small as possible.  Three variants:
 
-* weighted-max block norms, scalar quantizers: water-filling with an
-  optimal integer rounding step;
+* weighted-max block norms, scalar quantizers: water-filling;
 * L_p block norms, scalar quantizers: nested water-filling (per-block
-  levels tau_k under a global level tau) with a greedy integer step;
+  levels tau_k under a global level tau);
 * L_p (p >= 2) block norms, dual-lattice vector quantizers: per-block
-  water-filling, optimal rounding when all blocks have equal dimension.
+  water-filling.
 
-An exhaustive oracle over integer allocations and the closed-form
-high-rate threshold L' (past which the relaxed optimum decays exactly
-like eta * 2^(-L/n)) round out the module.
+Each objective is a max over terms that fall in their own bits, so one
+exact integer step serves all three: every bit goes to the term that
+currently sets the max, lowest index on ties (marginal analysis: Fox,
+Management Science 13(3), 1966; Ibaraki & Katoh, Resource Allocation
+Problems, 1988).  An exhaustive oracle over integer allocations, kept as
+the reference the tests compare against, and the closed-form high-rate
+threshold L' (past which the relaxed optimum decays exactly like
+eta * 2^(-L/n)) round out the module.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -32,7 +37,6 @@ from .squant import ScalarBlockQuantizer, ScalarQuantizer
 from .vquant import LatticeQuantizer, covering_radius, fundamental_volume
 
 _ORACLE_GUARD = 10_000_000
-_AUTO_GAP_LIMIT = 100_000
 _SNAP_TOL = 1e-9
 _SUM_TOL = 1e-12
 _MAX_BISECT = 200
@@ -93,7 +97,6 @@ class RateAllocation:
     relaxed_value: float
     integer_value: float
     constants: DesignConstants
-    oracle_gap: Optional[float] = None  # relative gap vs exhaustive search, if computed
 
     def __post_init__(self):
         if self.mode not in ("sq", "vq"):
@@ -115,7 +118,6 @@ class RateAllocation:
             "bits": [int(b) for b in self.bits],
             "relaxed_value": self.relaxed_value,
             "integer_value": self.integer_value,
-            "oracle_gap": self.oracle_gap,
         }
 
 
@@ -345,7 +347,7 @@ def _relax_lp(c: np.ndarray, p: float, part: BlockPartition, budget: int):
 
 
 # ---------------------------------------------------------------------------
-# Integer rounding
+# Exact integer step
 # ---------------------------------------------------------------------------
 
 def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
@@ -356,86 +358,59 @@ def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
     return np.maximum(snapped, 0.0)
 
 
-def _round_by_fractions(
-    relaxed: np.ndarray, budget: int, rank_weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Floor everywhere, then ceil the entries with the largest fractional parts.
+def _walk(values: Sequence[float], budget: int, give_bit: Callable[[int], float]) -> None:
+    """Give budget bits one at a time, each to the term of largest value.
 
-    The number of ceils is fixed by the budget (sum of fractional parts is
-    an integer in exact arithmetic); ties at the cutoff prefer the entry
-    with the larger rank weight, then the lower index, which keeps the max
-    term as small as possible.  Returns the integer allocation and the
-    indices that were ceiled, in ceiling order.
+    Ties go to the lowest term index.  give_bit(k) hands term k one more bit
+    and returns its new value.  When every term is nonincreasing in its own
+    bits, this minimizes the max over terms exactly: from any start at or
+    below the fewest bits that reach the optimum, the term that sets the
+    max needs the bit, so the walk reaches the optimum within the budget.
     """
-    snapped = _snap_integers(relaxed)
-    floors = np.floor(snapped)
-    fracs = snapped - floors
-    extra = budget - int(np.round(float(np.sum(floors))))
-    if extra < 0 or extra > relaxed.size:
-        raise ValueError("relaxed solution violates the rate budget after snapping")
-    order = sorted(
-        range(relaxed.size), key=lambda m: (-fracs[m], -rank_weight[m], m)
-    )
-    ceiled = np.array(order[:extra], dtype=int)
-    bits = floors.astype(int)
-    bits[ceiled] += 1
-    return bits, ceiled
+    heap = [(-v, k) for k, v in enumerate(values)]
+    heapq.heapify(heap)
+    for _ in range(budget):
+        k = heap[0][1]
+        heapq.heapreplace(heap, (-give_bit(k), k))
 
 
-def _round_greedy(
-    relaxed: np.ndarray, budget: int, value_of: Callable[[np.ndarray], float]
-) -> np.ndarray:
-    """Floor the relaxed solution, then place leftover bits one at a time.
+def _max_term_bits(const: np.ndarray, sizes: np.ndarray, start: np.ndarray, budget: int) -> np.ndarray:
+    """Minimize max_k const_k 2^(-b_k / sizes_k) over sum_k b_k = budget, b >= start."""
+    consts, rates = const.tolist(), sizes.tolist()
+    bits = [int(b) for b in start]
 
-    Each bit goes to the entry whose increment yields the smallest
-    objective (ties to the lowest index); a pairwise-exchange polish then
-    moves single bits while any move strictly improves the objective.
+    def give_bit(k: int) -> float:
+        bits[k] += 1
+        return consts[k] * 2.0 ** (-bits[k] / rates[k])
+
+    _walk([c * 2.0 ** (-b / r) for c, b, r in zip(consts, bits, rates)], budget - sum(bits), give_bit)
+    return np.array(bits, dtype=int)
+
+
+def _lp_bits(c: np.ndarray, p: float, part: BlockPartition, budget: int) -> np.ndarray:
+    """Minimize max_k sum_{m in M_k} c_m 2^(-p b_m) over sum_m b_m = budget.
+
+    Each block's bits go to its coordinate of largest c_m 2^(-p b_m) (lowest
+    index on ties), the optimal in-block split at every bit count for this
+    separable convex sum; the blocks then share the budget by the walk.
     """
-    snapped = _snap_integers(relaxed)
-    bits = np.floor(snapped).astype(int)
-    remaining = budget - int(bits.sum())
-    if remaining < 0:
-        raise ValueError("relaxed solution violates the rate budget after snapping")
-    dims = bits.size
-    for _ in range(remaining):
-        best_m, best_v = 0, math.inf
-        for m in range(dims):
-            bits[m] += 1
-            v = value_of(bits)
-            bits[m] -= 1
-            if v < best_v:
-                best_m, best_v = m, v
-        bits[best_m] += 1
+    consts = c.tolist()
+    terms = list(consts)
+    bits = [0] * part.n
+    blocks = [range(part.offsets[k], part.offsets[k + 1]) for k in range(part.num_blocks)]
+    heaps = [[(-terms[m], m) for m in block] for block in blocks]
+    for heap in heaps:
+        heapq.heapify(heap)
 
-    current = value_of(bits)
-    for _ in range(100):
-        improved = False
-        for i in range(dims):
-            for j in range(dims):
-                if j == i or bits[i] == 0:
-                    continue
-                bits[i] -= 1
-                bits[j] += 1
-                v = value_of(bits)
-                if v < current:
-                    current = v
-                    improved = True
-                else:
-                    bits[i] += 1
-                    bits[j] -= 1
-        if not improved:
-            break
-    return bits
+    def give_bit(k: int) -> float:
+        m = heaps[k][0][1]
+        bits[m] += 1
+        terms[m] = consts[m] * 2.0 ** (-p * bits[m])
+        heapq.heapreplace(heaps[k], (-terms[m], m))
+        return math.fsum(terms[i] for i in blocks[k])
 
-
-def _auto_oracle_gap(objective, dims: int, budget: int, integer_value: float) -> Optional[float]:
-    """Relative gap to the exhaustive optimum, when enumeration is cheap."""
-    if math.comb(budget + dims - 1, dims - 1) > _AUTO_GAP_LIMIT:
-        return None
-    best = allocation_oracle(objective, dims, budget)
-    if best.value == 0.0:
-        return 0.0
-    return max(integer_value / best.value - 1.0, 0.0)
+    _walk([math.fsum(terms[m] for m in block) for block in blocks], budget, give_bit)
+    return np.array(bits, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -452,31 +427,27 @@ def _allocate(constants: DesignConstants, part: BlockPartition, total_bits: int)
     """Relax, round and value one design family's constants at a total budget.
 
     The relaxed optimum is nested water-filling for "sq-lp" and weighted
-    water-filling otherwise.  Rounding by fractional parts is optimal for
-    "sq-wmax" and for lattices over blocks of equal dimension; elsewhere
-    the integer step is greedy and carries its oracle gap.
+    water-filling otherwise.  The integer step is exact for every family:
+    each bit goes to the term that sets the max (a coordinate for
+    "sq-wmax", a block otherwise; lowest index on ties).  The closed-form
+    families start the walk from a lower bound read off the relaxed rates.
     """
     entries = np.asarray(constants.d if constants.kind == "vq" else constants.c)
     if constants.kind == "sq-lp":
         relaxed, tau, levels = _relax_lp(entries, constants.p, part, total_bits)
         constants = replace(constants, tau=tau, tau_blocks=tuple(levels))
         relaxed_value = tau ** (1.0 / constants.p)
+        bits = _lp_bits(entries, constants.p, part, total_bits)
     else:
         logs, sizes, _ = _log_terms(constants)
         relaxed, tau = _relax_weighted(logs, sizes, total_bits)
         constants = replace(constants, tau=tau)
         relaxed_value = tau
-    objective = objective_for(constants, part)
-
-    proven = constants.kind == "sq-wmax" or (
-        constants.kind == "vq" and len(set(part.block_sizes)) == 1
-    )
-    if proven:
-        bits, _ = _round_by_fractions(relaxed, total_bits, entries)
-    else:
-        bits = _round_greedy(relaxed, total_bits, lambda alloc: float(objective(alloc)[0]))
-    integer_value = float(objective(bits)[0])
-    gap = None if proven else _auto_oracle_gap(objective, entries.size, total_bits, integer_value)
+        # Flooring the relaxed rates shows tau* <= tau 2^(1/n_min), so no
+        # entry needs fewer than r_k - n_k/n_min bits to reach the optimum.
+        start = np.ceil(_snap_integers(relaxed - sizes / sizes.min()))
+        bits = _max_term_bits(entries, sizes, start, total_bits)
+    integer_value = float(objective_for(constants, part)(bits)[0])
     return RateAllocation(
         mode="vq" if constants.kind == "vq" else "sq",
         total_bits=total_bits,
@@ -485,7 +456,6 @@ def _allocate(constants: DesignConstants, part: BlockPartition, total_bits: int)
         relaxed_value=relaxed_value,
         integer_value=integer_value,
         constants=constants,
-        oracle_gap=gap,
     )
 
 
@@ -494,8 +464,8 @@ def ticoq_sq_wmax(
 ) -> RateAllocation:
     """Optimal scalar rate allocation under weighted-max block norms.
 
-    Water-filling gives the relaxed optimum (value tau); flooring and
-    ceiling the largest fractional parts gives an integer optimum.
+    Water-filling gives the relaxed optimum (value tau); the largest-term
+    walk gives an integer optimum.
     """
     total_bits = _check_budget(total_bits)
     c = sq_wmax_constants(part, spec, box)
@@ -505,12 +475,11 @@ def ticoq_sq_wmax(
 def ticoq_sq_lp(
     part: BlockPartition, spec: NormSpec, box: BoxDomain, total_bits: int
 ) -> RateAllocation:
-    """Scalar rate allocation under L_p block norms.
+    """Optimal scalar rate allocation under L_p block norms.
 
-    The relaxed problem is solved exactly by nested water-filling; the
-    integer step is a greedy rounding (no optimality proof exists for it),
-    so the relative gap to the exhaustive oracle is attached whenever the
-    instance is small enough to enumerate.
+    The relaxed problem is solved exactly by nested water-filling.  The
+    integer optimum gives each bit to the block of largest error sum and,
+    inside it, to the coordinate of largest term.
     """
     total_bits = _check_budget(total_bits)
     c, p = sq_lp_constants(part, spec, box)
@@ -525,11 +494,10 @@ def ticoq_vq_lattice(
     total_bits: int,
     p: float = 2.0,
 ) -> RateAllocation:
-    """Per-block lattice rate allocation under L_p (p >= 2) block norms.
+    """Optimal per-block lattice rate allocation under L_p (p >= 2) block norms.
 
-    When every block has the same dimension, flooring and ceiling the
-    relaxed block rates by fractional part is optimal; otherwise a greedy
-    rounding is used and the oracle gap is attached when computable.
+    The integer optimum gives each bit to the block of largest error
+    d_k 2^(-L_k/n_k), whatever the block dimensions.
     """
     total_bits = _check_budget(total_bits)
     if not (p >= 2.0):

@@ -23,15 +23,12 @@ import numpy as np
 
 from .norms import BlockPartition, BoxDomain, NormSpec
 from .ticoq import (
-    _round_by_fractions,
+    _max_term_bits,
     _snap_integers,
-    allocation_oracle,
     bank_for_allocation,
     ticoq_design,
     tradeoff_threshold,
 )
-
-_FALLBACK_ORACLE_LIMIT = 100_000
 
 
 @dataclass
@@ -105,6 +102,31 @@ def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: 
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
 
+def _round_by_fractions(
+    relaxed: np.ndarray, budget: int, rank_weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Floor everywhere, then ceil the entries with the largest fractional parts.
+
+    The number of ceils is fixed by the budget (sum of fractional parts is
+    an integer in exact arithmetic); ties at the cutoff prefer the entry
+    with the larger rank weight, then the lower index.  Returns the integer
+    allocation and the indices that were ceiled, in ceiling order.
+    """
+    snapped = _snap_integers(relaxed)
+    floors = np.floor(snapped)
+    fracs = snapped - floors
+    extra = budget - int(np.round(float(np.sum(floors))))
+    if extra < 0 or extra > relaxed.size:
+        raise ValueError("relaxed solution violates the rate budget after snapping")
+    order = sorted(
+        range(relaxed.size), key=lambda m: (-fracs[m], -rank_weight[m], m)
+    )
+    ceiled = np.array(order[:extra], dtype=int)
+    bits = floors.astype(int)
+    bits[ceiled] += 1
+    return bits, ceiled
+
+
 def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> list[tuple]:
     """Schedules reachable by moving one ceil to an equal-fraction floored stage."""
     alternates = []
@@ -137,9 +159,10 @@ def tvcoq_master(
     Inside the validity regime (budget large enough that even stage 0's
     relaxed rate clears l_prime) the relaxed solution is the closed form
     L(t) = L + n log2(alpha) ((horizon-1)/2 - t) and fractional-part
-    rounding of it is integer-optimal.  Outside the regime the split
-    falls back to exhaustive search (small instances) or a greedy
-    stage-wise allocation, and is flagged accordingly.
+    rounding of it is integer-optimal.  Outside the regime the split is
+    flagged and made by marginal analysis: each bit goes to the stage of
+    largest alpha^(-t) 2^(-L(t)/n), whose next bit saves the most, which is
+    exact for this separable convex objective.
     """
     _validate_master_args(alpha, n, per_stage_budget, horizon)
     if l_prime < 0:
@@ -161,17 +184,8 @@ def tvcoq_master(
         snapped = _snap_integers(relaxed)
         bits, ceiled = _round_by_fractions(relaxed, total, snapped)
         alternates = _tied_swaps(bits, snapped - np.floor(snapped), ceiled)
-    elif math.comb(total + T - 1, T - 1) <= _FALLBACK_ORACLE_LIMIT:
-        best = allocation_oracle(objective, T, total)
-        bits = np.asarray(best.allocation, dtype=int)
     else:
-        # Separable convex objective: place bits one at a time where the
-        # current marginal reduction is largest.
-        bits = np.zeros(T, dtype=int)
-        t_pow = alpha ** (-t_idx)
-        for _ in range(total):
-            reduction = t_pow * (2.0 ** (-bits / n)) * (1.0 - 2.0 ** (-1.0 / n))
-            bits[int(np.argmax(reduction))] += 1
+        bits = _max_term_bits(alpha ** (-t_idx), np.full(T, float(n)), np.zeros(T), total)
 
     value = float(objective(bits)[0])
     return StageSchedule(

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from qfix import ticoq, tvcoq
 from qfix.mimo import game_box, game_norm_spec, game_partition, paper_style_game
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
 from qfix.ticoq import (
@@ -17,6 +20,7 @@ from qfix.ticoq import (
     sq_lp_objective,
     sq_wmax_constants,
     sq_wmax_objective,
+    ticoq_design,
     ticoq_sq_lp,
     ticoq_sq_wmax,
     ticoq_vq_lattice,
@@ -26,6 +30,7 @@ from qfix.ticoq import (
     vq_constants,
     vq_lattice_objective,
 )
+from qfix.tvcoq import tvcoq_design, tvcoq_master
 from qfix.vquant import covering_radius, fundamental_volume
 
 
@@ -192,30 +197,84 @@ def test_lp_relaxed_value_is_tau_root():
     assert alloc.relaxed_value == pytest.approx(alloc.constants.tau ** 0.5, rel=1e-12)
 
 
-def test_lp_greedy_gap_is_small():
+def test_lp_integer_value_matches_oracle():
     rng = np.random.default_rng(4)
-    gaps = []
     for _ in range(40):
         part, spec, box = _random_lp_problem(rng)
         total = int(rng.integers(0, 9))
         alloc = ticoq_sq_lp(part, spec, box, total)
-        assert alloc.oracle_gap is not None
-        gaps.append(alloc.oracle_gap)
-        assert alloc.oracle_gap <= 0.05
-    # the greedy integer step usually finds the optimum outright
-    assert np.median(gaps) == 0.0
+        c, p = sq_lp_constants(part, spec, box)
+        oracle = allocation_oracle(sq_lp_objective(c, p, part), part.n, total)
+        # tied block sums may differ in the last ulp
+        assert alloc.integer_value == pytest.approx(oracle.value, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="greedy ties go to the lowest index and the pairwise polish takes only "
-    "strict improvements of the max, so L = 10 is valued worse than L = 9",
-)
 def test_lp_greedy_value_is_monotone_in_budget_on_the_mimo_box():
     game = paper_style_game(seed=0)
     part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
-    values = [ticoq_sq_lp(part, spec, box, L).integer_value for L in range(16)]
+    values = [ticoq_sq_lp(part, spec, box, L).integer_value for L in range(31)]
     assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+def _design_problem(data, mode):
+    """A partition, norm spec and box for one design family, drawn by hypothesis."""
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="sizes")
+    part = BlockPartition(sizes)
+    weights = tuple(data.draw(st.lists(
+        st.floats(0.5, 2.0), min_size=part.num_blocks, max_size=part.num_blocks
+    ), label="w"))
+    if mode == "sq-wmax":
+        per = tuple(WeightedMax([1.0] * size) for size in sizes)
+    else:
+        p = data.draw(st.sampled_from([2.0, 3.0] if mode == "vq" else [1.0, 1.5, 2.0, 3.0]))
+        per = tuple(Lp(p) for _ in sizes)
+    spans = data.draw(st.lists(st.floats(0.2, 5.0), min_size=part.n, max_size=part.n))
+    box = BoxDomain([(0.0, span) for span in spans])
+    return part, NormSpec(weights, per), box
+
+
+@given(st.data(), st.sampled_from(["sq-wmax", "sq-lp", "vq"]), st.integers(0, 11))
+@settings(max_examples=300)
+def test_design_equals_the_oracle(data, mode, total):
+    part, spec, box = _design_problem(data, mode)
+    alloc = ticoq_design(part, spec, box, total, mode)
+    dims = len(alloc.bits)
+    assume(math.comb(total + dims - 1, dims - 1) <= 200_000)
+    oracle = allocation_oracle(objective_for(alloc.constants, part), dims, total)
+    if mode == "sq-lp":  # tied block sums may differ in the last ulp
+        assert alloc.integer_value == pytest.approx(oracle.value, rel=1e-12, abs=0.0)
+    else:
+        assert alloc.integer_value == oracle.value
+
+
+def test_tied_terms_give_the_odd_bit_to_the_lower_index():
+    # one term per coordinate, per block, and per coordinate inside a block
+    part, spec, box = _wmax_problem([1.5, 1.5])
+    assert ticoq_sq_wmax(part, spec, box, 5).bits == (3, 2)
+    unit = BoxDomain([(0.0, 1.0)] * 2)
+    two_blocks = NormSpec((1.0, 1.0), (Lp(2.0), Lp(2.0)))
+    assert ticoq_sq_lp(BlockPartition([1, 1]), two_blocks, unit, 5).bits == (3, 2)
+    one_block = NormSpec((1.0,), (Lp(2.0),))
+    assert ticoq_sq_lp(BlockPartition([2]), one_block, unit, 5).bits == (3, 2)
+    lattice_box = BoxDomain([(0.0, 1.0)] * 4)
+    assert ticoq_vq_lattice(BlockPartition([2, 2]), (1.0, 1.0), lattice_box, 7).bits == (4, 3)
+
+
+def test_no_designer_calls_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a designer called allocation_oracle")
+
+    monkeypatch.setattr(ticoq, "allocation_oracle", refuse)
+    monkeypatch.setattr(tvcoq, "allocation_oracle", refuse, raising=False)
+    game = paper_style_game(seed=0)
+    part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
+    for mode in ("sq-lp", "vq"):
+        for L in (0, 5, 13):
+            ticoq_design(part, spec, box, L, mode)
+    wmax_part, wmax_spec, wmax_box = _wmax_problem([0.5, 2.0, 1.25])
+    ticoq_design(wmax_part, wmax_spec, wmax_box, 9, "sq-wmax")
+    tvcoq_design(part, spec, box, 4, 6, 0.5, "sq-lp")
+    tvcoq_master(0.3, 2, 1, 6)  # out of regime
 
 
 def test_vq_worked_instance():
@@ -253,18 +312,16 @@ def test_vq_equal_blocks_match_oracle():
             vq_lattice_objective(d, part.block_sizes), num_blocks, total
         )
         assert alloc.integer_value == oracle.value
-        assert alloc.oracle_gap is None  # rounding is provably optimal here
 
 
-def test_vq_unequal_blocks_reports_gap():
+def test_vq_unequal_blocks_match_oracle():
     part = BlockPartition([1, 3])
     w = (1.0, 1.0)
     box = BoxDomain([(0.0, 1.0)] * 4)
     alloc = ticoq_vq_lattice(part, w, box, 5)
-    assert alloc.oracle_gap is not None
     d = vq_constants(part, w, box)
     oracle = allocation_oracle(vq_lattice_objective(d, part.block_sizes), 2, 5)
-    assert alloc.integer_value <= oracle.value * (1 + alloc.oracle_gap) + 1e-12
+    assert alloc.integer_value == oracle.value
 
 
 def test_vq_rejects_low_p():
