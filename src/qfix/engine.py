@@ -4,8 +4,12 @@ One loop runs block mappings in three update orders: Jacobi (every block
 from the old iterate), Gauss-Seidel (a sweep over every block, later
 blocks seeing the already-quantized earlier blocks of the new iterate)
 and sequential (one block per step, k = t mod K, reading the current
-iterate).  It records the actual quantization residuals e(t), and the
-module evaluates the matching accumulated / worst-case convergence-error
+iterate).  A Jacobi step evaluates the whole map once and quantizes it in
+one bank call.  Block updates evaluate one block: natively, through the
+mapping's `fn_block`, when it has one, so a Gauss-Seidel sweep costs
+about one full evaluation; otherwise by slicing a full evaluation.  The
+loop records the actual quantization residuals e(t), and the module
+evaluates the matching accumulated / worst-case convergence-error
 bounds.  The totally asynchronous scheme is supported only through its
 bound constants, not as a scheduler.
 """
@@ -15,11 +19,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, block_norm
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, block_norm, block_norms
+from .squant import ScalarBlockQuantizer
 
 
 class Scheme(enum.Enum):
@@ -45,7 +51,8 @@ class QuantizerBank:
 
     Every block quantizer exposes `quantize(v)` and
     `worst_case_block_error(norm)`, its bound on ||q(v) - v|| in the
-    block's component norm.
+    block's component norm.  A bank of coordinate-wise scalar block
+    quantizers also quantizes a whole vector in one array pass.
     """
 
     blocks: tuple
@@ -57,12 +64,28 @@ class QuantizerBank:
         if len(self.blocks) != part.num_blocks:
             raise ValueError(f"{len(self.blocks)} quantizers for {part.num_blocks} blocks")
 
+    @cached_property
+    def _fused(self) -> Optional[tuple[tuple[int, ...], ScalarBlockQuantizer]]:
+        """(block sizes, all coordinates as one quantizer) for an all-scalar bank."""
+        if not all(isinstance(q, ScalarBlockQuantizer) for q in self.blocks):
+            return None
+        sizes = tuple(q.size for q in self.blocks)
+        return sizes, ScalarBlockQuantizer(c for q in self.blocks for c in q.coords)
+
     def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
+        """Every block of x through its quantizer.
+
+        Scalar banks quantize coordinate-wise, so one pass over the whole
+        vector gives the per-block results bit for bit.
+        """
         self._check_blocks(part)
+        x = np.asarray(x, dtype=float)
+        if self._fused is not None and self._fused[0] == part.block_sizes:
+            return self._fused[1].quantize(x)
         out = np.empty(part.n)
         for k in range(part.num_blocks):
             sl = part.block_slice(k)
-            out[sl] = self.blocks[k].quantize(np.asarray(x, dtype=float)[sl])
+            out[sl] = self.blocks[k].quantize(x[sl])
         return out
 
     def worst_case_error(self, part: BlockPartition, spec: NormSpec) -> float:
@@ -77,13 +100,19 @@ class QuantizerBank:
 
 @dataclass(frozen=True)
 class BlockMapping:
-    """Evaluable mapping T: X -> X with block structure and a declared modulus."""
+    """Evaluable mapping T: X -> X with block structure and a declared modulus.
+
+    `fn(x)` gives the whole raw map; the optional `fn_block(k, x)` gives its
+    block k alone, and must equal `fn(x)[block k]` bit for bit.  Both are
+    clamped into the box.
+    """
 
     fn: Callable[[np.ndarray], np.ndarray]
     partition: BlockPartition
     domain: BoxDomain
     norm: NormSpec
     modulus: float
+    fn_block: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (0.0 <= self.modulus < 1.0):
@@ -99,7 +128,16 @@ class BlockMapping:
         return self.domain.clamp(y)
 
     def eval_block(self, k: int, x: np.ndarray) -> np.ndarray:
-        return self.eval_full(x)[self.partition.block_slice(k)]
+        sl = self.partition.block_slice(k)
+        if self.fn_block is None:
+            return self.eval_full(x)[sl]
+        y = np.asarray(self.fn_block(k, np.asarray(x, dtype=float)), dtype=float)
+        if y.shape != (self.partition.block_sizes[k],):
+            raise ValueError(
+                f"block {k} of the mapping has shape {y.shape}, "
+                f"expected ({self.partition.block_sizes[k]},)"
+            )
+        return self.domain.clamp(y, sl)
 
     def distance(self, x, y) -> float:
         return block_norm(np.asarray(x) - np.asarray(y), self.partition, self.norm)
@@ -216,14 +254,17 @@ def run_iteration(
     for t, bank in enumerate(banks):
         if scheme == Scheme.JACOBI:
             raw = mapping.eval_full(x)
-        y = x.copy()
-        e = np.zeros(part.n)
-        for k in (t % K,) if scheme == Scheme.SEQUENTIAL else range(K):
-            sl = part.block_slice(k)
-            raw_k = raw[sl] if scheme == Scheme.JACOBI else mapping.eval_block(k, y)
-            q = raw_k if bank is None else bank.blocks[k].quantize(raw_k)
-            e[sl] = q - raw_k
-            y[sl] = q
+            y = raw if bank is None else bank.quantize_full(raw, part)
+            e = y - raw
+        else:
+            y = x.copy()
+            e = np.zeros(part.n)
+            for k in (t % K,) if scheme == Scheme.SEQUENTIAL else range(K):
+                sl = part.block_slice(k)
+                raw_k = mapping.eval_block(k, y)
+                q = raw_k if bank is None else bank.blocks[k].quantize(raw_k)
+                e[sl] = q - raw_k
+                y[sl] = q
         x = y
         iterates[t + 1] = x
         errors[t] = e
@@ -239,7 +280,7 @@ def run_iteration(
 
 def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`."""
-    return np.array([mapping.distance(x, ref) for x in iterates])
+    return block_norms(np.asarray(iterates) - ref, mapping.partition, mapping.norm)
 
 
 def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:
@@ -455,14 +496,27 @@ def affine_contraction(
     spec: NormSpec,
     modulus: float,
 ) -> BlockMapping:
-    """T(x) = clamp(A x + b) as a BlockMapping with a declared modulus."""
+    """T(x) = clamp(A x + b) as a BlockMapping with a declared modulus.
+
+    Block k is evaluated natively as A[rows_k] x + b[rows_k] over views of
+    A's rows.  Every row is its own dot product (`np.vecdot`), so a block
+    equals the same rows of the whole map bit for bit; a BLAS matrix-vector
+    product would not promise that, since its result for a row may depend
+    on how many rows share the call.
+    """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return A @ x + b
+        return np.vecdot(A, x) + b
 
-    return BlockMapping(fn=fn, partition=part, domain=domain, norm=spec, modulus=modulus)
+    def fn_block(k: int, x: np.ndarray) -> np.ndarray:
+        rows = part.block_slice(k)
+        return np.vecdot(A[rows], x) + b[rows]
+
+    return BlockMapping(
+        fn=fn, partition=part, domain=domain, norm=spec, modulus=modulus, fn_block=fn_block
+    )
 
 
 def _norm_kind(norm) -> tuple:

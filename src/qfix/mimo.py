@@ -416,22 +416,32 @@ def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
     )
 
 
-def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
-    """The simultaneous best-response map as an engine BlockMapping."""
-    game = channels.game
-    part = game_partition(game)
+def _best_responses(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
+    """Every link's waterfill against the profile x, as one vector."""
+    profile = vec_to_profile(x, channels.game)
+    return np.concatenate(
+        [mat_to_vec(waterfill(channels, profile, k)) for k in range(channels.game.num_links)]
+    )
 
-    def fn(x: np.ndarray) -> np.ndarray:
-        profile = vec_to_profile(x, game)
-        outs = [mat_to_vec(waterfill(channels, profile, k)) for k in range(game.num_links)]
-        return np.concatenate(outs)
+
+def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
+    """The simultaneous best-response map as an engine BlockMapping.
+
+    Block k is link k's waterfill alone, so a sequential tick computes one
+    best response, not K.
+    """
+    game = channels.game
+
+    def fn_block(k: int, x: np.ndarray) -> np.ndarray:
+        return mat_to_vec(waterfill(channels, vec_to_profile(x, game), k))
 
     return BlockMapping(
-        fn=fn,
-        partition=part,
+        fn=lambda x: _best_responses(channels, x),
+        partition=game_partition(game),
         domain=game_box(game),
         norm=game_norm_spec(game),
         modulus=modulus,
+        fn_block=fn_block,
     )
 
 
@@ -463,13 +473,6 @@ def estimate_modulus(
     part = game_partition(game)
     spec = game_norm_spec(game)
     rng = np.random.default_rng(rng)
-
-    def wf_vec(x: np.ndarray) -> np.ndarray:
-        profile = vec_to_profile(x, game)
-        return np.concatenate(
-            [mat_to_vec(waterfill(channels, profile, k)) for k in range(game.num_links)]
-        )
-
     worst = 0.0
     for _ in range(samples):
         x = profile_to_vec(random_feasible_profile(game, rng))
@@ -477,8 +480,8 @@ def estimate_modulus(
         dist = block_norm(x - y, part, spec)
         if dist < 1e-12:
             continue
-        ratio = block_norm(wf_vec(x) - wf_vec(y), part, spec) / dist
-        worst = max(worst, ratio)
+        diff = _best_responses(channels, x) - _best_responses(channels, y)
+        worst = max(worst, block_norm(diff, part, spec) / dist)
     alpha_hat = safety * worst
     return ModulusEstimate(
         alpha_hat=alpha_hat,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -167,10 +166,16 @@ class NormSpec:
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """Per-coordinate closed intervals [lo_m, hi_m]."""
+    """Per-coordinate closed intervals [lo_m, hi_m].
+
+    The bounds are also kept as read-only arrays, built once, for clamping
+    and membership tests.
+    """
 
     lo: tuple[float, ...]
     hi: tuple[float, ...]
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
         lo = tuple(float(iv[0]) for iv in intervals)
@@ -180,6 +185,10 @@ class BoxDomain:
                 raise ValueError(f"interval {m} has lo {a} > hi {b}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        for name, bounds in (("_lo", lo), ("_hi", hi)):
+            arr = np.array(bounds, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -187,16 +196,15 @@ class BoxDomain:
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.asarray(self.hi) - np.asarray(self.lo)
+        return self._hi - self._lo
 
-    def clamp(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
+    def clamp(self, x: np.ndarray, sl: slice = slice(None)) -> np.ndarray:
+        """x clipped into the box, or into its coordinates `sl` when x is that slice."""
+        return np.clip(np.asarray(x, dtype=float), self._lo[sl], self._hi[sl])
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= np.asarray(self.lo) - tol) and np.all(x <= np.asarray(self.hi) + tol)
-        )
+        return bool(np.all(x >= self._lo - tol) and np.all(x <= self._hi + tol))
 
     def subbox(self, sl: slice) -> "BoxDomain":
         return BoxDomain(list(zip(self.lo[sl], self.hi[sl])))
@@ -234,15 +242,16 @@ def lp_norm(x: Sequence[float], p: float) -> float:
 class _BlockLayout:
     """A NormSpec over one partition as arrays, checked once.
 
-    A weighted-max block is the L_inf norm of x/a, so every block has
-    coordinate weights a (1 on L_p blocks) and an exponent p (inf on
-    weighted-max blocks).
+    Every block has coordinate weights a (1 on L_p blocks).  The L_p
+    blocks, which need a power sum, are also listed with their coordinates,
+    the L_p block of each such coordinate, the blocks' offsets in that list
+    and their exponents; a weighted-max block's norm is its largest
+    weighted entry alone.
     """
 
     def __init__(self, spec: NormSpec, part: BlockPartition):
         spec.check_partition(part)
         self.starts = np.asarray(part.offsets[:-1])
-        self.sizes = np.asarray(part.block_sizes)
         self.w = np.asarray(spec.block_weights)
         self.a = np.concatenate(
             [
@@ -250,27 +259,63 @@ class _BlockLayout:
                 for item, size in zip(spec.per_block, part.block_sizes)
             ]
         )
-        exps = np.array([item.p if isinstance(item, Lp) else math.inf for item in spec.per_block])
-        self.p, self.inv_p = np.repeat(exps, self.sizes), 1.0 / exps
+        is_lp = np.array([isinstance(item, Lp) for item in spec.per_block])
+        sizes = np.asarray(part.block_sizes)[is_lp]
+        exps = np.array([item.p for item in spec.per_block if isinstance(item, Lp)])
+        self.has_lp = bool(is_lp.any())
+        # Slices, not index arrays, when every block is L_p: no gather then.
+        self.lp_blocks = slice(None) if is_lp.all() else np.flatnonzero(is_lp)
+        self.lp_coords = (
+            slice(None) if is_lp.all() else np.flatnonzero(np.repeat(is_lp, part.block_sizes))
+        )
+        self.lp_owner = np.repeat(np.arange(sizes.size), sizes)
+        self.lp_starts = np.cumsum(sizes) - sizes
+        self.p, self.inv_p = np.repeat(exps, sizes), 1.0 / exps
+
+
+def block_norms(rows: np.ndarray, part: BlockPartition, spec: NormSpec) -> np.ndarray:
+    """The weighted block-maximum norm of every row of a (..., n) array.
+
+    All block norms come from one pass.  A weighted-max block's norm is its
+    largest weighted entry, exactly.  Each L_p block is scaled by that
+    entry before the power sum, so no block under- or overflows where its
+    norm is representable; the sum is not compensated.  Every row gets the
+    same floating-point operations as when it is passed alone.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 0 or rows.shape[-1] != part.n:
+        raise ValueError(f"vector length {rows.shape[-1:]} != partition dimension {part.n}")
+    layout = spec._layout(part)
+    ax = np.abs(rows) / layout.a
+    norms = np.maximum.reduceat(ax, layout.starts, axis=-1)
+    if layout.has_lp:
+        scale = norms[..., layout.lp_blocks]
+        unit = np.where(scale > 0, scale, 1.0).take(layout.lp_owner, axis=-1)
+        y = ax[..., layout.lp_coords] / unit
+        sums = np.add.reduceat(_power(y, layout.p), layout.lp_starts, axis=-1)
+        norms[..., layout.lp_blocks] = scale * _power(sums, layout.inv_p)
+    return (norms / layout.w).max(axis=-1)
+
+
+def _power(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """base ** exps, exps repeated along the rows of a stacked base.
+
+    numpy's power can take a vectorized path over contiguous operands and a
+    scalar one over strided operands, which may differ in the last bit.
+    Exponents of the base's own shape keep every row of a stack on the path
+    that row takes alone.
+    """
+    if base.ndim > 1:
+        exps = np.broadcast_to(exps, base.shape).copy()
+    return base**exps
 
 
 def block_norm(x: Sequence[float], part: BlockPartition, spec: NormSpec) -> float:
-    """Weighted block-maximum norm max_k ||x_{M_k}||_k / w_k.
-
-    All K block norms come from one pass over x.  Each block is scaled by
-    its largest weighted entry before the power sum, so no block under- or
-    overflows where its norm is representable; the sum is not compensated.
-    """
+    """Weighted block-maximum norm max_k ||x_{M_k}||_k / w_k of one vector."""
     x = np.asarray(x, dtype=float)
     if x.size != part.n:
         raise ValueError(f"vector length {x.size} != partition dimension {part.n}")
-    layout = spec._layout(part)
-    ax = np.abs(x) / layout.a
-    scale = np.maximum.reduceat(ax, layout.starts)
-    y = ax / np.repeat(np.where(scale > 0, scale, 1.0), layout.sizes)
-    # On a weighted-max block y**inf counts the maxima, and count**0 = 1 leaves the scale.
-    norms = scale * np.add.reduceat(y**layout.p, layout.starts) ** layout.inv_p
-    return float(np.max(norms / layout.w))
+    return float(block_norms(x.reshape(part.n), part, spec))
 
 
 def uniform_l2_spec(part: BlockPartition) -> NormSpec:

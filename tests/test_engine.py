@@ -22,6 +22,13 @@ from qfix.engine import (
     stationary_probe,
     worst_case_error_bound,
 )
+from qfix.mimo import (
+    ChannelSet,
+    game_mapping,
+    paper_style_game,
+    profile_to_vec,
+    random_feasible_profile,
+)
 from qfix.norms import (
     BlockPartition,
     BoxDomain,
@@ -422,3 +429,194 @@ def test_uniform_allocation_helper():
     assert list(uniform_sq_allocation(3, 8)) == [3, 3, 2]
     assert list(uniform_sq_allocation(4, 8)) == [2, 2, 2, 2]
     assert list(uniform_sq_allocation(2, 0)) == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Block-native evaluation and the one-pass scalar bank
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _affine_maps(draw):
+    """An affine map on mixed blocks of unequal sizes, and a point in or out of its box."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=7))
+    part = BlockPartition(sizes)
+    per_block = [
+        draw(
+            st.one_of(
+                st.just(WeightedMax([1.0] * size)),
+                st.builds(Lp, st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+            )
+        )
+        for size in sizes
+    ]
+    spec = NormSpec([draw(st.floats(0.25, 4.0)) for _ in sizes], per_block)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        mapping, _ = random_affine_contraction(part, spec, box, 0.7, rng=seed)
+    else:  # every row dense
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((part.n, part.n)) / part.n
+        mapping = affine_contraction(a, rng.standard_normal(part.n), part, box, spec, 0.5)
+    scale = draw(st.sampled_from([1.0, 3.0]))  # inside the box, or mostly outside it
+    x = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=part.n, max_size=part.n)))
+    return mapping, x
+
+
+@given(_affine_maps())
+def test_affine_blocks_equal_the_sliced_full_evaluation(case):
+    mapping, x = case
+    full = mapping.eval_full(x)
+    for k in range(mapping.partition.num_blocks):
+        block = mapping.eval_block(k, x)
+        assert block.tobytes() == full[mapping.partition.block_slice(k)].tobytes()
+
+
+@pytest.mark.parametrize("game_id", [0, 1, 2, 3])
+def test_game_blocks_equal_the_sliced_full_evaluation(game_id):
+    game = paper_style_game(seed=game_id)
+    mapping = game_mapping(ChannelSet.generate(game), 0.5)
+    rng = np.random.default_rng(game_id)
+    for _ in range(5):
+        x = profile_to_vec(random_feasible_profile(game, rng))
+        for point in (x, 1.5 * x):  # a feasible profile, and one beyond the power budget
+            full = mapping.eval_full(point)
+            for k in range(mapping.partition.num_blocks):
+                block = mapping.eval_block(k, point)
+                assert block.tobytes() == full[mapping.partition.block_slice(k)].tobytes()
+
+
+def _counted(mapping):
+    calls = {"fn": 0, "fn_block": 0}
+
+    def fn(x):
+        calls["fn"] += 1
+        return mapping.fn(x)
+
+    def fn_block(k, x):
+        calls["fn_block"] += 1
+        return mapping.fn_block(k, x)
+
+    counted = BlockMapping(
+        fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus, fn_block=fn_block
+    )
+    return counted, calls
+
+
+def test_block_updates_evaluate_one_block_each():
+    part = BlockPartition([4] * 8)
+    spec = uniform_wmax_spec(part)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    mapping, _ = random_affine_contraction(part, spec, box, 0.5, rng=3)
+    bank = make_sq_bank(part, box, [6] * part.n)
+    x0 = np.zeros(part.n)
+    counted, calls = _counted(mapping)
+    sweep = run_iteration(counted, bank, x0, 1, Scheme.GAUSS_SEIDEL)
+    assert calls == {"fn": 0, "fn_block": part.num_blocks}
+    ticks = run_iteration(counted, bank, x0, part.num_blocks, Scheme.SEQUENTIAL)
+    assert calls == {"fn": 0, "fn_block": 2 * part.num_blocks}
+    assert np.array_equal(ticks.final(), sweep.final())
+    run_iteration(counted, bank, x0, 3, Scheme.JACOBI)
+    assert calls == {"fn": 3, "fn_block": 2 * part.num_blocks}
+    # the same runs through sliced full evaluations
+    sliced = BlockMapping(mapping.fn, part, box, spec, mapping.modulus)
+    assert sliced.fn_block is None
+    resliced = run_iteration(sliced, bank, x0, 1, Scheme.GAUSS_SEIDEL)
+    assert resliced.final().tobytes() == sweep.final().tobytes()
+
+
+def test_block_evaluation_checks_its_shape():
+    part = BlockPartition([2, 1])
+    spec = uniform_wmax_spec(part)
+    box = BoxDomain([(-1.0, 1.0)] * 3)
+    mapping = BlockMapping(
+        lambda x: 0.5 * x, part, box, spec, 0.5, fn_block=lambda k, x: 0.5 * x
+    )
+    with pytest.raises(ValueError, match="block 0 of the mapping has shape"):
+        mapping.eval_block(0, np.zeros(3))
+    with pytest.raises(ValueError, match="block 0 of the mapping has shape"):
+        run_iteration(mapping, None, np.zeros(3), 1, Scheme.GAUSS_SEIDEL)
+    # the block is clamped against its own slice of the box
+    clamped = BlockMapping(
+        lambda x: 3.0 * x, part, BoxDomain([(-1.0, 1.0), (-1.0, 1.0), (0.0, 0.5)]), spec, 0.5,
+        fn_block=lambda k, x: 3.0 * x[part.block_slice(k)],
+    )
+    assert clamped.eval_block(1, np.ones(3)).tolist() == [0.5]
+    assert clamped.eval_block(0, -np.ones(3)).tolist() == [-1.0, -1.0]
+
+
+def _loop_quantize_full(bank, x, part):
+    """The per-block quantization loop."""
+    return np.concatenate(
+        [bank.blocks[k].quantize(x[part.block_slice(k)]) for k in range(part.num_blocks)]
+    )
+
+
+@st.composite
+def _scalar_banks(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    part = BlockPartition(sizes)
+    intervals = []
+    for _ in range(part.n):
+        lo = draw(st.floats(-10.0, 10.0))
+        span = draw(st.just(0.0) | st.floats(1e-6, 10.0))  # point intervals too
+        intervals.append((lo, lo + span))
+    box = BoxDomain(intervals)
+    # 0-bit coordinates too, and inputs beyond the box
+    bits = draw(st.lists(st.integers(0, 12), min_size=part.n, max_size=part.n))
+    x = np.array(draw(st.lists(st.floats(-30.0, 30.0), min_size=part.n, max_size=part.n)))
+    return part, make_sq_bank(part, box, bits), x
+
+
+@given(_scalar_banks())
+def test_scalar_bank_quantizes_in_one_pass_bit_for_bit(case):
+    part, bank, x = case
+    assert bank.quantize_full(x, part).tobytes() == _loop_quantize_full(bank, x, part).tobytes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            bank.quantize_full(np.where(np.arange(part.n) == part.n - 1, bad, x), part)
+
+
+def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
+    part = BlockPartition([2, 1])
+    box = BoxDomain([(-1.0, 1.0)] * 3)
+    bank = make_sq_bank(part, box, [2, 3, 4])
+    x = np.array([0.3, -0.7, 0.9])
+    with pytest.raises(ValueError):
+        bank.quantize_full(x, BlockPartition([1, 2]))
+    with pytest.raises(ValueError):
+        bank.quantize_full(np.zeros(4), part)
+    calls = []
+    quantize = ScalarBlockQuantizer.quantize
+
+    def counted(self, v):
+        calls.append(self.size)
+        return quantize(self, v)
+
+    monkeypatch.setattr(ScalarBlockQuantizer, "quantize", counted)
+    assert bank.quantize_full(x, part).tobytes() == _loop_quantize_full(bank, x, part).tobytes()
+    assert calls[0] == 3  # the fused pass
+    mixed = QuantizerBank([bank.blocks[0], IdentityQuantizer()])
+    assert mixed.quantize_full(x, part).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
+
+
+def test_jacobi_run_matches_the_per_block_loop():
+    part = BlockPartition([3, 1, 2, 4])
+    spec = NormSpec([1.0, 2.0, 0.5, 1.0], [WeightedMax([1.0, 2.0, 1.0]), Lp(2.0), Lp(3.0), Lp(2.0)])
+    box = BoxDomain([(-1.0, 1.0)] * 5 + [(0.0, 0.0)] + [(-2.0, 2.0)] * 4)
+    mapping, _ = random_affine_contraction(part, spec, box, 0.8, rng=9)
+    bank = make_sq_bank(part, box, [0, 1, 2, 3, 4, 5, 6, 7, 0, 3])
+    x = np.where(np.arange(part.n) == 5, 0.0, 0.2)
+    traj = run_iteration(mapping, bank, x, 15, Scheme.JACOBI)
+    for t in range(15):
+        raw = mapping.eval_full(x)
+        y = x.copy()
+        e = np.zeros(part.n)
+        for k in range(part.num_blocks):
+            sl = part.block_slice(k)
+            y[sl] = bank.blocks[k].quantize(raw[sl])
+            e[sl] = y[sl] - raw[sl]
+        x = y
+        assert traj.iterates[t + 1].tobytes() == x.tobytes()
+        assert traj.errors[t].tobytes() == e.tobytes()
+        assert traj.error_norms[t] == block_norm(e, part, spec)

@@ -13,6 +13,7 @@ from qfix.norms import (
     NormSpec,
     WeightedMax,
     block_norm,
+    block_norms,
     lp_norm,
     uniform_l2_spec,
     uniform_wmax_spec,
@@ -223,3 +224,34 @@ def test_block_norm_matches_per_block_reference(case):
         val = weighted_max_norm(v, item.a) if isinstance(item, WeightedMax) else lp_norm(v, item.p)
         ref = max(ref, val / spec.block_weights[k])
     assert block_norm(x, part, spec) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@given(_mixed_blocks(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_block_norms_of_a_stack_equal_each_row_alone(case, rows, seed):
+    part, spec, x = case
+    rng = np.random.default_rng(seed)
+    stack = x * rng.uniform(0.0, 2.0, size=(rows, part.n))
+    stack[0] = x
+    alone = [block_norm(row, part, spec) for row in stack]
+    assert block_norms(stack, part, spec).tobytes() == np.array(alone).tobytes()
+    # weighted-max blocks take the largest weighted entry, with no rounding
+    wmax = NormSpec(spec.block_weights, [WeightedMax([1.0] * s) for s in part.block_sizes])
+    exact = [
+        max(np.max(np.abs(part.split(row)[k])) / w for k, w in enumerate(wmax.block_weights))
+        for row in stack
+    ]
+    assert block_norms(stack, part, wmax).tolist() == exact
+    with pytest.raises(ValueError):
+        block_norms(stack[:, 1:], part, spec)
+
+
+def test_block_norms_of_a_tall_stack_over_one_lp_block():
+    # One L_p block leaves one column of power sums; numpy may raise a lone
+    # column to a power on another path than a single row's entries.
+    rng = np.random.default_rng(0)
+    for sizes, per_block in (([9], [Lp(2.0)]), ([1, 3], [Lp(3.0), WeightedMax([1.0, 2.0, 4.0])])):
+        part = BlockPartition(sizes)
+        spec = NormSpec([1.0] * len(sizes), per_block)
+        stack = rng.standard_normal((500, part.n))
+        alone = [block_norm(row, part, spec) for row in stack]
+        assert block_norms(stack, part, spec).tobytes() == np.array(alone).tobytes()
