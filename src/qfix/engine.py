@@ -278,9 +278,23 @@ def run_iteration(
     return traj
 
 
+_DISTANCE_CHUNK = 1 << 18  # iterate entries per block_norms call (2 MiB of float64)
+
+
 def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`."""
-    return block_norms(np.asarray(iterates) - ref, mapping.partition, mapping.norm)
+    """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`.
+
+    Rows go through `block_norms` in chunks of about _DISTANCE_CHUNK
+    entries, so its temporaries stay bounded however long the run is.
+    """
+    iterates = np.asarray(iterates)
+    step = max(1, _DISTANCE_CHUNK // mapping.partition.n)
+    return np.concatenate(
+        [
+            block_norms(iterates[i : i + step] - ref, mapping.partition, mapping.norm)
+            for i in range(0, len(iterates), step)
+        ]
+    )
 
 
 def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:
@@ -499,20 +513,22 @@ def affine_contraction(
     """T(x) = clamp(A x + b) as a BlockMapping with a declared modulus.
 
     Block k is evaluated natively as A[rows_k] x + b[rows_k] over views of
-    A's rows.  Every row is its own dot product (`np.vecdot`), so a block
-    equals the same rows of the whole map bit for bit; a BLAS matrix-vector
-    product would not promise that, since its result for a row may depend
-    on how many rows share the call.
+    A's rows.  Each row is a 1 x n matrix, so the product is a stack of
+    row-by-vector products that numpy computes as one dot product per row:
+    a block equals the same rows of the whole map bit for bit.  A BLAS
+    matrix-vector product would not promise that, since its result for a
+    row may depend on how many rows share the call.
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
+    row_mats = A[:, None, :]
 
     def fn(x: np.ndarray) -> np.ndarray:
-        return np.vecdot(A, x) + b
+        return (row_mats @ x)[:, 0] + b
 
     def fn_block(k: int, x: np.ndarray) -> np.ndarray:
         rows = part.block_slice(k)
-        return np.vecdot(A[rows], x) + b[rows]
+        return (row_mats[rows] @ x)[:, 0] + b[rows]
 
     return BlockMapping(
         fn=fn, partition=part, domain=domain, norm=spec, modulus=modulus, fn_block=fn_block

@@ -263,11 +263,8 @@ class _BlockLayout:
         sizes = np.asarray(part.block_sizes)[is_lp]
         exps = np.array([item.p for item in spec.per_block if isinstance(item, Lp)])
         self.has_lp = bool(is_lp.any())
-        # Slices, not index arrays, when every block is L_p: no gather then.
-        self.lp_blocks = slice(None) if is_lp.all() else np.flatnonzero(is_lp)
-        self.lp_coords = (
-            slice(None) if is_lp.all() else np.flatnonzero(np.repeat(is_lp, part.block_sizes))
-        )
+        self.lp_blocks = np.flatnonzero(is_lp)
+        self.lp_coords = np.flatnonzero(np.repeat(is_lp, part.block_sizes))
         self.lp_owner = np.repeat(np.arange(sizes.size), sizes)
         self.lp_starts = np.cumsum(sizes) - sizes
         self.p, self.inv_p = np.repeat(exps, sizes), 1.0 / exps
@@ -289,25 +286,25 @@ def block_norms(rows: np.ndarray, part: BlockPartition, spec: NormSpec) -> np.nd
     ax = np.abs(rows) / layout.a
     norms = np.maximum.reduceat(ax, layout.starts, axis=-1)
     if layout.has_lp:
-        scale = norms[..., layout.lp_blocks]
+        scale = norms.take(layout.lp_blocks, axis=-1)
         unit = np.where(scale > 0, scale, 1.0).take(layout.lp_owner, axis=-1)
-        y = ax[..., layout.lp_coords] / unit
+        y = ax.take(layout.lp_coords, axis=-1) / unit
         sums = np.add.reduceat(_power(y, layout.p), layout.lp_starts, axis=-1)
         norms[..., layout.lp_blocks] = scale * _power(sums, layout.inv_p)
     return (norms / layout.w).max(axis=-1)
 
 
 def _power(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """base ** exps, exps repeated along the rows of a stacked base.
+    """base ** exps, exps copied out to the base's shape.
 
     numpy's power can take a vectorized path over contiguous operands and a
     scalar one over strided operands, which may differ in the last bit.
-    Exponents of the base's own shape keep every row of a stack on the path
-    that row takes alone.
+    Contiguous exponents of the base's own shape keep every row of a stack
+    on the path that row takes alone.
     """
-    if base.ndim > 1:
-        exps = np.broadcast_to(exps, base.shape).copy()
-    return base**exps
+    full = np.empty_like(base)
+    full[...] = exps
+    return base**full
 
 
 def block_norm(x: Sequence[float], part: BlockPartition, spec: NormSpec) -> float:

@@ -323,6 +323,20 @@ def test_certificate_reuses_the_run_distances(monkeypatch):
     assert np.array_equal(cert_l2.dist, [l2.distance(x, x_star) for x in traj.iterates])
 
 
+@pytest.mark.parametrize("chunk", [1, 6, 7, 13, 1 << 18])
+def test_distances_in_row_chunks_equal_each_row_alone(monkeypatch, chunk):
+    part = BlockPartition([2, 1, 3])
+    spec = NormSpec([1.0, 2.0, 0.5], [WeightedMax([1.0, 2.0]), Lp(2.0), Lp(3.0)])
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    mapping, x_star = random_affine_contraction(part, spec, box, 0.6, rng=4)
+    iterates = np.random.default_rng(5).normal(size=(40, part.n))
+    alone = [mapping.distance(x, x_star) for x in iterates]
+    # a chunk of 1, 1, 1, 2 or all 40 rows, ending inside or at a row's end
+    monkeypatch.setattr(engine, "_DISTANCE_CHUNK", chunk)
+    got = engine._distances(mapping, iterates, x_star)
+    assert got.tobytes() == np.array(alone).tobytes()
+
+
 def test_mapping_validation():
     part = BlockPartition([1, 1])
     spec = uniform_wmax_spec(part)
