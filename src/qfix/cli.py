@@ -288,8 +288,9 @@ def _simulate_mimo(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
         estimate = mimo.estimate_modulus(channels, samples=50, rng=seed)
         if not estimate.certified:
             sys.stderr.write(
-                f"seed {seed}: sampled modulus {estimate.alpha_hat:.4f} >= 1; "
-                "game not certifiably contractive\n"
+                f"seed {seed}: sampled modulus alpha_hat = {estimate.alpha_hat:.4f} >= 1 "
+                f"(max ratio {estimate.max_ratio:.4f} over {estimate.samples} sampled pairs, "
+                f"safety factor {estimate.safety:g}); game not certifiably contractive\n"
             )
             return [], _EXIT_REGIME
         alpha = estimate.alpha_hat

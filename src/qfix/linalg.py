@@ -1,10 +1,11 @@
-"""Dense complex-Hermitian linear algebra for small matrices.
+"""Dense complex-Hermitian linear algebra for small matrices, or stacks of them.
 
-Everything the interference game needs: eigendecomposition through
-LAPACK's Hermitian eigensolver (`numpy.linalg.eigh`), and positive-definite
-solves and log-determinants on top of it.  Each public function validates
-its input once; the positive-definite ones refuse a smallest eigenvalue at
-or below 1e-12 * ||A||_F.
+Everything the interference game needs: eigendecomposition through LAPACK's
+Hermitian eigensolver (`numpy.linalg.eigh`), and positive-definite solves and
+log-determinants on top of it.  Each public function takes a matrix or a
+(..., n, n) stack, makes one LAPACK call and validates each matrix once (the
+positive-definite ones refuse a smallest eigenvalue at or below 1e-12 ||A||_F);
+a stack member equals the one-matrix call bit for bit.
 """
 
 from __future__ import annotations
@@ -17,26 +18,17 @@ _HERM_ATOL = 1e-10
 _PD_REL_FLOOR = 1e-12
 
 
-def _hermitian(a) -> np.ndarray:
-    """Complex copy of a square, finite, Hermitian `a`, symmetrized exactly."""
-    A = np.asarray(a, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
-    scale = float(np.abs(A).max())
-    if not math.isfinite(scale):
-        raise ValueError("non-finite entries")
-    AH = A.conj().T
-    dev = float(np.abs(A - AH).max())
-    if dev > _HERM_ATOL * max(1.0, scale):
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return 0.5 * (A + AH)
+def conj_t(a: np.ndarray) -> np.ndarray:
+    """A^H of every matrix of a stack (the last two axes)."""
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def _require_pd(lam: np.ndarray) -> None:
-    # ||A||_F is the 2-norm of A's eigenvalues; hypot scales, so it does not
-    # underflow to 0 for tiny eigenvalues.
-    if lam[0] <= _PD_REL_FLOOR * math.hypot(*lam):
-        raise ValueError(f"matrix not positive definite (min eigenvalue {lam[0]:.3e})")
+    # ||A||_F is the 2-norm of the eigenvalues; hypot scales, so it does not underflow.
+    low = lam[..., 0]
+    bad = low <= _PD_REL_FLOOR * np.hypot.reduce(lam, axis=-1)
+    if bad.any():
+        raise ValueError(f"matrix not positive definite (min eigenvalue {low[bad].min():.3e})")
 
 
 def frobenius_norm(a) -> float:
@@ -45,32 +37,41 @@ def frobenius_norm(a) -> float:
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition A = U diag(lam) U^H of a Hermitian matrix or of each of a stack.
 
-    Returns (eigenvalues ascending, unitary eigenvector matrix U) with
-    A = U diag(lam) U^H.  Raises ValueError on non-square, empty,
-    non-finite or non-Hermitian input.
-    """
-    A = _hermitian(a)
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0].real]), np.eye(1, dtype=complex)
-    if not A.any():
-        return np.zeros(n), np.eye(n, dtype=complex)
-    lam, U = np.linalg.eigh(A)
-    return lam, U
+    Returns (eigenvalues ascending, unitary U), shaped (..., n) and (..., n, n).
+    Raises ValueError on non-square, empty, non-finite or non-Hermitian input."""
+    A = np.asarray(a, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
+        raise ValueError(f"expected non-empty square matrices, got shape {A.shape}")
+    if not math.isfinite(np.abs(A).max()):
+        raise ValueError("non-finite entries")
+    AH = conj_t(A)
+    dev = np.abs(A - AH)
+    if not dev.max() <= _HERM_ATOL:  # else every matrix is within its own tolerance
+        dev = dev.max(axis=(-2, -1))
+        bad = dev > _HERM_ATOL * np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
+        if bad.any():
+            raise ValueError(f"matrix is not Hermitian (deviation {dev[bad].max():.3e})")
+    A = 0.5 * (A + AH)  # symmetrized exactly
+    if A.shape[-1] == 1:
+        return A[..., 0].real.copy(), np.ones(A.shape, dtype=complex)
+    return np.linalg.eigh(A)  # exactly (0, I) for an all-zero matrix
 
 
 def psd_solve(a, b) -> np.ndarray:
-    """Solve A X = B for Hermitian positive-definite A via eigendecomposition."""
+    """Solve A X = B, B (..., n, p) or (n,), for Hermitian positive-definite A (or a stack)."""
     lam, U = herm_eig(a)
     _require_pd(lam)
-    Y = U.conj().T @ np.asarray(b, dtype=complex)
-    return U @ (Y.T / lam).T
+    B = np.asarray(b, dtype=complex)
+    Y = conj_t(U) @ (B[:, None] if B.ndim == 1 else B)
+    X = U @ (Y.swapaxes(-1, -2) / lam[..., None, :]).swapaxes(-1, -2)
+    return X[..., 0] if B.ndim == 1 else X
 
 
-def logdet_psd(a) -> float:
-    """Natural-log determinant of a Hermitian positive-definite matrix."""
+def logdet_psd(a):
+    """Natural-log determinant of a Hermitian positive-definite matrix (float), or of a stack."""
     lam, _ = herm_eig(a)
     _require_pd(lam)
-    return float(np.sum(np.log(lam)))
+    out = np.log(lam).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out

@@ -11,15 +11,15 @@ vector whose L2 norm equals the Frobenius norm of the matrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .engine import (
+    _DISTANCE_CHUNK,
     BankOrSchedule,
     BlockMapping,
     QuantizerBank,
@@ -28,12 +28,13 @@ from .engine import (
     reference_fixed_point,
     run_iteration,
 )
-from .linalg import herm_eig, logdet_psd, psd_solve
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, block_norm
+from .linalg import conj_t, herm_eig, logdet_psd, psd_solve
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 DEFAULT_BANDWIDTH_HZ = 10e6
 _COND_GUARD = 1e12
+_SQRT2 = math.sqrt(2.0)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -102,33 +103,6 @@ class GameConfig:
         """Per-link transmit power budgets in watts."""
         return np.array([dbm_to_watts(v) for v in self.power_dbm])
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "K": self.num_links,
-                "N": self.num_antennas,
-                "distances": [list(r) for r in self.distances],
-                "gamma": self.gamma,
-                "power_dbm": list(self.power_dbm),
-                "noise": self.noise_power,
-                "seed": self.seed,
-            },
-            indent=2,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "GameConfig":
-        obj = json.loads(text)
-        return GameConfig(
-            num_links=obj["K"],
-            num_antennas=obj["N"],
-            distances=obj["distances"],
-            gamma=obj["gamma"],
-            power_dbm=obj["power_dbm"],
-            noise_power=obj.get("noise"),
-            seed=obj.get("seed", 0),
-        )
-
 
 def paper_style_game(seed: int = 0, power_dbm: float = 10.0) -> GameConfig:
     """Two-pair, two-antenna geometry with weak cross links."""
@@ -173,6 +147,14 @@ class ChannelSet:
         K = self.game.num_links
         return np.linalg.cond(self.h[range(K), range(K)])
 
+    @cached_property
+    def operands(self) -> tuple:
+        """(tx, H_jk, H_jk^H, H_kk, H_kk^H): each receiver k's other transmitters j, ascending."""
+        K = self.game.num_links
+        tx = np.nonzero(~np.eye(K, dtype=bool))[1].reshape(K, K - 1)
+        H, D = self.h[tx, np.arange(K)[:, None]], self.h[range(K), range(K)]
+        return tx, H, conj_t(H), D, conj_t(D)
+
 
 @dataclass(frozen=True)
 class StrategyProfile:
@@ -216,119 +198,137 @@ def random_feasible_profile(game: GameConfig, rng) -> StrategyProfile:
 
 
 # ---------------------------------------------------------------------------
-# Best response
+# Best response.  The kernels serve a slice of links for a (..., K, N, N) stack
+# of profiles in one numpy call per step; each matrix gets the LAPACK and BLAS
+# calls it would get alone, so a member equals the one-profile result bit for bit.
 # ---------------------------------------------------------------------------
 
-def interference_covariance(channels: ChannelSet, profile: StrategyProfile, k: int) -> np.ndarray:
+def _as_stack(profile) -> np.ndarray:
+    """(..., K, N, N) covariances of a StrategyProfile or of a profile stack."""
+    return np.asarray(getattr(profile, "covariances", profile), dtype=complex)
+
+
+def _interference(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
+    """(..., L, N, N) noise plus interference at each receiver of `links`."""
+    game, (tx, H, HH, _, _) = channels.game, channels.operands
+    terms = H[links] @ P[..., tx[links], :, :] @ HH[links]  # (..., L, K - 1, N, N)
+    R = game.noise_power * np.eye(game.num_antennas) + np.zeros(terms.shape[:-3] + (1, 1), complex)
+    for i in range(tx.shape[1]):  # after the noise, interferers in ascending order
+        R = R + terms[..., i, :, :]
+    return 0.5 * (R + conj_t(R))
+
+
+def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
+    """(..., L, N, N) whitened direct channels M_k = H_kk^H R_{-k}^{-1} H_kk."""
+    _, _, _, D, DH = channels.operands
+    M = DH[links] @ psd_solve(_interference(channels, P, links), D[links])
+    return 0.5 * (M + conj_t(M))
+
+
+def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
+    """(..., L, N, N) best responses of the links in `links`."""
+    ids = range(channels.game.num_links)[links]
+    if max(channels.direct_cond[links]) > _COND_GUARD:
+        k = ids[np.argmax(channels.direct_cond[links] > _COND_GUARD)]
+        raise ValueError(f"direct channel of link {k} is ill-conditioned")
+    lam, U = herm_eig(_effective_channels(channels, P, links))
+    if lam[..., 0].min() <= 0:
+        k = ids[np.nonzero(lam[..., 0] <= 0)[-1][0]]
+        raise ValueError(f"link {k} effective channel is singular")
+    powers = project_simplex(-1.0 / lam, channels.game.budgets[links])
+    Q = (U * powers[..., None, :]) @ conj_t(U)
+    return 0.5 * (Q + conj_t(Q))
+
+
+def _rates(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
+    """(..., L) rates log2 det(I + H^H R^{-1} H P_k) of the links in `links`."""
+    M = _effective_channels(channels, P, links)
+    lam, U = herm_eig(P[..., links, :, :])
+    S = (U * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ conj_t(U)
+    A = np.eye(channels.game.num_antennas, dtype=complex) + S @ M @ S
+    return logdet_psd(0.5 * (A + conj_t(A))) / math.log(2.0)
+
+
+def interference_covariance(channels: ChannelSet, profile, k: int) -> np.ndarray:
     """Noise plus received multi-user interference at receiver k."""
-    game = channels.game
-    N = game.num_antennas
-    R = game.noise_power * np.eye(N, dtype=complex)
-    for j in range(game.num_links):
-        if j == k:
-            continue
-        Hjk = channels.h[j, k]
-        R = R + Hjk @ profile.covariances[j] @ Hjk.conj().T
-    return 0.5 * (R + R.conj().T)
+    return _interference(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
 
 
-def project_simplex(v: np.ndarray, budget: float) -> np.ndarray:
-    """Euclidean projection of v onto {x >= 0, sum x = budget}, exactly.
+def project_simplex(v: np.ndarray, budget) -> np.ndarray:
+    """Euclidean projection of each row of v onto {x >= 0, sum x = budget}, exactly.
 
-    Sorted cumulative sums give the water level in closed form, so the
-    result satisfies the KKT conditions x_i = max(v_i - theta, 0) with
-    sum x = budget to floating-point accuracy.
-    """
-    if budget < 0:
+    Sorted cumulative sums give the water level in closed form, so the result
+    satisfies the KKT conditions x_i = max(v_i - theta, 0) with sum x = budget
+    to floating-point accuracy.  `budget` is one number or one per row."""
+    v, budget = np.asarray(v, dtype=float), np.asarray(budget, dtype=float)
+    if budget.min() < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    v = np.asarray(v, dtype=float)
-    if budget == 0:
-        return np.zeros_like(v)
-    u = np.sort(v)[::-1]
-    cum = np.cumsum(u)
-    rho_idx = np.nonzero(u * np.arange(1, v.size + 1) > (cum - budget))[0]
-    rho = int(rho_idx[-1]) + 1
-    theta = (cum[rho - 1] - budget) / rho
-    return np.maximum(v - theta, 0.0)
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    excess = u.cumsum(axis=-1) - budget[..., None]
+    count = np.arange(1, n + 1)
+    active = u * count > excess
+    rho = n - active[..., ::-1].argmax(axis=-1)  # last active index + 1
+    # A zero budget leaves no index active, so theta = inf and the projection is 0.
+    theta = np.where((count == rho[..., None]) & active, excess, np.inf).min(axis=-1) / rho
+    return np.maximum(v - theta[..., None], 0.0)
 
 
-def waterfill(channels: ChannelSet, profile: StrategyProfile, k: int) -> np.ndarray:
+def waterfill(channels: ChannelSet, profile, k: int) -> np.ndarray:
     """Rate-optimal covariance for link k against the rest of the profile.
 
     Diagonalizes M = H_kk^H R_{-k}^{-1} H_kk and projects the eigenvalues
     of -M^{-1} onto the trace simplex; the projection shares M's
     eigenbasis, which turns the matrix projection into a vector one.
     """
-    game = channels.game
-    Hkk = channels.h[k, k]
-    if channels.direct_cond[k] > _COND_GUARD:
-        raise ValueError(f"direct channel of link {k} is ill-conditioned")
-    R = interference_covariance(channels, profile, k)
-    M = Hkk.conj().T @ psd_solve(R, Hkk)
-    M = 0.5 * (M + M.conj().T)
-    lam, U = herm_eig(M)
-    if np.any(lam <= 0):
-        raise ValueError(f"link {k} effective channel is singular")
-    sigma = -1.0 / lam
-    powers = project_simplex(sigma, float(game.budgets[k]))
-    P = (U * powers) @ U.conj().T
-    return 0.5 * (P + P.conj().T)
+    return _waterfill(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
 
 
-def throughput(channels: ChannelSet, profile: StrategyProfile, k: int) -> float:
+def throughput(channels: ChannelSet, profile, k: int):
     """Link-k rate log2 det(I + H^H R^{-1} H P_k) in bits per channel use."""
-    game = channels.game
-    N = game.num_antennas
-    Hkk = channels.h[k, k]
-    R = interference_covariance(channels, profile, k)
-    M = Hkk.conj().T @ psd_solve(R, Hkk)
-    M = 0.5 * (M + M.conj().T)
-    lam, U = herm_eig(profile.covariances[k])
-    S = (U * np.sqrt(np.maximum(lam, 0.0))) @ U.conj().T
-    A = np.eye(N, dtype=complex) + S @ M @ S
-    return logdet_psd(0.5 * (A + A.conj().T)) / math.log(2.0)
+    return _rates(channels, _as_stack(profile), slice(k, k + 1))[..., 0][()]
 
 
-def sum_throughput(channels: ChannelSet, profile: StrategyProfile) -> float:
-    return sum(throughput(channels, profile, k) for k in range(channels.game.num_links))
+def sum_throughput(channels: ChannelSet, profile):
+    """Sum of the link rates, added in link order."""
+    rates = _rates(channels, _as_stack(profile), slice(None))
+    return np.asarray(sum(np.moveaxis(rates, -1, 0)))[()]
 
 
 # ---------------------------------------------------------------------------
 # Vectorization: covariance matrices <-> real block vectors
 # ---------------------------------------------------------------------------
 
-def mat_to_vec(P: np.ndarray) -> np.ndarray:
-    """Real vector [diag; sqrt(2) Re upper; sqrt(2) Im upper] of a Hermitian P.
+@lru_cache(maxsize=None)
+def _vec_layout(N: int) -> tuple:
+    """(gather, scale, scatter): `gather` picks from a row-major N x N matrix's real view
+    the diagonal real parts, then (Re, Im) of each upper entry; `scale` holds the
+    sqrt(2)s; `scatter` puts [diagonal; upper; lower] entries back in row-major order."""
+    iu, ju = np.triu_indices(N, 1)
+    order = np.concatenate([np.arange(N) * (N + 1), iu * N + ju, ju * N + iu])
+    gather = np.concatenate([2 * order[:N], (2 * (iu * N + ju)[:, None] + [0, 1]).ravel()])
+    return gather, np.repeat([1.0, _SQRT2], [N, 2 * iu.size]), np.argsort(order)
 
-    The sqrt(2) on off-diagonal pairs makes the L2 norm of the vector equal
-    the Frobenius norm of the matrix exactly.
-    """
-    P = np.asarray(P)
-    N = P.shape[0]
-    parts = [P.diagonal().real.astype(float)]
-    for i in range(N):
-        for j in range(i + 1, N):
-            parts.append([math.sqrt(2.0) * P[i, j].real, math.sqrt(2.0) * P[i, j].imag])
-    return np.concatenate(parts)
+
+def mat_to_vec(P: np.ndarray) -> np.ndarray:
+    """Real vector [diag; sqrt(2) Re upper; sqrt(2) Im upper] of a Hermitian P, or (..., N^2).
+
+    The sqrt(2) on off-diagonal pairs makes the vector's L2 norm the matrix's Frobenius norm."""
+    P = np.ascontiguousarray(P, dtype=complex)
+    N = P.shape[-1]
+    gather, scale, *_ = _vec_layout(N)
+    return P.reshape(P.shape[:-2] + (N * N,)).view(float)[..., gather] * scale
 
 
 def vec_to_mat(v: np.ndarray) -> np.ndarray:
-    """Inverse of mat_to_vec."""
+    """Inverse of mat_to_vec, for one vector or a (..., N^2) stack."""
     v = np.asarray(v, dtype=float)
-    N = int(round(math.sqrt(v.size)))
-    if N * N != v.size:
-        raise ValueError(f"vector of length {v.size} is not an N^2 parameterization")
-    P = np.zeros((N, N), dtype=complex)
-    P[np.diag_indices(N)] = v[:N]
-    pos = N
-    for i in range(N):
-        for j in range(i + 1, N):
-            re = v[pos] / math.sqrt(2.0)
-            im = v[pos + 1] / math.sqrt(2.0)
-            P[i, j] = re + 1j * im
-            P[j, i] = re - 1j * im
-            pos += 2
-    return P
+    N = math.isqrt(v.shape[-1])
+    if N * N != v.shape[-1]:
+        raise ValueError(f"vector of length {v.shape[-1]} is not an N^2 parameterization")
+    re, im = v[..., N::2] / _SQRT2, 1j * (v[..., N + 1 :: 2] / _SQRT2)
+    entries = np.concatenate([v[..., :N], re + im, re - im], axis=-1)
+    return entries[..., _vec_layout(N)[2]].reshape(v.shape[:-1] + (N, N))
 
 
 def game_partition(game: GameConfig) -> BlockPartition:
@@ -353,23 +353,26 @@ def game_box(game: GameConfig) -> BoxDomain:
     return BoxDomain(intervals)
 
 
-def profile_to_vec(profile: StrategyProfile) -> np.ndarray:
-    return np.concatenate([mat_to_vec(P) for P in profile.covariances])
+def profile_to_vec(profile) -> np.ndarray:
+    """The block vector of a StrategyProfile, or (..., K N^2) for a (..., K, N, N) stack."""
+    v = mat_to_vec(_as_stack(profile))
+    return v.reshape(v.shape[:-2] + (-1,))
+
+
+def _vec_to_stack(x: np.ndarray, game: GameConfig) -> np.ndarray:
+    """(..., K, N, N) covariances of profile vectors x (..., K N^2)."""
+    return vec_to_mat(np.reshape(x, np.shape(x)[:-1] + (game.num_links, -1)))
 
 
 def vec_to_profile(x: np.ndarray, game: GameConfig) -> StrategyProfile:
-    part = game_partition(game)
-    return StrategyProfile(
-        [vec_to_mat(x[part.block_slice(k)]) for k in range(game.num_links)]
-    )
+    return StrategyProfile(_vec_to_stack(x, game))
 
 
-def project_feasible(P: np.ndarray, budget: float) -> np.ndarray:
-    """Frobenius projection onto {PSD, trace = budget} via eigenvalue projection."""
-    lam, U = herm_eig(0.5 * (P + np.asarray(P).conj().T))
-    powers = project_simplex(lam, budget)
-    Q = (U * powers) @ U.conj().T
-    return 0.5 * (Q + Q.conj().T)
+def project_feasible(P: np.ndarray, budget) -> np.ndarray:
+    """Frobenius projection of P (or each of a stack) onto {PSD, trace = budget}."""
+    lam, U = herm_eig(0.5 * (P + conj_t(P)))
+    Q = (U * project_simplex(lam, budget)[..., None, :]) @ conj_t(U)
+    return 0.5 * (Q + conj_t(Q))
 
 
 class ProjectedBlockQuantizer:
@@ -417,11 +420,8 @@ def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
 
 
 def _best_responses(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
-    """Every link's waterfill against the profile x, as one vector."""
-    profile = vec_to_profile(x, channels.game)
-    return np.concatenate(
-        [mat_to_vec(waterfill(channels, profile, k)) for k in range(channels.game.num_links)]
-    )
+    """Every link's waterfill against the profile x (..., K N^2), as vectors."""
+    return profile_to_vec(_waterfill(channels, _vec_to_stack(x, channels.game), slice(None)))
 
 
 def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
@@ -433,7 +433,7 @@ def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
     game = channels.game
 
     def fn_block(k: int, x: np.ndarray) -> np.ndarray:
-        return mat_to_vec(waterfill(channels, vec_to_profile(x, game), k))
+        return mat_to_vec(waterfill(channels, _vec_to_stack(x, game), k))
 
     return BlockMapping(
         fn=lambda x: _best_responses(channels, x),
@@ -455,6 +455,7 @@ class ModulusEstimate:
     certified: bool  # alpha_hat < 1: bounds/designs may use it
     max_ratio: float  # raw sampled maximum
     samples: int
+    safety: float  # alpha_hat / max_ratio
 
 
 def estimate_modulus(
@@ -473,21 +474,21 @@ def estimate_modulus(
     part = game_partition(game)
     spec = game_norm_spec(game)
     rng = np.random.default_rng(rng)
-    worst = 0.0
-    for _ in range(samples):
-        x = profile_to_vec(random_feasible_profile(game, rng))
-        y = profile_to_vec(random_feasible_profile(game, rng))
-        dist = block_norm(x - y, part, spec)
-        if dist < 1e-12:
-            continue
-        diff = _best_responses(channels, x) - _best_responses(channels, y)
-        worst = max(worst, block_norm(diff, part, spec) / dist)
+    # Pair s is (x, y) = profiles (2s, 2s + 1), drawn in that order.
+    pairs = [random_feasible_profile(game, rng).covariances for _ in range(2 * samples)]
+    X = profile_to_vec(np.array(pairs))
+    dist = block_norms(X[0::2] - X[1::2], part, spec)
+    F = _best_responses(channels, X)
+    kept = dist >= 1e-12
+    ratios = block_norms(F[0::2] - F[1::2], part, spec)[kept] / dist[kept]
+    worst = float(ratios.max(initial=0.0))
     alpha_hat = safety * worst
     return ModulusEstimate(
         alpha_hat=alpha_hat,
         certified=bool(alpha_hat < 1.0),
         max_ratio=worst,
         samples=samples,
+        safety=safety,
     )
 
 
@@ -545,12 +546,10 @@ def iwfa_run(
         raise ValueError(f"unknown mode {mode!r}")
 
     traj = run_iteration(mapping, quantizers, x0, steps, _MODE_SCHEMES[mode], reference=reference)
-    rates = np.array(
-        [
-            sum_throughput(channels, vec_to_profile(traj.iterates[t], game))
-            for t in range(steps + 1)
-        ]
-    )
+    # Every iterate's rates in stacked passes over bounded chunks of rows.
+    rows = max(1, _DISTANCE_CHUNK // traj.iterates.shape[1])
+    chunks = [traj.iterates[i : i + rows] for i in range(0, steps + 1, rows)]
+    rates = np.concatenate([sum_throughput(channels, _vec_to_stack(x, game)) for x in chunks])
     return IwfaResult(
         trajectory=traj,
         throughputs=rates,

@@ -236,6 +236,38 @@ def test_simulate_mimo_csv(tmp_path, capsys, scheme):
     assert all(line.split(",")[4] == "1" for line in lines[1:])
 
 
+def test_simulate_mimo_refusal_reports_the_measured_modulus(tmp_path, capsys):
+    from qfix.mimo import ChannelSet, estimate_modulus, paper_style_game
+
+    # Paper-style game 9 is one the sampled estimate does not certify.
+    est = estimate_modulus(ChannelSet.generate(paper_style_game(seed=9)), samples=50, rng=9)
+    assert not est.certified
+    doc = {
+        "schema": 1,
+        "system": "mimo",
+        "game": {
+            "K": 2,
+            "N": 2,
+            "distances": [[100.0, 200.0], [500.0, 100.0]],
+            "gamma": 3.5,
+            "power_dbm": 10.0,
+        },
+        "T": 10,
+        "quantizer": "none",
+        "seeds": [9],
+    }
+    assert main(["simulate", "--config", _write(tmp_path, "mimo.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for figure in (
+        f"alpha_hat = {est.alpha_hat:.4f}",
+        f"max ratio {est.max_ratio:.4f}",
+        "over 50 sampled pairs",
+        "safety factor 1.05",
+    ):
+        assert figure in captured.err
+
+
 def _tradeoff_doc(**over):
     doc = {
         "schema": 1,

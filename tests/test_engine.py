@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfix import engine
@@ -634,3 +634,111 @@ def test_jacobi_run_matches_the_per_block_loop():
         assert traj.iterates[t + 1].tobytes() == x.tobytes()
         assert traj.errors[t].tobytes() == e.tobytes()
         assert traj.error_norms[t] == block_norm(e, part, spec)
+
+
+def _in_box(draw, n, lengths=st.floats(1e-3, 10.0)):
+    box = []
+    for _ in range(n):
+        lo = draw(st.floats(-10.0, 10.0))
+        box.append((lo, lo + draw(lengths)))
+    v = np.array([min(lo + draw(st.floats(0.0, 1.0)) * (hi - lo), hi) for lo, hi in box])
+    return box, v
+
+
+_LP_AT_LEAST_2 = st.sampled_from([2.0, 2.5, 3.0, 8.0]).map(Lp)
+
+
+@st.composite
+def _scalar_blocks(draw):
+    box, v = _in_box(draw, draw(st.integers(1, 4)))
+    bits = draw(st.lists(st.integers(0, 8), min_size=len(box), max_size=len(box)))
+    weights = st.lists(st.floats(0.1, 10.0), min_size=len(box), max_size=len(box))
+    norms = st.one_of(_LP_AT_LEAST_2, st.sampled_from([1.0, 1.5]).map(Lp), weights.map(WeightedMax))
+    coords = (ScalarQuantizer(lo, hi, b) for (lo, hi), b in zip(box, bits))
+    return ScalarBlockQuantizer(coords), v, draw(norms)
+
+
+@st.composite
+def _lattice_blocks(draw):
+    from qfix.vquant import LatticeQuantizer
+
+    # Boxes of one scale within a factor of 4 keep the codebook enumeration small.
+    scale = draw(st.floats(1e-2, 10.0))
+    box, v = _in_box(draw, draw(st.integers(1, 4)), st.floats(0.5, 2.0).map(lambda x: scale * x))
+    return LatticeQuantizer(box, draw(st.integers(0, 8))), v, draw(_LP_AT_LEAST_2)
+
+
+@st.composite
+def _projected_blocks(draw):
+    """Quantize-then-project on a feasible covariance of a paper-style game."""
+    from qfix.mimo import ProjectedBlockQuantizer, mat_to_vec
+    from qfix.vquant import LatticeQuantizer
+
+    game = paper_style_game(seed=draw(st.integers(0, 3)))
+    N, budget = game.num_antennas, float(game.budgets[0])
+    box = [(0.0, budget)] * N + [(-budget, budget)] * (N * N - N)
+    v = mat_to_vec(random_feasible_profile(game, draw(st.integers(0, 2**16))).covariances[0])
+    bits = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        inner = LatticeQuantizer(box, bits)
+    else:
+        inner = ScalarBlockQuantizer(ScalarQuantizer(lo, hi, bits) for lo, hi in box)
+    return ProjectedBlockQuantizer(inner, budget), v, draw(_LP_AT_LEAST_2)
+
+
+@st.composite
+def _identity_blocks(draw):
+    box, v = _in_box(draw, draw(st.integers(1, 4)))
+    return IdentityQuantizer(), v, draw(st.sampled_from([1.0, 2.0, 3.0]).map(Lp))
+
+
+def _assert_bound_holds(case):
+    quantizer, v, norm = case
+    e = quantizer.quantize(v) - v
+    realized = block_norm(e, BlockPartition([e.size]), NormSpec([1.0], [norm]))
+    assert realized <= quantizer.worst_case_block_error(norm)
+
+
+@settings(max_examples=40)
+@given(_lattice_blocks())
+def test_lattice_worst_case_block_error_bounds_the_realized_error(case):
+    _assert_bound_holds(case)
+
+
+@given(_projected_blocks())
+def test_projected_worst_case_block_error_bounds_the_realized_error(case):
+    _assert_bound_holds(case)
+
+
+@given(_identity_blocks())
+def test_identity_worst_case_block_error_bounds_the_realized_error(case):
+    _assert_bound_holds(case)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the midpoint decode and the error q(v) - v each round, so a realized error can "
+    "exceed (hi - lo) / 2^(L+1) by an ulp; the L_p bound also sums unscaled powers "
+    "where block_norm scales by the largest entry",
+)
+@given(_scalar_blocks())
+def test_scalar_worst_case_block_error_bounds_the_realized_error(case):
+    _assert_bound_holds(case)
+
+
+@given(st.integers(0, 2**16), st.sampled_from(["sq", "vq"]))
+def test_bank_worst_case_bounds_a_jacobi_step(seed, family):
+    from qfix.ticoq import make_vq_bank
+
+    part = BlockPartition([2, 3, 1])
+    spec = NormSpec([1.0, 0.5, 2.0], [Lp(2.0), Lp(3.0), Lp(2.0)])
+    box = BoxDomain([(-1.0, 1.0), (0.0, 2.0), (-3.0, 1.0), (-1.0, 1.0), (-0.5, 0.5), (0.0, 1.0)])
+    mapping, _ = random_affine_contraction(part, spec, box, 0.7, rng=seed)
+    rng = np.random.default_rng(seed)
+    bank = make_sq_bank(part, box, rng.integers(0, 9, part.n)) if family == "sq" else (
+        make_vq_bank(part, box, rng.integers(0, 9, part.num_blocks))
+    )
+    x0 = box.clamp(rng.uniform(-3.0, 2.0, part.n))
+    traj = run_iteration(mapping, bank, x0, 1, Scheme.JACOBI)
+    assert traj.error_norms[0] <= bank.worst_case_error(part, spec)

@@ -179,7 +179,7 @@ def test_eig_sixteen_by_sixteen():
     [
         np.ones((2, 3)),
         np.ones(3),
-        np.ones((2, 2, 2)),
+        np.ones((2, 2, 3)),
         np.zeros((0, 0)),
         np.array([[1.0, np.nan], [np.nan, 1.0]]),
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
@@ -230,3 +230,63 @@ def test_eig_reconstructs_random_hermitian(parts):
     a = 0.5 * (a + a.conj().T)
     lam, u = herm_eig(a)
     _assert_decomposes(a, lam, u, atol=1e-13 * a.shape[0] * frobenius_norm(a))
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _stacks(n):
+    shape = st.tuples(st.integers(1, 5), st.just(2), st.just(n), st.just(n))
+    return st.tuples(hnp.arrays(np.float64, shape, elements=_ENTRIES), st.integers(0, 4))
+
+
+@given(st.integers(1, 5).flatmap(_stacks))
+def test_stacked_calls_equal_per_matrix_calls_bit_for_bit(case):
+    parts, zero = case
+    g = parts[:, 0] + 1j * parts[:, 1]
+    herm = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+    herm[zero % len(herm)] = 0.0  # an all-zero member
+    n = herm.shape[-1]
+    pd = g @ np.swapaxes(g.conj(), -1, -2) + np.eye(n)
+    rhs = np.swapaxes(g, -1, -2)
+    lam, u = herm_eig(herm)
+    solved = psd_solve(pd, rhs)
+    logdets = logdet_psd(pd)
+    assert lam.shape == herm.shape[:-1] and solved.shape == pd.shape
+    assert logdets.shape == pd.shape[:-2]
+    for i in range(len(herm)):
+        lam_i, u_i = herm_eig(herm[i])
+        assert _same(lam[i], lam_i) and _same(u[i], u_i)
+        assert _same(solved[i], psd_solve(pd[i], rhs[i]))
+        assert _same(logdets[i], logdet_psd(pd[i])) and isinstance(logdet_psd(pd[i]), float)
+    # A stack of stacks is the same calls again.
+    lam2, u2 = herm_eig(herm.reshape((1,) + herm.shape))
+    assert _same(lam2[0], lam) and _same(u2[0], u)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "not Hermitian"),
+        (np.diag([1.0, -1.0]), "not positive definite"),
+    ],
+)
+def test_a_stack_with_one_bad_member_raises(bad, message):
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2), bad, np.eye(2)]).astype(complex)
+    with pytest.raises(ValueError, match=message):
+        psd_solve(stack, np.ones((4, 2, 1)))
+    with pytest.raises(ValueError, match=message):
+        logdet_psd(stack)
+    if message != "not positive definite":
+        with pytest.raises(ValueError, match=message):
+            herm_eig(stack)
+    # The Hermitian tolerance is each matrix's own: a large member's rounding
+    # does not make a small member's asymmetry pass, nor the reverse.
+    big = 1e6 * np.eye(2, dtype=complex)
+    big[0, 1] += 1e-5
+    herm_eig(big)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        herm_eig(np.stack([big, np.array([[1.0, 1e-9], [0.0, 1.0]])]))

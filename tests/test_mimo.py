@@ -472,3 +472,124 @@ def test_iwfa_accepts_per_step_bank_schedule():
     with pytest.raises(ValueError, match="simultaneous"):
         iwfa_run(ch, quantizers=list(sched.banks), mode="sequential", steps=4,
                  modulus=est.alpha_hat)
+
+
+def _pairwise_modulus(ch, samples, rng):
+    """estimate_modulus as one best-response pair at a time, per link."""
+    game = ch.game
+    part, spec = game_partition(game), game_norm_spec(game)
+    rng = np.random.default_rng(rng)
+
+    def best_responses(x):
+        prof = vec_to_profile(x, game)
+        return np.concatenate([mat_to_vec(waterfill(ch, prof, k)) for k in range(game.num_links)])
+
+    worst = 0.0
+    for _ in range(samples):
+        x = profile_to_vec(random_feasible_profile(game, rng))
+        y = profile_to_vec(random_feasible_profile(game, rng))
+        dist = block_norm(x - y, part, spec)
+        if dist >= 1e-12:
+            diff = best_responses(x) - best_responses(y)
+            worst = max(worst, block_norm(diff, part, spec) / dist)
+    return worst
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3, 9])
+def test_stacked_modulus_equals_the_pairwise_loop(g):
+    ch = ChannelSet.generate(paper_style_game(seed=g))
+    est = estimate_modulus(ch, samples=50, rng=g)
+    worst = _pairwise_modulus(ch, 50, g)
+    assert (est.max_ratio, est.alpha_hat, est.certified, est.samples, est.safety) == (
+        worst, 1.05 * worst, 1.05 * worst < 1.0, 50, 1.05
+    )
+    assert est.certified == (g != 9)
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
+def test_run_throughputs_equal_each_iterate_alone(mode):
+    game = paper_style_game(seed=2)
+    ch = ChannelSet.generate(game)
+    res = iwfa_run(ch, mode=mode, steps=40, modulus=0.9)
+    alone = [sum_throughput(ch, vec_to_profile(x, game)) for x in res.trajectory.iterates]
+    assert all(isinstance(r, float) for r in alone)
+    assert res.throughputs.tobytes() == np.array(alone).tobytes()
+
+
+def _mat_to_vec_loop(P):
+    parts = [P.diagonal().real.astype(float)]
+    for i in range(P.shape[0]):
+        for j in range(i + 1, P.shape[0]):
+            parts.append([math.sqrt(2.0) * P[i, j].real, math.sqrt(2.0) * P[i, j].imag])
+    return np.concatenate(parts)
+
+
+def _vec_to_mat_loop(v):
+    N = int(round(math.sqrt(v.size)))
+    P = np.zeros((N, N), dtype=complex)
+    P[np.diag_indices(N)] = v[:N]
+    pos = N
+    for i in range(N):
+        for j in range(i + 1, N):
+            re, im = v[pos] / math.sqrt(2.0), v[pos + 1] / math.sqrt(2.0)
+            P[i, j] = re + 1j * im
+            P[j, i] = re - 1j * im
+            pos += 2
+    return P
+
+
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), _ENTRIES)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.just(2), st.just(n), st.just(n)),
+            elements=_SIGNED,
+        )
+    )
+)
+def test_stacked_vec_mat_equal_the_per_matrix_loops(parts):
+    mats = parts[:, 0] + 1j * parts[:, 1]
+    vecs = parts[:, 0].reshape(len(parts), -1)
+    to_vec, to_mat = mat_to_vec(mats), vec_to_mat(vecs)
+    for i in range(len(parts)):
+        assert to_vec[i].tobytes() == _mat_to_vec_loop(mats[i]).tobytes()
+        assert to_vec[i].tobytes() == mat_to_vec(mats[i]).tobytes()
+        assert to_mat[i].tobytes() == _vec_to_mat_loop(vecs[i]).tobytes()
+        assert to_mat[i].tobytes() == vec_to_mat(vecs[i]).tobytes()
+    # A stack of profiles converts like each profile alone.
+    profiles = to_mat.reshape((1,) + to_mat.shape)
+    alone = profile_to_vec(StrategyProfile(to_mat))
+    assert profile_to_vec(profiles)[0].tobytes() == alone.tobytes()
+
+
+def test_per_link_calls_on_a_profile_stack_equal_each_profile_alone():
+    game = GameConfig(3, 3, [[100, 300, 400], [350, 100, 300], [500, 250, 100]], 3.5, 10.0, seed=5)
+    ch = ChannelSet.generate(game)
+    rng = np.random.default_rng(11)
+    profiles = [random_feasible_profile(game, rng) for _ in range(6)]
+    stack = np.array([p.covariances for p in profiles]).reshape(2, 3, 3, 3, 3)
+    rates = sum_throughput(ch, stack).ravel()
+    for k in range(game.num_links):
+        cov = interference_covariance(ch, stack, k).reshape(6, 3, 3)
+        best = waterfill(ch, stack, k).reshape(6, 3, 3)
+        rate = throughput(ch, stack, k).ravel()
+        for i, prof in enumerate(profiles):
+            # Noise first, then each interferer in ascending order.
+            ref = game.noise_power * np.eye(3, dtype=complex)
+            for j in range(game.num_links):
+                if j != k:
+                    ref = ref + ch.h[j, k] @ prof.covariances[j] @ ch.h[j, k].conj().T
+            ref = 0.5 * (ref + ref.conj().T)
+            assert cov[i].tobytes() == ref.tobytes()
+            assert cov[i].tobytes() == interference_covariance(ch, prof, k).tobytes()
+            assert best[i].tobytes() == waterfill(ch, prof, k).tobytes()
+            assert rate[i] == throughput(ch, prof, k)
+            assert rates[i] == sum_throughput(ch, prof) == sum(
+                throughput(ch, prof, j) for j in range(game.num_links)
+            )
+    assert profile_to_vec(stack).reshape(6, -1).tobytes() == np.array(
+        [profile_to_vec(p) for p in profiles]
+    ).tobytes()
