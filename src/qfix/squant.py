@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .norms import WeightedMax
+from .norms import WeightedMax, lp_norm
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,22 @@ class ScalarBlockQuantizer:
         return self._decode(self._encode(np.asarray(v, dtype=float)))
 
     def worst_case_errors(self) -> np.ndarray:
-        """Per-coordinate worst-case absolute errors."""
-        return np.array([q.worst_case_error for q in self.coords])
+        """Per-coordinate bounds on the computed |q(v) - v| for v in the box.
+
+        The half cell plus 8 ulps of max(|lo|, |hi|): the encode's division,
+        the midpoint decode lo + (i + 0.5) w and the difference q(v) - v each
+        round, and together they move a realized error by less than that.
+        """
+        ulp = np.spacing(np.maximum(np.abs(self._lo), np.abs(self._hi)))
+        return 0.5 * (self._hi - self._lo) / (self._top + 1.0) + 8.0 * ulp
 
     def worst_case_block_error(self, norm) -> float:
-        """Bound on the block error in a weighted-max or L_p component norm."""
+        """Bound on the block error in a weighted-max or L_p component norm.
+
+        An L_p bound is taken in block_norm's scaled form, and widened by the
+        relative rounding of that form, which grows with the block size.
+        """
         errs = self.worst_case_errors()
         if isinstance(norm, WeightedMax):
             return float(np.max(errs / np.asarray(norm.a)))
-        return float(np.sum(errs**norm.p)) ** (1.0 / norm.p)
+        return lp_norm(errs, norm.p) * (1.0 + 4.0 * (self.size + 4) * np.finfo(float).eps)

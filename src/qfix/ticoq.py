@@ -34,7 +34,7 @@ import numpy as np
 from .engine import QuantizerBank
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
 from .squant import ScalarBlockQuantizer, ScalarQuantizer
-from .vquant import LatticeQuantizer, covering_radius, fundamental_volume
+from .vquant import LatticeQuantizer, covering_radius, lattice_scale
 
 _ORACLE_GUARD = 10_000_000
 _SNAP_TOL = 1e-9
@@ -231,9 +231,8 @@ def vq_constants(part: BlockPartition, w: Sequence[float], box: BoxDomain) -> np
     lengths = _box_lengths(box, part.n)
     d = np.empty(part.num_blocks)
     for k in range(part.num_blocks):
-        nk = part.block_sizes[k]
-        vol = float(np.prod(lengths[part.block_slice(k)]))
-        d[k] = (vol / fundamental_volume(nk)) ** (1.0 / nk) * covering_radius(nk) / w[k]
+        scale = lattice_scale(lengths[part.block_slice(k)], 0)
+        d[k] = scale * covering_radius(part.block_sizes[k]) / w[k]
     return d
 
 

@@ -10,24 +10,25 @@ H = {z in R^(n+1) : sum(z) = 0} as the union of n+1 translates
 
 Points are mapped between H and R^n through a fixed orthonormal basis
 (rows b_i = (1,...,1,-i,0,...,0)/sqrt(i(i+1)), i = 1..n), so codebooks
-are reproducible.  Nearest-point decoding solves each coset exactly
+are reproducible.  Nearest-point decoding solves every coset at once
 (round, then repair the sum deficiency by the cheapest +/-1 moves) and
-keeps the best candidate.
+keeps the nearest candidate; cosets within 1e-12 (1 + d^2) of the nearest
+squared distance d^2 count as tied, and the lexicographically smallest
+tied candidate wins.
 
 A quantizer scales the lattice so 2^L cells cover the box volume and
 its codebook holds every lattice point within covering distance of the
 box.  That set is a conservative superset of the points whose cells
 meet the box — it may graze a few extra boundary points, which only
 enlarges the reported effective rate — and it provably contains the
-true nearest lattice point of every in-box input, so encoding is exact.
+true nearest lattice point of every in-box input, so encoding is exact
+and never scans.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from itertools import product as _iterproduct
 
 import numpy as np
 
@@ -50,21 +51,11 @@ def fundamental_volume(n: int) -> float:
     return math.sqrt(1.0 / (n + 1))
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"lattice dimension must be >= 1, got {self.n}")
-
-    @property
-    def covering_radius(self) -> float:
-        return covering_radius(self.n)
-
-    @property
-    def fundamental_volume(self) -> float:
-        return fundamental_volume(self.n)
+def lattice_scale(lengths, bits: int) -> float:
+    """Scale at which 2^bits cells of A*_n cover a box with these n side lengths."""
+    lengths = np.asarray(lengths, dtype=float)
+    n = lengths.size
+    return (float(np.prod(lengths)) / ((1 << bits) * fundamental_volume(n))) ** (1.0 / n)
 
 
 def embedding_basis(n: int) -> np.ndarray:
@@ -87,20 +78,17 @@ def glue_vectors(n: int) -> np.ndarray:
 
 
 def _nearest_a_n(w: np.ndarray) -> np.ndarray:
-    """Nearest points of A_n for a batch of hyperplane vectors, shape (m, n+1).
+    """Nearest points of A_n for hyperplane vectors along the last axis of w.
 
     Round coordinatewise, then repair the integer sum deficiency with the
     cheapest unit moves: decrement where the rounding residual is smallest,
     increment where it is largest.
     """
     f = np.rint(w)
-    delta = np.rint(f.sum(axis=1)).astype(int)
-    resid = w - f
-    order = np.argsort(resid, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.broadcast_to(np.arange(w.shape[1]), w.shape), axis=1)
-    dec = (delta[:, None] > 0) & (ranks < delta[:, None])
-    inc = (delta[:, None] < 0) & (ranks >= w.shape[1] + delta[:, None])
+    delta = np.rint(f.sum(axis=-1, keepdims=True))
+    ranks = np.argsort(np.argsort(w - f, axis=-1, kind="stable"), axis=-1, kind="stable")
+    dec = (delta > 0) & (ranks < delta)
+    inc = (delta < 0) & (ranks >= w.shape[-1] + delta)
     return f - dec + inc
 
 
@@ -114,31 +102,21 @@ def _decode_batch(y: np.ndarray, scale: float, basis: np.ndarray, glue: np.ndarr
         raise ValueError("non-finite input")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    m = y.shape[0]
-    z = (y / scale) @ basis  # hyperplane coordinates, shape (m, n+1)
-
-    best_d2 = np.full(m, np.inf)
-    best_cand = np.zeros((m, z.shape[1]))
-    best_coset = np.zeros(m, dtype=int)
-    best_f = np.zeros((m, z.shape[1]))
-    for i in range(glue.shape[0]):
-        f = _nearest_a_n(z - glue[i])
-        cand = glue[i] + f
-        d2 = np.sum((z - cand) ** 2, axis=1)
-        # Tolerance-based tie: prefer the lexicographically smaller candidate.
-        fresh = ~np.isfinite(best_d2)
-        seen = np.where(fresh, d2, best_d2)
-        better = fresh | (d2 < seen - 1e-12 * (1.0 + seen))
-        tied = ~fresh & (np.abs(d2 - seen) <= 1e-12 * (1.0 + seen))
-        for r in np.nonzero(tied)[0]:
-            if tuple(cand[r]) < tuple(best_cand[r]):
-                better[r] = True
-        best_cand[better] = cand[better]
-        best_d2[better] = d2[better]
-        best_coset[better] = i
-        best_f[better] = f[better]
-    points = scale * (best_cand @ basis.T)
-    return points, best_coset, best_f.astype(int)
+    z = ((y / scale) @ basis)[:, None, :]  # hyperplane coordinates, one row per coset
+    f = _nearest_a_n(z - glue)  # (m, cosets, n+1)
+    cand = glue + f
+    d2 = np.sum((z - cand) ** 2, axis=-1)
+    d2_min = d2.min(axis=1, keepdims=True)
+    tied = d2 <= d2_min + 1e-12 * (1.0 + d2_min)
+    # Among tied cosets the lexicographically smallest candidate wins; np.lexsort's
+    # last key is its primary one.  Only rows with a tie need the sort.
+    coset = np.argmax(tied, axis=1)
+    multi = np.flatnonzero(tied.sum(axis=1) > 1)
+    keys = (*np.moveaxis(cand[multi, :, ::-1], -1, 0), ~tied[multi])
+    coset[multi] = np.lexsort(keys, axis=-1)[:, 0]
+    rows = np.arange(z.shape[0])
+    points = scale * (cand[rows, coset] @ basis.T)
+    return points, coset, f[rows, coset].astype(int)
 
 
 def nearest_point_a_star(y, scale: float) -> np.ndarray:
@@ -146,9 +124,7 @@ def nearest_point_a_star(y, scale: float) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     n = y.shape[-1]
-    basis = embedding_basis(n)
-    glue = glue_vectors(n)
-    points, _, _ = _decode_batch(y, scale, basis, glue)
+    points, _, _ = _decode_batch(y, scale, embedding_basis(n), glue_vectors(n))
     return points[0] if single else points
 
 
@@ -159,8 +135,7 @@ def vq_worst_case_error(box, n: int, bits: int) -> float:
     lengths = [float(hi) - float(lo) for lo, hi in box]
     if len(lengths) != n:
         raise ValueError(f"box has {len(lengths)} intervals for dimension {n}")
-    vol = math.prod(lengths)
-    return (vol / ((1 << bits) * fundamental_volume(n))) ** (1.0 / n) * covering_radius(n)
+    return lattice_scale(lengths, bits) * covering_radius(n)
 
 
 class LatticeQuantizer:
@@ -177,11 +152,10 @@ class LatticeQuantizer:
         if np.any(lengths <= 0):
             raise ValueError("degenerate box: every interval must have positive length")
 
-        self.spec = LatticeSpec(n)
+        self.n = n
         self.box = tuple(box)
         self.bits = int(bits)
-        vol = float(np.prod(lengths))
-        self.scale = (vol / ((1 << self.bits) * self.spec.fundamental_volume)) ** (1.0 / n)
+        self.scale = lattice_scale(lengths, self.bits)
         self.basis = embedding_basis(n)
         self._glue = glue_vectors(n)
         self._lo = np.array([lo for lo, _ in box])
@@ -189,12 +163,8 @@ class LatticeQuantizer:
         self._build_codebook()
 
     @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
     def worst_case_error(self) -> float:
-        return self.scale * self.spec.covering_radius
+        return self.scale * covering_radius(self.n)
 
     @property
     def codebook_size(self) -> int:
@@ -209,48 +179,38 @@ class LatticeQuantizer:
         reach = self.worst_case_error
         ylo = (self._lo - reach) / self.scale
         yhi = (self._hi + reach) / self.scale
-        # Interval arithmetic on z = basis^T y over the expanded box.
-        zmin = np.zeros(n + 1)
-        zmax = np.zeros(n + 1)
-        for j in range(n + 1):
-            col = self.basis[:, j]
-            zmin[j] = np.sum(np.minimum(col * ylo, col * yhi))
-            zmax[j] = np.sum(np.maximum(col * ylo, col * yhi))
-
-        keys: list[tuple[int, ...]] = []
-        rows: list[np.ndarray] = []
-        for i in range(n + 1):
-            g = self._glue[i]
-            f_lo = np.ceil(zmin - g - 1e-9).astype(int)
-            f_hi = np.floor(zmax - g + 1e-9).astype(int)
-            spans = [range(f_lo[j], f_hi[j] + 1) for j in range(n)]
-            count = math.prod(max(0, len(s)) for s in spans)
+        # Interval arithmetic on z = basis^T y over the expanded box, then the
+        # offset range of every coset (row) in every hyperplane coordinate.
+        cols = self.basis.T
+        zmin = np.minimum(cols * ylo, cols * yhi).sum(axis=1)
+        zmax = np.maximum(cols * ylo, cols * yhi).sum(axis=1)
+        f_lo = np.ceil(zmin - self._glue - 1e-9).astype(int)
+        f_hi = np.floor(zmax - self._glue + 1e-9).astype(int)
+        spans = np.maximum(f_hi[:, :n] - f_lo[:, :n] + 1, 0)
+        for count in map(math.prod, spans.tolist()):
             if count > _ENUM_GUARD:
                 raise ValueError(
                     f"codebook enumeration would visit {count} candidates "
                     f"(guard {_ENUM_GUARD}); lower the rate or split the block"
                 )
-            if count == 0:
-                continue
-            grid = np.array(list(_iterproduct(*spans)), dtype=int)
+
+        keys, points = [], []
+        for i, g in enumerate(self._glue):
+            grid = np.indices(spans[i]).reshape(n, -1).T + f_lo[i, :n]
             last = -grid.sum(axis=1)
-            ok = (last >= f_lo[n]) & (last <= f_hi[n])
-            if not np.any(ok):
-                continue
+            ok = (last >= f_lo[i, n]) & (last <= f_hi[i, n])
             f = np.column_stack([grid[ok], last[ok]])
             pts = self.scale * ((g + f) @ self.basis.T)
             gap = np.maximum(np.maximum(self._lo - pts, pts - self._hi), 0.0)
             near = np.sqrt(np.sum(gap**2, axis=1)) <= reach * (1.0 + 1e-9)
-            for row, fv in zip(pts[near], f[near]):
-                keys.append((i, *map(int, fv)))
-                rows.append(row)
+            keys.append(np.column_stack([np.full(near.sum(), i), f[near]]))
+            points.append(pts[near])
 
-        order = sorted(range(len(keys)), key=lambda idx: keys[idx])
-        self.keys = tuple(keys[idx] for idx in order)
-        self.points = (
-            np.array([rows[idx] for idx in order]) if rows else np.zeros((0, n))
-        )
-        self._index = {key: pos for pos, key in enumerate(self.keys)}
+        keys = np.concatenate(keys)
+        order = np.lexsort(keys.T[::-1])
+        self.keys = tuple(map(tuple, keys[order].tolist()))
+        self.points = np.concatenate(points)[order]
+        self._index = dict(zip(self.keys, range(len(self.keys))))
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
@@ -305,16 +265,10 @@ def vq_encode(q: LatticeQuantizer, x) -> int:
         raise ValueError(f"expected a length-{q.n} vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    xc = q.clamp(x)
-    _, coset, f = _decode_batch(xc[None, :], q.scale, q.basis, q._glue)
-    key = (int(coset[0]), *map(int, f[0]))
-    idx = q._index.get(key)
-    if idx is None:
-        # In-box inputs always hit the codebook; clamped corner cases fall
-        # back to a scan so encoding stays total.
-        gaps = q.points - xc[None, :]
-        idx = int(np.argmin(np.sum(gaps**2, axis=1)))
-    return int(idx)
+    # The nearest point of a clamped input lies within covering distance of the
+    # box, so it is in the codebook.
+    _, coset, f = _decode_batch(q.clamp(x)[None, :], q.scale, q.basis, q._glue)
+    return q._index[(int(coset[0]), *f[0].tolist())]
 
 
 def vq_decode(q: LatticeQuantizer, index: int) -> np.ndarray:

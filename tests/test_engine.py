@@ -715,13 +715,6 @@ def test_identity_worst_case_block_error_bounds_the_realized_error(case):
     _assert_bound_holds(case)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the midpoint decode and the error q(v) - v each round, so a realized error can "
-    "exceed (hi - lo) / 2^(L+1) by an ulp; the L_p bound also sums unscaled powers "
-    "where block_norm scales by the largest entry",
-)
 @given(_scalar_blocks())
 def test_scalar_worst_case_block_error_bounds_the_realized_error(case):
     _assert_bound_holds(case)

@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _lattice_oracle import brute_nearest_distance
+from _lattice_oracle import brute_nearest_distance, enumerate_codebook, scan_decode
 from qfix.squant import sq_worst_case_error
 from qfix.vquant import (
     LatticeQuantizer,
+    _decode_batch,
     covering_radius,
     embedding_basis,
     fundamental_volume,
@@ -114,16 +118,31 @@ def test_quantizer_scale_and_error():
     assert q.effective_bits == pytest.approx(math.log2(q.codebook_size))
 
 
-def test_quantizer_interior_points_hit_codebook():
+@pytest.mark.parametrize(
+    "box, bits",
+    [
+        ([(-1.0, 1.0)], 5),
+        ([(-1.0, 1.0), (-1.0, 1.0)], 6),
+        ([(0.0, 2.0), (-0.5, 0.5), (1.0, 4.0)], 7),
+        ([(-1.0, 1.0), (0.0, 1.0), (-2.0, 0.0), (0.5, 1.5)], 8),
+    ],
+    ids=["n1", "n2", "n3", "n4"],
+)
+def test_quantizer_interior_points_hit_codebook(box, bits):
     rng = np.random.default_rng(3)
-    q = LatticeQuantizer([(-1.0, 1.0), (-1.0, 1.0)], 6)
-    xs = rng.uniform(-1.0, 1.0, size=(500, 2))
-    free = nearest_point_a_star(xs, q.scale)
+    q = LatticeQuantizer(box, bits)
+    lo, hi = np.array(box).T
+    inside = rng.uniform(lo, hi, size=(500, len(box)))
+    # Out-of-box inputs clamp onto the box's faces, edges and corners.
+    outside = rng.uniform(lo - 2.0 * (hi - lo), hi + 2.0 * (hi - lo), size=(500, len(box)))
+    corners = np.array(list(itertools.product(*box)))
+    xs = np.concatenate([inside, outside, corners])
+    free = nearest_point_a_star(q.clamp(xs), q.scale)
     for x, ref in zip(xs, free):
         out = q.quantize(x)
         # encoding is exact: the codebook contains the true nearest point
         assert np.allclose(out, ref, atol=1e-11)
-        assert np.linalg.norm(out - x) <= q.worst_case_error + 1e-12
+        assert np.linalg.norm(out - q.clamp(x)) <= q.worst_case_error + 1e-12
         idx = vq_encode(q, x)
         assert np.array_equal(vq_decode(q, idx), out)
 
@@ -150,8 +169,12 @@ def test_construction_is_deterministic():
     assert np.array_equal(a.points, b.points)
 
 
-def test_enumeration_guard():
-    with pytest.raises(ValueError):
+def test_enumeration_guard(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated before the guard")
+
+    monkeypatch.setattr(np, "indices", no_grid)
+    with pytest.raises(ValueError, match="guard"):
         LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 48)
 
 
@@ -169,3 +192,57 @@ def test_rejects_bad_inputs():
         vq_decode(q, q.codebook_size)
     with pytest.raises(ValueError):
         nearest_point_a_star(np.array([0.1, np.nan]), 1.0)
+
+
+@st.composite
+def _decode_rows(draw):
+    """Random rows, midpoints of nearby lattice points (ties) and clamped rows."""
+    n = draw(st.integers(1, 8))
+    scale = draw(st.floats(0.05, 5.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    basis, glue = embedding_basis(n), glue_vectors(n)
+
+    def lattice_points(f):
+        return scale * ((glue[rng.integers(0, n + 1, len(f))] + f) @ basis.T)
+
+    f = rng.integers(-3, 4, size=(40, n + 1))
+    step = rng.integers(-1, 2, size=(40, n + 1))
+    f[:, -1] -= f.sum(axis=1)
+    step[:, -1] -= step.sum(axis=1)
+    ties = 0.5 * (lattice_points(f) + lattice_points(f + step))
+    lo = rng.uniform(-3.0, 3.0, n)
+    hi = lo + rng.uniform(0.1, 3.0, n)
+    edges = np.clip(rng.uniform(2.0 * lo - hi, 2.0 * hi - lo, size=(40, n)), lo, hi)
+    return np.concatenate([rng.uniform(-5.0, 5.0, size=(40, n)), ties, edges]), scale, n
+
+
+@given(_decode_rows())
+def test_stacked_decoder_equals_the_coset_scan(case):
+    y, scale, n = case
+    points, coset, f = _decode_batch(y, scale, embedding_basis(n), glue_vectors(n))
+    ref_points, ref_coset, ref_f = scan_decode(y, scale, n)
+    assert points.tobytes() == ref_points.tobytes()
+    assert np.array_equal(coset, ref_coset)
+    assert np.array_equal(f, ref_f)
+
+
+@st.composite
+def _boxes(draw):
+    # Sides of one scale within a factor of 4 keep the enumeration small.
+    scale = draw(st.floats(1e-2, 10.0))
+    box = []
+    for _ in range(draw(st.integers(1, 5))):
+        lo = draw(st.floats(-10.0, 10.0))
+        box.append((lo, lo + scale * draw(st.floats(0.5, 2.0))))
+    return box, draw(st.integers(0, 11))
+
+
+@settings(max_examples=40)
+@given(_boxes())
+def test_codebook_equals_the_reference_enumeration(case):
+    q = LatticeQuantizer(*case)
+    keys, points = enumerate_codebook(q)
+    assert q.keys == keys
+    assert q.points.tobytes() == points.tobytes()
+    assert q.codebook_size == len(keys)
+    assert q._index == {key: pos for pos, key in enumerate(keys)}
