@@ -4,10 +4,15 @@ One loop runs block mappings in three update orders: Jacobi (every block
 from the old iterate), Gauss-Seidel (a sweep over every block, later
 blocks seeing the already-quantized earlier blocks of the new iterate)
 and sequential (one block per step, k = t mod K, reading the current
-iterate).  A Jacobi step evaluates the whole map once and quantizes it in
-one bank call.  Block updates evaluate one block: natively, through the
-mapping's `fn_block`, when it has one, so a Gauss-Seidel sweep costs
-about one full evaluation; otherwise by slicing a full evaluation.  The
+iterate).  Every step is a loop over groups of blocks, each group one
+evaluation and one bank pass: a Jacobi step is one group of all blocks,
+a sequential tick one block, and a Gauss-Seidel sweep the mapping's
+`sweep_groups`.  A mapping that declares which blocks each block reads
+(`block_reads`, which `affine_contraction` takes from A's zero blocks)
+sweeps blocks that read none of each other's new values as one group,
+and the sweep equals the block-by-block one; any other sweeps one block
+at a time.  Block updates evaluate natively, through the mapping's
+`fn_block`, when it has one, otherwise by slicing a full evaluation.  The
 loop records the actual quantization residuals e(t), and the module
 evaluates the matching accumulated / worst-case convergence-error
 bounds.  The totally asynchronous scheme is supported only through its
@@ -45,6 +50,9 @@ class IdentityQuantizer:
         return 0.0
 
 
+_FUSED_PER_BANK = 256  # fused group quantizers a bank keeps
+
+
 @dataclass(frozen=True)
 class QuantizerBank:
     """One quantizer per block.
@@ -65,28 +73,61 @@ class QuantizerBank:
             raise ValueError(f"{len(self.blocks)} quantizers for {part.num_blocks} blocks")
 
     @cached_property
-    def _fused(self) -> Optional[tuple[tuple[int, ...], ScalarBlockQuantizer]]:
-        """(block sizes, all coordinates as one quantizer) for an all-scalar bank."""
+    def _fused(self) -> Optional[dict]:
+        """Fused quantizers of an all-scalar bank by (block sizes, blocks); None otherwise."""
         if not all(isinstance(q, ScalarBlockQuantizer) for q in self.blocks):
             return None
-        sizes = tuple(q.size for q in self.blocks)
-        return sizes, ScalarBlockQuantizer(c for q in self.blocks for c in q.coords)
+        return {}
 
-    def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
-        """Every block of x through its quantizer.
+    def _fused_at(self, part: BlockPartition, blocks) -> Optional[ScalarBlockQuantizer]:
+        """The coordinates of `blocks` (None for all) as one scalar quantizer, built once.
 
-        Scalar banks quantize coordinate-wise, so one pass over the whole
-        vector gives the per-block results bit for bit.
+        None unless the bank is all-scalar and its block sizes match the partition's.
+        """
+        if self._fused is None:
+            return None
+        key = (part.block_sizes, blocks)
+        if key not in self._fused:
+            if len(self._fused) >= _FUSED_PER_BANK:  # a bank outlives many mappings' groups
+                self._fused.clear()
+            ks = range(part.num_blocks) if blocks is None else blocks
+            qs = [self.blocks[k] for k in ks]
+            sizes_match = all(q.size == part.block_sizes[k] for q, k in zip(qs, ks))
+            self._fused[key] = (
+                ScalarBlockQuantizer(c for q in qs for c in q.coords) if sizes_match else None
+            )
+        return self._fused[key]
+
+    def quantize_blocks(self, v: np.ndarray, part: BlockPartition, blocks=None) -> np.ndarray:
+        """Blocks `blocks` of a vector through their quantizers; v holds just them.
+
+        `blocks` is one block k, a tuple of blocks (v is their values in that
+        order) or None for every block.  Scalar banks quantize coordinate-wise,
+        so one pass over a group's coordinates gives the per-block results bit
+        for bit; other banks quantize block by block.
         """
         self._check_blocks(part)
-        x = np.asarray(x, dtype=float)
-        if self._fused is not None and self._fused[0] == part.block_sizes:
-            return self._fused[1].quantize(x)
-        out = np.empty(part.n)
-        for k in range(part.num_blocks):
-            sl = part.block_slice(k)
-            out[sl] = self.blocks[k].quantize(x[sl])
+        v = np.asarray(v, dtype=float)
+        if blocks is not None and not isinstance(blocks, tuple):
+            return self.blocks[blocks].quantize(v)
+        fused = self._fused_at(part, blocks)
+        if fused is not None:
+            return fused.quantize(v)
+        ks = range(part.num_blocks) if blocks is None else blocks
+        size = sum(part.block_sizes[k] for k in ks)
+        if v.shape != (size,):
+            raise ValueError(f"{v.shape} values for blocks of {size} coordinates")
+        out = np.empty(size)
+        start = 0
+        for k in ks:
+            end = start + part.block_sizes[k]
+            out[start:end] = self.blocks[k].quantize(v[start:end])
+            start = end
         return out
+
+    def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
+        """Every block of x through its quantizer."""
+        return self.quantize_blocks(x, part)
 
     def worst_case_error(self, part: BlockPartition, spec: NormSpec) -> float:
         """Block-norm bound on any single-step quantization error e(t)."""
@@ -104,7 +145,12 @@ class BlockMapping:
 
     `fn(x)` gives the whole raw map; the optional `fn_block(k, x)` gives its
     block k alone, and must equal `fn(x)[block k]` bit for bit.  Both are
-    clamped into the box.
+    clamped into the box.  The optional `block_reads` is a K x K bool
+    pattern: block k's value depends only on the blocks j with
+    block_reads[k, j].  A mapping that declares it must also take a tuple
+    of blocks in `fn_block` (their values concatenated, in that order),
+    since a Gauss-Seidel sweep then evaluates blocks that read none of
+    each other's new values in one call.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -112,7 +158,8 @@ class BlockMapping:
     domain: BoxDomain
     norm: NormSpec
     modulus: float
-    fn_block: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    fn_block: Optional[Callable[[Union[int, tuple], np.ndarray], np.ndarray]] = None
+    block_reads: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.modulus < 1.0):
@@ -120,6 +167,41 @@ class BlockMapping:
         if self.domain.n != self.partition.n:
             raise ValueError("domain dimension does not match partition")
         self.norm.check_partition(self.partition)
+        if self.block_reads is not None:
+            reads = np.array(self.block_reads, dtype=bool)
+            K = self.partition.num_blocks
+            if reads.shape != (K, K):
+                raise ValueError(f"block_reads has shape {reads.shape}, expected ({K}, {K})")
+            reads.flags.writeable = False
+            object.__setattr__(self, "block_reads", reads)
+
+    @cached_property
+    def sweep_groups(self) -> tuple:
+        """A Gauss-Seidel sweep as groups of blocks updated together, in order.
+
+        Each block lands in a later group than every earlier block it reads
+        and in no earlier group than any earlier block that reads its old
+        value, in the fewest groups that allow, so every block reads what it
+        reads in the block-by-block sweep.  A group of one block is its int,
+        a larger one an ascending tuple.  Without `block_reads` every block
+        is its own group.
+        """
+        K = self.partition.num_blocks
+        if self.block_reads is None:
+            return tuple(range(K))
+        # Each pair j < k that shares a read, in row-major order, so block j's
+        # group is final before block k's: k goes one group past j if it
+        # reads j's new value, else (j reads k's old value) no earlier than j.
+        reads = self.block_reads
+        later, earlier = np.nonzero(np.tril(reads | reads.T, -1))
+        lag = reads[later, earlier]
+        level = [0] * K
+        for k, j, d in zip(later.tolist(), earlier.tolist(), lag.tolist()):
+            level[k] = max(level[k], level[j] + d)
+        members = [[] for _ in range(max(level) + 1)]
+        for k, g in enumerate(level):
+            members[g].append(k)
+        return tuple(m[0] if len(m) == 1 else tuple(m) for m in members)
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:
         y = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -127,17 +209,18 @@ class BlockMapping:
             raise ValueError(f"mapping returned shape {y.shape}, expected ({self.partition.n},)")
         return self.domain.clamp(y)
 
-    def eval_block(self, k: int, x: np.ndarray) -> np.ndarray:
-        sl = self.partition.block_slice(k)
+    def eval_block(self, k: Union[int, tuple], x: np.ndarray) -> np.ndarray:
+        """Block k of the map at x, or the blocks of a tuple k concatenated."""
+        idx = self.partition.block_index(k)
         if self.fn_block is None:
-            return self.eval_full(x)[sl]
+            return self.eval_full(x)[idx]
         y = np.asarray(self.fn_block(k, np.asarray(x, dtype=float)), dtype=float)
-        if y.shape != (self.partition.block_sizes[k],):
+        size = len(idx) if isinstance(k, tuple) else self.partition.block_sizes[k]
+        if y.shape != (size,):
             raise ValueError(
-                f"block {k} of the mapping has shape {y.shape}, "
-                f"expected ({self.partition.block_sizes[k]},)"
+                f"block {k} of the mapping has shape {y.shape}, expected ({size},)"
             )
-        return self.domain.clamp(y, sl)
+        return self.domain.clamp(y, idx)
 
     def distance(self, x, y) -> float:
         return block_norm(np.asarray(x) - np.asarray(y), self.partition, self.norm)
@@ -227,8 +310,10 @@ def run_iteration(
     every block, and sequential updates block t mod K only; both evaluate
     a block at the partially updated iterate whose earlier blocks already
     hold their *quantized* values, so the quantized message — not the raw
-    one — is what later blocks consume.  With quantizers=None the dynamics
-    reduce to the exact iteration and e(t) = 0.
+    one — is what later blocks consume.  A sweep updates the mapping's
+    `sweep_groups` in turn, each with one evaluation and one bank pass.
+    With quantizers=None the dynamics reduce to the exact iteration and
+    e(t) = 0.
     """
     if scheme == Scheme.ASYNC_BOUND_ONLY:
         raise ValueError(
@@ -253,18 +338,19 @@ def run_iteration(
 
     for t, bank in enumerate(banks):
         if scheme == Scheme.JACOBI:
-            raw = mapping.eval_full(x)
-            y = raw if bank is None else bank.quantize_full(raw, part)
-            e = y - raw
+            groups = (None,)
+        elif scheme == Scheme.SEQUENTIAL:
+            groups = (t % K,)
         else:
-            y = x.copy()
-            e = np.zeros(part.n)
-            for k in (t % K,) if scheme == Scheme.SEQUENTIAL else range(K):
-                sl = part.block_slice(k)
-                raw_k = mapping.eval_block(k, y)
-                q = raw_k if bank is None else bank.blocks[k].quantize(raw_k)
-                e[sl] = q - raw_k
-                y[sl] = q
+            groups = mapping.sweep_groups
+        y = x.copy()
+        e = np.zeros(part.n)
+        for blocks in groups:
+            idx = part.block_index(blocks)
+            raw = mapping.eval_full(y) if blocks is None else mapping.eval_block(blocks, y)
+            q = raw if bank is None else bank.quantize_blocks(raw, part, blocks)
+            e[idx] = q - raw
+            y[idx] = q
         x = y
         iterates[t + 1] = x
         errors[t] = e
@@ -399,10 +485,13 @@ def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundC
         sweeps = traj.steps // num_blocks
         sweep_max = eps[: sweeps * num_blocks].reshape(sweeps, num_blocks).max(axis=1)
         E = accumulated_error_series(alpha, sweep_max, Scheme.GAUSS_SEIDEL, num_blocks)
-        spent = np.zeros(traj.steps + 1)  # tick norms of the current sweep before t
-        for t in range(1, traj.steps + 1):
-            if t % num_blocks:
-                spent[t] = spent[t - 1] + eps[t - 1]
+        # spent[t]: the tick norms of t's sweep before t, added left to right.
+        # Row s of `shifted` is 0 then the sweep's ticks but its last.
+        shifted = np.zeros((sweeps + 1) * num_blocks)
+        shifted[1 : traj.steps + 1] = eps
+        shifted[::num_blocks] = 0.0
+        spent = np.add.accumulate(shifted.reshape(sweeps + 1, num_blocks), axis=1).ravel()
+        spent = spent[: traj.steps + 1]
         sweep = np.arange(traj.steps + 1) // num_blocks
         bound = alpha ** sweep.astype(float) * d[0] + E[sweep] + spent
     else:
@@ -512,26 +601,30 @@ def affine_contraction(
 ) -> BlockMapping:
     """T(x) = clamp(A x + b) as a BlockMapping with a declared modulus.
 
-    Block k is evaluated natively as A[rows_k] x + b[rows_k] over views of
-    A's rows.  Each row is a 1 x n matrix, so the product is a stack of
-    row-by-vector products that numpy computes as one dot product per row:
-    a block equals the same rows of the whole map bit for bit.  A BLAS
-    matrix-vector product would not promise that, since its result for a
-    row may depend on how many rows share the call.
+    Block k, or a tuple of blocks, is evaluated natively as A[rows] x +
+    b[rows] over A's rows.  Each row is a 1 x n matrix, so the product is a
+    stack of row-by-vector products that numpy computes as one dot product
+    per row: a block equals the same rows of the whole map bit for bit.  A
+    BLAS matrix-vector product would not promise that, since its result
+    for a row may depend on how many rows share the call.  Block k reads
+    block j unless A's block (k, j) is exactly zero.
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
     row_mats = A[:, None, :]
+    starts = part.offsets[:-1]
+    reads = np.logical_or.reduceat(np.logical_or.reduceat(A != 0, starts, axis=0), starts, axis=1)
 
     def fn(x: np.ndarray) -> np.ndarray:
         return (row_mats @ x)[:, 0] + b
 
-    def fn_block(k: int, x: np.ndarray) -> np.ndarray:
-        rows = part.block_slice(k)
+    def fn_block(k, x: np.ndarray) -> np.ndarray:
+        rows = part.block_index(k)
         return (row_mats[rows] @ x)[:, 0] + b[rows]
 
     return BlockMapping(
-        fn=fn, partition=part, domain=domain, norm=spec, modulus=modulus, fn_block=fn_block
+        fn=fn, partition=part, domain=domain, norm=spec, modulus=modulus, fn_block=fn_block,
+        block_reads=reads,
     )
 
 

@@ -12,6 +12,7 @@ block carries its own component norm (weighted-max or L_p).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -51,6 +52,19 @@ class BlockPartition:
     def block_slice(self, k: int) -> slice:
         return slice(self.offsets[k], self.offsets[k + 1])
 
+    def block_index(self, blocks: Union[int, tuple, None] = None) -> Union[slice, np.ndarray]:
+        """Coordinates of `blocks`, for indexing a vector.
+
+        Every block (None) and block k (an int) give a slice; a tuple of
+        blocks gives their coordinates in that order, as a read-only int
+        array built once per tuple.
+        """
+        if blocks is None:
+            return slice(None)
+        if isinstance(blocks, tuple):
+            return _group_index(self.offsets, blocks)
+        return self.block_slice(blocks)
+
     def block_of(self, m: int) -> int:
         """Index of the block containing coordinate m."""
         if not (0 <= m < self.n):
@@ -60,6 +74,13 @@ class BlockPartition:
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         x = np.asarray(x)
         return [x[self.block_slice(k)] for k in range(self.num_blocks)]
+
+
+@functools.lru_cache(maxsize=1024)
+def _group_index(offsets: tuple, blocks: tuple) -> np.ndarray:
+    idx = np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in blocks])
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)

@@ -132,10 +132,18 @@ def vq_worst_case_error(box, n: int, bits: int) -> float:
     """Worst-case decode error of the scaled lattice over the box interior."""
     if bits < 0:
         raise ValueError(f"rate must be nonnegative, got {bits}")
-    lengths = [float(hi) - float(lo) for lo, hi in box]
+    lengths = _box_lengths(box)
     if len(lengths) != n:
         raise ValueError(f"box has {len(lengths)} intervals for dimension {n}")
     return lattice_scale(lengths, bits) * covering_radius(n)
+
+
+def _box_lengths(box) -> np.ndarray:
+    """Side lengths of a box of (lo, hi) intervals, each of which must be positive."""
+    lengths = np.array([float(hi) - float(lo) for lo, hi in box])
+    if np.any(lengths <= 0):
+        raise ValueError("degenerate box: every interval must have positive length")
+    return lengths
 
 
 class LatticeQuantizer:
@@ -148,9 +156,7 @@ class LatticeQuantizer:
             raise ValueError("empty box")
         if bits < 0 or bits != int(bits):
             raise ValueError(f"rate must be a nonnegative integer, got {bits}")
-        lengths = np.array([hi - lo for lo, hi in box])
-        if np.any(lengths <= 0):
-            raise ValueError("degenerate box: every interval must have positive length")
+        lengths = _box_lengths(box)
 
         self.n = n
         self.box = tuple(box)

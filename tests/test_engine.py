@@ -735,3 +735,207 @@ def test_bank_worst_case_bounds_a_jacobi_step(seed, family):
     x0 = box.clamp(rng.uniform(-3.0, 2.0, part.n))
     traj = run_iteration(mapping, bank, x0, 1, Scheme.JACOBI)
     assert traj.error_norms[0] <= bank.worst_case_error(part, spec)
+
+
+# ---------------------------------------------------------------------------
+# Dependency-grouped Gauss-Seidel sweeps
+# ---------------------------------------------------------------------------
+
+_PATTERNS = ("diagonal", "permutation", "lower", "upper", "random", "dense")
+
+
+def _block_pattern(kind, K, rng):
+    """Which blocks each block reads: a K x K bool pattern of the given kind."""
+    if kind == "diagonal":
+        return np.eye(K, dtype=bool)
+    if kind == "permutation":
+        return np.eye(K, dtype=bool)[rng.permutation(K)]
+    if kind == "lower":
+        return np.tril(np.ones((K, K), dtype=bool))
+    if kind == "upper":
+        return np.triu(np.ones((K, K), dtype=bool))
+    if kind == "random":
+        return rng.random((K, K)) < rng.uniform(0.1, 0.6)
+    return np.ones((K, K), dtype=bool)
+
+
+def _lattice_quantizer(size):
+    from qfix.vquant import LatticeQuantizer
+
+    return LatticeQuantizer([(-1.0, 1.0)] * size, 2 * size)
+
+
+@st.composite
+def _sparse_affine_runs(draw):
+    """A block-sparse affine map, a bank (or schedule) and a start point."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=7))
+    part = BlockPartition(sizes)
+    K = part.num_blocks
+    kind = draw(st.sampled_from(_PATTERNS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = _block_pattern(kind, K, rng)
+    a = rng.standard_normal((part.n, part.n)) * np.repeat(np.repeat(pattern, sizes, 0), sizes, 1)
+    if kind == "permutation":  # signed entries, as in random_affine_contraction
+        a = np.sign(a)
+    spec = uniform_wmax_spec(part)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    # b has no zero entry, so a row's exact-zero sum, whose sign grouping may flip, never shows
+    b = rng.uniform(0.1, 0.5, part.n) * rng.choice([-1.0, 1.0], part.n)
+    mapping = affine_contraction(a / part.n, b, part, box, spec, 0.5)
+    steps = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(["none", "scalar", "lattice-identity", "schedule"]))
+    if family == "none":
+        quantizers = None
+    elif family == "scalar":
+        quantizers = make_sq_bank(part, box, rng.integers(0, 9, part.n))
+    elif family == "lattice-identity":
+        quantizers = QuantizerBank(
+            _lattice_quantizer(size) if rng.random() < 0.5 else IdentityQuantizer()
+            for size in sizes
+        )
+    else:
+        quantizers = [make_sq_bank(part, box, rng.integers(0, 9, part.n)) for _ in range(steps)]
+    x0 = rng.uniform(-1.0, 1.0, part.n)
+    return mapping, pattern, quantizers, x0, steps
+
+
+def _block_by_block(mapping, quantizers, x, steps, scheme):
+    """The sweep one block at a time, each block's quantized value written before the next."""
+    part = mapping.partition
+    banks = quantizers if isinstance(quantizers, list) else [quantizers] * steps
+    iterates, errors = [x], []
+    for t, bank in enumerate(banks):
+        y = x.copy()
+        e = np.zeros(part.n)
+        for k in (t % part.num_blocks,) if scheme == Scheme.SEQUENTIAL else range(part.num_blocks):
+            sl = part.block_slice(k)
+            raw = mapping.eval_block(k, y)
+            q = raw if bank is None else bank.blocks[k].quantize(raw)
+            e[sl] = q - raw
+            y[sl] = q
+        x = y
+        iterates.append(x)
+        errors.append(e)
+    return np.array(iterates), np.array(errors)
+
+
+def _with_counted_blocks(mapping):
+    """The mapping with its block pattern kept and every fn_block call recorded."""
+    calls = []
+
+    def fn_block(k, x):
+        calls.append(k)
+        return mapping.fn_block(k, x)
+
+    counted = BlockMapping(
+        mapping.fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus,
+        fn_block=fn_block, block_reads=mapping.block_reads,
+    )
+    return counted, calls
+
+
+@given(_sparse_affine_runs())
+def test_grouped_sweeps_equal_the_block_by_block_sweep(case):
+    mapping, pattern, quantizers, x0, steps = case
+    part = mapping.partition
+    K = part.num_blocks
+    assert np.array_equal(mapping.block_reads, pattern)
+    groups = mapping.sweep_groups
+    group_of = {}
+    for g, blocks in enumerate(groups):
+        members = (blocks,) if isinstance(blocks, int) else blocks
+        assert isinstance(blocks, int) or (len(blocks) > 1 and list(blocks) == sorted(blocks))
+        group_of.update((k, g) for k in members)
+    assert sorted(group_of) == list(range(K))
+    reads = mapping.block_reads
+    for k in range(K):
+        for j in range(k):
+            if reads[k, j]:  # k reads the new value of an earlier block
+                assert group_of[k] > group_of[j]
+            if reads[j, k]:  # an earlier block reads k's old value
+                assert group_of[k] >= group_of[j]
+    for scheme in (Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL):
+        traj = run_iteration(mapping, quantizers, x0, steps, scheme)
+        iterates, errors = _block_by_block(mapping, quantizers, x0, steps, scheme)
+        assert traj.iterates.tobytes() == iterates.tobytes()
+        assert traj.errors.tobytes() == errors.tobytes()
+        assert traj.error_norms.tobytes() == np.array(
+            [block_norm(e, part, mapping.norm) for e in errors]
+        ).tobytes()
+    counted, calls = _with_counted_blocks(mapping)
+    run_iteration(counted, quantizers, x0, steps, Scheme.GAUSS_SEIDEL)
+    assert calls == list(groups) * steps
+
+
+@given(st.integers(1, 9), st.integers(0, 2**16))
+def test_dense_and_undeclared_patterns_sweep_one_block_at_a_time(K, seed):
+    part = BlockPartition([2] * K)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(0.5, 1.0, (part.n, part.n)) / part.n
+    mapping = affine_contraction(dense, np.zeros(part.n), part, box, uniform_wmax_spec(part), 0.5)
+    undeclared = BlockMapping(mapping.fn, part, box, mapping.norm, 0.5, fn_block=mapping.fn_block)
+    assert undeclared.block_reads is None
+    assert mapping.sweep_groups == undeclared.sweep_groups == tuple(range(K))
+
+
+def test_block_pattern_comes_from_the_exact_zero_blocks():
+    part = BlockPartition([2, 1, 3])
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    a = np.zeros((part.n, part.n))
+    a[0, 5] = 1e-300  # block (0, 2): one tiny entry reads
+    a[2, 2] = -0.0  # block (1, 1): a negative zero does not
+    a[4, 0] = 0.5  # block (2, 0)
+    mapping = affine_contraction(a, np.ones(part.n), part, box, uniform_wmax_spec(part), 0.5)
+    assert mapping.block_reads.tolist() == [
+        [False, False, True], [False, False, False], [True, False, False]
+    ]
+    assert not mapping.block_reads.flags.writeable
+    # block 2 reads block 0's new value; block 0 reads block 2's old one
+    assert mapping.sweep_groups == ((0, 1), 2)
+    with pytest.raises(ValueError, match="block_reads has shape"):
+        BlockMapping(mapping.fn, part, box, mapping.norm, 0.5, block_reads=np.ones((2, 2)))
+
+
+def test_grouped_block_evaluation_checks_its_shape():
+    part = BlockPartition([2, 1])
+    box = BoxDomain([(-1.0, 1.0)] * 3)
+    mapping = BlockMapping(
+        lambda x: 0.5 * x, part, box, uniform_wmax_spec(part), 0.5,
+        fn_block=lambda k, x: 0.5 * x[:2], block_reads=np.eye(2, dtype=bool),
+    )
+    assert mapping.sweep_groups == ((0, 1),)
+    with pytest.raises(ValueError, match=r"block \(0, 1\) of the mapping has shape"):
+        run_iteration(mapping, None, np.zeros(3), 1, Scheme.GAUSS_SEIDEL)
+
+
+def _loop_sequential_bound(traj, alpha, d0, K):
+    """The sequential certificate's bound with `spent` summed tick by tick."""
+    eps = traj.error_norms
+    sweeps = traj.steps // K
+    sweep_max = eps[: sweeps * K].reshape(sweeps, K).max(axis=1)
+    E = accumulated_error_series(alpha, sweep_max, Scheme.GAUSS_SEIDEL, K)
+    spent = np.zeros(traj.steps + 1)
+    for t in range(1, traj.steps + 1):
+        if t % K:
+            spent[t] = spent[t - 1] + eps[t - 1]
+    sweep = np.arange(traj.steps + 1) // K
+    return alpha ** sweep.astype(float) * d0 + E[sweep] + spent
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 40),
+    st.lists(st.floats(0.0, 1e3) | st.just(0.0), min_size=40, max_size=40),
+)
+def test_sequential_spent_equals_the_tick_loop(K, steps, norms):
+    if K > 1 and steps % K == 0:
+        steps += 1  # the last sweep is partial
+    mapping = _halving_map(K)
+    eps = np.array(norms[:steps] + [0.0] * max(0, steps - len(norms)))
+    iterates = np.random.default_rng(steps).uniform(-1.0, 1.0, (steps + 1, K))
+    traj = engine.Trajectory(iterates, np.zeros((steps, K)), eps, Scheme.SEQUENTIAL)
+    x_star = np.zeros(K)
+    cert = bound_certificate(traj, mapping, x_star)
+    expected = _loop_sequential_bound(traj, mapping.modulus, cert.dist[0], K)
+    assert cert.bound.tobytes() == expected.tobytes()

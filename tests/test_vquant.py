@@ -58,6 +58,17 @@ def test_worst_case_error_unit_square():
     assert e5 / e4 == pytest.approx(2 ** (-1 / 2), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "box", [[(1.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (2.0, 2.0)]]
+)
+def test_worst_case_error_refuses_a_degenerate_box(box):
+    # an inverted interval gave a negative or complex error; the quantizer refuses the same box
+    with pytest.raises(ValueError, match="degenerate box"):
+        vq_worst_case_error(box, len(box), 0)
+    with pytest.raises(ValueError, match="degenerate box"):
+        LatticeQuantizer(box, 0)
+
+
 def test_dimension_one_matches_scalar_quantizer_error():
     # The 1-D dual lattice scaled by volume reduces to the uniform scalar grid.
     for bits in range(7):
