@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, block_norm, block_norms
-from .squant import ScalarBlockQuantizer
 
 
 class Scheme(enum.Enum):
@@ -59,8 +58,10 @@ class QuantizerBank:
 
     Every block quantizer exposes `quantize(v)` and
     `worst_case_block_error(norm)`, its bound on ||q(v) - v|| in the
-    block's component norm.  A bank of coordinate-wise scalar block
-    quantizers also quantizes a whole vector in one array pass.
+    block's component norm.  A quantizer type may also offer
+    `fuse(quantizers, sizes)`: one quantizer for several blocks of the given
+    sizes, their values concatenated, or None when it cannot take them.
+    A bank of one such type quantizes a group of blocks in one call.
     """
 
     blocks: tuple
@@ -74,15 +75,20 @@ class QuantizerBank:
 
     @cached_property
     def _fused(self) -> Optional[dict]:
-        """Fused quantizers of an all-scalar bank by (block sizes, blocks); None otherwise."""
-        if not all(isinstance(q, ScalarBlockQuantizer) for q in self.blocks):
+        """Fused group quantizers by (block sizes, blocks) when the bank's quantizers fuse.
+
+        None unless every block quantizer has one type, and that type has
+        `fuse(quantizers, sizes)`.
+        """
+        kinds = {type(q) for q in self.blocks}
+        if len(kinds) != 1 or not hasattr(next(iter(kinds)), "fuse"):
             return None
         return {}
 
-    def _fused_at(self, part: BlockPartition, blocks) -> Optional[ScalarBlockQuantizer]:
-        """The coordinates of `blocks` (None for all) as one scalar quantizer, built once.
+    def _fused_at(self, part: BlockPartition, blocks):
+        """The quantizers of `blocks` (None for all) fused into one, built once.
 
-        None unless the bank is all-scalar and its block sizes match the partition's.
+        None unless the bank's quantizers fuse at the partition's block sizes.
         """
         if self._fused is None:
             return None
@@ -92,19 +98,18 @@ class QuantizerBank:
                 self._fused.clear()
             ks = range(part.num_blocks) if blocks is None else blocks
             qs = [self.blocks[k] for k in ks]
-            sizes_match = all(q.size == part.block_sizes[k] for q, k in zip(qs, ks))
-            self._fused[key] = (
-                ScalarBlockQuantizer(c for q in qs for c in q.coords) if sizes_match else None
-            )
+            self._fused[key] = type(qs[0]).fuse(qs, [part.block_sizes[k] for k in ks])
         return self._fused[key]
 
     def quantize_blocks(self, v: np.ndarray, part: BlockPartition, blocks=None) -> np.ndarray:
         """Blocks `blocks` of a vector through their quantizers; v holds just them.
 
         `blocks` is one block k, a tuple of blocks (v is their values in that
-        order) or None for every block.  Scalar banks quantize coordinate-wise,
-        so one pass over a group's coordinates gives the per-block results bit
-        for bit; other banks quantize block by block.
+        order) or None for every block.  A group goes through one fused
+        quantizer when the bank's quantizer type has `fuse`, which must give
+        the per-block results bit for bit (scalar quantizers are
+        coordinate-wise, so one pass over the group's coordinates does);
+        other banks quantize block by block.
         """
         self._check_blocks(part)
         v = np.asarray(v, dtype=float)
@@ -323,7 +328,7 @@ def run_iteration(
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
     part = mapping.partition
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (part.n,):
         raise ValueError(f"x0 has shape {x.shape}, expected ({part.n},)")
     if not mapping.domain.contains(x, tol=1e-9):
@@ -332,8 +337,7 @@ def run_iteration(
     banks = _bank_schedule(quantizers, steps)
     K = part.num_blocks
     iterates = np.empty((steps + 1, part.n))
-    errors = np.empty((steps, part.n))
-    error_norms = np.empty(steps)
+    errors = np.zeros((steps, part.n))
     iterates[0] = x
 
     for t, bank in enumerate(banks):
@@ -343,20 +347,16 @@ def run_iteration(
             groups = (t % K,)
         else:
             groups = mapping.sweep_groups
-        y = x.copy()
-        e = np.zeros(part.n)
+        y, e = iterates[t + 1], errors[t]
+        y[:] = iterates[t]
         for blocks in groups:
             idx = part.block_index(blocks)
             raw = mapping.eval_full(y) if blocks is None else mapping.eval_block(blocks, y)
             q = raw if bank is None else bank.quantize_blocks(raw, part, blocks)
             e[idx] = q - raw
             y[idx] = q
-        x = y
-        iterates[t + 1] = x
-        errors[t] = e
-        error_norms[t] = block_norm(e, part, mapping.norm)
 
-    traj = Trajectory(iterates, errors, error_norms, scheme)
+    traj = Trajectory(iterates, errors, _row_norms(mapping, errors), scheme)
     if reference is not None:
         traj.reference = np.asarray(reference, dtype=float)
         traj.dist_to_ref = _distances(mapping, iterates, traj.reference)
@@ -367,20 +367,26 @@ def run_iteration(
 _DISTANCE_CHUNK = 1 << 18  # iterate entries per block_norms call (2 MiB of float64)
 
 
-def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`.
+def _row_norms(mapping: BlockMapping, rows: np.ndarray, ref=0.0) -> np.ndarray:
+    """||x - ref|| in the mapping's block norm, for every row x of `rows`.
 
     Rows go through `block_norms` in chunks of about _DISTANCE_CHUNK
-    entries, so its temporaries stay bounded however long the run is.
+    entries, so its temporaries stay bounded however long the run is; each
+    row's norm equals `block_norm` of that row alone, bit for bit.
     """
-    iterates = np.asarray(iterates)
+    rows = np.asarray(rows)
     step = max(1, _DISTANCE_CHUNK // mapping.partition.n)
     return np.concatenate(
         [
-            block_norms(iterates[i : i + step] - ref, mapping.partition, mapping.norm)
-            for i in range(0, len(iterates), step)
+            block_norms(rows[i : i + step] - ref, mapping.partition, mapping.norm)
+            for i in range(0, len(rows), step)
         ]
     )
+
+
+def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`."""
+    return _row_norms(mapping, iterates, ref)
 
 
 def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:

@@ -12,7 +12,7 @@ vector whose L2 norm equals the Frobenius norm of the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
@@ -62,6 +62,7 @@ class GameConfig:
     power_dbm: tuple
     noise_power: float
     seed: int = 0
+    _budgets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -97,11 +98,14 @@ class GameConfig:
         object.__setattr__(self, "power_dbm", power_dbm)
         object.__setattr__(self, "noise_power", float(noise_power))
         object.__setattr__(self, "seed", int(seed))
+        budgets = np.array([dbm_to_watts(v) for v in power_dbm])
+        budgets.flags.writeable = False
+        object.__setattr__(self, "_budgets", budgets)
 
     @property
     def budgets(self) -> np.ndarray:
-        """Per-link transmit power budgets in watts."""
-        return np.array([dbm_to_watts(v) for v in self.power_dbm])
+        """Per-link transmit power budgets in watts (read-only, built once)."""
+        return self._budgets
 
 
 def paper_style_game(seed: int = 0, power_dbm: float = 10.0) -> GameConfig:
@@ -259,7 +263,10 @@ def project_simplex(v: np.ndarray, budget) -> np.ndarray:
 
     Sorted cumulative sums give the water level in closed form, so the result
     satisfies the KKT conditions x_i = max(v_i - theta, 0) with sum x = budget
-    to floating-point accuracy.  `budget` is one number or one per row."""
+    to floating-point accuracy.  A positive budget too small to move a row's
+    level (below half an ulp of its largest entry) goes wholly on that
+    entry, the lowest index among equals.  `budget` is one number or one per
+    row."""
     v, budget = np.asarray(v, dtype=float), np.asarray(budget, dtype=float)
     if budget.min() < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -271,7 +278,13 @@ def project_simplex(v: np.ndarray, budget) -> np.ndarray:
     rho = n - active[..., ::-1].argmax(axis=-1)  # last active index + 1
     # A zero budget leaves no index active, so theta = inf and the projection is 0.
     theta = np.where((count == rho[..., None]) & active, excess, np.inf).min(axis=-1) / rho
-    return np.maximum(v - theta[..., None], 0.0)
+    x = np.maximum(v - theta[..., None], 0.0)
+    if (theta >= u[..., 0]).any():  # a row with every entry at or below its level
+        lost = (theta >= u[..., 0]) & (budget > 0)
+        top = np.argmax(v, axis=-1)[..., None]
+        kept = np.take_along_axis(x, top, axis=-1)[..., 0]
+        np.put_along_axis(x, top, np.where(lost, budget, kept)[..., None], axis=-1)
+    return x
 
 
 def waterfill(channels: ChannelSet, profile, k: int) -> np.ndarray:
@@ -392,6 +405,11 @@ class ProjectedBlockQuantizer:
         q = self.inner.quantize(np.asarray(v, dtype=float))
         return mat_to_vec(project_feasible(vec_to_mat(q), self.budget))
 
+    @staticmethod
+    def fuse(quantizers, sizes) -> Optional["_ProjectedGroup"]:
+        """Blocks of one size as one quantizer with one stacked projection; None otherwise."""
+        return _ProjectedGroup(quantizers, sizes[0]) if len(set(sizes)) == 1 else None
+
     def worst_case_block_error(self, norm) -> float:
         """The inner quantizer's Frobenius (L2) bound, valid for L_p with p >= 2.
 
@@ -403,6 +421,26 @@ class ProjectedBlockQuantizer:
                 "the feasibility projection bounds the error only in L_p block norms with p >= 2"
             )
         return self.inner.worst_case_block_error(Lp(2.0))
+
+
+class _ProjectedGroup:
+    """Projected quantizers of equal-size blocks, their values concatenated.
+
+    Each block goes through its inner quantizer (one pass for a scalar
+    group), then one `project_feasible` call projects the whole (K, N, N)
+    stack, each matrix onto its own budget.  The stacked kernels treat each
+    member as they treat one matrix, so the result equals the per-block
+    quantize-then-project bit for bit.
+    """
+
+    def __init__(self, quantizers, size: int):
+        self.inner = QuantizerBank([q.inner for q in quantizers])
+        self.part = BlockPartition([size] * len(quantizers))
+        self.budgets = np.array([q.budget for q in quantizers])
+
+    def quantize(self, v: np.ndarray) -> np.ndarray:
+        q = self.inner.quantize_full(v, self.part).reshape(self.part.num_blocks, -1)
+        return mat_to_vec(project_feasible(vec_to_mat(q), self.budgets)).ravel()
 
 
 def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -99,6 +100,17 @@ class ScalarBlockQuantizer:
     @property
     def size(self) -> int:
         return len(self.coords)
+
+    @staticmethod
+    def fuse(quantizers, sizes) -> Optional["ScalarBlockQuantizer"]:
+        """The blocks' coordinates as one quantizer, or None if a block is not of its size.
+
+        Quantization is coordinate-wise, so the fused quantizer gives each
+        block's result bit for bit.
+        """
+        if any(q.size != size for q, size in zip(quantizers, sizes, strict=True)):
+            return None
+        return ScalarBlockQuantizer(c for q in quantizers for c in q.coords)
 
     def _encode(self, v: np.ndarray) -> np.ndarray:  # cell indices, as floats
         if v.shape != self._lo.shape:

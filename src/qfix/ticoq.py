@@ -15,8 +15,11 @@ Each objective is a max over terms that fall in their own bits, so one
 exact integer step serves all three: every bit goes to the term that
 currently sets the max, lowest index on ties (marginal analysis: Fox,
 Management Science 13(3), 1966; Ibaraki & Katoh, Resource Allocation
-Problems, 1988).  An exhaustive oracle over integer allocations, kept as
-the reference the tests compare against, and the closed-form high-rate
+Problems, 1988).  The walk starts from 0 bits and is exact at every
+prefix, so one walk to B bits is every budget's design up to B
+(`ticoq_frontier`); a design's relaxed optimum is computed only when it is
+read.  An exhaustive oracle over integer allocations, kept as the
+reference the tests compare against, and the closed-form high-rate
 threshold L' (past which the relaxed optimum decays exactly like
 eta * 2^(-L/n)) round out the module.
 """
@@ -27,6 +30,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +41,6 @@ from .squant import ScalarBlockQuantizer, ScalarQuantizer
 from .vquant import LatticeQuantizer, covering_radius, lattice_scale
 
 _ORACLE_GUARD = 10_000_000
-_SNAP_TOL = 1e-9
 _SUM_TOL = 1e-12
 _MAX_BISECT = 200
 
@@ -85,30 +88,56 @@ class DesignConstants:
             return int(sum(self.block_sizes))
         return len(self.c)
 
+    @property
+    def entries(self) -> int:
+        """Number of allocation entries: coordinates, or blocks for lattices."""
+        return len(self.d if self.kind == "vq" else self.c)
+
 
 @dataclass(frozen=True)
 class RateAllocation:
-    """Relaxed and integer bit allocations for one total budget."""
+    """The integer bit allocation for one total budget, and its relaxed optimum.
 
-    mode: str  # "sq": bits per coordinate; "vq": bits per block
+    The relaxed optimum (`relaxed`, `relaxed_value` and the water levels in
+    `constants`) is computed from `family`, the constants without water
+    levels, on first read: the integer design never needs it.
+    """
+
     total_bits: int
-    relaxed: tuple  # real-valued optimum
     bits: tuple  # integer allocation actually used
-    relaxed_value: float
     integer_value: float
-    constants: DesignConstants
+    family: DesignConstants
 
     def __post_init__(self):
-        if self.mode not in ("sq", "vq"):
-            raise ValueError(f"unknown allocation mode {self.mode!r}")
-        if len(self.bits) != len(self.relaxed):
-            raise ValueError("relaxed and integer allocations differ in length")
+        if len(self.bits) != self.family.entries:
+            raise ValueError(f"{len(self.bits)} rates for {self.family.entries} entries")
         if any(b < 0 or b != int(b) for b in self.bits):
             raise ValueError("integer bits must be nonnegative integers")
         if sum(self.bits) != self.total_bits:
             raise ValueError(
                 f"integer bits sum to {sum(self.bits)}, budget is {self.total_bits}"
             )
+
+    @property
+    def mode(self) -> str:
+        """"sq": bits per coordinate; "vq": bits per block."""
+        return "vq" if self.family.kind == "vq" else "sq"
+
+    @cached_property
+    def _relaxation(self) -> tuple:
+        """Nested water-filling for "sq-lp", weighted water-filling otherwise."""
+        c = self.family
+        if c.kind == "sq-lp":
+            part = BlockPartition(c.block_sizes)
+            relaxed, tau, levels = _relax_lp(np.asarray(c.c), c.p, part, self.total_bits)
+            return tuple(relaxed), tau ** (1.0 / c.p), replace(c, tau=tau, tau_blocks=tuple(levels))
+        logs, sizes, _ = _log_terms(c)
+        relaxed, tau = _relax_weighted(logs, sizes, self.total_bits)
+        return tuple(relaxed), tau, replace(c, tau=tau)
+
+    relaxed = property(lambda self: self._relaxation[0], doc="The real-valued optimum.")
+    relaxed_value = property(lambda self: self._relaxation[1], doc="Its objective value.")
+    constants = property(lambda self: self._relaxation[2], doc="`family` with the water levels.")
 
     def as_dict(self) -> dict:
         return {
@@ -300,14 +329,9 @@ def _relax_lp(c: np.ndarray, p: float, part: BlockPartition, budget: int):
     Returns (relaxed bits, tau, per-block tau_k with NaN when inactive).
     """
     K = part.num_blocks
-    sorted_c = []
-    prefixes = []
-    block_totals = np.empty(K)
-    for k in range(K):
-        ck = np.sort(c[part.block_slice(k)])
-        sorted_c.append(ck)
-        prefixes.append(np.concatenate(([0.0], np.cumsum(ck)[:-1])))
-        block_totals[k] = float(np.sum(ck))
+    sorted_c = [np.sort(c[part.block_slice(k)]) for k in range(K)]
+    prefixes = [np.concatenate(([0.0], np.cumsum(ck)[:-1])) for ck in sorted_c]
+    block_totals = np.array([np.sum(ck) for ck in sorted_c])
 
     def levels_for(tau: float) -> np.ndarray:
         out = np.full(K, np.nan)
@@ -346,48 +370,44 @@ def _relax_lp(c: np.ndarray, p: float, part: BlockPartition, budget: int):
 
 
 # ---------------------------------------------------------------------------
-# Exact integer step
+# Exact integer step: one largest-term walk for every budget
 # ---------------------------------------------------------------------------
 
-def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
-    """Clear fractional parts within _SNAP_TOL of an integer."""
-    snapped = relaxed.copy()
-    near = np.abs(relaxed - np.round(relaxed)) <= _SNAP_TOL
-    snapped[near] = np.round(relaxed[near])
-    return np.maximum(snapped, 0.0)
+def _walk(values: Sequence[float], budget: int, give_bit: Callable[[int], tuple]) -> np.ndarray:
+    """Give budget bits one at a time, each to the term of largest value, lowest index on ties.
 
-
-def _walk(values: Sequence[float], budget: int, give_bit: Callable[[int], float]) -> None:
-    """Give budget bits one at a time, each to the term of largest value.
-
-    Ties go to the lowest term index.  give_bit(k) hands term k one more bit
-    and returns its new value.  When every term is nonincreasing in its own
-    bits, this minimizes the max over terms exactly: from any start at or
-    below the fewest bits that reach the optimum, the term that sets the
-    max needs the bit, so the walk reaches the optimum within the budget.
+    give_bit(k) hands term k one more bit and returns the entry that took it
+    and the term's new value; the walk returns those entries in order.  When
+    every term is nonincreasing in its own bits, each prefix of the walk
+    minimizes the max over terms exactly at its own budget.
     """
     heap = [(-v, k) for k, v in enumerate(values)]
     heapq.heapify(heap)
+    order = []
     for _ in range(budget):
         k = heap[0][1]
-        heapq.heapreplace(heap, (-give_bit(k), k))
+        entry, value = give_bit(k)
+        order.append(entry)
+        heapq.heapreplace(heap, (-value, k))
+    order = np.array(order, dtype=np.intp)
+    order.flags.writeable = False
+    return order
 
 
-def _max_term_bits(const: np.ndarray, sizes: np.ndarray, start: np.ndarray, budget: int) -> np.ndarray:
-    """Minimize max_k const_k 2^(-b_k / sizes_k) over sum_k b_k = budget, b >= start."""
+def _max_term_order(const: np.ndarray, sizes: np.ndarray, budget: int) -> np.ndarray:
+    """The walk for max_k const_k 2^(-b_k / sizes_k) from b = 0: the term given each bit."""
     consts, rates = const.tolist(), sizes.tolist()
-    bits = [int(b) for b in start]
+    bits = [0] * len(consts)
 
-    def give_bit(k: int) -> float:
+    def give_bit(k: int) -> tuple:
         bits[k] += 1
-        return consts[k] * 2.0 ** (-bits[k] / rates[k])
+        return k, consts[k] * 2.0 ** (-bits[k] / rates[k])
 
-    _walk([c * 2.0 ** (-b / r) for c, b, r in zip(consts, bits, rates)], budget - sum(bits), give_bit)
-    return np.array(bits, dtype=int)
+    return _walk(consts, budget, give_bit)
 
 
-def _lp_bits(c: np.ndarray, p: float, part: BlockPartition, budget: int) -> np.ndarray:
-    """Minimize max_k sum_{m in M_k} c_m 2^(-p b_m) over sum_m b_m = budget.
+def _lp_order(c: np.ndarray, p: float, part: BlockPartition, budget: int) -> np.ndarray:
+    """The walk for max_k sum_{m in M_k} c_m 2^(-p b_m): the coordinate given each bit.
 
     Each block's bits go to its coordinate of largest c_m 2^(-p b_m) (lowest
     index on ties), the optimal in-block split at every bit count for this
@@ -401,15 +421,34 @@ def _lp_bits(c: np.ndarray, p: float, part: BlockPartition, budget: int) -> np.n
     for heap in heaps:
         heapq.heapify(heap)
 
-    def give_bit(k: int) -> float:
+    def give_bit(k: int) -> tuple:
         m = heaps[k][0][1]
         bits[m] += 1
         terms[m] = consts[m] * 2.0 ** (-p * bits[m])
         heapq.heapreplace(heaps[k], (-terms[m], m))
-        return math.fsum(terms[i] for i in blocks[k])
+        return m, math.fsum(terms[i] for i in blocks[k])
 
-    _walk([math.fsum(terms[m] for m in block) for block in blocks], budget, give_bit)
-    return np.array(bits, dtype=int)
+    return _walk([math.fsum(terms[m] for m in block) for block in blocks], budget, give_bit)
+
+
+@dataclass(frozen=True, eq=False)
+class RateFrontier:
+    """Every budget's integer design of one family, from one walk from 0 bits.
+
+    `order[j]` is the entry (a coordinate for scalar designs, a block for
+    lattices) that took bit j; the walk's first b bits are budget b's design.
+    """
+
+    constants: DesignConstants  # the family's constants, without water levels
+    order: np.ndarray
+
+    def allocation(self, b: int) -> RateAllocation:
+        """Budget b's design, 0 <= b <= len(order): the walk's first b bits and their value."""
+        if b not in range(len(self.order) + 1):
+            raise ValueError(f"budget {b} is outside the frontier's 0..{len(self.order)}")
+        bits = np.bincount(self.order[: int(b)], minlength=self.constants.entries)
+        value = objective_for(self.constants)(bits)[0]
+        return RateAllocation(int(b), tuple(bits.tolist()), float(value), self.constants)
 
 
 # ---------------------------------------------------------------------------
@@ -422,40 +461,42 @@ def _check_budget(total_bits: int) -> int:
     return int(total_bits)
 
 
-def _allocate(constants: DesignConstants, part: BlockPartition, total_bits: int) -> RateAllocation:
-    """Relax, round and value one design family's constants at a total budget.
+def ticoq_frontier(
+    part: BlockPartition, spec: NormSpec, box: BoxDomain, max_bits: int, mode: str
+) -> RateFrontier:
+    """Every "sq-wmax", "sq-lp" or "vq" design for budgets 0..max_bits, from one walk.
 
-    The relaxed optimum is nested water-filling for "sq-lp" and weighted
-    water-filling otherwise.  The integer step is exact for every family:
-    each bit goes to the term that sets the max (a coordinate for
-    "sq-wmax", a block otherwise; lowest index on ties).  The closed-form
-    families start the walk from a lower bound read off the relaxed rates.
+    Each bit goes to the term that sets the max (a coordinate for "sq-wmax",
+    a block otherwise, lowest index on ties; inside an L_p block, the
+    coordinate of largest term), which is exact at every prefix.  Lattices
+    take the smallest L_p exponent.
     """
-    entries = np.asarray(constants.d if constants.kind == "vq" else constants.c)
-    if constants.kind == "sq-lp":
-        relaxed, tau, levels = _relax_lp(entries, constants.p, part, total_bits)
-        constants = replace(constants, tau=tau, tau_blocks=tuple(levels))
-        relaxed_value = tau ** (1.0 / constants.p)
-        bits = _lp_bits(entries, constants.p, part, total_bits)
-    else:
-        logs, sizes, _ = _log_terms(constants)
-        relaxed, tau = _relax_weighted(logs, sizes, total_bits)
-        constants = replace(constants, tau=tau)
-        relaxed_value = tau
-        # Flooring the relaxed rates shows tau* <= tau 2^(1/n_min), so no
-        # entry needs fewer than r_k - n_k/n_min bits to reach the optimum.
-        start = np.ceil(_snap_integers(relaxed - sizes / sizes.min()))
-        bits = _max_term_bits(entries, sizes, start, total_bits)
-    integer_value = float(objective_for(constants, part)(bits)[0])
-    return RateAllocation(
-        mode="vq" if constants.kind == "vq" else "sq",
-        total_bits=total_bits,
-        relaxed=tuple(relaxed),
-        bits=tuple(int(b) for b in bits),
-        relaxed_value=relaxed_value,
-        integer_value=integer_value,
-        constants=constants,
-    )
+    max_bits = _check_budget(max_bits)
+    if mode == "sq-wmax":
+        c = sq_wmax_constants(part, spec, box)
+        constants = DesignConstants(kind="sq-wmax", c=tuple(c))
+        return RateFrontier(constants, _max_term_order(c, np.ones(c.size), max_bits))
+    if mode == "sq-lp":
+        c, p = sq_lp_constants(part, spec, box)
+        constants = DesignConstants(kind="sq-lp", c=tuple(c), p=p, block_sizes=part.block_sizes)
+        return RateFrontier(constants, _lp_order(c, p, part, max_bits))
+    if mode != "vq":
+        raise ValueError(f"unknown design mode {mode!r}")
+    if not all(isinstance(norm, Lp) for norm in spec.per_block):
+        raise ValueError("lattice designs require L_p block norms")
+    p = min(norm.p for norm in spec.per_block)
+    if not (p >= 2.0):
+        raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
+    d = vq_constants(part, spec.block_weights, box)
+    constants = DesignConstants(kind="vq", d=tuple(d), block_sizes=part.block_sizes)
+    return RateFrontier(constants, _max_term_order(d, np.array(part.block_sizes, float), max_bits))
+
+
+def ticoq_design(
+    part: BlockPartition, spec: NormSpec, box: BoxDomain, total_bits: int, mode: str
+) -> RateAllocation:
+    """The "sq-wmax", "sq-lp" or "vq" design: the last row of its own frontier."""
+    return ticoq_frontier(part, spec, box, total_bits, mode).allocation(total_bits)
 
 
 def ticoq_sq_wmax(
@@ -466,9 +507,7 @@ def ticoq_sq_wmax(
     Water-filling gives the relaxed optimum (value tau); the largest-term
     walk gives an integer optimum.
     """
-    total_bits = _check_budget(total_bits)
-    c = sq_wmax_constants(part, spec, box)
-    return _allocate(DesignConstants(kind="sq-wmax", c=tuple(c)), part, total_bits)
+    return ticoq_design(part, spec, box, total_bits, "sq-wmax")
 
 
 def ticoq_sq_lp(
@@ -480,10 +519,7 @@ def ticoq_sq_lp(
     integer optimum gives each bit to the block of largest error sum and,
     inside it, to the coordinate of largest term.
     """
-    total_bits = _check_budget(total_bits)
-    c, p = sq_lp_constants(part, spec, box)
-    constants = DesignConstants(kind="sq-lp", c=tuple(c), p=p, block_sizes=part.block_sizes)
-    return _allocate(constants, part, total_bits)
+    return ticoq_design(part, spec, box, total_bits, "sq-lp")
 
 
 def ticoq_vq_lattice(
@@ -498,28 +534,7 @@ def ticoq_vq_lattice(
     The integer optimum gives each bit to the block of largest error
     d_k 2^(-L_k/n_k), whatever the block dimensions.
     """
-    total_bits = _check_budget(total_bits)
-    if not (p >= 2.0):
-        raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
-    d = vq_constants(part, w, box)
-    constants = DesignConstants(kind="vq", d=tuple(d), block_sizes=part.block_sizes)
-    return _allocate(constants, part, total_bits)
-
-
-def ticoq_design(
-    part: BlockPartition, spec: NormSpec, box: BoxDomain, total_bits: int, mode: str
-) -> RateAllocation:
-    """The "sq-wmax", "sq-lp" or "vq" design; lattices take the smallest L_p exponent."""
-    if mode == "sq-wmax":
-        return ticoq_sq_wmax(part, spec, box, total_bits)
-    if mode == "sq-lp":
-        return ticoq_sq_lp(part, spec, box, total_bits)
-    if mode != "vq":
-        raise ValueError(f"unknown design mode {mode!r}")
-    if not all(isinstance(norm, Lp) for norm in spec.per_block):
-        raise ValueError("lattice designs require L_p block norms")
-    p = min(norm.p for norm in spec.per_block)
-    return ticoq_vq_lattice(part, spec.block_weights, box, total_bits, p=p)
+    return ticoq_design(part, NormSpec(w, [Lp(p)] * part.num_blocks), box, total_bits, "vq")
 
 
 # ---------------------------------------------------------------------------
@@ -586,23 +601,11 @@ def allocation_oracle(
         if values[i] < best_value:
             best_value = float(values[i])
             best_alloc = tuple(int(b) for b in allocs[i])
-            if return_ties:
-                ties = []
+            ties = []
         if return_ties:
-            for j in np.flatnonzero(values == best_value):
-                t = tuple(int(b) for b in allocs[j])
-                if t != best_alloc or not ties:
-                    ties.append(t)
+            ties += [tuple(int(b) for b in allocs[j]) for j in np.flatnonzero(values == best_value)]
     # Deduplicate while preserving lex (= enumeration) order.
-    if return_ties:
-        seen = set()
-        uniq = []
-        for t in ties:
-            if t not in seen:
-                seen.add(t)
-                uniq.append(t)
-        ties = uniq
-    return OracleResult(best_alloc, best_value, ties=tuple(ties) if return_ties else None)
+    return OracleResult(best_alloc, best_value, tuple(dict.fromkeys(ties)) if return_ties else None)
 
 
 # ---------------------------------------------------------------------------

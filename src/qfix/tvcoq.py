@@ -8,8 +8,9 @@ T*L bits across the T stages to minimize the horizon-end error bound
     sum_t alpha^(-t) 2^(-L(t)/n),
 
 whose relaxed solution is linear in t — later stages earn more bits at
-a slope set by the contraction modulus.  Each distinct stage rate L(t)
-then gets one time-invariant design at that budget.
+a slope set by the contraction modulus.  Every stage rate L(t) then
+reads its time-invariant design off one rate frontier walked to the
+largest stage rate.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .norms import BlockPartition, BoxDomain, NormSpec
-from .ticoq import (
-    _max_term_bits,
-    _snap_integers,
-    bank_for_allocation,
-    ticoq_design,
-    tradeoff_threshold,
-)
+from .ticoq import _max_term_order, bank_for_allocation, ticoq_frontier, tradeoff_threshold
+
+_SNAP_TOL = 1e-9
 
 
 @dataclass
@@ -102,6 +99,12 @@ def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: 
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
 
+def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
+    """Clear fractional parts within _SNAP_TOL of an integer."""
+    rounded = np.round(relaxed)
+    return np.maximum(np.where(np.abs(relaxed - rounded) <= _SNAP_TOL, rounded, relaxed), 0.0)
+
+
 def _round_by_fractions(
     relaxed: np.ndarray, budget: int, rank_weight: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,13 +141,7 @@ def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> list
                 alt[i] -= 1
                 alt[j] += 1
                 alternates.append(tuple(int(b) for b in alt))
-    seen = set()
-    uniq = []
-    for t in alternates:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
+    return list(dict.fromkeys(alternates))
 
 
 def tvcoq_master(
@@ -185,7 +182,8 @@ def tvcoq_master(
         bits, ceiled = _round_by_fractions(relaxed, total, snapped)
         alternates = _tied_swaps(bits, snapped - np.floor(snapped), ceiled)
     else:
-        bits = _max_term_bits(alpha ** (-t_idx), np.full(T, float(n)), np.zeros(T), total)
+        order = _max_term_order(alpha ** (-t_idx), np.full(T, float(n)), total)
+        bits = np.bincount(order, minlength=T)
 
     value = float(objective(bits)[0])
     return StageSchedule(
@@ -211,25 +209,23 @@ def tvcoq_design(
     alpha: float,
     mode: str,
 ) -> StageSchedule:
-    """Master split plus one time-invariant design per distinct stage rate.
+    """Master split plus every stage's time-invariant design, from one walk.
 
-    mode selects the per-stage solver: "sq-wmax", "sq-lp", or "vq".  The
-    master problem uses the threshold of the mode's constants, read from its
-    0-bit design, so stage rates stay inside the regime where the per-stage
-    optimum follows the eta * 2^(-L(t)/n) law whenever the budget allows.
-    Stages with equal rates share one allocation and one bank.
+    mode selects the per-stage family: "sq-wmax", "sq-lp", or "vq".  The
+    master problem uses the threshold of the family's constants, so stage
+    rates stay inside the regime where the per-stage optimum follows the
+    eta * 2^(-L(t)/n) law whenever the budget allows.  One frontier walked
+    to the largest stage rate yields every stage's design, since each prefix
+    of the walk is its own budget's design.  Stages with equal rates share
+    one allocation and one bank.
     """
-    base = ticoq_design(part, spec, box, 0, mode)
-    l_prime = tradeoff_threshold(base.constants)
+    l_prime = tradeoff_threshold(ticoq_frontier(part, spec, box, 0, mode).constants)
     schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=l_prime)
-
-    designs = {}
-    for L_t in schedule.rates:
-        if L_t not in designs:
-            alloc = base if L_t == 0 else ticoq_design(part, spec, box, L_t, mode)
-            designs[L_t] = (alloc, bank_for_allocation(part, box, alloc))
-    schedule.allocations = tuple(designs[L_t][0] for L_t in schedule.rates)
-    schedule.banks = tuple(designs[L_t][1] for L_t in schedule.rates)
+    frontier = ticoq_frontier(part, spec, box, max(schedule.rates), mode)
+    allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(schedule.rates)}
+    banks = {L_t: bank_for_allocation(part, box, alloc) for L_t, alloc in allocs.items()}
+    schedule.allocations = tuple(allocs[L_t] for L_t in schedule.rates)
+    schedule.banks = tuple(banks[L_t] for L_t in schedule.rates)
     schedule.e_stars = tuple(alloc.integer_value for alloc in schedule.allocations)
     return schedule
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from qfix import mimo
 from qfix.engine import Scheme, bound_certificate
 from qfix.mimo import (
     ChannelSet,
@@ -86,6 +87,15 @@ def test_game_config_validation():
         GameConfig(1, 2, [[1.0]], 3.5, 10.0, noise_power=0.0)
 
 
+def test_budgets_are_built_once_and_read_only():
+    game = GameConfig(2, 2, [[100.0, 200.0], [500.0, 100.0]], 3.5, [10.0, 20.0])
+    assert game.budgets is game.budgets
+    assert not game.budgets.flags.writeable
+    assert game.budgets.tolist() == [dbm_to_watts(10.0), dbm_to_watts(20.0)]
+    same = GameConfig(2, 2, [[100.0, 200.0], [500.0, 100.0]], 3.5, [10.0, 20.0])
+    assert game == same and hash(game) == hash(same)
+
+
 def test_channel_generation_deterministic():
     game = paper_style_game(seed=3)
     a = ChannelSet.generate(game)
@@ -134,6 +144,28 @@ def test_project_simplex_edge_cases():
     assert np.allclose(x, [0.0, 1.0])
     with pytest.raises(ValueError):
         project_simplex(np.array([1.0]), -1.0)
+    # a budget below half an ulp of the largest entry goes wholly on it
+    assert project_simplex(np.array([1e20, 0.0]), 1.0).tolist() == [1.0, 0.0]
+    assert project_simplex(np.array([0.0, -3e20, -3e20]), 1e-300).tolist() == [1e-300, 0.0, 0.0]
+
+
+@given(
+    hnp.arrays(float, st.tuples(st.integers(1, 3), st.integers(1, 6)), elements=st.floats(
+        -1e150, 1e150, allow_nan=False, allow_infinity=False
+    ).filter(lambda x: x == 0.0 or abs(x) >= 1e-150)),
+    st.lists(st.floats(0.0, 1e150).filter(lambda x: x == 0.0 or x >= 1e-150), min_size=3, max_size=3),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_project_simplex_places_every_positive_budget(v, budgets):
+    budget = np.array(budgets[: v.shape[0]])
+    x = project_simplex(v, budget)
+    assert np.all(x >= 0)
+    n = v.shape[1]
+    for row, b, v_row in zip(x, budget, v):
+        assert (row.sum() > 0) == (b > 0)
+        scale = max(b, np.abs(v_row).max()) * n
+        assert abs(row.sum() - b) <= 4 * n * np.spacing(scale)
+        assert project_simplex(v_row, b).tobytes() == row.tobytes()  # a stack row = the row alone
 
 
 def test_waterfill_identity_channel_equal_split():
@@ -300,6 +332,50 @@ def _feasible_banks(game):
     sq = feasible_bank(make_sq_bank(part, box, uniform_sq_allocation(part.n, 3 * part.n)), game)
     vq = feasible_bank(make_vq_bank(part, box, [8] * part.num_blocks), game)
     return sq, vq
+
+
+@given(
+    st.integers(1, 4), st.integers(1, 3), st.booleans(), st.integers(0, 2**16), st.data()
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_grouped_projection_equals_each_block_bit_for_bit(links, antennas, lattice, seed, data):
+    antennas = min(antennas, 2) if lattice else antennas  # keeps lattice codebooks small
+    powers = data.draw(st.lists(st.floats(-10.0, 30.0), min_size=links, max_size=links))
+    game = GameConfig(links, antennas, np.full((links, links), 100.0), 3.5, powers)
+    part, box = game_partition(game), game_box(game)
+    if lattice:
+        bits = data.draw(st.lists(st.integers(0, 8), min_size=links, max_size=links))
+        bank = feasible_bank(make_vq_bank(part, box, bits), game)
+    else:
+        bits = data.draw(st.lists(st.integers(0, 6), min_size=part.n, max_size=part.n))
+        bank = feasible_bank(make_sq_bank(part, box, bits), game)
+    rng = np.random.default_rng(seed)
+    x = profile_to_vec(random_feasible_profile(game, rng))
+    x = box.clamp(x + rng.normal(scale=data.draw(st.sampled_from([0.0, 1e-3, 0.3])), size=x.size) * x)
+    alone = [q.quantize(x[part.block_slice(k)]) for k, q in enumerate(bank.blocks)]
+    assert bank.quantize_blocks(x, part).tobytes() == np.concatenate(alone).tobytes()
+    group = tuple(sorted(data.draw(st.sets(st.integers(0, links - 1), min_size=1))))
+    if len(group) > 1:
+        v = np.concatenate([x[part.block_slice(k)] for k in group])
+        expected = np.concatenate([alone[k] for k in group])
+        assert bank.quantize_blocks(v, part, group).tobytes() == expected.tobytes()
+
+
+def test_a_quantized_jacobi_step_projects_once(monkeypatch):
+    game = paper_style_game(seed=0)
+    channels = ChannelSet.generate(game)
+    shapes = []
+    project = mimo.project_feasible
+
+    def counting(P, budget):
+        shapes.append(np.shape(P))
+        return project(P, budget)
+
+    monkeypatch.setattr(mimo, "project_feasible", counting)
+    for bank in _feasible_banks(game):
+        shapes.clear()
+        iwfa_run(channels, quantizers=bank, steps=5, modulus=0.5)
+        assert shapes == [(2, 2, 2)] * 5
 
 
 def test_projected_bound_is_inner_l2_bound():

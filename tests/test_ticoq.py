@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from qfix.ticoq import (
     sq_wmax_constants,
     sq_wmax_objective,
     ticoq_design,
+    ticoq_frontier,
     ticoq_sq_lp,
     ticoq_sq_wmax,
     ticoq_vq_lattice,
@@ -245,6 +247,78 @@ def test_design_equals_the_oracle(data, mode, total):
         assert alloc.integer_value == pytest.approx(oracle.value, rel=1e-12, abs=0.0)
     else:
         assert alloc.integer_value == oracle.value
+
+
+def _hex(values) -> list:
+    """Floats as exact hex strings, so NaNs and signed zeros compare too."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _relaxed_start_bits(alloc: ticoq.RateAllocation) -> list:
+    """The largest-term walk from a lower bound read off the relaxed rates.
+
+    The integer step that "sq-wmax" and "vq" designs used before the
+    frontier: flooring the relaxed rates shows no entry needs fewer than
+    r_k - n_k/n_min bits (fractions within 1e-9 of an integer snapped).
+    """
+    c = alloc.family
+    consts = list(c.d if c.kind == "vq" else c.c)
+    sizes = list(c.block_sizes) if c.kind == "vq" else [1] * len(consts)
+    low = np.asarray(alloc.relaxed) - np.asarray(sizes) / min(sizes)
+    near = np.abs(low - np.round(low)) <= 1e-9
+    low[near] = np.round(low[near])
+    bits = [int(b) for b in np.ceil(np.maximum(low, 0.0))]
+    heap = [(-v * 2.0 ** (-b / r), k) for k, (v, b, r) in enumerate(zip(consts, bits, sizes))]
+    heapq.heapify(heap)
+    for _ in range(alloc.total_bits - sum(bits)):
+        k = heap[0][1]
+        bits[k] += 1
+        heapq.heapreplace(heap, (-consts[k] * 2.0 ** (-bits[k] / sizes[k]), k))
+    return bits
+
+
+@given(st.data(), st.sampled_from(["sq-wmax", "sq-lp", "vq"]), st.integers(0, 40))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_frontier_rows_equal_each_budgets_design(data, mode, max_bits):
+    part, spec, box = _design_problem(data, mode)
+    frontier = ticoq_frontier(part, spec, box, max_bits, mode)
+    assert len(frontier.order) == max_bits
+    for b in range(max_bits + 1):
+        row, alone = frontier.allocation(b), ticoq_design(part, spec, box, b, mode)
+        assert row.bits == alone.bits and sum(row.bits) == b
+        assert _hex(row.integer_value) == _hex(alone.integer_value)
+        assert _hex(row.integer_value) == _hex(objective_for(alone.constants, part)(row.bits))
+        # relaxed fields, read only now, meet this budget and equal a fresh design's bit for bit
+        assert math.fsum(row.relaxed) == pytest.approx(b, abs=1e-9)
+        assert _hex(row.relaxed) == _hex(alone.relaxed)
+        assert _hex(row.relaxed_value) == _hex(alone.relaxed_value)
+        assert _hex(row.constants.tau) == _hex(alone.constants.tau)
+        assert (row.constants.tau_blocks is None) == (alone.constants.tau_blocks is None)
+        if row.constants.tau_blocks is not None:
+            assert _hex(row.constants.tau_blocks) == _hex(alone.constants.tau_blocks)
+        if mode != "sq-lp":
+            # the walk from 0 and the walk from the relaxed lower bound agree
+            assert tuple(_relaxed_start_bits(row)) == row.bits
+    with pytest.raises(ValueError):
+        frontier.allocation(max_bits + 1)
+
+
+def test_frontier_computes_the_relaxation_only_when_read(monkeypatch):
+    game = paper_style_game(seed=0)
+    part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
+    calls = []
+    relax = ticoq._relax_lp
+
+    def counting(c, p, part, total_bits):
+        calls.append(total_bits)
+        return relax(c, p, part, total_bits)
+
+    monkeypatch.setattr(ticoq, "_relax_lp", counting)
+    sched = tvcoq_design(part, spec, box, 20, 30, 0.6, "sq-lp")
+    assert calls == []
+    alloc = sched.allocations[-1]
+    assert alloc.relaxed_value > 0 and alloc.constants.tau > 0 and len(alloc.relaxed) == part.n
+    assert calls == [sched.rates[-1]]
 
 
 def test_tied_terms_give_the_odd_bit_to_the_lower_index():

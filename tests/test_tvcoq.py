@@ -5,7 +5,13 @@ import pytest
 
 from qfix import tvcoq
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
-from qfix.ticoq import allocation_oracle, relaxed_eta, ticoq_design, tradeoff_threshold
+from qfix.ticoq import (
+    allocation_oracle,
+    relaxed_eta,
+    ticoq_design,
+    ticoq_frontier,
+    tradeoff_threshold,
+)
 from qfix.tvcoq import (
     master_objective,
     schedule_objective,
@@ -166,21 +172,20 @@ def test_design_vq_mode():
     "mode, L, T, alpha",
     [("sq-lp", 6, 12, 0.95), ("sq-wmax", 1, 9, 0.3), ("vq", 0, 4, 0.5), ("vq", 8, 10, 0.8)],
 )
-def test_design_runs_one_ticoq_design_per_distinct_rate(monkeypatch, mode, L, T, alpha):
+def test_design_walks_one_frontier_for_every_distinct_rate(monkeypatch, mode, L, T, alpha):
     part = BlockPartition([2, 2])
     per_block = (Lp(2.0), Lp(2.0)) if mode != "sq-wmax" else (WeightedMax([1.0, 0.5]),) * 2
     spec = NormSpec((1.0, 2.0), per_block)
     box = BoxDomain([(0.0, 1.0), (-1.0, 3.0), (0.0, 2.0), (0.0, 0.5)])
-    rates_designed = []
+    walks = []
 
-    def counting(part, spec, box, total_bits, mode):
-        rates_designed.append(total_bits)
-        return ticoq_design(part, spec, box, total_bits, mode)
+    def counting(part, spec, box, max_bits, mode):
+        walks.append(max_bits)
+        return ticoq_frontier(part, spec, box, max_bits, mode)
 
-    monkeypatch.setattr(tvcoq, "ticoq_design", counting)
+    monkeypatch.setattr(tvcoq, "ticoq_frontier", counting)
     sched = tvcoq_design(part, spec, box, L, T, alpha, mode)
-    distinct = set(sched.rates)
-    assert sorted(rates_designed) == sorted(distinct | {0})
+    assert walks == [0, max(sched.rates)]  # the 0-bit frontier gives the threshold's constants
     for t, rate in enumerate(sched.rates):
         first = sched.rates.index(rate)
         assert sched.allocations[t] is sched.allocations[first]
