@@ -203,75 +203,57 @@ def _banks_for(
     return list(schedule.banks)
 
 
-def _simulate_synthetic(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
+def _simulate_synthetic(cfg: dict, strategy: str, total_bits: int, steps: int):
+    """Column names and the per-seed run of a synthetic simulation."""
     part, spec, box = _norm_and_box(cfg)
     alpha = _need_alpha(cfg)
-    steps = _need_int(cfg, "T", minimum=1)
-    strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES))
-    if strategy not in _QUANT_STRATEGIES:
-        raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES}, got {strategy!r}")
     scheme_name = cfg.get("scheme", "jacobi")
     if scheme_name not in ("jacobi", "gauss-seidel"):
         raise ConfigError(f'scheme: expected "jacobi" | "gauss-seidel", got {scheme_name!r}')
     scheme = Scheme.JACOBI if scheme_name == "jacobi" else Scheme.GAUSS_SEIDEL
-    total_bits = _need_int(cfg, "L") if strategy != "none" else 0
     mode = _design_mode(cfg, spec) if strategy in ("ticoq", "tvcoq") else ""
     if strategy == "tvcoq" and not (0.0 < alpha < 1.0):
         raise ConfigError("alpha: stage splitting needs alpha in (0, 1)")
 
-    lo = np.asarray(box.lo)
     x0 = cfg.get("x0")
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (part.n,):
-            raise ConfigError(f"x0: expected {part.n} coordinates")
+        try:
+            x0 = np.asarray(x0, dtype=float)
+        except (ValueError, TypeError):
+            raise ConfigError("x0: expected a list of numbers")
+        if x0.shape != (part.n,) or not box.contains(x0, tol=1e-9):
+            raise ConfigError(f"x0: expected {part.n} finite coordinates inside the box")
     else:
-        x0 = lo + 0.9 * box.lengths
+        x0 = np.asarray(box.lo) + 0.9 * box.lengths
 
     try:
         banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
     except ValueError as e:
         raise ConfigError(f"quantizer: {e}")
 
-    errs = np.zeros(steps + 1)
-    bounds = np.zeros(steps + 1)
-    ok = np.ones(steps + 1, dtype=bool)
-    for seed in seeds:
-        mapping, x_star = engine.random_affine_contraction(
-            part, spec, box, alpha, rng=seed
-        )
+    def run_seed(seed: int):
+        mapping, x_star = engine.random_affine_contraction(part, spec, box, alpha, rng=seed)
         traj = engine.run_iteration(mapping, banks, x0, steps, scheme)
         cert = engine.bound_certificate(traj, mapping, x_star)
-        errs += cert.dist
-        bounds += cert.bound
-        ok &= cert.ok
-    errs /= len(seeds)
-    bounds /= len(seeds)
+        return (cert.dist, cert.bound), cert.ok
 
-    lines = ["t,err,bound,certified"]
-    for t in range(steps + 1):
-        lines.append(f"{t},{_fmt(errs[t])},{_fmt(bounds[t])},{1 if ok[t] else 0}")
-    return lines, _EXIT_OK
+    return "err,bound", run_seed
 
 
-def _simulate_mimo(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
+def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
+    """Column names and the per-seed run of a MIMO simulation.
+
+    A seed whose game is not certifiably contractive is refused: its run
+    reports the sampled modulus on stderr and returns None.
+    """
     game_obj = _need(cfg, "game", dict, "a game object")
-    steps = _need_int(cfg, "T", minimum=1)
-    strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES))
-    if strategy not in _QUANT_STRATEGIES:
-        raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES}, got {strategy!r}")
     run_mode = cfg.get("scheme", "simultaneous")
     if run_mode not in ("simultaneous", "sequential"):
         raise ConfigError(f'scheme: expected "simultaneous" | "sequential", got {run_mode!r}')
     if run_mode == "sequential" and strategy == "tvcoq":
         raise ConfigError("scheme: per-stage schedules require the simultaneous scheme")
-    total_bits = _need_int(cfg, "L") if strategy != "none" else 0
 
-    errs = np.zeros(steps + 1)
-    bounds = np.zeros(steps + 1)
-    rates = np.zeros(steps + 1)
-    ok = np.ones(steps + 1, dtype=bool)
-    for seed in seeds:
+    def run_seed(seed: int):
         try:
             game = mimo.GameConfig(
                 num_links=game_obj["K"],
@@ -292,7 +274,7 @@ def _simulate_mimo(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
                 f"(max ratio {estimate.max_ratio:.4f} over {estimate.samples} sampled pairs, "
                 f"safety factor {estimate.safety:g}); game not certifiably contractive\n"
             )
-            return [], _EXIT_REGIME
+            return None
         alpha = estimate.alpha_hat
 
         part = mimo.game_partition(game)
@@ -314,39 +296,56 @@ def _simulate_mimo(cfg: dict, seeds: list[int]) -> tuple[list[str], int]:
             reference=reference,
         )
         cert = engine.bound_certificate(result.trajectory, result.mapping, reference)
-        errs += cert.dist
-        bounds += cert.bound
-        rates += result.throughputs
-        ok &= cert.ok
-    errs /= len(seeds)
-    bounds /= len(seeds)
-    rates /= len(seeds)
+        return (result.throughputs, cert.dist, cert.bound), cert.ok
 
-    lines = ["t,sum_throughput,err,bound,certified"]
+    return "sum_throughput,err,bound", run_seed
+
+
+def _seed_mean_rows(columns: str, run_seed, seeds: list[int], steps: int) -> tuple[list[str], int]:
+    """CSV rows of each column's mean over seeds, certified where every seed is.
+
+    Columns are summed seed by seed, then divided once.  A seed that is
+    refused (its run returns None) ends the simulation with exit 2 and no rows.
+    """
+    sums = np.zeros((len(columns.split(",")), steps + 1))
+    ok = np.ones(steps + 1, dtype=bool)
+    for seed in seeds:
+        run = run_seed(seed)
+        if run is None:
+            return [], _EXIT_REGIME
+        cols, seed_ok = run
+        sums += cols
+        ok &= seed_ok
+    sums /= len(seeds)
+
+    lines = [f"t,{columns},certified"]
     for t in range(steps + 1):
-        lines.append(
-            f"{t},{_fmt(rates[t])},{_fmt(errs[t])},{_fmt(bounds[t])},{1 if ok[t] else 0}"
-        )
+        cells = ",".join(_fmt(col[t]) for col in sums)
+        lines.append(f"{t},{cells},{1 if ok[t] else 0}")
     return lines, _EXIT_OK
+
+
+_SIMULATORS = {"synthetic": _simulate_synthetic, "mimo": _simulate_mimo}
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     system = _need(cfg, "system", str, '"synthetic" | "mimo"')
     seeds = _seed_list(args, cfg, default=(int(cfg.get("seed", 0)),))
-    if system == "synthetic":
-        lines, code = _simulate_synthetic(cfg, seeds)
-    elif system == "mimo":
-        lines, code = _simulate_mimo(cfg, seeds)
-    else:
+    if system not in _SIMULATORS:
         raise ConfigError(f'system: expected "synthetic" | "mimo", got {system!r}')
+    steps = _need_int(cfg, "T", minimum=1)
+    strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES))
+    if strategy not in _QUANT_STRATEGIES:
+        raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES}, got {strategy!r}")
+    total_bits = _need_int(cfg, "L") if strategy != "none" else 0
+    columns, run_seed = _SIMULATORS[system](cfg, strategy, total_bits, steps)
+    lines, code = _seed_mean_rows(columns, run_seed, seeds, steps)
     if lines:
         text = "\n".join(lines) + "\n"
         if args.format == "json":
             header = lines[0].split(",")
-            rows = [
-                {h: v for h, v in zip(header, line.split(","))} for line in lines[1:]
-            ]
+            rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
             text = json.dumps(rows, indent=2) + "\n"
         _emit(text, args.out)
     return code
@@ -357,33 +356,22 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _tradeoff_point(
-    cfg: dict,
-    part,
-    spec,
-    box,
-    alpha: float,
-    strategy: str,
-    mode: str,
-    total_bits: int,
-    steps: int,
-    seeds: list[int],
+    part, spec, box, alpha: float, banks, steps: int, seeds: list[int]
 ) -> tuple[float, float]:
-    """Mean final measured error and mean final analytic bound over seeds."""
-    banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
+    """Mean final measured error and mean final analytic bound over seeds.
+
+    The bound is alpha^T ||x(0) - x*|| + E(T), with E(T) the last value of
+    the accumulated-error series over the banks' worst-case errors.
+    """
     if isinstance(banks, list):
-        e_bars = [
-            b.worst_case_error(part, spec) for b in banks
-        ]
+        e_bars = [b.worst_case_error(part, spec) for b in banks]
     elif banks is not None:
         e_bars = [banks.worst_case_error(part, spec)] * steps
     else:
         e_bars = [0.0] * steps
-    accumulated = (
-        engine.accumulated_error(alpha, e_bars, Scheme.JACOBI) if steps else 0.0
-    )
+    accumulated = float(engine.accumulated_error_series(alpha, e_bars, Scheme.JACOBI)[steps])
 
-    lo = np.asarray(box.lo)
-    x0 = lo + 0.9 * box.lengths
+    x0 = np.asarray(box.lo) + 0.9 * box.lengths
     measured = 0.0
     bound = 0.0
     for seed in seeds:
@@ -406,6 +394,8 @@ def _cmd_tradeoff(args) -> int:
     values = _need(cfg, "values", list, "a nonempty list of integers")
     if not values or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values):
         raise ConfigError("values: expected a nonempty list of nonnegative integers")
+    if sweep == "T" and min(values) < 1:
+        raise ConfigError(f"values: a horizon sweep needs every T >= 1, got {min(values)}")
     strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES[1:]))
     if strategy not in _QUANT_STRATEGIES[1:]:
         raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES[1:]}, got {strategy!r}")
@@ -421,9 +411,8 @@ def _cmd_tradeoff(args) -> int:
         else:
             total_bits, steps = _need_int(cfg, "L"), int(v)
         try:
-            measured, bound = _tradeoff_point(
-                cfg, part, spec, box, alpha, strategy, mode, total_bits, steps, seeds
-            )
+            banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
+            measured, bound = _tradeoff_point(part, spec, box, alpha, banks, steps, seeds)
         except ValueError as e:
             raise ConfigError(f"quantizer: {e}")
         rows.append((int(v), measured, bound))
@@ -441,18 +430,11 @@ def _cmd_tradeoff(args) -> int:
     lines.append(f"fitted_log2_slope,{_fmt(slope)},")
     text = "\n".join(lines) + "\n"
     if args.format == "json":
-        text = (
-            json.dumps(
-                {
-                    "rows": [
-                        {"value": v, "measured": m, "bound": b} for v, m, b in rows
-                    ],
-                    "fitted_log2_slope": slope,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        doc = {
+            "rows": [{"value": v, "measured": m, "bound": b} for v, m, b in rows],
+            "fitted_log2_slope": slope,
+        }
+        text = json.dumps(doc, indent=2) + "\n"
     _emit(text, args.out)
     return _EXIT_OK
 

@@ -412,15 +412,14 @@ def accumulated_error(
     scheme: Scheme = Scheme.JACOBI,
     num_blocks: Optional[int] = None,
 ) -> float:
-    """Accumulated error E(t) from the recorded per-step ||e(l)||, l < t."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    norms = np.asarray(error_norms, dtype=float)
-    if norms.size == 0:
+    """Accumulated error E(t) from the recorded per-step ||e(l)||, l < t.
+
+    The last value of `accumulated_error_series`, the one E(t) recurrence.
+    """
+    series = accumulated_error_series(alpha, error_norms, scheme, num_blocks)
+    if series.size == 1:
         raise ValueError("need at least one error norm")
-    t = norms.size
-    powers = alpha ** np.arange(t - 1, -1, -1, dtype=float)
-    return float(np.dot(powers, norms)) * _scheme_factor(alpha, scheme, num_blocks)
+    return float(series[-1])
 
 
 def accumulated_error_series(
@@ -429,7 +428,7 @@ def accumulated_error_series(
     scheme: Scheme = Scheme.JACOBI,
     num_blocks: Optional[int] = None,
 ) -> np.ndarray:
-    """E(t) for t = 0..len(error_norms), with E(0) = 0."""
+    """E(t) = factor * S(t), t = 0..len(error_norms): S(0) = 0, S(t+1) = alpha S(t) + ||e(t)||."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     norms = np.asarray(error_norms, dtype=float)
@@ -524,73 +523,6 @@ def reference_fixed_point(
             return nxt
         x = nxt
     raise RuntimeError(f"fixed-point iteration did not reach residual {tol} in {max_steps} steps")
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    candidates: np.ndarray  # (c, n) quantizer outputs inside the ball
-    stationary: np.ndarray  # (c,) bool
-    fraction: float
-    fixed_point_found: bool
-    message: str
-
-
-def stationary_probe(
-    mapping: BlockMapping,
-    quantizers: QuantizerBank,
-    samples: int,
-    radius: float,
-    x_star=None,
-    rng=None,
-) -> ProbeReport:
-    """Sampled surrogate for the stationary-set conditions.
-
-    Draws points in the block-norm ball of the given radius around x*,
-    collects their quantizer outputs that lie in the ball, and reports the
-    fraction that are fixed points of Q(T(.)).
-    """
-    part = mapping.partition
-    rng = np.random.default_rng(rng)
-    star = reference_fixed_point(mapping) if x_star is None else np.asarray(x_star, dtype=float)
-
-    probes = [star.copy()]
-    for _ in range(max(0, samples)):
-        g = rng.uniform(-1.0, 1.0, size=part.n)
-        c = block_norm(g, part, mapping.norm)
-        if c > 0:
-            g = g * (rng.uniform(0.0, 1.0) * radius / c)
-        probes.append(mapping.domain.clamp(star + g))
-
-    seen: dict[tuple, np.ndarray] = {}
-    for x in probes:
-        if mapping.distance(x, star) > radius + 1e-12:
-            continue
-        y = quantizers.quantize_full(x, part)
-        if mapping.distance(y, star) > radius + 1e-12:
-            continue
-        seen.setdefault(tuple(y), y)
-
-    cands = np.array(list(seen.values())) if seen else np.zeros((0, part.n))
-    if cands.shape[0] == 0:
-        return ProbeReport(
-            candidates=cands,
-            stationary=np.zeros(0, dtype=bool),
-            fraction=0.0,
-            fixed_point_found=False,
-            message="no stationary point sampled",
-        )
-    flags = np.zeros(cands.shape[0], dtype=bool)
-    for i, y in enumerate(cands):
-        z = quantizers.quantize_full(mapping.eval_full(y), part)
-        flags[i] = bool(np.allclose(z, y, rtol=0.0, atol=1e-12))
-    frac = float(np.mean(flags))
-    return ProbeReport(
-        candidates=cands,
-        stationary=flags,
-        fraction=frac,
-        fixed_point_found=bool(np.any(flags)),
-        message=f"{int(flags.sum())} of {cands.shape[0]} sampled quantizer outputs are stationary",
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -561,7 +561,8 @@ def iwfa_run(
     Simultaneous mode updates every link per step (`Scheme.JACOBI`);
     sequential mode is `Scheme.SEQUENTIAL`: link t mod K best-responds per
     tick, all others copying their covariance unchanged.  Quantizer banks
-    are wrapped with the feasibility projection automatically.
+    are wrapped with the feasibility projection automatically, each
+    distinct bank of a schedule once.
     """
     game = channels.game
     if modulus is None:
@@ -577,7 +578,10 @@ def iwfa_run(
     elif quantizers is not None:
         if mode != "simultaneous":
             raise ValueError("per-step quantizer schedules require simultaneous mode")
-        quantizers = [feasible_bank(bank, game) for bank in quantizers]
+        schedule = list(quantizers)  # keeps every bank alive, so no id is reused
+        distinct = {id(bank): bank for bank in schedule}.values()
+        wrapped = {id(bank): feasible_bank(bank, game) for bank in distinct}
+        quantizers = [wrapped[id(bank)] for bank in schedule]
     if x0 is None:
         x0 = profile_to_vec(uniform_profile(game))
     if mode not in _MODE_SCHEMES:

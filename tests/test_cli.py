@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from qfix import engine, norms, ticoq, tvcoq
 from qfix.cli import main
 
 
@@ -324,3 +326,48 @@ def test_tradeoff_json_format(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert [r["value"] for r in doc["rows"]] == [8, 16]
     assert "fitted_log2_slope" in doc
+
+
+@pytest.mark.parametrize("x0", [[2.0, 0.0], [float("nan"), 0.0], [0.0, float("inf")]])
+def test_simulate_bad_x0_names_the_field(tmp_path, capsys, x0):
+    cfg = _write(tmp_path, "sim.json", _simulate_doc(x0=x0))
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: x0:")
+
+
+def test_tradeoff_horizon_sweep_refuses_zero_steps(tmp_path, capsys):
+    cfg = _write(tmp_path, "t.json", _tradeoff_doc(sweep="T", values=[4, 0], L=12))
+    assert main(["tradeoff", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: values:")
+
+
+@pytest.mark.parametrize("strategy", ["ticoq", "tvcoq"])
+@pytest.mark.parametrize("sweep", ["L", "T"])
+def test_tradeoff_bound_is_the_seed_mean_of_the_certified_bound(tmp_path, capsys, strategy, sweep):
+    over = {"values": [2, 5, 9], "L": 12} if sweep == "T" else {}
+    doc = _tradeoff_doc(sweep=sweep, quantizer=strategy, **over)
+    assert main(["tradeoff", "--config", _write(tmp_path, "t.json", doc), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+
+    part, spec = norms.NormSpec.from_json(json.dumps(doc["norm"]))
+    box = norms.BoxDomain(doc["box"])
+    alpha = doc["alpha"]
+    x0 = np.asarray(box.lo) + 0.9 * box.lengths
+    for row in rows:
+        bits, steps = (row["value"], doc["T"]) if sweep == "L" else (doc["L"], row["value"])
+        if strategy == "ticoq":
+            alloc = ticoq.ticoq_design(part, spec, box, bits, "sq-wmax")
+            banks = [ticoq.bank_for_allocation(part, box, alloc)] * steps
+        else:
+            banks = tvcoq.tvcoq_design(part, spec, box, bits, steps, alpha, "sq-wmax").banks
+        e_bars = [b.worst_case_error(part, spec) for b in banks]
+        E = engine.accumulated_error_series(alpha, e_bars, engine.Scheme.JACOBI)[-1]
+        bound = 0.0
+        for seed in doc["seeds"]:
+            mapping, x_star = engine.random_affine_contraction(part, spec, box, alpha, rng=seed)
+            bound += alpha**steps * mapping.distance(x0, x_star) + E
+        assert row["bound"] == bound / len(doc["seeds"])

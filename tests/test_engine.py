@@ -19,7 +19,6 @@ from qfix.engine import (
     random_affine_contraction,
     reference_fixed_point,
     run_iteration,
-    stationary_probe,
     worst_case_error_bound,
 )
 from qfix.mimo import (
@@ -129,6 +128,19 @@ def test_accumulated_error_series_matches_recurrence():
         assert series[t] == pytest.approx(
             accumulated_error(0.55, errs[:t], Scheme.JACOBI), rel=1e-12
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(0.0, 0.999),
+    errs=st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=40),
+    num_blocks=st.integers(1, 8),
+    scheme=st.sampled_from([Scheme.JACOBI, Scheme.GAUSS_SEIDEL]),
+)
+def test_accumulated_error_is_the_series_last_value(alpha, errs, num_blocks, scheme):
+    last = accumulated_error_series(alpha, errs, scheme, num_blocks)[-1]
+    assert accumulated_error(alpha, errs, scheme, num_blocks) == last
+    assert isinstance(accumulated_error(alpha, errs, scheme, num_blocks), float)
 
 
 def test_worst_case_bound_worked_values():
@@ -384,39 +396,6 @@ def test_reference_fixed_point():
     assert np.allclose(x_star, 0.0, atol=1e-11)
     with pytest.raises(RuntimeError):
         reference_fixed_point(mapping, x0=np.array([1.0, 1.0]), max_steps=1, tol=1e-16)
-
-
-def test_stationary_probe_identity_quantizer():
-    mapping = _halving_map()
-    bank = QuantizerBank([IdentityQuantizer(), IdentityQuantizer()])
-    report = stationary_probe(mapping, bank, samples=50, radius=0.5, x_star=np.zeros(2), rng=0)
-    assert report.fixed_point_found
-    assert any(np.allclose(c, 0.0, atol=1e-12) for c in report.stationary)
-
-
-def test_stationary_probe_one_bit_example():
-    # T(x) = 0.5 x on [-1, 1] with a 1-bit quantizer (outputs -0.5 and 0.5):
-    # Q(T(-0.5)) = Q(-0.25) = -0.5 and Q(T(0.5)) = 0.5, so both outputs are stationary.
-    part = BlockPartition([1])
-    spec = uniform_wmax_spec(part)
-    box = BoxDomain([(-1.0, 1.0)])
-    mapping = affine_contraction(0.5 * np.eye(1), np.zeros(1), part, box, spec, 0.5)
-    bank = QuantizerBank([ScalarBlockQuantizer([ScalarQuantizer(-1.0, 1.0, 1)])])
-    report = stationary_probe(mapping, bank, samples=200, radius=1.0, x_star=np.zeros(1), rng=1)
-    assert report.fraction == pytest.approx(1.0)
-    assert len(report.candidates) == 2
-
-
-def test_stationary_probe_empty_ball():
-    part = BlockPartition([1])
-    spec = uniform_wmax_spec(part)
-    box = BoxDomain([(-1.0, 1.0)])
-    mapping = affine_contraction(0.5 * np.eye(1), np.zeros(1), part, box, spec, 0.5)
-    bank = QuantizerBank([ScalarBlockQuantizer([ScalarQuantizer(-1.0, 1.0, 1)])])
-    # radius 0 around x*=0, which is not a quantizer output
-    report = stationary_probe(mapping, bank, samples=20, radius=0.0, x_star=np.zeros(1), rng=2)
-    assert len(report.candidates) == 0
-    assert "no stationary point sampled" in report.message
 
 
 def test_trajectory_csv_export():

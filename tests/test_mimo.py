@@ -550,6 +550,38 @@ def test_iwfa_accepts_per_step_bank_schedule():
                  modulus=est.alpha_hat)
 
 
+def test_iwfa_wraps_each_distinct_bank_of_a_schedule_once(monkeypatch):
+    from qfix.tvcoq import tvcoq_design
+
+    game = paper_style_game(seed=0)
+    ch = ChannelSet.generate(game)
+    part, spec, box = game_partition(game), game_norm_spec(game), game_box(game)
+    banks = list(tvcoq_design(part, spec, box, 20, 30, 0.6, "sq-lp").banks)
+    distinct = {id(b) for b in banks}
+    assert len(distinct) < len(banks)  # stages with equal rates share a bank
+    per_stage = [feasible_bank(b, game) for b in banks]  # one fresh wrapper per stage
+
+    wrapped = []
+    wrap = mimo.feasible_bank
+
+    def spying(bank, g):
+        wrapped.append(id(bank))
+        return wrap(bank, g)
+
+    monkeypatch.setattr(mimo, "feasible_bank", spying)
+    shared = iwfa_run(ch, quantizers=banks, steps=30, modulus=0.6)
+    assert sorted(wrapped) == sorted(distinct)
+    alone = iwfa_run(ch, quantizers=per_stage, steps=30, modulus=0.6)
+    assert len(wrapped) == len(distinct) + len(banks)
+    for a, b in (
+        (shared.trajectory.iterates, alone.trajectory.iterates),
+        (shared.trajectory.errors, alone.trajectory.errors),
+        (shared.trajectory.error_norms, alone.trajectory.error_norms),
+        (shared.throughputs, alone.throughputs),
+    ):
+        assert a.tobytes() == b.tobytes()
+
+
 def _pairwise_modulus(ch, samples, rng):
     """estimate_modulus as one best-response pair at a time, per link."""
     game = ch.game
