@@ -99,7 +99,8 @@ def _need_alpha(cfg: dict) -> float:
     return float(alpha)
 
 
-def _seed_list(args, cfg: dict, default=(0,)) -> list[int]:
+def _seed_list(args, cfg: dict, seed_key: Optional[str] = None) -> list[int]:
+    """--seed-list, else the config's "seeds", else its `seed_key` field if given, else [0]."""
     if args.seed_list:
         try:
             seeds = [int(s) for s in args.seed_list.split(",") if s.strip() != ""]
@@ -108,7 +109,12 @@ def _seed_list(args, cfg: dict, default=(0,)) -> list[int]:
         if not seeds:
             raise ConfigError(f"--seed-list: expected comma-separated integers, got {args.seed_list!r}")
         return seeds
-    seeds = cfg.get("seeds", list(default))
+    if seed_key is not None and "seeds" not in cfg:
+        seed = cfg.get(seed_key, 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigError(f"{seed_key}: expected an integer, got {seed!r}")
+        return [seed]
+    seeds = cfg.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds or not all(
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     ):
@@ -267,7 +273,7 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
         except (KeyError, ValueError, TypeError) as e:
             raise ConfigError(f"game: {e}")
         channels = mimo.ChannelSet.generate(game)
-        estimate = mimo.estimate_modulus(channels, samples=50, rng=seed)
+        estimate = mimo.estimate_modulus(channels, rng=seed)
         if not estimate.certified:
             sys.stderr.write(
                 f"seed {seed}: sampled modulus alpha_hat = {estimate.alpha_hat:.4f} >= 1 "
@@ -331,7 +337,7 @@ _SIMULATORS = {"synthetic": _simulate_synthetic, "mimo": _simulate_mimo}
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     system = _need(cfg, "system", str, '"synthetic" | "mimo"')
-    seeds = _seed_list(args, cfg, default=(int(cfg.get("seed", 0)),))
+    seeds = _seed_list(args, cfg, seed_key="seed")
     if system not in _SIMULATORS:
         raise ConfigError(f'system: expected "synthetic" | "mimo", got {system!r}')
     steps = _need_int(cfg, "T", minimum=1)
@@ -355,10 +361,8 @@ def _cmd_simulate(args) -> int:
 # tradeoff
 # ---------------------------------------------------------------------------
 
-def _tradeoff_point(
-    part, spec, box, alpha: float, banks, steps: int, seeds: list[int]
-) -> tuple[float, float]:
-    """Mean final measured error and mean final analytic bound over seeds.
+def _tradeoff_point(part, spec, box, alpha: float, banks, steps: int, maps: list) -> tuple[float, float]:
+    """Mean final measured error and mean final analytic bound over the (mapping, x*) pairs.
 
     The bound is alpha^T ||x(0) - x*|| + E(T), with E(T) the last value of
     the accumulated-error series over the banks' worst-case errors.
@@ -372,15 +376,12 @@ def _tradeoff_point(
     accumulated = float(engine.accumulated_error_series(alpha, e_bars, Scheme.JACOBI)[steps])
 
     x0 = np.asarray(box.lo) + 0.9 * box.lengths
-    measured = 0.0
-    bound = 0.0
-    for seed in seeds:
-        mapping, x_star = engine.random_affine_contraction(part, spec, box, alpha, rng=seed)
+    measured = bound = 0.0
+    for mapping, x_star in maps:
         traj = engine.run_iteration(mapping, banks, x0, steps, Scheme.JACOBI)
-        d0 = mapping.distance(x0, x_star)
         measured += mapping.distance(traj.final(), x_star)
-        bound += alpha**steps * d0 + accumulated
-    return measured / len(seeds), bound / len(seeds)
+        bound += alpha**steps * mapping.distance(x0, x_star) + accumulated
+    return measured / len(maps), bound / len(maps)
 
 
 def _cmd_tradeoff(args) -> int:
@@ -403,6 +404,8 @@ def _cmd_tradeoff(args) -> int:
     alpha = _need_alpha(cfg)
     seeds = _seed_list(args, cfg)
     mode = _design_mode(cfg, spec) if strategy in ("ticoq", "tvcoq") else ""
+    # A seed's map does not depend on the swept value, so each is built once.
+    maps = [engine.random_affine_contraction(part, spec, box, alpha, rng=s) for s in seeds]
 
     rows = []
     for v in values:
@@ -412,7 +415,7 @@ def _cmd_tradeoff(args) -> int:
             total_bits, steps = _need_int(cfg, "L"), int(v)
         try:
             banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
-            measured, bound = _tradeoff_point(part, spec, box, alpha, banks, steps, seeds)
+            measured, bound = _tradeoff_point(part, spec, box, alpha, banks, steps, maps)
         except ValueError as e:
             raise ConfigError(f"quantizer: {e}")
         rows.append((int(v), measured, bound))

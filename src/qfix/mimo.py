@@ -34,6 +34,7 @@ from .norms import BlockPartition, BoxDomain, Lp, NormSpec, block_norms
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 DEFAULT_BANDWIDTH_HZ = 10e6
 _COND_GUARD = 1e12
+_MODULUS_SAFETY = 1.05
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -41,9 +42,9 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def default_noise_power(bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ) -> float:
-    """Thermal noise floor k_B*T*B expressed through the -174 dBm/Hz constant."""
-    return dbm_to_watts(THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz))
+def default_noise_power() -> float:
+    """Thermal noise floor k_B*T*B over the default band, through the -174 dBm/Hz constant."""
+    return dbm_to_watts(THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(DEFAULT_BANDWIDTH_HZ))
 
 
 @dataclass(frozen=True)
@@ -171,14 +172,15 @@ class StrategyProfile:
             self, "covariances", tuple(np.asarray(P, dtype=complex) for P in covariances)
         )
 
-    def validate(self, game: GameConfig, eig_tol: float = 1e-10, trace_rtol: float = 1e-9) -> None:
+    def validate(self, game: GameConfig) -> None:
+        """Each covariance PSD to 1e-10 relative and on its trace budget to 1e-9 relative."""
         budgets = game.budgets
         for k, P in enumerate(self.covariances):
             lam, _ = herm_eig(P)
-            if lam[0] < -eig_tol * max(1.0, float(lam[-1])):
+            if lam[0] < -1e-10 * max(1.0, float(lam[-1])):
                 raise ValueError(f"link {k} covariance has eigenvalue {lam[0]:.3e} < 0")
             tr = float(np.trace(P).real)
-            if abs(tr - budgets[k]) > trace_rtol * budgets[k]:
+            if abs(tr - budgets[k]) > 1e-9 * budgets[k]:
                 raise ValueError(f"link {k} trace {tr} != budget {budgets[k]}")
 
 
@@ -250,7 +252,7 @@ def _rates(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     lam, U = herm_eig(P[..., links, :, :])
     S = (U * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ conj_t(U)
     A = np.eye(channels.game.num_antennas, dtype=complex) + S @ M @ S
-    return logdet_psd(0.5 * (A + conj_t(A))) / math.log(2.0)
+    return logdet_psd(A) / math.log(2.0)
 
 
 def interference_covariance(channels: ChannelSet, profile, k: int) -> np.ndarray:
@@ -496,14 +498,12 @@ class ModulusEstimate:
     safety: float  # alpha_hat / max_ratio
 
 
-def estimate_modulus(
-    channels: ChannelSet, samples: int = 100, rng=0, safety: float = 1.05
-) -> ModulusEstimate:
+def estimate_modulus(channels: ChannelSet, samples: int = 50, rng=0) -> ModulusEstimate:
     """Sampled lower bound on the best-response Lipschitz modulus.
 
     Draws feasible profile pairs, measures the block-norm ratio
-    ||WF(x) - WF(y)|| / ||x - y||, and inflates the maximum by a safety
-    factor.  A value >= 1 means the game is not certifiably contractive
+    ||WF(x) - WF(y)|| / ||x - y||, and inflates the maximum by the 1.05
+    safety factor.  A value >= 1 means the game is not certifiably contractive
     (designs still run, but bounds should be treated as uncertified).
     """
     if samples < 2:
@@ -520,13 +520,13 @@ def estimate_modulus(
     kept = dist >= 1e-12
     ratios = block_norms(F[0::2] - F[1::2], part, spec)[kept] / dist[kept]
     worst = float(ratios.max(initial=0.0))
-    alpha_hat = safety * worst
+    alpha_hat = _MODULUS_SAFETY * worst
     return ModulusEstimate(
         alpha_hat=alpha_hat,
         certified=bool(alpha_hat < 1.0),
         max_ratio=worst,
         samples=samples,
-        safety=safety,
+        safety=_MODULUS_SAFETY,
     )
 
 
@@ -537,11 +537,16 @@ def estimate_modulus(
 @dataclass
 class IwfaResult:
     trajectory: Trajectory
-    throughputs: np.ndarray  # (steps+1,) sum throughput per iterate
     mapping: BlockMapping
-    modulus: float
-    mode: str
-    reference: Optional[np.ndarray] = None
+    channels: ChannelSet
+
+    @cached_property
+    def throughputs(self) -> np.ndarray:
+        """(steps+1,) sum throughput per iterate, computed when first read in stacked chunks."""
+        X, game = self.trajectory.iterates, self.channels.game
+        rows = max(1, _DISTANCE_CHUNK // X.shape[1])
+        chunks = [_vec_to_stack(X[i : i + rows], game) for i in range(0, len(X), rows)]
+        return np.concatenate([sum_throughput(self.channels, P) for P in chunks])
 
 
 _MODE_SCHEMES = {"simultaneous": Scheme.JACOBI, "sequential": Scheme.SEQUENTIAL}
@@ -552,26 +557,19 @@ def iwfa_run(
     quantizers: BankOrSchedule = None,
     mode: str = "simultaneous",
     steps: int = 50,
-    modulus: Optional[float] = None,
-    x0: Optional[np.ndarray] = None,
+    *,
+    modulus: float,
     reference: Optional[np.ndarray] = None,
 ) -> IwfaResult:
-    """Run (quantized) iterative waterfilling and record rates.
+    """Run (quantized) iterative waterfilling from the uniform profile.
 
     Simultaneous mode updates every link per step (`Scheme.JACOBI`);
     sequential mode is `Scheme.SEQUENTIAL`: link t mod K best-responds per
     tick, all others copying their covariance unchanged.  Quantizer banks
     are wrapped with the feasibility projection automatically, each
-    distinct bank of a schedule once.
+    distinct bank of a schedule once.  `BlockMapping` refuses a modulus outside [0, 1).
     """
     game = channels.game
-    if modulus is None:
-        modulus = estimate_modulus(channels, samples=50, rng=game.seed).alpha_hat
-    if not (0.0 <= modulus < 1.0):
-        raise ValueError(
-            f"modulus {modulus:.4f} is not in [0, 1): the game is not certified "
-            "contractive; pass an explicit modulus to proceed"
-        )
     mapping = game_mapping(channels, modulus)
     if isinstance(quantizers, QuantizerBank):
         quantizers = feasible_bank(quantizers, game)
@@ -582,28 +580,16 @@ def iwfa_run(
         distinct = {id(bank): bank for bank in schedule}.values()
         wrapped = {id(bank): feasible_bank(bank, game) for bank in distinct}
         quantizers = [wrapped[id(bank)] for bank in schedule]
-    if x0 is None:
-        x0 = profile_to_vec(uniform_profile(game))
     if mode not in _MODE_SCHEMES:
         raise ValueError(f"unknown mode {mode!r}")
 
+    x0 = profile_to_vec(uniform_profile(game))
     traj = run_iteration(mapping, quantizers, x0, steps, _MODE_SCHEMES[mode], reference=reference)
-    # Every iterate's rates in stacked passes over bounded chunks of rows.
-    rows = max(1, _DISTANCE_CHUNK // traj.iterates.shape[1])
-    chunks = [traj.iterates[i : i + rows] for i in range(0, steps + 1, rows)]
-    rates = np.concatenate([sum_throughput(channels, _vec_to_stack(x, game)) for x in chunks])
-    return IwfaResult(
-        trajectory=traj,
-        throughputs=rates,
-        mapping=mapping,
-        modulus=modulus,
-        mode=mode,
-        reference=traj.reference,
-    )
+    return IwfaResult(trajectory=traj, mapping=mapping, channels=channels)
 
 
-def nash_reference(channels: ChannelSet, modulus: float, tol: float = 1e-12) -> np.ndarray:
-    """Unquantized fixed point of the simultaneous best-response map."""
+def nash_reference(channels: ChannelSet, modulus: float) -> np.ndarray:
+    """Unquantized fixed point of the simultaneous best-response map, to 1e-12."""
     mapping = game_mapping(channels, modulus)
     x0 = profile_to_vec(uniform_profile(channels.game))
-    return reference_fixed_point(mapping, x0=x0, tol=tol)
+    return reference_fixed_point(mapping, x0=x0, tol=1e-12)

@@ -371,3 +371,49 @@ def test_tradeoff_bound_is_the_seed_mean_of_the_certified_bound(tmp_path, capsys
             mapping, x_star = engine.random_affine_contraction(part, spec, box, alpha, rng=seed)
             bound += alpha**steps * mapping.distance(x0, x_star) + E
         assert row["bound"] == bound / len(doc["seeds"])
+
+
+def _synthetic_sim_doc(**over):
+    doc = {
+        "schema": 1,
+        "system": "synthetic",
+        "alpha": 0.5,
+        "T": 5,
+        "quantizer": "none",
+        "norm": _wmax_norm(2),
+        "box": [[-1.0, 1.0], [-1.0, 1.0]],
+    }
+    doc.update(over)
+    return doc
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.7, True])
+def test_simulate_rejects_a_non_integer_seed(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "s.json", _synthetic_sim_doc(seed=seed))
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: seed:")
+
+
+def test_simulate_checks_the_seed_only_when_it_is_used(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    listed = _write(tmp_path, "l.json", _synthetic_sim_doc(seed="abc", seeds=[3]))
+    single = _write(tmp_path, "s.json", _synthetic_sim_doc(seed=3))
+    assert main(["simulate", "--config", listed, "--out", str(a)]) == 0
+    assert main(["simulate", "--config", single, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_tradeoff_builds_each_seed_map_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real = engine.random_affine_contraction
+
+    def spy(*args, **kwargs):
+        built.append(kwargs.get("rng"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "random_affine_contraction", spy)
+    doc = _tradeoff_doc(values=[8, 16, 24, 32], seeds=[0, 1, 2])
+    assert main(["tradeoff", "--config", _write(tmp_path, "t.json", doc)]) == 0
+    assert sorted(built) == [0, 1, 2]

@@ -701,3 +701,33 @@ def test_per_link_calls_on_a_profile_stack_equal_each_profile_alone():
     assert profile_to_vec(stack).reshape(6, -1).tobytes() == np.array(
         [profile_to_vec(p) for p in profiles]
     ).tobytes()
+
+
+def test_run_computes_throughputs_when_first_read(monkeypatch):
+    game = paper_style_game(seed=2)
+    ch = ChannelSet.generate(game)
+    calls = []
+    real = mimo.sum_throughput
+
+    def spy(channels, profile):
+        calls.append(np.ndim(profile))
+        return real(channels, profile)
+
+    monkeypatch.setattr(mimo, "sum_throughput", spy)
+    res = iwfa_run(ch, steps=12, modulus=0.9)
+    assert calls == []
+    rates = res.throughputs
+    assert calls and all(ndim == 4 for ndim in calls)  # stacked passes only
+    made = len(calls)
+    alone = [real(ch, vec_to_profile(x, game)) for x in res.trajectory.iterates]
+    assert rates.tobytes() == np.array(alone).tobytes()
+    assert res.throughputs is rates
+    assert len(calls) == made
+
+
+def test_iwfa_run_requires_its_modulus():
+    ch = ChannelSet.generate(paper_style_game(seed=0))
+    with pytest.raises(TypeError):
+        iwfa_run(ch, steps=5)
+    with pytest.raises(TypeError):
+        iwfa_run(ch, None, "simultaneous", 5, 0.5)  # the modulus is keyword-only
