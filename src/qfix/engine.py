@@ -12,11 +12,16 @@ a sequential tick one block, and a Gauss-Seidel sweep the mapping's
 sweeps blocks that read none of each other's new values as one group,
 and the sweep equals the block-by-block one; any other sweeps one block
 at a time.  Block updates evaluate natively, through the mapping's
-`fn_block`, when it has one, otherwise by slicing a full evaluation.  The
-loop records the actual quantization residuals e(t), and the module
-evaluates the matching accumulated / worst-case convergence-error
-bounds.  The totally asynchronous scheme is supported only through its
-bound constants, not as a scheduler.
+`fn_block`, when it has one, otherwise by slicing a full evaluation.  A
+run works out its groups once: the mapping keeps each update group's
+coordinates, size and box bounds, and the run looks up each distinct
+bank's quantizer for each group once.  `affine_contraction` keeps A's
+rows once, in sweep-group order, so every block's and every sweep
+group's rows are one contiguous view.  The loop records the actual
+quantization residuals e(t), and the module evaluates the matching
+accumulated / worst-case convergence-error bounds.  The totally
+asynchronous scheme is supported only through its bound constants, not
+as a scheduler.
 """
 
 from __future__ import annotations
@@ -85,50 +90,45 @@ class QuantizerBank:
             return None
         return {}
 
-    def _fused_at(self, part: BlockPartition, blocks):
-        """The quantizers of `blocks` (None for all) fused into one, built once.
+    def _group_quantizer(self, part: BlockPartition, blocks):
+        """One quantizer for `blocks` (one block k, a tuple of blocks or None for all).
 
-        None unless the bank's quantizers fuse at the partition's block sizes.
+        Block k's own quantizer; for a group, the bank's fused quantizer of
+        its blocks, built once per bank and group, or else a loop over the
+        blocks' quantizers.
         """
+        if blocks is not None and not isinstance(blocks, tuple):
+            return self.blocks[blocks]
+        ks = range(part.num_blocks) if blocks is None else blocks
+        qs = [self.blocks[k] for k in ks]
+        sizes = [part.block_sizes[k] for k in ks]
         if self._fused is None:
-            return None
+            return _BlockLoop(qs, sizes)
         key = (part.block_sizes, blocks)
         if key not in self._fused:
             if len(self._fused) >= _FUSED_PER_BANK:  # a bank outlives many mappings' groups
                 self._fused.clear()
-            ks = range(part.num_blocks) if blocks is None else blocks
-            qs = [self.blocks[k] for k in ks]
-            self._fused[key] = type(qs[0]).fuse(qs, [part.block_sizes[k] for k in ks])
-        return self._fused[key]
+            self._fused[key] = type(qs[0]).fuse(qs, sizes)
+        fused = self._fused[key]
+        return _BlockLoop(qs, sizes) if fused is None else fused
 
-    def quantize_blocks(self, v: np.ndarray, part: BlockPartition, blocks=None) -> np.ndarray:
-        """Blocks `blocks` of a vector through their quantizers; v holds just them.
+    def group_quantizers(self, part: BlockPartition, groups) -> list:
+        """One quantizer per group of blocks in `groups`, each taking the group's values.
 
-        `blocks` is one block k, a tuple of blocks (v is their values in that
-        order) or None for every block.  A group goes through one fused
-        quantizer when the bank's quantizer type has `fuse`, which must give
-        the per-block results bit for bit (scalar quantizers are
+        A group is one block k, a tuple of blocks (their values concatenated
+        in that order) or None for every block.  A group goes through one
+        fused quantizer when the bank's quantizer type has `fuse`, which
+        must give the per-block results bit for bit (scalar quantizers are
         coordinate-wise, so one pass over the group's coordinates does);
         other banks quantize block by block.
         """
         self._check_blocks(part)
-        v = np.asarray(v, dtype=float)
-        if blocks is not None and not isinstance(blocks, tuple):
-            return self.blocks[blocks].quantize(v)
-        fused = self._fused_at(part, blocks)
-        if fused is not None:
-            return fused.quantize(v)
-        ks = range(part.num_blocks) if blocks is None else blocks
-        size = sum(part.block_sizes[k] for k in ks)
-        if v.shape != (size,):
-            raise ValueError(f"{v.shape} values for blocks of {size} coordinates")
-        out = np.empty(size)
-        start = 0
-        for k in ks:
-            end = start + part.block_sizes[k]
-            out[start:end] = self.blocks[k].quantize(v[start:end])
-            start = end
-        return out
+        return [self._group_quantizer(part, blocks) for blocks in groups]
+
+    def quantize_blocks(self, v: np.ndarray, part: BlockPartition, blocks=None) -> np.ndarray:
+        """Blocks `blocks` of a vector through their quantizers; v holds just them."""
+        (quantizer,) = self.group_quantizers(part, (blocks,))
+        return quantizer.quantize(np.asarray(v, dtype=float))
 
     def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
         """Every block of x through its quantizer."""
@@ -142,6 +142,65 @@ class QuantizerBank:
         for q, norm_k, w_k in zip(self.blocks, spec.per_block, spec.block_weights):
             worst = max(worst, float(q.worst_case_block_error(norm_k)) / w_k)
         return worst
+
+
+class _BlockLoop:
+    """Quantizers of several blocks applied block by block to their concatenated values."""
+
+    def __init__(self, quantizers: list, sizes: list):
+        self.quantizers = quantizers
+        self.sizes = sizes
+        self.size = sum(sizes)
+
+    def quantize(self, v: np.ndarray) -> np.ndarray:
+        if v.shape != (self.size,):
+            raise ValueError(f"{v.shape} values for blocks of {self.size} coordinates")
+        out = np.empty(self.size)
+        start = 0
+        for q, size in zip(self.quantizers, self.sizes):
+            end = start + size
+            out[start:end] = q.quantize(v[start:end])
+            start = end
+        return out
+
+
+class _UpdateGroup:
+    """Blocks updated together, with their coordinates, size and box bounds worked out once.
+
+    `blocks` is None (every block), one block k or a tuple of blocks;
+    `index` is a slice, or a tuple's read-only coordinate array.
+    """
+
+    __slots__ = ("blocks", "index", "size", "lo", "hi")
+
+    def __init__(self, blocks, index: Union[slice, np.ndarray], lo: np.ndarray, hi: np.ndarray):
+        self.blocks, self.index, self.size, self.lo, self.hi = blocks, index, lo.size, lo, hi
+
+
+def sweep_groups_of(block_reads: np.ndarray) -> tuple:
+    """A Gauss-Seidel sweep over blocks that read as `block_reads` says, as groups in order.
+
+    block_reads[k, j] says that block k reads block j.  Each block lands in
+    a later group than every earlier block it reads and in no earlier group
+    than any earlier block that reads its old value, in the fewest groups
+    that allow, so every block reads what it reads in the block-by-block
+    sweep.  A group of one block is its int, a larger one an ascending
+    tuple.
+    """
+    reads = np.asarray(block_reads, dtype=bool)
+    K = reads.shape[0]
+    # Each pair j < k that shares a read, in row-major order, so block j's
+    # group is final before block k's: k goes one group past j if it
+    # reads j's new value, else (j reads k's old value) no earlier than j.
+    later, earlier = np.nonzero(np.tril(reads | reads.T, -1))
+    lag = reads[later, earlier]
+    level = [0] * K
+    for k, j, d in zip(later.tolist(), earlier.tolist(), lag.tolist()):
+        level[k] = max(level[k], level[j] + d)
+    members = [[] for _ in range(max(level) + 1)]
+    for k, g in enumerate(level):
+        members[g].append(k)
+    return tuple(m[0] if len(m) == 1 else tuple(m) for m in members)
 
 
 @dataclass(frozen=True)
@@ -184,29 +243,27 @@ class BlockMapping:
     def sweep_groups(self) -> tuple:
         """A Gauss-Seidel sweep as groups of blocks updated together, in order.
 
-        Each block lands in a later group than every earlier block it reads
-        and in no earlier group than any earlier block that reads its old
-        value, in the fewest groups that allow, so every block reads what it
-        reads in the block-by-block sweep.  A group of one block is its int,
-        a larger one an ascending tuple.  Without `block_reads` every block
-        is its own group.
+        The groups `sweep_groups_of` levels from `block_reads`; without
+        `block_reads` every block is its own group.
         """
-        K = self.partition.num_blocks
         if self.block_reads is None:
-            return tuple(range(K))
-        # Each pair j < k that shares a read, in row-major order, so block j's
-        # group is final before block k's: k goes one group past j if it
-        # reads j's new value, else (j reads k's old value) no earlier than j.
-        reads = self.block_reads
-        later, earlier = np.nonzero(np.tril(reads | reads.T, -1))
-        lag = reads[later, earlier]
-        level = [0] * K
-        for k, j, d in zip(later.tolist(), earlier.tolist(), lag.tolist()):
-            level[k] = max(level[k], level[j] + d)
-        members = [[] for _ in range(max(level) + 1)]
-        for k, g in enumerate(level):
-            members[g].append(k)
-        return tuple(m[0] if len(m) == 1 else tuple(m) for m in members)
+            return tuple(range(self.partition.num_blocks))
+        return sweep_groups_of(self.block_reads)
+
+    @cached_property
+    def _update_groups(self) -> dict:
+        """Records of the groups a run updates (all blocks, each block, each sweep group)."""
+        return {}
+
+    def _update_group(self, blocks) -> _UpdateGroup:
+        """The record of `blocks`, built once for a group a run updates."""
+        group = self._update_groups.get(blocks)
+        if group is None:
+            index = self.partition.block_index(blocks)
+            group = _UpdateGroup(blocks, index, *self.domain.bounds(index))
+            if not isinstance(blocks, tuple) or blocks in self.sweep_groups:
+                self._update_groups[blocks] = group
+        return group
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:
         y = np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
@@ -216,16 +273,15 @@ class BlockMapping:
 
     def eval_block(self, k: Union[int, tuple], x: np.ndarray) -> np.ndarray:
         """Block k of the map at x, or the blocks of a tuple k concatenated."""
-        idx = self.partition.block_index(k)
+        group = self._update_group(k)
         if self.fn_block is None:
-            return self.eval_full(x)[idx]
+            return self.eval_full(x)[group.index]
         y = np.asarray(self.fn_block(k, np.asarray(x, dtype=float)), dtype=float)
-        size = len(idx) if isinstance(k, tuple) else self.partition.block_sizes[k]
-        if y.shape != (size,):
+        if y.shape != (group.size,):
             raise ValueError(
-                f"block {k} of the mapping has shape {y.shape}, expected ({size},)"
+                f"block {k} of the mapping has shape {y.shape}, expected ({group.size},)"
             )
-        return self.domain.clamp(y, idx)
+        return y.clip(group.lo, group.hi)
 
     def distance(self, x, y) -> float:
         return block_norm(np.asarray(x) - np.asarray(y), self.partition, self.norm)
@@ -340,21 +396,35 @@ def run_iteration(
     errors = np.zeros((steps, part.n))
     iterates[0] = x
 
+    if scheme == Scheme.JACOBI:
+        groups = (None,)
+    elif scheme == Scheme.SEQUENTIAL:
+        groups = range(K)
+    else:
+        groups = mapping.sweep_groups
+    records = [mapping._update_group(blocks) for blocks in groups]
+    plans = {}  # id(bank) -> (group record, its quantizer) per group, resolved once per run
     for t, bank in enumerate(banks):
-        if scheme == Scheme.JACOBI:
-            groups = (None,)
-        elif scheme == Scheme.SEQUENTIAL:
-            groups = (t % K,)
-        else:
-            groups = mapping.sweep_groups
+        plan = plans.get(id(bank))
+        if plan is None:
+            qs = [None] * len(records) if bank is None else bank.group_quantizers(part, groups)
+            plan = plans[id(bank)] = list(zip(records, qs))
         y, e = iterates[t + 1], errors[t]
-        y[:] = iterates[t]
-        for blocks in groups:
-            idx = part.block_index(blocks)
-            raw = mapping.eval_full(y) if blocks is None else mapping.eval_block(blocks, y)
-            q = raw if bank is None else bank.quantize_blocks(raw, part, blocks)
-            e[idx] = q - raw
-            y[idx] = q
+        if scheme == Scheme.JACOBI:
+            x = iterates[t]  # every block reads x(t), and every block of y is written
+        else:
+            y[:] = iterates[t]
+            x = y
+            if scheme == Scheme.SEQUENTIAL:
+                plan = plan[t % K : t % K + 1]
+        for group, quantizer in plan:
+            if group.blocks is None:
+                raw = mapping.eval_full(x)
+            else:
+                raw = mapping.eval_block(group.blocks, x)
+            q = raw if quantizer is None else quantizer.quantize(raw)
+            e[group.index] = q - raw
+            y[group.index] = q
 
     traj = Trajectory(iterates, errors, _row_norms(mapping, errors), scheme)
     if reference is not None:
@@ -529,6 +599,63 @@ def reference_fixed_point(
 # Synthetic affine contractions with an exactly known modulus
 # ---------------------------------------------------------------------------
 
+class _SweepOrderedRows:
+    """T(x) = A x + b over A's rows and b, stored once in sweep-group order.
+
+    At the first evaluation the blocks' rows are reordered group by group,
+    in the order of the sweep groups of the read pattern, so block k's rows
+    and every sweep group's are one contiguous view of the store.  The
+    whole map puts its rows back in A's order; any other tuple of blocks
+    gathers its rows.  Each row is a 1 x n matrix, so a product is a stack
+    of row-by-vector products that numpy computes as one dot product per
+    row: a block equals the same rows of the whole map bit for bit,
+    wherever its rows sit in the store.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, part: BlockPartition, reads: np.ndarray):
+        self.rows, self._b, self._part, self._reads = A, b, part, reads
+        self._where = None  # block or sweep group -> its rows in the store, once laid out
+
+    def _lay_out(self) -> None:
+        part = self._part
+        groups = sweep_groups_of(self._reads)
+        order = [k for g in groups for k in (g if isinstance(g, tuple) else (g,))]
+        rank = np.empty(part.num_blocks, dtype=int)
+        rank[order] = np.arange(part.num_blocks)
+        perm = np.argsort(np.repeat(rank, part.block_sizes), kind="stable")
+        if order != sorted(order):  # the reordered copy replaces A's rows: one copy is kept
+            self.rows, self._b = self.rows[perm], self._b[perm]
+        self._mats = self.rows[:, None, :]
+        self._inverse = np.argsort(perm)
+        where = {}
+        end = 0
+        for g in groups:
+            first = end
+            for k in g if isinstance(g, tuple) else (g,):
+                end += part.block_sizes[k]
+                where[k] = slice(end - part.block_sizes[k], end)
+            where[g] = slice(first, end)
+        self._where = where
+
+    def rows_of(self, k: Union[int, tuple]) -> Union[slice, np.ndarray]:
+        """Where block k's rows, or a tuple's in its order, sit in the store."""
+        if self._where is None:
+            self._lay_out()
+        where = self._where.get(k)
+        if where is None:  # a tuple outside the sweep groups
+            return np.concatenate([np.arange(self._where[j].start, self._where[j].stop) for j in k])
+        return where
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._where is None:
+            self._lay_out()
+        return ((self._mats @ x)[:, 0] + self._b)[self._inverse]
+
+    def block(self, k: Union[int, tuple], x: np.ndarray) -> np.ndarray:
+        rows = self.rows_of(k)
+        return (self._mats[rows] @ x)[:, 0] + self._b[rows]
+
+
 def affine_contraction(
     matrix: np.ndarray,
     offset: np.ndarray,
@@ -540,29 +667,20 @@ def affine_contraction(
     """T(x) = clamp(A x + b) as a BlockMapping with a declared modulus.
 
     Block k, or a tuple of blocks, is evaluated natively as A[rows] x +
-    b[rows] over A's rows.  Each row is a 1 x n matrix, so the product is a
-    stack of row-by-vector products that numpy computes as one dot product
-    per row: a block equals the same rows of the whole map bit for bit.  A
-    BLAS matrix-vector product would not promise that, since its result
-    for a row may depend on how many rows share the call.  Block k reads
-    block j unless A's block (k, j) is exactly zero.
+    b[rows] over A's rows, which the map stores once in sweep-group order
+    (`_SweepOrderedRows`).  A BLAS matrix-vector product would not give a
+    block the same rows of the whole map bit for bit, since its result for
+    a row may depend on how many rows share the call.  Block k reads block
+    j unless A's block (k, j) is exactly zero.
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
-    row_mats = A[:, None, :]
     starts = part.offsets[:-1]
     reads = np.logical_or.reduceat(np.logical_or.reduceat(A != 0, starts, axis=0), starts, axis=1)
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        return (row_mats @ x)[:, 0] + b
-
-    def fn_block(k, x: np.ndarray) -> np.ndarray:
-        rows = part.block_index(k)
-        return (row_mats[rows] @ x)[:, 0] + b[rows]
-
+    affine = _SweepOrderedRows(A, b, part, reads)
     return BlockMapping(
-        fn=fn, partition=part, domain=domain, norm=spec, modulus=modulus, fn_block=fn_block,
-        block_reads=reads,
+        fn=affine, partition=part, domain=domain, norm=spec, modulus=modulus,
+        fn_block=affine.block, block_reads=reads,
     )
 
 

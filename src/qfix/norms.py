@@ -219,9 +219,15 @@ class BoxDomain:
     def lengths(self) -> np.ndarray:
         return self._hi - self._lo
 
-    def clamp(self, x: np.ndarray, sl: slice = slice(None)) -> np.ndarray:
-        """x clipped into the box, or into its coordinates `sl` when x is that slice."""
-        return np.clip(np.asarray(x, dtype=float), self._lo[sl], self._hi[sl])
+    def clamp(self, x: np.ndarray) -> np.ndarray:
+        """x clipped into the box."""
+        return np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
+
+    def bounds(self, index: Union[slice, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only lower and upper bounds at coordinates `index` (a slice or an int array)."""
+        lo, hi = self._lo[index], self._hi[index]
+        lo.flags.writeable = hi.flags.writeable = False
+        return lo, hi
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         x = np.asarray(x, dtype=float)

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,13 +457,16 @@ def _affine_maps(draw):
     return mapping, x
 
 
-@given(_affine_maps())
-def test_affine_blocks_equal_the_sliced_full_evaluation(case):
+@given(_affine_maps(), st.data())
+def test_affine_blocks_equal_the_sliced_full_evaluation(case, data):
     mapping, x = case
+    part = mapping.partition
     full = mapping.eval_full(x)
-    for k in range(mapping.partition.num_blocks):
+    shuffled = data.draw(st.permutations(range(part.num_blocks)))
+    other = tuple(shuffled[: data.draw(st.integers(1, part.num_blocks))])  # any blocks, any order
+    for k in (*range(part.num_blocks), *mapping.sweep_groups, other):
         block = mapping.eval_block(k, x)
-        assert block.tobytes() == full[mapping.partition.block_slice(k)].tobytes()
+        assert block.tobytes() == full[part.block_index(k)].tobytes()
 
 
 @pytest.mark.parametrize("game_id", [0, 1, 2, 3])
@@ -720,7 +724,7 @@ def test_bank_worst_case_bounds_a_jacobi_step(seed, family):
 # Dependency-grouped Gauss-Seidel sweeps
 # ---------------------------------------------------------------------------
 
-_PATTERNS = ("diagonal", "permutation", "lower", "upper", "random", "dense")
+_PATTERNS = ("diagonal", "permutation", "pairs", "lower", "upper", "random", "dense")
 
 
 def _block_pattern(kind, K, rng):
@@ -729,6 +733,8 @@ def _block_pattern(kind, K, rng):
         return np.eye(K, dtype=bool)
     if kind == "permutation":
         return np.eye(K, dtype=bool)[rng.permutation(K)]
+    if kind == "pairs":  # each odd block reads the block before it: even blocks sweep first
+        return np.eye(K, k=-1, dtype=bool) & (np.arange(K) % 2 == 1)[:, None]
     if kind == "lower":
         return np.tril(np.ones((K, K), dtype=bool))
     if kind == "upper":
@@ -746,7 +752,7 @@ def _lattice_quantizer(size):
 
 @st.composite
 def _sparse_affine_runs(draw):
-    """A block-sparse affine map, a bank (or schedule) and a start point."""
+    """A block-sparse affine map with its A and b, a bank (or schedule) and a start point."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=7))
     part = BlockPartition(sizes)
     K = part.num_blocks
@@ -756,31 +762,44 @@ def _sparse_affine_runs(draw):
     a = rng.standard_normal((part.n, part.n)) * np.repeat(np.repeat(pattern, sizes, 0), sizes, 1)
     if kind == "permutation":  # signed entries, as in random_affine_contraction
         a = np.sign(a)
+    a /= part.n
     spec = uniform_wmax_spec(part)
     box = BoxDomain([(-1.0, 1.0)] * part.n)
     # b has no zero entry, so a row's exact-zero sum, whose sign grouping may flip, never shows
     b = rng.uniform(0.1, 0.5, part.n) * rng.choice([-1.0, 1.0], part.n)
-    mapping = affine_contraction(a / part.n, b, part, box, spec, 0.5)
+    mapping = affine_contraction(a, b, part, box, spec, 0.5)
+    if draw(st.booleans()):  # block updates slice a full evaluation
+        mapping = BlockMapping(mapping.fn, part, box, spec, 0.5, block_reads=mapping.block_reads)
     steps = draw(st.integers(1, 4))
-    family = draw(st.sampled_from(["none", "scalar", "lattice-identity", "schedule"]))
-    if family == "none":
-        quantizers = None
-    elif family == "scalar":
-        quantizers = make_sq_bank(part, box, rng.integers(0, 9, part.n))
-    elif family == "lattice-identity":
-        quantizers = QuantizerBank(
+
+    def bank(fusable):
+        if fusable:
+            return make_sq_bank(part, box, rng.integers(0, 9, part.n))
+        return QuantizerBank(
             _lattice_quantizer(size) if rng.random() < 0.5 else IdentityQuantizer()
             for size in sizes
         )
+
+    family = draw(st.sampled_from(["none", "scalar", "lattice-identity", "schedule"]))
+    if family == "none":
+        quantizers = None
+    elif family == "schedule":  # per-step banks drawn from a pool, so banks repeat
+        pool = [bank(True), bank(True), bank(False)]
+        picks = draw(st.lists(st.integers(0, 2), min_size=steps, max_size=steps))
+        quantizers = [pool[i] for i in picks]
     else:
-        quantizers = [make_sq_bank(part, box, rng.integers(0, 9, part.n)) for _ in range(steps)]
+        quantizers = bank(family == "scalar")
     x0 = rng.uniform(-1.0, 1.0, part.n)
-    return mapping, pattern, quantizers, x0, steps
+    return mapping, pattern, (a, b), quantizers, x0, steps
 
 
-def _block_by_block(mapping, quantizers, x, steps, scheme):
-    """The sweep one block at a time, each block's quantized value written before the next."""
-    part = mapping.partition
+def _block_by_block(part, affine, quantizers, x, steps, scheme):
+    """Each block alone, from the clamped row-by-row A x + b, through its own quantizer.
+
+    Jacobi blocks read x(t); Gauss-Seidel and sequential blocks read the new
+    iterate, whose earlier blocks already hold their quantized values.
+    """
+    a, b = affine
     banks = quantizers if isinstance(quantizers, list) else [quantizers] * steps
     iterates, errors = [x], []
     for t, bank in enumerate(banks):
@@ -788,7 +807,8 @@ def _block_by_block(mapping, quantizers, x, steps, scheme):
         e = np.zeros(part.n)
         for k in (t % part.num_blocks,) if scheme == Scheme.SEQUENTIAL else range(part.num_blocks):
             sl = part.block_slice(k)
-            raw = mapping.eval_block(k, y)
+            at = x if scheme == Scheme.JACOBI else y
+            raw = np.clip((a[:, None, :] @ at)[:, 0] + b, -1.0, 1.0)[sl]
             q = raw if bank is None else bank.blocks[k].quantize(raw)
             e[sl] = q - raw
             y[sl] = q
@@ -814,8 +834,8 @@ def _with_counted_blocks(mapping):
 
 
 @given(_sparse_affine_runs())
-def test_grouped_sweeps_equal_the_block_by_block_sweep(case):
-    mapping, pattern, quantizers, x0, steps = case
+def test_runs_equal_the_block_by_block_loop(case):
+    mapping, pattern, affine, quantizers, x0, steps = case
     part = mapping.partition
     K = part.num_blocks
     assert np.array_equal(mapping.block_reads, pattern)
@@ -833,17 +853,63 @@ def test_grouped_sweeps_equal_the_block_by_block_sweep(case):
                 assert group_of[k] > group_of[j]
             if reads[j, k]:  # an earlier block reads k's old value
                 assert group_of[k] >= group_of[j]
-    for scheme in (Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL):
+    for scheme in (Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL):
         traj = run_iteration(mapping, quantizers, x0, steps, scheme)
-        iterates, errors = _block_by_block(mapping, quantizers, x0, steps, scheme)
+        iterates, errors = _block_by_block(part, affine, quantizers, x0, steps, scheme)
         assert traj.iterates.tobytes() == iterates.tobytes()
         assert traj.errors.tobytes() == errors.tobytes()
         assert traj.error_norms.tobytes() == np.array(
             [block_norm(e, part, mapping.norm) for e in errors]
         ).tobytes()
-    counted, calls = _with_counted_blocks(mapping)
-    run_iteration(counted, quantizers, x0, steps, Scheme.GAUSS_SEIDEL)
-    assert calls == list(groups) * steps
+    if mapping.fn_block is not None:
+        counted, calls = _with_counted_blocks(mapping)
+        run_iteration(counted, quantizers, x0, steps, Scheme.GAUSS_SEIDEL)
+        assert calls == list(groups) * steps
+
+
+def test_a_run_builds_each_group_quantizer_once(monkeypatch):
+    K = 600
+    part = BlockPartition([1] * K)
+    box = BoxDomain([(-1.0, 1.0)] * K)
+    a = np.zeros((K, K))
+    a[np.arange(2, K), np.arange(K - 2)] = 0.5  # block k reads block k - 2
+    mapping = affine_contraction(a, np.full(K, 0.25), part, box, uniform_wmax_spec(part), 0.5)
+    assert mapping.sweep_groups == tuple((k, k + 1) for k in range(0, K, 2))
+    bank = make_sq_bank(part, box, [4] * K)
+    fuse = ScalarBlockQuantizer.fuse
+    built = []
+
+    def counted(quantizers, sizes):
+        built.append(tuple(sizes))
+        return fuse(quantizers, sizes)
+
+    monkeypatch.setattr(ScalarBlockQuantizer, "fuse", staticmethod(counted))
+    run_iteration(mapping, bank, np.zeros(K), 10, Scheme.GAUSS_SEIDEL)
+    assert len(built) == K // 2
+
+
+def test_affine_map_holds_its_rows_once():
+    part = BlockPartition([4] * 64)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    spec = uniform_wmax_spec(part)
+    x0 = np.zeros(part.n)
+    matrix_bytes = part.n * part.n * 8
+    tracemalloc.start()
+    try:
+        mapping, _ = random_affine_contraction(part, spec, box, 0.5, rng=4)
+        run_iteration(mapping, None, x0, 2, Scheme.GAUSS_SEIDEL)  # every sweep group evaluated
+        run_iteration(mapping, None, x0, 2, Scheme.JACOBI)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix_bytes <= held < 1.5 * matrix_bytes  # A's rows, and no second copy of them
+    store = mapping.fn_block.__self__
+    assert any(isinstance(g, tuple) for g in mapping.sweep_groups)
+    for blocks in (*range(part.num_blocks), *mapping.sweep_groups):
+        rows = store.rows_of(blocks)
+        assert isinstance(rows, slice)
+        assert np.shares_memory(store._mats[rows], store.rows)
+    assert not isinstance(store.rows_of((1, 0)), slice)  # a tuple outside the sweep gathers
 
 
 @given(st.integers(1, 9), st.integers(0, 2**16))
