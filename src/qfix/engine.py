@@ -54,7 +54,7 @@ class IdentityQuantizer:
         return 0.0
 
 
-_FUSED_PER_BANK = 256  # fused group quantizers a bank keeps
+_FUSED_PER_BANK = 256  # a bank keeps max(this, K) fused group quantizers for K blocks
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class QuantizerBank:
         """Fused group quantizers by (block sizes, blocks) when the bank's quantizers fuse.
 
         None unless every block quantizer has one type, and that type has
-        `fuse(quantizers, sizes)`.
+        `fuse(quantizers, sizes)`.  One mapping's groups (at most K / 2 + 1) all fit.
         """
         kinds = {type(q) for q in self.blocks}
         if len(kinds) != 1 or not hasattr(next(iter(kinds)), "fuse"):
@@ -106,8 +106,8 @@ class QuantizerBank:
             return _BlockLoop(qs, sizes)
         key = (part.block_sizes, blocks)
         if key not in self._fused:
-            if len(self._fused) >= _FUSED_PER_BANK:  # a bank outlives many mappings' groups
-                self._fused.clear()
+            if len(self._fused) >= max(_FUSED_PER_BANK, len(self.blocks)):
+                self._fused.clear()  # a bank outlives many mappings' groups
             self._fused[key] = type(qs[0]).fuse(qs, sizes)
         fused = self._fused[key]
         return _BlockLoop(qs, sizes) if fused is None else fused

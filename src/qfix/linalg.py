@@ -44,16 +44,19 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(a, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
         raise ValueError(f"expected non-empty square matrices, got shape {A.shape}")
-    if not math.isfinite(np.abs(A).max()):
+    absA = np.abs(A)  # one pass: finiteness, then each matrix's tolerance when needed
+    if not math.isfinite(absA.max()):
         raise ValueError("non-finite entries")
     AH = conj_t(A)
     dev = np.abs(A - AH)
-    if not dev.max() <= _HERM_ATOL:  # else every matrix is within its own tolerance
+    worst = dev.max()
+    if not worst <= _HERM_ATOL:  # else every matrix is within its own tolerance
         dev = dev.max(axis=(-2, -1))
-        bad = dev > _HERM_ATOL * np.maximum(np.abs(A).max(axis=(-2, -1)), 1.0)
+        bad = dev > _HERM_ATOL * np.maximum(absA.max(axis=(-2, -1)), 1.0)
         if bad.any():
             raise ValueError(f"matrix is not Hermitian (deviation {dev[bad].max():.3e})")
-    A = 0.5 * (A + AH)  # symmetrized exactly
+    if worst:  # symmetrized exactly; an exactly Hermitian A is its own symmetrization
+        A = 0.5 * (A + AH)
     if A.shape[-1] == 1:
         return A[..., 0].real.copy(), np.ones(A.shape, dtype=complex)
     return np.linalg.eigh(A)  # exactly (0, I) for an all-zero matrix
@@ -65,7 +68,7 @@ def psd_solve(a, b) -> np.ndarray:
     _require_pd(lam)
     B = np.asarray(b, dtype=complex)
     Y = conj_t(U) @ (B[:, None] if B.ndim == 1 else B)
-    X = U @ (Y.swapaxes(-1, -2) / lam[..., None, :]).swapaxes(-1, -2)
+    X = U @ (Y / lam[..., :, None])
     return X[..., 0] if B.ndim == 1 else X
 
 

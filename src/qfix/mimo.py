@@ -153,12 +153,18 @@ class ChannelSet:
         return np.linalg.cond(self.h[range(K), range(K)])
 
     @cached_property
+    def ill_conditioned(self) -> frozenset:
+        """The links whose direct channel's condition number passes the guard, found once."""
+        return frozenset(np.flatnonzero(self.direct_cond > _COND_GUARD).tolist())
+
+    @cached_property
     def operands(self) -> tuple:
-        """(tx, H_jk, H_jk^H, H_kk, H_kk^H): each receiver k's other transmitters j, ascending."""
+        """(tx, H_jk, H_jk^H, H_kk, H_kk^H, noise_power * I); tx[k]: rx k's other txs, ascending."""
         K = self.game.num_links
         tx = np.nonzero(~np.eye(K, dtype=bool))[1].reshape(K, K - 1)
         H, D = self.h[tx, np.arange(K)[:, None]], self.h[range(K), range(K)]
-        return tx, H, conj_t(H), D, conj_t(D)
+        noise = self.game.noise_power * np.eye(self.game.num_antennas) + 0j
+        return tx, H, conj_t(H), D, conj_t(D), noise
 
 
 @dataclass(frozen=True)
@@ -192,15 +198,25 @@ def uniform_profile(game: GameConfig) -> StrategyProfile:
 
 def random_feasible_profile(game: GameConfig, rng) -> StrategyProfile:
     """Random PSD covariances scaled to the trace budget (full or low rank)."""
-    rng = np.random.default_rng(rng)
-    N = game.num_antennas
-    mats = []
-    for b in game.budgets:
-        rank = int(rng.integers(1, N + 1))
-        G = (rng.standard_normal((N, rank)) + 1j * rng.standard_normal((N, rank))) / math.sqrt(2)
-        W = G @ G.conj().T
-        mats.append(W * (b / float(np.trace(W).real)))
-    return StrategyProfile(mats)
+    return StrategyProfile(_random_covariances(game, np.random.default_rng(rng), 1)[0])
+
+
+def _random_covariances(game: GameConfig, rng, count: int) -> np.ndarray:
+    """(count, K, N, N) profiles, drawn as `count` one-profile draws: per link, the rank r, then
+    Re and Im of G (N x r); W = G G^H is scaled to its budget on stacks of equal rank."""
+    K, N = game.num_links, game.num_antennas
+    ranks, re, im = np.empty(count * K, dtype=int), [], []
+    for i in range(count * K):
+        r = ranks[i] = rng.integers(1, N + 1)
+        re.append(rng.standard_normal((N, r)))
+        im.append(rng.standard_normal((N, r)))
+    out, budgets = np.empty((count * K, N, N), dtype=complex), np.tile(game.budgets, count)
+    for r in set(ranks.tolist()):  # not np.unique, which imports numpy.ma (about 1 MB)
+        idx = np.flatnonzero(ranks == r)
+        G = (np.array([re[i] for i in idx]) + 1j * np.array([im[i] for i in idx])) / _SQRT2
+        W = G @ conj_t(G)
+        out[idx] = W * (budgets[idx] / np.trace(W, axis1=-2, axis2=-1).real)[:, None, None]
+    return out.reshape(count, K, N, N)
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +231,28 @@ def _as_stack(profile) -> np.ndarray:
 
 
 def _interference(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
-    """(..., L, N, N) noise plus interference at each receiver of `links`."""
-    game, (tx, H, HH, _, _) = channels.game, channels.operands
+    """(..., L, N, N) noise plus interference at each receiver of `links`, not symmetrized."""
+    tx, H, HH, _, _, noise = channels.operands
     terms = H[links] @ P[..., tx[links], :, :] @ HH[links]  # (..., L, K - 1, N, N)
-    R = game.noise_power * np.eye(game.num_antennas) + np.zeros(terms.shape[:-3] + (1, 1), complex)
-    for i in range(tx.shape[1]):  # after the noise, interferers in ascending order
+    R = noise + (terms[..., 0, :, :] if tx.shape[1] else np.zeros(terms.shape[:-3] + (1, 1)))
+    for i in range(1, tx.shape[1]):  # after the noise, interferers in ascending order
         R = R + terms[..., i, :, :]
-    return 0.5 * (R + conj_t(R))
+    return R
 
 
 def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     """(..., L, N, N) whitened direct channels M_k = H_kk^H R_{-k}^{-1} H_kk."""
-    _, _, _, D, DH = channels.operands
+    _, _, _, D, DH, _ = channels.operands
     M = DH[links] @ psd_solve(_interference(channels, P, links), D[links])
-    return 0.5 * (M + conj_t(M))
+    return 0.5 * (M + conj_t(M))  # exactly Hermitian, so herm_eig's cheap checks pass it as is
 
 
 def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     """(..., L, N, N) best responses of the links in `links`."""
     ids = range(channels.game.num_links)[links]
-    if max(channels.direct_cond[links]) > _COND_GUARD:
-        k = ids[np.argmax(channels.direct_cond[links] > _COND_GUARD)]
-        raise ValueError(f"direct channel of link {k} is ill-conditioned")
+    ill = channels.ill_conditioned.intersection(ids)
+    if ill:
+        raise ValueError(f"direct channel of link {min(ill)} is ill-conditioned")
     lam, U = herm_eig(_effective_channels(channels, P, links))
     if lam[..., 0].min() <= 0:
         k = ids[np.nonzero(lam[..., 0] <= 0)[-1][0]]
@@ -257,7 +273,8 @@ def _rates(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
 
 def interference_covariance(channels: ChannelSet, profile, k: int) -> np.ndarray:
     """Noise plus received multi-user interference at receiver k."""
-    return _interference(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
+    R = _interference(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
+    return 0.5 * (R + conj_t(R))
 
 
 def project_simplex(v: np.ndarray, budget) -> np.ndarray:
@@ -336,12 +353,15 @@ def mat_to_vec(P: np.ndarray) -> np.ndarray:
 
 
 def vec_to_mat(v: np.ndarray) -> np.ndarray:
-    """Inverse of mat_to_vec, for one vector or a (..., N^2) stack."""
+    """Inverse of mat_to_vec, for one vector or a (..., N^2) stack; refuses non-finite entries."""
     v = np.asarray(v, dtype=float)
     N = math.isqrt(v.shape[-1])
     if N * N != v.shape[-1]:
         raise ValueError(f"vector of length {v.shape[-1]} is not an N^2 parameterization")
-    re, im = v[..., N::2] / _SQRT2, 1j * (v[..., N + 1 :: 2] / _SQRT2)
+    if not np.isfinite(v).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
+        raise ValueError("non-finite entries")
+    w = v[..., N:] / _SQRT2
+    re, im = w[..., 0::2], 1j * w[..., 1::2]
     entries = np.concatenate([v[..., :N], re + im, re - im], axis=-1)
     return entries[..., _vec_layout(N)[2]].reshape(v.shape[:-1] + (N, N))
 
@@ -508,13 +528,9 @@ def estimate_modulus(channels: ChannelSet, samples: int = 50, rng=0) -> ModulusE
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    game = channels.game
-    part = game_partition(game)
-    spec = game_norm_spec(game)
-    rng = np.random.default_rng(rng)
+    part, spec = game_partition(channels.game), game_norm_spec(channels.game)
     # Pair s is (x, y) = profiles (2s, 2s + 1), drawn in that order.
-    pairs = [random_feasible_profile(game, rng).covariances for _ in range(2 * samples)]
-    X = profile_to_vec(np.array(pairs))
+    X = profile_to_vec(_random_covariances(channels.game, np.random.default_rng(rng), 2 * samples))
     dist = block_norms(X[0::2] - X[1::2], part, spec)
     F = _best_responses(channels, X)
     kept = dist >= 1e-12
@@ -569,6 +585,8 @@ def iwfa_run(
     are wrapped with the feasibility projection automatically, each
     distinct bank of a schedule once.  `BlockMapping` refuses a modulus outside [0, 1).
     """
+    if mode not in _MODE_SCHEMES:
+        raise ValueError(f"unknown mode {mode!r}")
     game = channels.game
     mapping = game_mapping(channels, modulus)
     if isinstance(quantizers, QuantizerBank):
@@ -580,8 +598,6 @@ def iwfa_run(
         distinct = {id(bank): bank for bank in schedule}.values()
         wrapped = {id(bank): feasible_bank(bank, game) for bank in distinct}
         quantizers = [wrapped[id(bank)] for bank in schedule]
-    if mode not in _MODE_SCHEMES:
-        raise ValueError(f"unknown mode {mode!r}")
 
     x0 = profile_to_vec(uniform_profile(game))
     traj = run_iteration(mapping, quantizers, x0, steps, _MODE_SCHEMES[mode], reference=reference)

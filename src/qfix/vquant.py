@@ -112,8 +112,9 @@ def _decode_batch(y: np.ndarray, scale: float, basis: np.ndarray, glue: np.ndarr
     # last key is its primary one.  Only rows with a tie need the sort.
     coset = np.argmax(tied, axis=1)
     multi = np.flatnonzero(tied.sum(axis=1) > 1)
-    keys = (*np.moveaxis(cand[multi, :, ::-1], -1, 0), ~tied[multi])
-    coset[multi] = np.lexsort(keys, axis=-1)[:, 0]
+    if multi.size:
+        keys = (*np.moveaxis(cand[multi, :, ::-1], -1, 0), ~tied[multi])
+        coset[multi] = np.lexsort(keys, axis=-1)[:, 0]
     rows = np.arange(z.shape[0])
     points = scale * (cand[rows, coset] @ basis.T)
     return points, coset, f[rows, coset].astype(int)

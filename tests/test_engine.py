@@ -886,6 +886,10 @@ def test_a_run_builds_each_group_quantizer_once(monkeypatch):
     monkeypatch.setattr(ScalarBlockQuantizer, "fuse", staticmethod(counted))
     run_iteration(mapping, bank, np.zeros(K), 10, Scheme.GAUSS_SEIDEL)
     assert len(built) == K // 2
+    # The bank keeps all 300 groups (more than 256), so later runs build none.
+    for _ in range(2):
+        run_iteration(mapping, bank, np.zeros(K), 10, Scheme.GAUSS_SEIDEL)
+    assert len(built) == K // 2
 
 
 def test_affine_map_holds_its_rows_once():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -290,3 +290,44 @@ def test_a_stack_with_one_bad_member_raises(bad, message):
     herm_eig(big)
     with pytest.raises(ValueError, match="not Hermitian"):
         herm_eig(np.stack([big, np.array([[1.0, 1e-9], [0.0, 1.0]])]))
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        # One member non-finite, another non-Hermitian, in either order.
+        np.array([[[1.0, 5.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]]),
+        np.array([[[np.nan, 0.0], [0.0, 1.0]], [[1.0, 5.0], [0.0, 1.0]]]),
+        # One member both non-finite and non-Hermitian.
+        np.array([[[1.0, complex(np.inf, 1.0)], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]),
+    ],
+)
+def test_non_finite_is_reported_before_non_hermitian(stack):
+    for call in (
+        lambda: herm_eig(stack),
+        lambda: psd_solve(stack, np.ones((2, 2, 1))),
+        lambda: logdet_psd(stack),
+    ):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            call()
+
+
+def _symmetrized(a):
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(_stacks))
+def test_an_exactly_hermitian_input_is_its_own_symmetrization(case):
+    # herm_eig symmetrizes only when some entry deviates; a symmetrized input
+    # decomposes exactly as symmetrizing it once more would.
+    parts, zero = case
+    g = parts[:, 0] + 1j * parts[:, 1]
+    g[zero % len(g), 0] = 0.0  # exact zeros, whose signs a symmetrization could flip
+    herm = _symmetrized(g)
+    lam, u = herm_eig(herm)
+    again = _symmetrized(herm)
+    assert again.tobytes() == herm.tobytes()
+    if herm.shape[-1] > 1:
+        lam_again, u_again = np.linalg.eigh(again)
+        assert _same(lam, lam_again) and _same(u, u_again)

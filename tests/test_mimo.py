@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from qfix import mimo
-from qfix.engine import Scheme, bound_certificate
+from qfix.engine import IdentityQuantizer, QuantizerBank, Scheme, bound_certificate
 from qfix.mimo import (
     ChannelSet,
     GameConfig,
@@ -731,3 +732,75 @@ def test_iwfa_run_requires_its_modulus():
         iwfa_run(ch, steps=5)
     with pytest.raises(TypeError):
         iwfa_run(ch, None, "simultaneous", 5, 0.5)  # the modulus is keyword-only
+
+
+def _per_profile_draws(game, rng, count):
+    """`count` profiles drawn one link at a time: rank, then Re and Im of G, scaled alone."""
+    N, profiles = game.num_antennas, []
+    for _ in range(count):
+        mats = []
+        for b in game.budgets:
+            rank = int(rng.integers(1, N + 1))
+            G = (rng.standard_normal((N, rank)) + 1j * rng.standard_normal((N, rank))) / math.sqrt(2)
+            W = G @ G.conj().T
+            mats.append(W * (b / float(np.trace(W).real)))
+        profiles.append(mats)
+    return np.array(profiles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    links=st.integers(1, 3),
+    antennas=st.integers(1, 4),
+    count=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_profile_draws_equal_the_per_profile_loop(links, antennas, count, seed):
+    game = GameConfig(
+        links, antennas, np.full((links, links), 100.0), 3.5, np.linspace(0.0, 20.0, links)
+    )
+    loop_rng, stack_rng, one_rng = (np.random.default_rng(seed) for _ in range(3))
+    expected = _per_profile_draws(game, loop_rng, count)
+    stacked = mimo._random_covariances(game, stack_rng, count)
+    one_at_a_time = np.array(
+        [random_feasible_profile(game, one_rng).covariances for _ in range(count)]
+    )
+    assert stacked.tobytes() == expected.tobytes()
+    assert one_at_a_time.tobytes() == expected.tobytes()
+    # The same draws, in the same order: the generators end in one state.
+    assert stack_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert one_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [0, 2, 3, 5])  # block 0's diagonal, Re and Im; block 1's diagonal
+def test_a_non_finite_profile_is_refused_without_warnings(bad, pos):
+    game = paper_style_game(seed=0)
+    ch = ChannelSet.generate(game)
+    mapping, part = game_mapping(ch, 0.5), game_partition(game)
+    x = profile_to_vec(uniform_profile(game))
+    x[pos] = bad
+    k = pos // game.num_antennas**2
+    projected = ProjectedBlockQuantizer(IdentityQuantizer(), game.budgets[k])
+    grouped = feasible_bank(QuantizerBank([IdentityQuantizer()] * game.num_links), game)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
+        for call in (
+            lambda: mapping.eval_full(x),
+            lambda: mapping.eval_block(0, x),
+            lambda: mapping.eval_block(1, x),
+            lambda: projected.quantize(x[part.block_slice(k)]),
+            lambda: grouped.quantize_full(x, part),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
+
+
+@pytest.mark.parametrize("form", ["none", "bank", "schedule"])
+def test_iwfa_run_checks_the_mode_first(form):
+    game = paper_style_game(seed=0)
+    ch = ChannelSet.generate(game)
+    bank = make_sq_bank(game_partition(game), game_box(game), [2] * game_partition(game).n)
+    quantizers = {"none": None, "bank": bank, "schedule": [bank] * 3}[form]
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        iwfa_run(ch, quantizers=quantizers, mode="bogus", steps=3, modulus=0.5)
