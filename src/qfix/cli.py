@@ -6,8 +6,8 @@ Subcommands
     tradeoff  sweep the budget L or the horizon T, emit a summary CSV
 
 Configs are JSON with a "schema": 1 field.  Exit codes: 0 success,
-1 malformed config (the message names the offending field), 2 design
-outside the closed-form regime or an uncertified game.
+1 malformed config (the message names the offending field) or command
+line, 2 design outside the closed-form regime or an uncertified game.
 """
 
 from __future__ import annotations
@@ -450,22 +450,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantized fixed-point iteration: designs, runs, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("design", _cmd_design),
-        ("simulate", _cmd_simulate),
-        ("tradeoff", _cmd_tradeoff),
+    for name, fn, tabular in (
+        ("design", _cmd_design, False),
+        ("simulate", _cmd_simulate, True),
+        ("tradeoff", _cmd_tradeoff, True),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed-list", default=None, help="comma-separated seeds")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if tabular:  # design reads one config and writes one JSON report
+            p.add_argument("--seed-list", default=None, help="comma-separated seeds")
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse: 2 after a usage error, 0 after --help
+        return _EXIT_CONFIG if e.code == 2 else e.code
     try:
         return args.fn(args)
     except ConfigError as e:

@@ -29,7 +29,7 @@ from .engine import (
     run_iteration,
 )
 from .linalg import conj_t, herm_eig, logdet_psd, psd_solve
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, block_norms
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _water_level, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 DEFAULT_BANDWIDTH_HZ = 10e6
@@ -280,26 +280,19 @@ def interference_covariance(channels: ChannelSet, profile, k: int) -> np.ndarray
 def project_simplex(v: np.ndarray, budget) -> np.ndarray:
     """Euclidean projection of each row of v onto {x >= 0, sum x = budget}, exactly.
 
-    Sorted cumulative sums give the water level in closed form, so the result
-    satisfies the KKT conditions x_i = max(v_i - theta, 0) with sum x = budget
-    to floating-point accuracy.  A positive budget too small to move a row's
-    level (below half an ulp of its largest entry) goes wholly on that
-    entry, the lowest index among equals.  `budget` is one number or one per
-    row."""
+    The water level theta comes in closed form (`norms._water_level`), so the
+    result satisfies the KKT conditions x_i = max(v_i - theta, 0) with
+    sum x = budget to floating-point accuracy.  A positive budget too small
+    to move a row's level (below half an ulp of its largest entry) goes
+    wholly on that entry, the lowest index among equals.  `budget` is one
+    number or one per row."""
     v, budget = np.asarray(v, dtype=float), np.asarray(budget, dtype=float)
     if budget.min() < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    n = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
-    excess = u.cumsum(axis=-1) - budget[..., None]
-    count = np.arange(1, n + 1)
-    active = u * count > excess
-    rho = n - active[..., ::-1].argmax(axis=-1)  # last active index + 1
-    # A zero budget leaves no index active, so theta = inf and the projection is 0.
-    theta = np.where((count == rho[..., None]) & active, excess, np.inf).min(axis=-1) / rho
+    theta, peak = _water_level(v, budget)
     x = np.maximum(v - theta[..., None], 0.0)
-    if (theta >= u[..., 0]).any():  # a row with every entry at or below its level
-        lost = (theta >= u[..., 0]) & (budget > 0)
+    if (theta >= peak).any():  # a row with every entry at or below its level
+        lost = (theta >= peak) & (budget > 0)
         top = np.argmax(v, axis=-1)[..., None]
         kept = np.take_along_axis(x, top, axis=-1)[..., 0]
         np.put_along_axis(x, top, np.where(lost, budget, kept)[..., None], axis=-1)

@@ -6,7 +6,9 @@ the L_p norm, and the weighted block-maximum norm
     ||x||_block = max_k ||x_{M_k}||_k / w_k
 
 where the state vector is split into K contiguous blocks M_k and each
-block carries its own component norm (weighted-max or L_p).
+block carries its own component norm (weighted-max or L_p).  The module
+also holds the closed-form water level of an L_1 budget, which the simplex
+projection and the relaxed rate designs share.
 """
 
 from __future__ import annotations
@@ -264,6 +266,25 @@ def lp_norm(x: Sequence[float], p: float) -> float:
     if scale == 0.0:
         return 0.0
     return scale * float(np.sum((np.abs(x) / scale) ** p)) ** (1.0 / p)
+
+
+def _water_level(v: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The level theta with sum_i (v_i - theta)^+ = budget along the last axis, and the top entry.
+
+    Sorted cumulative sums give theta in closed form: (sum of the rho largest
+    entries - budget) / rho, rho the number of entries above it (the level of
+    the Euclidean projection onto the simplex).  A zero budget, or a positive
+    one below half an ulp of the top entry, leaves no entry above any level:
+    theta = inf.  `budget` is one number or one per row.
+    """
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    excess = u.cumsum(axis=-1) - budget[..., None]
+    count = np.arange(1, n + 1)
+    active = u * count > excess
+    rho = n - active[..., ::-1].argmax(axis=-1)  # last active index + 1
+    theta = np.where((count == rho[..., None]) & active, excess, np.inf).min(axis=-1) / rho
+    return theta, u[..., 0]
 
 
 class _BlockLayout:

@@ -17,8 +17,11 @@ currently sets the max, lowest index on ties (marginal analysis: Fox,
 Management Science 13(3), 1966; Ibaraki & Katoh, Resource Allocation
 Problems, 1988).  The walk starts from 0 bits and is exact at every
 prefix, so one walk to B bits is every budget's design up to B
-(`ticoq_frontier`); a design's relaxed optimum is computed only when it is
-read.  An exhaustive oracle over integer allocations, kept as the
+(`ticoq_frontier`).  A design's relaxed optimum is computed when read, at
+exact water levels (Palomar & Fonollosa, IEEE T-SP 53(2), 2005): the
+closed-form level of `norms._water_level`, which `mimo.project_simplex`
+shares, or for L_p blocks Newton's steps in log2 tau from the all-funded
+closed form.  An exhaustive oracle over integer allocations, kept as the
 reference the tests compare against, and the closed-form high-rate
 threshold L' (past which the relaxed optimum decays exactly like
 eta * 2^(-L/n)) round out the module.
@@ -36,13 +39,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .engine import QuantizerBank
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _water_level
 from .squant import ScalarBlockQuantizer, ScalarQuantizer
 from .vquant import LatticeQuantizer, covering_radius, lattice_scale
 
 _ORACLE_GUARD = 10_000_000
-_SUM_TOL = 1e-12
-_MAX_BISECT = 200
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,17 @@ class RateAllocation:
 
     @cached_property
     def _relaxation(self) -> tuple:
-        """Nested water-filling for "sq-lp", weighted water-filling otherwise."""
+        """Nested water-filling for "sq-lp", weighted water-filling at the exact level otherwise."""
         c = self.family
         if c.kind == "sq-lp":
             part = BlockPartition(c.block_sizes)
             relaxed, tau, levels = _relax_lp(np.asarray(c.c), c.p, part, self.total_bits)
             return tuple(relaxed), tau ** (1.0 / c.p), replace(c, tau=tau, tau_blocks=tuple(levels))
+        # Weighted: sum_k n_k (log2 d_k - t)^+ = L is unweighted over each entry repeated n_k times.
         logs, sizes, _ = _log_terms(c)
-        relaxed, tau = _relax_weighted(logs, sizes, self.total_bits)
-        return tuple(relaxed), tau, replace(c, tau=tau)
+        level, top = _water_level(np.repeat(logs, sizes.astype(int)), np.asarray(float(self.total_bits)))
+        t = float(min(level, top))  # a zero budget funds nothing: t is the largest log constant
+        return tuple(sizes * np.maximum(logs - t, 0.0)), 2.0**t, replace(c, tau=2.0**t)
 
     relaxed = property(lambda self: self._relaxation[0], doc="The real-valued optimum.")
     relaxed_value = property(lambda self: self._relaxation[1], doc="Its objective value.")
@@ -171,10 +174,13 @@ def sq_lp_objective(
     """max_k (sum_{m in M_k} c_m 2^(-p L_m))^(1/p) over allocation rows."""
     cv = np.asarray(c, dtype=float)
     offsets = np.asarray(part.offsets[:-1], dtype=int)
+    slices = [part.block_slice(k) for k in range(part.num_blocks)]
 
     def f(allocs: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(allocs, dtype=float))
         terms = cv * 2.0 ** (-p * a)
+        for sl in slices:  # ascending, so a block's terms sum to one float wherever they sit
+            terms[:, sl].sort(axis=1)
         block_sums = np.add.reduceat(terms, offsets, axis=1)
         return np.max(block_sums, axis=1) ** (1.0 / p)
 
@@ -266,107 +272,42 @@ def vq_constants(part: BlockPartition, w: Sequence[float], box: BoxDomain) -> np
 
 
 # ---------------------------------------------------------------------------
-# Relaxed solutions: water-filling by bisection on log2(tau)
+# Relaxed solutions: water-filling at exact levels
 # ---------------------------------------------------------------------------
 
-def _bisect_log_tau(bits_of: Callable[[float], float], lo: float, hi: float, budget: float) -> float:
-    """Monotone bisection for bits_of(t) = budget, t = log2(tau).
-
-    bits_of is nonincreasing with bits_of(lo) >= budget >= bits_of(hi);
-    the sum is piecewise linear in t, so bisection converges fast and we
-    stop once the rate constraint holds to _SUM_TOL.
-    """
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        s = bits_of(mid)
-        if abs(s - budget) <= _SUM_TOL:
-            return mid
-        if s > budget:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _relax_weighted(log_const: np.ndarray, weights: np.ndarray, budget: int) -> tuple[np.ndarray, float]:
-    """Solve sum_k weights_k (log_const_k - t)^+ = budget for t = log2 tau.
-
-    Returns the relaxed per-entry bit counts weights_k*(log_const_k - t)^+
-    and tau.  Covers both the per-coordinate (weights = 1) and per-block
-    (weights = n_k) water-filling problems.
-    """
-    if budget == 0:
-        return np.zeros(log_const.size), float(2.0 ** np.max(log_const))
-
-    def bits_of(t: float) -> float:
-        return float(np.sum(weights * np.maximum(log_const - t, 0.0)))
-
-    lo = float(np.min(log_const)) - float(budget)
-    hi = float(np.max(log_const))
-    t = _bisect_log_tau(bits_of, lo, hi, float(budget))
-    relaxed = weights * np.maximum(log_const - t, 0.0)
-    return relaxed, float(2.0**t)
-
-
-def _lp_block_level(c_sorted: np.ndarray, prefix: np.ndarray, tau: float) -> float:
-    """Exact tau_k with sum_m min(c_m, tau_k) = tau for one active block."""
-    nk = c_sorted.size
-    for i in range(nk):
-        t = (tau - prefix[i]) / (nk - i)
-        left_ok = i == 0 or t >= c_sorted[i - 1] * (1.0 - 1e-15)
-        if left_ok and t <= c_sorted[i] * (1.0 + 1e-15):
-            return float(t)
-    # tau >= sum of the block's constants: level saturates at the top.
-    return float(c_sorted[-1])
-
-
 def _relax_lp(c: np.ndarray, p: float, part: BlockPartition, budget: int):
-    """Nested water-filling for the L_p scalar design.
+    """Nested water-filling for the L_p scalar design, at exact levels.
 
-    Outer level tau equalizes the active blocks' p-th-power error sums;
-    inner levels tau_k split tau across each block's coordinates.  Blocks
-    whose total constant sum_m c_m is already <= tau stay unquantized.
-    Returns (relaxed bits, tau, per-block tau_k with NaN when inactive).
+    At the global level tau, block k's level tau_k solves
+    sum_m min(c_m, tau_k) = tau exactly: with its constants ascending and
+    prefix sums P_i, it is the largest of (tau - P_i) / (n_k - i), until tau
+    reaches the block's total and the block drops out (NaN).  The bits spent,
+    sum_m (log2 c_m - log2 tau_k)^+ / p, are falling and convex in
+    t = log2 tau, and the all-funded closed form (sum_m log2(n_k c_m) - p L) / n
+    bounds t from below (exact past the high-rate threshold), so Newton's
+    steps in t from it rise to the level until t stops increasing.
+    Returns (relaxed bits, tau, per-block tau_k).
     """
-    K = part.num_blocks
-    sorted_c = [np.sort(c[part.block_slice(k)]) for k in range(K)]
-    prefixes = [np.concatenate(([0.0], np.cumsum(ck)[:-1])) for ck in sorted_c]
-    block_totals = np.array([np.sum(ck) for ck in sorted_c])
-
-    def levels_for(tau: float) -> np.ndarray:
-        out = np.full(K, np.nan)
-        for k in range(K):
-            if block_totals[k] > tau:
-                out[k] = _lp_block_level(sorted_c[k], prefixes[k], tau)
-        return out
-
-    def bits_for(tau: float) -> float:
-        total = 0.0
-        for k, tk in enumerate(levels_for(tau)):
-            if not math.isnan(tk):
-                total += float(
-                    np.sum(np.maximum(np.log2(sorted_c[k]) - math.log2(tk), 0.0))
-                ) / p
-        return total
-
+    sizes = np.asarray(part.block_sizes)
+    prefix = [np.concatenate(([0.0], np.cumsum(np.sort(c[part.block_slice(k)])))) for k in range(sizes.size)]
     if budget == 0:
-        tau = float(np.max(block_totals))
-        return np.zeros(part.n), tau, levels_for(tau)
+        return np.zeros(c.size), float(max(P[-1] for P in prefix)), np.full(sizes.size, np.nan)
 
-    hi = math.log2(float(np.max(block_totals)))
-    lo, step = hi - 1.0, 1.0
-    while bits_for(2.0**lo) < budget:
-        lo -= step
-        step *= 2.0
-    t = _bisect_log_tau(lambda u: bits_for(2.0**u), lo, hi, float(budget))
-    tau = 2.0**t
-    levels = levels_for(tau)
-    relaxed = np.zeros(part.n)
-    for k in range(K):
-        if not math.isnan(levels[k]):
-            sl = part.block_slice(k)
-            relaxed[sl] = np.maximum(np.log2(c[sl]) - math.log2(levels[k]), 0.0) / p
-    return relaxed, tau, levels
+    def spend(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        levels = np.array([
+            np.max((tau - P[:-1]) / np.arange(P.size - 1, 0, -1)) if tau < P[-1] else math.nan
+            for P in prefix
+        ])
+        return np.fmax(np.log2(c) - np.log2(np.repeat(levels, sizes)), 0.0) / p, levels
+
+    t = (np.sum(np.log2(np.repeat(sizes, sizes) * c)) - p * budget) / c.size
+    while True:
+        tau = 2.0**t
+        relaxed, levels = spend(tau)
+        step = (math.fsum(relaxed) - budget) * p / np.nansum(tau / levels)
+        if not t + step > t:
+            return relaxed, float(tau), levels
+        t += step
 
 
 # ---------------------------------------------------------------------------

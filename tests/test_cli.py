@@ -117,6 +117,29 @@ def test_design_output_file_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["design"], ["simulate", "--config"], ["tradeoff", "--config", "t.json", "--format", "xml"]],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    # exit 2 is reserved for designs out of regime and uncertified games
+    assert main(argv) == 1
+    assert "usage: qfix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [["--seed-list", "0,1"], ["--format", "json"]])
+def test_design_refuses_options_it_does_not_read(tmp_path, capsys, option):
+    cfg = _write(tmp_path, "d.json", _design_doc())
+    assert main(["design", "--config", cfg, *option]) == 1
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+def test_help_exits_zero_and_lists_only_the_options_read(capsys):
+    assert main(["design", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--out" in usage and "--seed-list" not in usage and "--format" not in usage
+
+
 def _simulate_doc(**over):
     doc = {
         "schema": 1,
