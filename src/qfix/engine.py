@@ -15,13 +15,14 @@ at a time.  Block updates evaluate natively, through the mapping's
 `fn_block`, when it has one, otherwise by slicing a full evaluation.  A
 run works out its groups once: the mapping keeps each update group's
 coordinates, size and box bounds, and the run looks up each distinct
-bank's quantizer for each group once.  `affine_contraction` keeps A's
-rows once, in sweep-group order, so every block's and every sweep
-group's rows are one contiguous view.  The loop records the actual
-quantization residuals e(t), and the module evaluates the matching
-accumulated / worst-case convergence-error bounds.  The totally
-asynchronous scheme is supported only through its bound constants, not
-as a scheduler.
+bank's quantizer for each group once.  `affine_contraction` keeps only
+A's nonzero entries and b: a row is the left-to-right sum of its
+entries' products, and each block and sweep group keeps its own rows'
+entries, so a node's update reads only the nodes it depends on.  The
+loop records the actual quantization residuals e(t), and the module
+evaluates the matching accumulated / worst-case convergence-error
+bounds.  The totally asynchronous scheme is supported only through its
+bound constants, not as a scheduler.
 """
 
 from __future__ import annotations
@@ -599,61 +600,42 @@ def reference_fixed_point(
 # Synthetic affine contractions with an exactly known modulus
 # ---------------------------------------------------------------------------
 
-class _SweepOrderedRows:
-    """T(x) = A x + b over A's rows and b, stored once in sweep-group order.
+class _AffineEntries:
+    """T(x) = A x + b over A's nonzero entries, kept in row-major order, and b.
 
-    At the first evaluation the blocks' rows are reordered group by group,
-    in the order of the sweep groups of the read pattern, so block k's rows
-    and every sweep group's are one contiguous view of the store.  The
-    whole map puts its rows back in A's order; any other tuple of blocks
-    gathers its rows.  Each row is a 1 x n matrix, so a product is a stack
-    of row-by-vector products that numpy computes as one dot product per
-    row: a block equals the same rows of the whole map bit for bit,
-    wherever its rows sit in the store.
+    Row r adds its products A[r, c] x[c], columns ascending, from +0.0
+    through `np.bincount` (a plain sequential loop), then adds b[r].  A
+    block, or a tuple of blocks, takes its rows' entries renumbered to
+    their places in the group, so it equals the same rows of the whole map
+    bit for bit; they are worked out once for each block and each tuple
+    that `kept` accepts (the sweep groups).
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, part: BlockPartition, reads: np.ndarray):
-        self.rows, self._b, self._part, self._reads = A, b, part, reads
-        self._where = None  # block or sweep group -> its rows in the store, once laid out
-
-    def _lay_out(self) -> None:
-        part = self._part
-        groups = sweep_groups_of(self._reads)
-        order = [k for g in groups for k in (g if isinstance(g, tuple) else (g,))]
-        rank = np.empty(part.num_blocks, dtype=int)
-        rank[order] = np.arange(part.num_blocks)
-        perm = np.argsort(np.repeat(rank, part.block_sizes), kind="stable")
-        if order != sorted(order):  # the reordered copy replaces A's rows: one copy is kept
-            self.rows, self._b = self.rows[perm], self._b[perm]
-        self._mats = self.rows[:, None, :]
-        self._inverse = np.argsort(perm)
-        where = {}
-        end = 0
-        for g in groups:
-            first = end
-            for k in g if isinstance(g, tuple) else (g,):
-                end += part.block_sizes[k]
-                where[k] = slice(end - part.block_sizes[k], end)
-            where[g] = slice(first, end)
-        self._where = where
-
-    def rows_of(self, k: Union[int, tuple]) -> Union[slice, np.ndarray]:
-        """Where block k's rows, or a tuple's in its order, sit in the store."""
-        if self._where is None:
-            self._lay_out()
-        where = self._where.get(k)
-        if where is None:  # a tuple outside the sweep groups
-            return np.concatenate([np.arange(self._where[j].start, self._where[j].stop) for j in k])
-        return where
+    def __init__(self, A: np.ndarray, b: np.ndarray, part: BlockPartition, kept: Callable):
+        flat = np.flatnonzero(A != 0)
+        self.row, self.col = np.divmod(flat, A.shape[1])
+        self.val, self.b = A.ravel()[flat], b
+        self._part, self._kept, self._groups = part, kept, {}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self._where is None:
-            self._lay_out()
-        return ((self._mats @ x)[:, 0] + self._b)[self._inverse]
+        return np.bincount(self.row, self.val * x[self.col], minlength=self.b.size) + self.b
+
+    def _group(self, k: Union[int, tuple]) -> tuple:
+        group = self._groups.get(k)
+        if group is None:
+            rows = np.arange(self.b.size)[self._part.block_index(k)]
+            where = np.full(self.b.size, -1)
+            where[rows] = np.arange(rows.size)
+            at = where[self.row]
+            mine = at >= 0
+            group = (at[mine], self.col[mine], self.val[mine], self.b[rows])
+            if not isinstance(k, tuple) or self._kept(k):
+                self._groups[k] = group
+        return group
 
     def block(self, k: Union[int, tuple], x: np.ndarray) -> np.ndarray:
-        rows = self.rows_of(k)
-        return (self._mats[rows] @ x)[:, 0] + self._b[rows]
+        at, col, val, b = self._group(k)
+        return np.bincount(at, val * x[col], minlength=b.size) + b
 
 
 def affine_contraction(
@@ -666,22 +648,36 @@ def affine_contraction(
 ) -> BlockMapping:
     """T(x) = clamp(A x + b) as a BlockMapping with a declared modulus.
 
-    Block k, or a tuple of blocks, is evaluated natively as A[rows] x +
-    b[rows] over A's rows, which the map stores once in sweep-group order
-    (`_SweepOrderedRows`).  A BLAS matrix-vector product would not give a
-    block the same rows of the whole map bit for bit, since its result for
-    a row may depend on how many rows share the call.  Block k reads block
-    j unless A's block (k, j) is exactly zero.
+    The map keeps A's nonzero entries and b (`_AffineEntries`), so it holds
+    O(nnz) numbers.  Row r of A x is the sum of A[r, c] x[c] over its
+    nonzero c, ascending, added left to right from +0.0; no BLAS call is
+    made, so a value depends on no BLAS build, on no count of rows per call
+    and on no storage order.  Block k, or a tuple of blocks, evaluates
+    natively as the same rows of the whole map bit for bit.  Block k reads
+    block j unless A's block (k, j) is exactly zero.  Raises ValueError
+    unless A is (n, n) and b is (n,) for the partition's n, both finite.
     """
     A = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
-    starts = part.offsets[:-1]
-    reads = np.logical_or.reduceat(np.logical_or.reduceat(A != 0, starts, axis=0), starts, axis=1)
-    affine = _SweepOrderedRows(A, b, part, reads)
-    return BlockMapping(
+    n = part.n
+    if A.shape != (n, n):
+        raise ValueError(f"A has shape {A.shape}, expected ({n}, {n})")
+    if b.shape != (n,):
+        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
+    # `mapping` is bound below; the store asks for its sweep groups only when it evaluates a tuple.
+    affine = _AffineEntries(A, b, part, kept=lambda blocks: blocks in mapping.sweep_groups)
+    if not np.isfinite(affine.val).all():
+        raise ValueError("A has non-finite entries")
+    if not np.isfinite(b).all():
+        raise ValueError("b has non-finite entries")
+    owner = np.repeat(np.arange(part.num_blocks), part.block_sizes)
+    reads = np.zeros((part.num_blocks, part.num_blocks), dtype=bool)
+    reads[owner[affine.row], owner[affine.col]] = True
+    mapping = BlockMapping(
         fn=affine, partition=part, domain=domain, norm=spec, modulus=modulus,
         fn_block=affine.block, block_reads=reads,
     )
+    return mapping
 
 
 def _norm_kind(norm) -> tuple:

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -429,6 +430,21 @@ def test_uniform_allocation_helper():
 # Block-native evaluation and the one-pass scalar bank
 # ---------------------------------------------------------------------------
 
+def _row_by_row(a, b, x):
+    """A x + b as the affine contract states it, one row at a time.
+
+    Row r adds a[r, c] * x[c] over its nonzero c, ascending, from 0.0, then
+    adds b[r].
+    """
+    y = np.empty(len(b))
+    for r in range(len(b)):
+        acc = 0.0
+        for c in np.flatnonzero(a[r]):
+            acc = acc + a[r, c] * x[c]
+        y[r] = acc + b[r]
+    return y
+
+
 @st.composite
 def _affine_maps(draw):
     """An affine map on mixed blocks of unequal sizes, and a point in or out of its box."""
@@ -446,20 +462,22 @@ def _affine_maps(draw):
     spec = NormSpec([draw(st.floats(0.25, 4.0)) for _ in sizes], per_block)
     box = BoxDomain([(-1.0, 1.0)] * part.n)
     seed = draw(st.integers(0, 2**32 - 1))
-    if draw(st.booleans()):
-        mapping, _ = random_affine_contraction(part, spec, box, 0.7, rng=seed)
+    if draw(st.booleans()):  # one nonzero block per block row; its A and b as built
+        with mock.patch.object(engine, "affine_contraction", wraps=affine_contraction) as spy:
+            mapping, _ = random_affine_contraction(part, spec, box, 0.7, rng=seed)
+        a, b = spy.call_args.args[:2]
     else:  # every row dense
         rng = np.random.default_rng(seed)
-        a = rng.standard_normal((part.n, part.n)) / part.n
-        mapping = affine_contraction(a, rng.standard_normal(part.n), part, box, spec, 0.5)
+        a, b = rng.standard_normal((part.n, part.n)) / part.n, rng.standard_normal(part.n)
+        mapping = affine_contraction(a, b, part, box, spec, 0.5)
     scale = draw(st.sampled_from([1.0, 3.0]))  # inside the box, or mostly outside it
     x = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=part.n, max_size=part.n)))
-    return mapping, x
+    return mapping, x, (a, b)
 
 
 @given(_affine_maps(), st.data())
 def test_affine_blocks_equal_the_sliced_full_evaluation(case, data):
-    mapping, x = case
+    mapping, x, _ = case
     part = mapping.partition
     full = mapping.eval_full(x)
     shuffled = data.draw(st.permutations(range(part.num_blocks)))
@@ -467,6 +485,33 @@ def test_affine_blocks_equal_the_sliced_full_evaluation(case, data):
     for k in (*range(part.num_blocks), *mapping.sweep_groups, other):
         block = mapping.eval_block(k, x)
         assert block.tobytes() == full[part.block_index(k)].tobytes()
+
+
+@given(_affine_maps(), st.data())
+def test_affine_maps_follow_the_row_by_row_contract(case, data):
+    mapping, x, (a, b) = case
+    part = mapping.partition
+
+    def check(m, a, b, x):
+        raw = _row_by_row(a, b, x)
+        assert m.fn(x).tobytes() == raw.tobytes()
+        assert m.eval_full(x).tobytes() == np.clip(raw, -1.0, 1.0).tobytes()
+        return raw
+
+    check(mapping, a, b, x)
+    # The same map with an all-zero row, a row of -0.0 products and a 1e-300 entry.
+    zero, signed, tiny, col = (data.draw(st.integers(0, part.n - 1)) for _ in range(4))
+    a, b, x = a.copy(), b.copy(), x.copy()
+    a[tiny, col] = 1e-300
+    a[zero] = 0.0
+    if signed != zero:
+        cols = np.flatnonzero(a[signed])
+        x[cols] = np.copysign(0.0, -a[signed, cols])
+        b[signed] = -0.0
+    raw = check(affine_contraction(a, b, part, mapping.domain, mapping.norm, 0.5), a, b, x)
+    assert raw[zero].tobytes() == b[zero].tobytes()  # +0.0 + b[r] is b[r]
+    if signed != zero:
+        assert raw[signed].tobytes() == np.float64(0.0).tobytes()  # +0.0 + -0.0 is +0.0
 
 
 @pytest.mark.parametrize("game_id", [0, 1, 2, 3])
@@ -765,8 +810,8 @@ def _sparse_affine_runs(draw):
     a /= part.n
     spec = uniform_wmax_spec(part)
     box = BoxDomain([(-1.0, 1.0)] * part.n)
-    # b has no zero entry, so a row's exact-zero sum, whose sign grouping may flip, never shows
-    b = rng.uniform(0.1, 0.5, part.n) * rng.choice([-1.0, 1.0], part.n)
+    # Some entries of b are exactly zero, so a row's exact-zero sum and its sign show.
+    b = rng.uniform(0.1, 0.5, part.n) * rng.choice([-1.0, 0.0, 1.0], part.n)
     mapping = affine_contraction(a, b, part, box, spec, 0.5)
     if draw(st.booleans()):  # block updates slice a full evaluation
         mapping = BlockMapping(mapping.fn, part, box, spec, 0.5, block_reads=mapping.block_reads)
@@ -794,7 +839,7 @@ def _sparse_affine_runs(draw):
 
 
 def _block_by_block(part, affine, quantizers, x, steps, scheme):
-    """Each block alone, from the clamped row-by-row A x + b, through its own quantizer.
+    """Each block alone, from the clamped `_row_by_row` A x + b, through its own quantizer.
 
     Jacobi blocks read x(t); Gauss-Seidel and sequential blocks read the new
     iterate, whose earlier blocks already hold their quantized values.
@@ -808,7 +853,7 @@ def _block_by_block(part, affine, quantizers, x, steps, scheme):
         for k in (t % part.num_blocks,) if scheme == Scheme.SEQUENTIAL else range(part.num_blocks):
             sl = part.block_slice(k)
             at = x if scheme == Scheme.JACOBI else y
-            raw = np.clip((a[:, None, :] @ at)[:, 0] + b, -1.0, 1.0)[sl]
+            raw = np.clip(_row_by_row(a, b, at), -1.0, 1.0)[sl]
             q = raw if bank is None else bank.blocks[k].quantize(raw)
             e[sl] = q - raw
             y[sl] = q
@@ -893,27 +938,36 @@ def test_a_run_builds_each_group_quantizer_once(monkeypatch):
 
 
 def test_affine_map_holds_its_rows_once():
+    """A map holds A's nonzero entries, not its dense rows: O(nnz) bytes, not O(n^2)."""
     part = BlockPartition([4] * 64)
     box = BoxDomain([(-1.0, 1.0)] * part.n)
     spec = uniform_wmax_spec(part)
     x0 = np.zeros(part.n)
     matrix_bytes = part.n * part.n * 8
-    tracemalloc.start()
-    try:
-        mapping, _ = random_affine_contraction(part, spec, box, 0.5, rng=4)
+
+    def build_and_run(seed):
+        mapping = random_affine_contraction(part, spec, box, 0.5, rng=seed)[0]
         run_iteration(mapping, None, x0, 2, Scheme.GAUSS_SEIDEL)  # every sweep group evaluated
         run_iteration(mapping, None, x0, 2, Scheme.JACOBI)
+        return mapping
+
+    build_and_run(3)  # lazy imports and module caches fill outside the measurement
+    tracemalloc.start()
+    try:
+        mapping = build_and_run(4)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert matrix_bytes <= held < 1.5 * matrix_bytes  # A's rows, and no second copy of them
+    assert held < matrix_bytes / 8  # 256 entries, b, the sweep groups' entries and bounds
     store = mapping.fn_block.__self__
+    assert store.val.size == part.n
     assert any(isinstance(g, tuple) for g in mapping.sweep_groups)
-    for blocks in (*range(part.num_blocks), *mapping.sweep_groups):
-        rows = store.rows_of(blocks)
-        assert isinstance(rows, slice)
-        assert np.shares_memory(store._mats[rows], store.rows)
-    assert not isinstance(store.rows_of((1, 0)), slice)  # a tuple outside the sweep gathers
+    x = np.linspace(-1.0, 1.0, part.n)
+    full = mapping.eval_full(x)
+    for blocks in (*range(part.num_blocks), *mapping.sweep_groups, (1, 0)):
+        assert mapping.eval_block(blocks, x).tobytes() == full[part.block_index(blocks)].tobytes()
+    # every block and sweep group keeps its entries; a tuple outside the sweep gathers anew
+    assert set(store._groups) == {*range(part.num_blocks), *mapping.sweep_groups}
 
 
 @given(st.integers(1, 9), st.integers(0, 2**16))
@@ -944,6 +998,47 @@ def test_block_pattern_comes_from_the_exact_zero_blocks():
     assert mapping.sweep_groups == ((0, 1), 2)
     with pytest.raises(ValueError, match="block_reads has shape"):
         BlockMapping(mapping.fn, part, box, mapping.norm, 0.5, block_reads=np.ones((2, 2)))
+
+
+def test_affine_values_depend_on_no_blas():
+    # A signed permutation block, dense blocks whose sums round by order, and a zero row.
+    part = BlockPartition([2, 3, 1])
+    a = np.zeros((6, 6))
+    a[0, 3], a[1, 2] = 0.5, -0.5
+    a[2:5, :5] = [
+        [0.1, 0.2, 0.3, -0.1, 0.2], [-0.3, 0.7, 0.1, 0.1, 0.1], [0.6, 0.1, -0.2, 0.3, 0.3]
+    ]
+    b = np.array([0.1, 0.2, 0.3, -0.4, 0.05, 0.25])
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    mapping = affine_contraction(a, b, part, box, uniform_wmax_spec(part), 0.5)
+    x = np.array([0.3, -0.7, 1 / 3, 0.9, -0.2, 0.6])
+    # Rows 2 and 3 are added left to right; a BLAS product may give ...147bp-3 and ...740dp-1.
+    expected = [
+        "0x1.199999999999ap-1", "0x1.1111111111114p-5", "0x1.47ae147ae147ap-3",
+        "-0x1.c0da740da740ep-1", "0x1.369d0369d036ap-2", "0x1.0000000000000p-2",
+    ]
+    assert [float(v).hex() for v in mapping.eval_full(x)] == expected
+    for blocks in (0, 1, 2, (2, 0), (1, 2)):
+        rows = np.arange(part.n)[part.block_index(blocks)]
+        got = [float(v).hex() for v in mapping.eval_block(blocks, x)]
+        assert got == [expected[r] for r in rows]
+
+
+@pytest.mark.parametrize(
+    "a, b, match",
+    [
+        (0.5 * np.eye(5), np.zeros(4), r"A has shape \(5, 5\), expected \(4, 4\)"),
+        (0.5 * np.eye(4), np.zeros(3), r"b has shape \(3,\), expected \(4,\)"),
+        (np.diag([0.5, np.inf, 0.5, 0.5]), np.zeros(4), "A has non-finite entries"),
+        (0.5 * np.eye(4), np.array([0.0, np.nan, 0.0, 0.0]), "b has non-finite entries"),
+    ],
+    ids=["A-shape", "b-shape", "A-inf", "b-nan"],
+)
+def test_affine_contraction_refuses_malformed_input(a, b, match):
+    part = BlockPartition([2, 2])
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    with pytest.raises(ValueError, match=match):
+        affine_contraction(a, b, part, box, uniform_wmax_spec(part), 0.5)
 
 
 def test_grouped_block_evaluation_checks_its_shape():
