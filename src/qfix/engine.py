@@ -18,8 +18,11 @@ coordinates, size and box bounds, and the run looks up each distinct
 bank's quantizer for each group once.  `affine_contraction` keeps only
 A's nonzero entries and b: a row is the left-to-right sum of its
 entries' products, and each block and sweep group keeps its own rows'
-entries, so a node's update reads only the nodes it depends on.  The
-loop records the actual quantization residuals e(t), and the module
+entries, so a node's update reads only the nodes it depends on.  Maps
+and quantizers are deterministic, so a step from an iterate, bank and
+tick phase that an earlier step of the run had repeats it bit for bit:
+the run serves it from that step and computes nothing.  The loop
+records the actual quantization residuals e(t), and the module
 evaluates the matching accumulated / worst-case convergence-error
 bounds.  The totally asynchronous scheme is supported only through its
 bound constants, not as a scheduler.
@@ -68,6 +71,8 @@ class QuantizerBank:
     `fuse(quantizers, sizes)`: one quantizer for several blocks of the given
     sizes, their values concatenated, or None when it cannot take them.
     A bank of one such type quantizes a group of blocks in one call.
+    Every quantizer is a deterministic function of its input: a run
+    serves a step that repeats an earlier one from it (`run_iteration`).
     """
 
     blocks: tuple
@@ -215,7 +220,9 @@ class BlockMapping:
     block_reads[k, j].  A mapping that declares it must also take a tuple
     of blocks in `fn_block` (their values concatenated, in that order),
     since a Gauss-Seidel sweep then evaluates blocks that read none of
-    each other's new values in one call.
+    each other's new values in one call.  `fn` and `fn_block` are
+    deterministic functions of their input: a run serves a step that
+    repeats an earlier one from it (`run_iteration`).
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -297,6 +304,7 @@ class Trajectory:
     dist_to_ref: Optional[np.ndarray] = None  # (steps+1,) when a reference was given
     reference: Optional[np.ndarray] = None
     dist_norm: Optional[tuple] = field(default=None, init=False, repr=False)  # (partition, norm)
+    repeated_steps: int = field(default=0, init=False)  # steps served from an earlier step
 
     def __post_init__(self):
         if self.iterates.shape[0] != self.errors.shape[0] + 1:
@@ -376,6 +384,12 @@ def run_iteration(
     `sweep_groups` in turn, each with one evaluation and one bank pass.
     With quantizers=None the dynamics reduce to the exact iteration and
     e(t) = 0.
+
+    A step depends only on x(t), its bank and, for sequential ticks, its
+    phase t mod K.  So a step whose (x(t)'s bytes, bank object, phase)
+    an earlier step a had copies x(a+1) and e(a) and evaluates nothing;
+    the bytes are compared, so -0.0 and +0.0 differ and a hash collision
+    cannot pass.  `Trajectory.repeated_steps` counts these steps.
     """
     if scheme == Scheme.ASYNC_BOUND_ONLY:
         raise ValueError(
@@ -405,7 +419,16 @@ def run_iteration(
         groups = mapping.sweep_groups
     records = [mapping._update_group(blocks) for blocks in groups]
     plans = {}  # id(bank) -> (group record, its quantizer) per group, resolved once per run
+    period = K if scheme == Scheme.SEQUENTIAL else 1
+    first = {}  # (hash of x(t)'s bytes, id(bank), t mod period) -> the first step t with that key
+    repeated = 0
     for t, bank in enumerate(banks):
+        state = iterates[t].tobytes()
+        a = first.setdefault((hash(state), id(bank), t % period), t)
+        if a != t and iterates[a].tobytes() == state:  # step t repeats step a bit for bit
+            iterates[t + 1], errors[t] = iterates[a + 1], errors[a]
+            repeated += 1
+            continue
         plan = plans.get(id(bank))
         if plan is None:
             qs = [None] * len(records) if bank is None else bank.group_quantizers(part, groups)
@@ -428,6 +451,7 @@ def run_iteration(
             y[group.index] = q
 
     traj = Trajectory(iterates, errors, _row_norms(mapping, errors), scheme)
+    traj.repeated_steps = repeated
     if reference is not None:
         traj.reference = np.asarray(reference, dtype=float)
         traj.dist_to_ref = _distances(mapping, iterates, traj.reference)

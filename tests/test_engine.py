@@ -838,13 +838,13 @@ def _sparse_affine_runs(draw):
     return mapping, pattern, (a, b), quantizers, x0, steps
 
 
-def _block_by_block(part, affine, quantizers, x, steps, scheme):
-    """Each block alone, from the clamped `_row_by_row` A x + b, through its own quantizer.
+def _block_by_block(part, raw_map, quantizers, x, steps, scheme):
+    """Each block alone, from the clamped full map `raw_map`, through its own quantizer.
 
     Jacobi blocks read x(t); Gauss-Seidel and sequential blocks read the new
     iterate, whose earlier blocks already hold their quantized values.
+    Every step is computed, repeated or not.
     """
-    a, b = affine
     banks = quantizers if isinstance(quantizers, list) else [quantizers] * steps
     iterates, errors = [x], []
     for t, bank in enumerate(banks):
@@ -853,7 +853,7 @@ def _block_by_block(part, affine, quantizers, x, steps, scheme):
         for k in (t % part.num_blocks,) if scheme == Scheme.SEQUENTIAL else range(part.num_blocks):
             sl = part.block_slice(k)
             at = x if scheme == Scheme.JACOBI else y
-            raw = np.clip(_row_by_row(a, b, at), -1.0, 1.0)[sl]
+            raw = raw_map(at)[sl]
             q = raw if bank is None else bank.blocks[k].quantize(raw)
             e[sl] = q - raw
             y[sl] = q
@@ -863,19 +863,43 @@ def _block_by_block(part, affine, quantizers, x, steps, scheme):
     return np.array(iterates), np.array(errors)
 
 
-def _with_counted_blocks(mapping):
-    """The mapping with its block pattern kept and every fn_block call recorded."""
+def _clamped_affine(affine):
+    a, b = affine
+    return lambda x: np.clip(_row_by_row(a, b, x), -1.0, 1.0)
+
+
+def _with_counted_evaluations(mapping):
+    """The mapping with its block pattern kept and every evaluation recorded.
+
+    An fn call records None, an fn_block call its blocks.
+    """
     calls = []
+
+    def fn(x):
+        calls.append(None)
+        return mapping.fn(x)
 
     def fn_block(k, x):
         calls.append(k)
         return mapping.fn_block(k, x)
 
     counted = BlockMapping(
-        mapping.fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus,
-        fn_block=fn_block, block_reads=mapping.block_reads,
+        fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus,
+        fn_block=None if mapping.fn_block is None else fn_block, block_reads=mapping.block_reads,
     )
     return counted, calls
+
+
+def _new_keys(iterates, quantizers, scheme, K):
+    """How many steps of a run start from a (state's bytes, bank, phase) no earlier step had.
+
+    The phase is t mod K for sequential ticks and 0 otherwise; the rest
+    repeat an earlier step bit for bit and are served from it.
+    """
+    steps = len(iterates) - 1
+    banks = quantizers if isinstance(quantizers, list) else [quantizers] * steps
+    period = K if scheme == Scheme.SEQUENTIAL else 1
+    return len({(iterates[t].tobytes(), id(bank), t % period) for t, bank in enumerate(banks)})
 
 
 @given(_sparse_affine_runs())
@@ -898,18 +922,141 @@ def test_runs_equal_the_block_by_block_loop(case):
                 assert group_of[k] > group_of[j]
             if reads[j, k]:  # an earlier block reads k's old value
                 assert group_of[k] >= group_of[j]
+    raw_map, iterates_of = _clamped_affine(affine), {}
     for scheme in (Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL):
         traj = run_iteration(mapping, quantizers, x0, steps, scheme)
-        iterates, errors = _block_by_block(part, affine, quantizers, x0, steps, scheme)
+        iterates, errors = _block_by_block(part, raw_map, quantizers, x0, steps, scheme)
+        iterates_of[scheme] = iterates
         assert traj.iterates.tobytes() == iterates.tobytes()
         assert traj.errors.tobytes() == errors.tobytes()
         assert traj.error_norms.tobytes() == np.array(
             [block_norm(e, part, mapping.norm) for e in errors]
         ).tobytes()
     if mapping.fn_block is not None:
-        counted, calls = _with_counted_blocks(mapping)
+        counted, calls = _with_counted_evaluations(mapping)
         run_iteration(counted, quantizers, x0, steps, Scheme.GAUSS_SEIDEL)
-        assert calls == list(groups) * steps
+        # Every sweep from a new (x(t), bank) evaluates each group once, in order;
+        # a sweep that repeats an earlier one evaluates nothing.
+        sweeps = _new_keys(iterates_of[Scheme.GAUSS_SEIDEL], quantizers, Scheme.GAUSS_SEIDEL, K)
+        assert calls == list(groups) * sweeps
+
+
+# ---------------------------------------------------------------------------
+# Repeated steps
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _orbit_runs(draw):
+    """A small map under coarse banks (0 to 2 bits), whose runs soon close an orbit.
+
+    The map is a block-sparse affine one with small entries, or a signed
+    one that flips some rows' signs and adds a step where a coordinate's
+    sign bit is set, so that a state and its copy with a zero of the other
+    sign have different successors.  Schedules revisit a state under
+    another bank ([A] * m + [B] + [A] * m) or draw each step's bank.
+    Returns the mapping, its clamped full map, the banks, x(0) and the
+    step count.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    part = BlockPartition(sizes)
+    n = part.n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = _block_pattern(draw(st.sampled_from(_PATTERNS)), part.num_blocks, rng)
+    mask = np.repeat(np.repeat(pattern, sizes, 0), sizes, 1)
+    a = rng.standard_normal((n, n)) * mask * draw(st.sampled_from([0.1, 0.3])) / n
+    b = rng.uniform(0.1, 0.5, n) * rng.choice([-1.0, 0.0, 1.0], n)
+    spec = uniform_wmax_spec(part)
+    box = BoxDomain([(-1.0, 1.0)] * n)
+    if draw(st.booleans()):
+        flip, kick = rng.choice([-1.0, 1.0], n), rng.uniform(0.1, 0.5, n)
+        b = b if draw(st.booleans()) else np.zeros(n)  # zero rows at x = 0 give signed zeros
+
+        def fn(x):
+            return flip * (_row_by_row(a, b, x) + kick * np.signbit(x))
+
+        mapping = BlockMapping(fn, part, box, spec, 0.5)
+        raw_map = lambda x: np.clip(fn(x), -1.0, 1.0)  # noqa: E731
+    else:
+        mapping = affine_contraction(a, b, part, box, spec, 0.5)
+        raw_map = _clamped_affine((a, b))
+
+    def bank():
+        sq = make_sq_bank(part, box, rng.integers(0, 3, n))
+        if draw(st.booleans()):
+            return sq
+        return QuantizerBank(IdentityQuantizer() if rng.random() < 0.5 else q for q in sq.blocks)
+
+    family = draw(st.sampled_from(["none", "flat", "revisit", "drawn"]))
+    if family == "none":
+        steps = draw(st.integers(1, 12))
+        quantizers = None
+    elif family == "flat":
+        steps = draw(st.integers(1, 12))
+        quantizers = bank()
+    elif family == "revisit":
+        A, B, m = bank(), bank(), draw(st.integers(1, 5))
+        steps = 2 * m + 1
+        quantizers = [A] * m + [B] + [A] * m
+    else:
+        pool = [bank(), bank(), None]
+        picks = draw(st.lists(st.integers(0, 2), min_size=1, max_size=12))
+        steps = len(picks)
+        quantizers = [pool[i] for i in picks]
+    x0 = draw(st.sampled_from([rng.uniform(-1.0, 1.0, n), np.zeros(n), np.full(n, -0.0)]))
+    return mapping, raw_map, quantizers, x0, steps
+
+
+@settings(max_examples=300)
+@given(_orbit_runs(), st.booleans())
+def test_repeated_steps_equal_the_block_by_block_loop(case, collide):
+    mapping, raw_map, quantizers, x0, steps = case
+    part = mapping.partition
+    K = part.num_blocks
+    for scheme in (Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL):
+        counted, calls = _with_counted_evaluations(mapping)
+        with pytest.MonkeyPatch.context() as mp:
+            if collide:  # every state hashes alike: only the bytes check tells states apart
+                mp.setattr(engine, "hash", lambda state: 0, raising=False)
+            traj = run_iteration(counted, quantizers, x0, steps, scheme)
+        iterates, errors = _block_by_block(part, raw_map, quantizers, x0, steps, scheme)
+        assert traj.iterates.tobytes() == iterates.tobytes()
+        assert traj.errors.tobytes() == errors.tobytes()
+        assert traj.error_norms.tobytes() == np.array(
+            [block_norm(e, part, mapping.norm) for e in errors]
+        ).tobytes()
+        per_step = len(mapping.sweep_groups) if scheme == Scheme.GAUSS_SEIDEL else 1
+        evaluated = steps - traj.repeated_steps
+        assert len(calls) == per_step * evaluated
+        if not collide:
+            assert evaluated == _new_keys(iterates, quantizers, scheme, K)
+
+
+def test_a_state_differing_only_in_a_zero_sign_is_not_a_repeat():
+    part = BlockPartition([1, 1])
+    box = BoxDomain([(-1.0, 1.0)] * 2)
+
+    def fn(x):
+        return np.array([-0.5 * x[0], 0.25 if np.signbit(x[0]) else 0.5])
+
+    mapping = BlockMapping(fn, part, box, uniform_wmax_spec(part), 0.5)
+    x0 = np.array([0.0, 0.5])
+    expected = [x0]
+    for _ in range(6):
+        expected.append(mapping.eval_full(expected[-1]))
+    expected = np.array(expected)
+    # x(1) = (-0.0, 0.5) equals x(0) but for its zero's sign, and its successor differs;
+    # x(3) = x(1) and x(4) = x(2) do repeat, bit for bit.
+    assert np.array_equal(expected[1], expected[0])
+    assert expected[1].tobytes() != expected[0].tobytes()
+    assert expected[2].tobytes() != expected[1].tobytes()
+    for collide, repeated in ((False, 3), (True, 0)):
+        with pytest.MonkeyPatch.context() as mp:
+            if collide:  # every state hashes alike: x(1) finds x(0)'s step, and must not take it
+                mp.setattr(engine, "hash", lambda state: 0, raising=False)
+            traj = run_iteration(mapping, None, x0, 6, Scheme.JACOBI)
+        assert traj.iterates.tobytes() == expected.tobytes()
+        assert traj.errors.tobytes() == np.zeros((6, 2)).tobytes()
+        assert traj.repeated_steps == repeated
 
 
 def test_a_run_builds_each_group_quantizer_once(monkeypatch):

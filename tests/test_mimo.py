@@ -372,11 +372,21 @@ def test_a_quantized_jacobi_step_projects_once(monkeypatch):
         shapes.append(np.shape(P))
         return project(P, budget)
 
+    mapping = game_mapping(channels, 0.5)
+    banks = _feasible_banks(game)
+    # The plain loop's states: a step from a state an earlier step started from repeats it.
+    new_states = []
+    for bank in banks:
+        x, states = profile_to_vec(uniform_profile(game)), set()
+        for _ in range(5):
+            states.add(x.tobytes())
+            x = bank.quantize_full(mapping.eval_full(x), mapping.partition)
+        new_states.append(len(states))
     monkeypatch.setattr(mimo, "project_feasible", counting)
-    for bank in _feasible_banks(game):
+    for bank, evaluated in zip(banks, new_states):
         shapes.clear()
         iwfa_run(channels, quantizers=bank, steps=5, modulus=0.5)
-        assert shapes == [(2, 2, 2)] * 5
+        assert shapes == [(2, 2, 2)] * evaluated
 
 
 def test_projected_bound_is_inner_l2_bound():
