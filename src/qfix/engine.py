@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -58,7 +59,21 @@ class IdentityQuantizer:
         return 0.0
 
 
-_FUSED_PER_BANK = 256  # a bank keeps max(this, K) fused group quantizers for K blocks
+_FUSED_PER_BANK = 256  # a bank keeps max(this, K) group quantizers for K blocks
+
+
+def group_quantizer(quantizers: Sequence, sizes: Sequence):
+    """One quantizer for blocks of these sizes, their values concatenated in order.
+
+    The type's `fuse(quantizers, sizes)` when every quantizer has one type
+    that has `fuse` and it takes the group; otherwise a block-by-block loop.
+    """
+    kind = type(quantizers[0])
+    if hasattr(kind, "fuse") and all(type(q) is kind for q in quantizers):
+        fused = kind.fuse(quantizers, sizes)
+        if fused is not None:
+            return fused
+    return _BlockLoop(quantizers, sizes)
 
 
 @dataclass(frozen=True)
@@ -70,53 +85,41 @@ class QuantizerBank:
     block's component norm.  A quantizer type may also offer
     `fuse(quantizers, sizes)`: one quantizer for several blocks of the given
     sizes, their values concatenated, or None when it cannot take them.
-    A bank of one such type quantizes a group of blocks in one call.
-    Every quantizer is a deterministic function of its input: a run
-    serves a step that repeats an earlier one from it (`run_iteration`).
+    A bank of one such type quantizes a group of blocks in one call
+    (`group_quantizer`).  Every quantizer is a deterministic function of
+    its input: a run serves a step that repeats an earlier one from it
+    (`run_iteration`).
     """
 
     blocks: tuple
 
     def __init__(self, blocks: Sequence):
         object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "_groups", {})  # (block sizes, blocks) -> group quantizer
 
     def _check_blocks(self, part: BlockPartition) -> None:
         if len(self.blocks) != part.num_blocks:
             raise ValueError(f"{len(self.blocks)} quantizers for {part.num_blocks} blocks")
 
-    @cached_property
-    def _fused(self) -> Optional[dict]:
-        """Fused group quantizers by (block sizes, blocks) when the bank's quantizers fuse.
-
-        None unless every block quantizer has one type, and that type has
-        `fuse(quantizers, sizes)`.  One mapping's groups (at most K / 2 + 1) all fit.
-        """
-        kinds = {type(q) for q in self.blocks}
-        if len(kinds) != 1 or not hasattr(next(iter(kinds)), "fuse"):
-            return None
-        return {}
-
     def _group_quantizer(self, part: BlockPartition, blocks):
         """One quantizer for `blocks` (one block k, a tuple of blocks or None for all).
 
-        Block k's own quantizer; for a group, the bank's fused quantizer of
-        its blocks, built once per bank and group, or else a loop over the
-        blocks' quantizers.
+        Block k's own quantizer; for a group, its `group_quantizer`, built
+        once per bank and group.  One mapping's groups (at most K / 2 + 1)
+        all fit.
         """
         if blocks is not None and not isinstance(blocks, tuple):
             return self.blocks[blocks]
-        ks = range(part.num_blocks) if blocks is None else blocks
-        qs = [self.blocks[k] for k in ks]
-        sizes = [part.block_sizes[k] for k in ks]
-        if self._fused is None:
-            return _BlockLoop(qs, sizes)
         key = (part.block_sizes, blocks)
-        if key not in self._fused:
-            if len(self._fused) >= max(_FUSED_PER_BANK, len(self.blocks)):
-                self._fused.clear()  # a bank outlives many mappings' groups
-            self._fused[key] = type(qs[0]).fuse(qs, sizes)
-        fused = self._fused[key]
-        return _BlockLoop(qs, sizes) if fused is None else fused
+        quantizer = self._groups.get(key)
+        if quantizer is None:
+            if len(self._groups) >= max(_FUSED_PER_BANK, len(self.blocks)):
+                self._groups.clear()  # a bank outlives many mappings' groups
+            ks = range(part.num_blocks) if blocks is None else blocks
+            quantizer = self._groups[key] = group_quantizer(
+                [self.blocks[k] for k in ks], [part.block_sizes[k] for k in ks]
+            )
+        return quantizer
 
     def group_quantizers(self, part: BlockPartition, groups) -> list:
         """One quantizer per group of blocks in `groups`, each taking the group's values.
@@ -346,7 +349,7 @@ class Trajectory:
             ]
             lines.append(",".join(row))
         text = "\n".join(lines) + "\n"
-        if isinstance(target, (str, bytes)):
+        if isinstance(target, (str, bytes, os.PathLike)):
             with open(target, "w") as fh:
                 fh.write(text)
         else:
@@ -459,24 +462,26 @@ def run_iteration(
     return traj
 
 
-_DISTANCE_CHUNK = 1 << 18  # iterate entries per block_norms call (2 MiB of float64)
+_DISTANCE_CHUNK = 1 << 18  # entries per stacked pass over a run's rows (2 MiB of float64)
+
+
+def _row_chunks(rows: np.ndarray) -> list:
+    """A 2-D array's rows in order, in chunks of one row or more of about _DISTANCE_CHUNK entries.
+
+    A stacked pass per chunk keeps its temporaries bounded however long the run is.
+    """
+    step = max(1, _DISTANCE_CHUNK // rows.shape[1])
+    return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
 def _row_norms(mapping: BlockMapping, rows: np.ndarray, ref=0.0) -> np.ndarray:
     """||x - ref|| in the mapping's block norm, for every row x of `rows`.
 
-    Rows go through `block_norms` in chunks of about _DISTANCE_CHUNK
-    entries, so its temporaries stay bounded however long the run is; each
-    row's norm equals `block_norm` of that row alone, bit for bit.
+    One `block_norms` call per `_row_chunks` chunk; each row's norm equals
+    `block_norm` of that row alone, bit for bit.
     """
-    rows = np.asarray(rows)
-    step = max(1, _DISTANCE_CHUNK // mapping.partition.n)
-    return np.concatenate(
-        [
-            block_norms(rows[i : i + step] - ref, mapping.partition, mapping.norm)
-            for i in range(0, len(rows), step)
-        ]
-    )
+    part, spec = mapping.partition, mapping.norm
+    return np.concatenate([block_norms(chunk - ref, part, spec) for chunk in _row_chunks(rows)])
 
 
 def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:

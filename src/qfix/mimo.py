@@ -19,12 +19,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .engine import (
-    _DISTANCE_CHUNK,
     BankOrSchedule,
     BlockMapping,
     QuantizerBank,
     Scheme,
     Trajectory,
+    _row_chunks,
+    group_quantizer,
     reference_fixed_point,
     run_iteration,
 )
@@ -404,26 +405,33 @@ def project_feasible(P: np.ndarray, budget) -> np.ndarray:
 
 
 class ProjectedBlockQuantizer:
-    """Quantize a vectorized covariance, then restore PSD/trace feasibility.
+    """Quantize vectorized covariances, then restore PSD/trace feasibility.
 
+    `budget` is one trace budget per N x N block of the input (a number:
+    one block).  `inner` quantizes the input, then one `project_feasible`
+    call projects the (m, N, N) stack, each matrix onto its own budget
+    bit for bit as when projected alone.
     Decoded points are generally slightly infeasible; projecting them back
     onto the strategy set is nonexpansive, so the end-to-end error of
     quantize-then-project never exceeds the inner quantizer's worst case
     (the map input is itself feasible and hence a projection fixed point).
     """
 
-    def __init__(self, inner, budget: float):
+    def __init__(self, inner, budget):
         self.inner = inner
-        self.budget = float(budget)
+        self.budgets = np.array(budget, dtype=float).reshape(-1)
 
     def quantize(self, v: np.ndarray) -> np.ndarray:
-        q = self.inner.quantize(np.asarray(v, dtype=float))
-        return mat_to_vec(project_feasible(vec_to_mat(q), self.budget))
+        q = self.inner.quantize(np.asarray(v, dtype=float)).reshape(self.budgets.size, -1)
+        return mat_to_vec(project_feasible(vec_to_mat(q), self.budgets)).ravel()
 
     @staticmethod
-    def fuse(quantizers, sizes) -> Optional["_ProjectedGroup"]:
-        """Blocks of one size as one quantizer with one stacked projection; None otherwise."""
-        return _ProjectedGroup(quantizers, sizes[0]) if len(set(sizes)) == 1 else None
+    def fuse(quantizers, sizes) -> Optional["ProjectedBlockQuantizer"]:
+        """Quantizers of N x N blocks of one N as one, over their inners' group; None otherwise."""
+        if len({size / q.budgets.size for q, size in zip(quantizers, sizes)}) != 1:
+            return None
+        inner = group_quantizer([q.inner for q in quantizers], sizes)
+        return ProjectedBlockQuantizer(inner, np.concatenate([q.budgets for q in quantizers]))
 
     def worst_case_block_error(self, norm) -> float:
         """The inner quantizer's Frobenius (L2) bound, valid for L_p with p >= 2.
@@ -436,26 +444,6 @@ class ProjectedBlockQuantizer:
                 "the feasibility projection bounds the error only in L_p block norms with p >= 2"
             )
         return self.inner.worst_case_block_error(Lp(2.0))
-
-
-class _ProjectedGroup:
-    """Projected quantizers of equal-size blocks, their values concatenated.
-
-    Each block goes through its inner quantizer (one pass for a scalar
-    group), then one `project_feasible` call projects the whole (K, N, N)
-    stack, each matrix onto its own budget.  The stacked kernels treat each
-    member as they treat one matrix, so the result equals the per-block
-    quantize-then-project bit for bit.
-    """
-
-    def __init__(self, quantizers, size: int):
-        self.inner = QuantizerBank([q.inner for q in quantizers])
-        self.part = BlockPartition([size] * len(quantizers))
-        self.budgets = np.array([q.budget for q in quantizers])
-
-    def quantize(self, v: np.ndarray) -> np.ndarray:
-        q = self.inner.quantize_full(v, self.part).reshape(self.part.num_blocks, -1)
-        return mat_to_vec(project_feasible(vec_to_mat(q), self.budgets)).ravel()
 
 
 def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
@@ -552,10 +540,8 @@ class IwfaResult:
     @cached_property
     def throughputs(self) -> np.ndarray:
         """(steps+1,) sum throughput per iterate, computed when first read in stacked chunks."""
-        X, game = self.trajectory.iterates, self.channels.game
-        rows = max(1, _DISTANCE_CHUNK // X.shape[1])
-        chunks = [_vec_to_stack(X[i : i + rows], game) for i in range(0, len(X), rows)]
-        return np.concatenate([sum_throughput(self.channels, P) for P in chunks])
+        ch, chunks = self.channels, _row_chunks(self.trajectory.iterates)
+        return np.concatenate([sum_throughput(ch, _vec_to_stack(X, ch.game)) for X in chunks])
 
 
 _MODE_SCHEMES = {"simultaneous": Scheme.JACOBI, "sequential": Scheme.SEQUENTIAL}

@@ -14,7 +14,6 @@ projection and the relaxed rate designs share.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -59,13 +58,16 @@ class BlockPartition:
 
         Every block (None) and block k (an int) give a slice; a tuple of
         blocks gives their coordinates in that order, as a read-only int
-        array built once per tuple.
+        array (the mapping's group records and the affine store keep the
+        groups a run updates).
         """
         if blocks is None:
             return slice(None)
-        if isinstance(blocks, tuple):
-            return _group_index(self.offsets, blocks)
-        return self.block_slice(blocks)
+        if not isinstance(blocks, tuple):
+            return self.block_slice(blocks)
+        idx = np.concatenate([np.arange(self.offsets[k], self.offsets[k + 1]) for k in blocks])
+        idx.flags.writeable = False
+        return idx
 
     def block_of(self, m: int) -> int:
         """Index of the block containing coordinate m."""
@@ -76,13 +78,6 @@ class BlockPartition:
     def split(self, x: np.ndarray) -> list[np.ndarray]:
         x = np.asarray(x)
         return [x[self.block_slice(k)] for k in range(self.num_blocks)]
-
-
-@functools.lru_cache(maxsize=1024)
-def _group_index(offsets: tuple, blocks: tuple) -> np.ndarray:
-    idx = np.concatenate([np.arange(offsets[k], offsets[k + 1]) for k in blocks])
-    idx.flags.writeable = False
-    return idx
 
 
 @dataclass(frozen=True)

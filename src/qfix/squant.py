@@ -29,8 +29,7 @@ class ScalarQuantizer:
             raise ValueError("interval endpoints must be finite")
         if self.hi < self.lo:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-        if self.bits < 0 or self.bits != int(self.bits):
-            raise ValueError(f"rate must be a nonnegative integer, got {self.bits}")
+        object.__setattr__(self, "bits", _rate(self.bits))
 
     @property
     def levels(self) -> int:
@@ -66,14 +65,19 @@ def sq_decode(q: ScalarQuantizer, i: int) -> float:
     return float(q._block._decode(i)[0])
 
 
+def _rate(bits) -> int:
+    """A rate as an int; ValueError unless it is a nonnegative integer (2.0 is, 1.5 is not)."""
+    if bits < 0 or bits != int(bits):
+        raise ValueError(f"rate must be a nonnegative integer, got {bits}")
+    return int(bits)
+
+
 def sq_worst_case_error(interval, bits: int) -> float:
     """|X| / 2^(L+1): the midpoint rule's worst error over the interval."""
     lo, hi = float(interval[0]), float(interval[1])
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if bits < 0:
-        raise ValueError(f"rate must be nonnegative, got {bits}")
-    return (hi - lo) / (2.0 * (1 << bits))
+    return (hi - lo) / (2.0 * (1 << _rate(bits)))
 
 
 @dataclass(frozen=True)

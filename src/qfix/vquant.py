@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from .norms import Lp
+from .squant import _rate
 
 _ENUM_GUARD = 5_000_000
 
@@ -131,8 +132,7 @@ def nearest_point_a_star(y, scale: float) -> np.ndarray:
 
 def vq_worst_case_error(box, n: int, bits: int) -> float:
     """Worst-case decode error of the scaled lattice over the box interior."""
-    if bits < 0:
-        raise ValueError(f"rate must be nonnegative, got {bits}")
+    bits = _rate(bits)
     lengths = _box_lengths(box)
     if len(lengths) != n:
         raise ValueError(f"box has {len(lengths)} intervals for dimension {n}")
@@ -155,13 +155,11 @@ class LatticeQuantizer:
         n = len(box)
         if n < 1:
             raise ValueError("empty box")
-        if bits < 0 or bits != int(bits):
-            raise ValueError(f"rate must be a nonnegative integer, got {bits}")
+        self.bits = _rate(bits)
         lengths = _box_lengths(box)
 
         self.n = n
         self.box = tuple(box)
-        self.bits = int(bits)
         self.scale = lattice_scale(lengths, self.bits)
         self.basis = embedding_basis(n)
         self._glue = glue_vectors(n)

@@ -400,7 +400,7 @@ def test_reference_fixed_point():
         reference_fixed_point(mapping, x0=np.array([1.0, 1.0]), max_steps=1, tol=1e-16)
 
 
-def test_trajectory_csv_export():
+def test_trajectory_csv_export(tmp_path):
     part = BlockPartition([1, 1])
     spec = uniform_wmax_spec(part)
     box = BoxDomain([(-1.0, 1.0)] * 2)
@@ -418,6 +418,11 @@ def test_trajectory_csv_export():
     buf2 = io.StringIO()
     traj.to_csv(buf2, mapping=mapping, x_star=x_star)
     assert buf2.getvalue() == buf.getvalue()
+    # a path, as an os.PathLike or a str, is written with the same bytes
+    traj.to_csv(tmp_path / "a.csv", mapping=mapping, x_star=x_star)
+    traj.to_csv(str(tmp_path / "b.csv"), mapping=mapping, x_star=x_star)
+    for name in ("a.csv", "b.csv"):
+        assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
 
 
 def test_uniform_allocation_helper():
@@ -736,6 +741,18 @@ def test_lattice_worst_case_block_error_bounds_the_realized_error(case):
 @given(_projected_blocks())
 def test_projected_worst_case_block_error_bounds_the_realized_error(case):
     _assert_bound_holds(case)
+
+
+@given(_projected_blocks())
+def test_a_one_block_projection_equals_the_matrix_projection(case):
+    """A one-block quantizer projects a (1, N, N) stack; it equals the (N, N) matrix alone."""
+    from qfix.mimo import mat_to_vec, project_feasible, vec_to_mat
+
+    quantizer, v, _ = case
+    matrix = vec_to_mat(quantizer.inner.quantize(v))
+    assert matrix.ndim == 2 and quantizer.budgets.shape == (1,)
+    expected = mat_to_vec(project_feasible(matrix, float(quantizer.budgets[0])))
+    assert quantizer.quantize(v).tobytes() == expected.tobytes()
 
 
 @given(_identity_blocks())

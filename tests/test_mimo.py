@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qfix import mimo
+from qfix import engine, mimo
 from qfix.engine import IdentityQuantizer, QuantizerBank, Scheme, bound_certificate
 from qfix.mimo import (
     ChannelSet,
@@ -360,6 +360,11 @@ def test_grouped_projection_equals_each_block_bit_for_bit(links, antennas, latti
         v = np.concatenate([x[part.block_slice(k)] for k in group])
         expected = np.concatenate([alone[k] for k in group])
         assert bank.quantize_blocks(v, part, group).tobytes() == expected.tobytes()
+        # the group is one projected quantizer: one stacked projection, not a block loop
+        for blocks in (group, None):
+            (quantizer,) = bank.group_quantizers(part, (blocks,))
+            assert isinstance(quantizer, ProjectedBlockQuantizer)
+            assert quantizer.budgets.tolist() == game.budgets[list(blocks or range(links))].tolist()
 
 
 def test_a_quantized_jacobi_step_projects_once(monkeypatch):
@@ -626,13 +631,22 @@ def test_stacked_modulus_equals_the_pairwise_loop(g):
 
 
 @pytest.mark.parametrize("mode", ["simultaneous", "sequential"])
-def test_run_throughputs_equal_each_iterate_alone(mode):
+def test_run_throughputs_equal_each_iterate_alone(monkeypatch, mode):
     game = paper_style_game(seed=2)
     ch = ChannelSet.generate(game)
-    res = iwfa_run(ch, mode=mode, steps=40, modulus=0.9)
-    alone = [sum_throughput(ch, vec_to_profile(x, game)) for x in res.trajectory.iterates]
-    assert all(isinstance(r, float) for r in alone)
-    assert res.throughputs.tobytes() == np.array(alone).tobytes()
+    stacked = []  # the profiles in each stacked pass
+    monkeypatch.setattr(
+        mimo, "sum_throughput", lambda c, P: stacked.append(len(P)) or sum_throughput(c, P)
+    )
+    # 8 entries a row: all 41 rows in one chunk, or 2 rows a chunk and 1 last
+    for chunk, rows in ((1 << 18, [41]), (20, [2] * 20 + [1])):
+        monkeypatch.setattr(engine, "_DISTANCE_CHUNK", chunk)
+        res = iwfa_run(ch, mode=mode, steps=40, modulus=0.9)
+        alone = [sum_throughput(ch, vec_to_profile(x, game)) for x in res.trajectory.iterates]
+        assert all(isinstance(r, float) for r in alone)
+        stacked.clear()
+        assert res.throughputs.tobytes() == np.array(alone).tobytes()
+        assert stacked == rows
 
 
 def _mat_to_vec_loop(P):

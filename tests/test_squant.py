@@ -18,6 +18,7 @@ def test_worst_case_error_formula():
     assert sq_worst_case_error((-1.0, 1.0), 0) == 1.0
     assert sq_worst_case_error((-1.0, 1.0), 1) == 0.5
     assert sq_worst_case_error((0.0, 8.0), 3) == 0.5
+    assert sq_worst_case_error((0.0, 8.0), 3.0) == 0.5  # an integral float rate is its int
     q = ScalarQuantizer(0.0, 1.0, 4)
     assert q.worst_case_error == 1.0 / 32.0
     assert q.levels == 16
@@ -78,7 +79,16 @@ def test_rejects_bad_inputs():
         ScalarQuantizer(1.0, 0.0, 2)
     with pytest.raises(ValueError):
         ScalarQuantizer(0.0, 1.0, -1)
-    q = ScalarQuantizer(0.0, 1.0, 2)
+    for bits in (1.5, -1):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ScalarQuantizer(0.0, 1.0, bits)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            sq_worst_case_error((0.0, 1.0), bits)
+    # An integral float rate is stored as its int, and the quantizer works.
+    q = ScalarQuantizer(0.0, 1.0, 2.0)
+    assert q.bits == 2 and type(q.bits) is int
+    assert (q.levels, q.quantize(0.3), q.worst_case_error) == (4, 0.375, 0.125)
+    assert q == ScalarQuantizer(0.0, 1.0, 2)
     with pytest.raises(ValueError):
         sq_encode(q, float("nan"))
     with pytest.raises(ValueError):

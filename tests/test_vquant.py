@@ -56,6 +56,7 @@ def test_worst_case_error_unit_square():
     e4 = vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 4)
     e5 = vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 5)
     assert e5 / e4 == pytest.approx(2 ** (-1 / 2), rel=1e-12)
+    assert vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 4.0) == e4  # an integral float rate
 
 
 @pytest.mark.parametrize(
@@ -196,7 +197,13 @@ def test_rejects_bad_inputs():
         LatticeQuantizer([(0.0, 0.0)], 3)
     with pytest.raises(ValueError):
         LatticeQuantizer([(0.0, 1.0)], -1)
-    q = LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 2)
+    for bits in (1.5, -1):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            LatticeQuantizer([(0.0, 1.0)], bits)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            vq_worst_case_error([(0.0, 1.0)], 1, bits)
+    q = LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 2.0)
+    assert q.bits == 2 and type(q.bits) is int
     with pytest.raises(ValueError):
         vq_encode(q, np.array([0.1, 0.2, 0.3]))
     with pytest.raises(ValueError):
