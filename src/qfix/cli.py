@@ -369,10 +369,8 @@ def _tradeoff_point(part, spec, box, alpha: float, banks, steps: int, maps: list
     """
     if isinstance(banks, list):
         e_bars = [b.worst_case_error(part, spec) for b in banks]
-    elif banks is not None:
-        e_bars = [banks.worst_case_error(part, spec)] * steps
     else:
-        e_bars = [0.0] * steps
+        e_bars = [banks.worst_case_error(part, spec)] * steps
     accumulated = float(engine.accumulated_error_series(alpha, e_bars, Scheme.JACOBI)[steps])
 
     x0 = np.asarray(box.lo) + 0.9 * box.lengths

@@ -22,15 +22,18 @@ entries, so a node's update reads only the nodes it depends on.  Maps
 and quantizers are deterministic, so a step from an iterate, bank and
 tick phase that an earlier step of the run had repeats it bit for bit:
 the run serves it from that step and computes nothing.  The loop
-records the actual quantization residuals e(t), and the module
-evaluates the matching accumulated / worst-case convergence-error
-bounds.  The totally asynchronous scheme is supported only through its
-bound constants, not as a scheduler.
+records the residuals e(t), and one formula bounds every run: sweeps of
+P steps (K sequential ticks, else 1) shrink the distance to x* by alpha,
+and a step's error passes through at most D updates of its sweep, a
+factor (1 - alpha^D) / (1 - alpha): D = 1 for Jacobi, K for Gauss-Seidel
+and sequential sweeps, inf for the asynchronous constant (bounds only,
+no scheduler) and t for the worst-case horizon sum.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -86,7 +89,8 @@ class QuantizerBank:
     `fuse(quantizers, sizes)`: one quantizer for several blocks of the given
     sizes, their values concatenated, or None when it cannot take them.
     A bank of one such type quantizes a group of blocks in one call
-    (`group_quantizer`).  Every quantizer is a deterministic function of
+    (`group_quantizer`).  Group quantizers only quantize: per-block bounds
+    come from `bank.blocks`.  Every quantizer is a deterministic function of
     its input: a run serves a step that repeats an earlier one from it
     (`run_iteration`).
     """
@@ -327,13 +331,11 @@ class Trajectory:
         (or a stored reference) are available.
         """
         ref = x_star if x_star is not None else self.reference
-        bounds = None
-        ok = None
+        bounds = ok = None
         dists = self.dist_to_ref
         if mapping is not None and ref is not None:
             cert = bound_certificate(self, mapping, ref)
-            bounds, ok = cert.bound, cert.ok
-            dists = cert.dist
+            bounds, ok, dists = cert.bound, cert.ok, cert.dist
 
         def fmt(v) -> str:
             return "" if v is None else repr(float(v))
@@ -489,21 +491,37 @@ def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> 
     return _row_norms(mapping, iterates, ref)
 
 
-def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:
+def _sweep(scheme: Scheme, num_blocks: Optional[int]) -> tuple:
+    """(P, D): a sweep is P steps, and a step's error passes through at most D of its updates.
+
+    Jacobi (1, 1), Gauss-Seidel (1, K), the asynchronous constant (1, inf)
+    and sequential runs (K, K): K ticks, one per block in turn, are one
+    Gauss-Seidel sweep.
+    """
     if scheme == Scheme.JACOBI:
-        return 1.0
-    if scheme == Scheme.GAUSS_SEIDEL:
-        if num_blocks is None:
-            raise ValueError("Gauss-Seidel bounds need the block count")
-        return (1.0 - alpha**num_blocks) / (1.0 - alpha)
+        return 1, 1
     if scheme == Scheme.ASYNC_BOUND_ONLY:
-        return 1.0 / (1.0 - alpha)
+        return 1, math.inf
+    if scheme != Scheme.GAUSS_SEIDEL and scheme != Scheme.SEQUENTIAL:
+        raise ValueError(f"unknown scheme {scheme}")
+    if num_blocks is None:
+        raise ValueError("Gauss-Seidel bounds need the block count")
+    return (num_blocks if scheme == Scheme.SEQUENTIAL else 1), num_blocks
+
+
+def _geometric(alpha: float, depth: Union[int, float]) -> float:
+    """(1 - alpha^D) / (1 - alpha), the sum of alpha^i over i < D; 1 / (1 - alpha) at D = inf."""
+    return (1.0 - alpha**depth) / (1.0 - alpha)
+
+
+def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:
+    """`_geometric` at the depth of a scheme whose sweep is one step."""
     if scheme == Scheme.SEQUENTIAL:
         raise ValueError(
             "sequential runs have no per-tick closed-form error bound; "
             "bound_certificate certifies them sweep by sweep"
         )
-    raise ValueError(f"unknown scheme {scheme}")
+    return _geometric(alpha, _sweep(scheme, num_blocks)[1])
 
 
 def accumulated_error(
@@ -532,13 +550,8 @@ def accumulated_error_series(
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     norms = np.asarray(error_norms, dtype=float)
-    factor = _scheme_factor(alpha, scheme, num_blocks)
-    out = np.zeros(norms.size + 1)
-    acc = 0.0
-    for t in range(norms.size):
-        acc = alpha * acc + norms[t]
-        out[t + 1] = factor * acc
-    return out
+    S = itertools.accumulate(norms.tolist(), lambda s, e: alpha * s + e, initial=0.0)
+    return _scheme_factor(alpha, scheme, num_blocks) * np.fromiter(S, float, norms.size + 1)
 
 
 def worst_case_error_bound(
@@ -548,13 +561,12 @@ def worst_case_error_bound(
     scheme: Scheme = Scheme.JACOBI,
     num_blocks: Optional[int] = None,
 ) -> float:
-    """Worst-case bound E-bar(t) (t = inf for the limiting bound)."""
+    """Worst-case bound E-bar(t), its horizon sum `_geometric` at depth t (inf: the limit)."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if e_bar_norm < 0:
         raise ValueError("worst-case single-step error must be nonnegative")
-    geo = 1.0 / (1.0 - alpha) if math.isinf(t) else (1.0 - alpha**t) / (1.0 - alpha)
-    return geo * e_bar_norm * _scheme_factor(alpha, scheme, num_blocks)
+    return _geometric(alpha, t) * e_bar_norm * _scheme_factor(alpha, scheme, num_blocks)
 
 
 @dataclass(frozen=True)
@@ -568,42 +580,34 @@ class BoundCertificate:
 
 
 def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundCertificate:
-    """Check ||x(t)-x*|| <= bound(t) at every step.
+    """Check ||x(t)-x*|| <= bound(t) = alpha^s ||x(0)-x*|| + E(s) + spent(t) at every step.
 
-    Jacobi and Gauss-Seidel runs use bound(t) = alpha^t ||x(0)-x*|| + E(t).
-    A sequential tick changes one block, so d(t+1) <= max(d(t), alpha d(t)
-    + eps_t) <= d(t) + eps_t, and the K ticks of sweep s form one
-    Gauss-Seidel sweep whose block-max error is the largest tick norm m_s.
-    Its bound is therefore B(s) = alpha^s d(0) + E_GS(s) over the sweep
-    maxima, plus the tick norms already spent in the current sweep.
+    A run is sweeps of P steps (`_sweep`: K ticks for sequential runs, else
+    1), and s = floor(t / P).  E(s) accumulates each sweep's largest step
+    norm through the sweep factor (1 - alpha^D) / (1 - alpha).  spent(t)
+    sums the norms of sweep s's steps before t, since a tick changes one
+    block: d(t+1) <= max(d(t), alpha d(t) + eps_t) <= d(t) + eps_t.  With
+    P = 1, spent = +0.0 and bound(t) = alpha^t d(0) + E(t).
     """
     if x_star is None:
         raise ValueError("a reference fixed point is required")
     ref = np.asarray(x_star, dtype=float)
     alpha = mapping.modulus
-    num_blocks = mapping.partition.num_blocks
     d = traj.dist_to_ref  # measured by run_iteration, if in this norm and to this reference
     if traj.dist_norm != (mapping.partition, mapping.norm) or not np.array_equal(traj.reference, ref):
         d = _distances(mapping, traj.iterates, ref)
-    if traj.scheme == Scheme.SEQUENTIAL:
-        eps = traj.error_norms
-        sweeps = traj.steps // num_blocks
-        sweep_max = eps[: sweeps * num_blocks].reshape(sweeps, num_blocks).max(axis=1)
-        E = accumulated_error_series(alpha, sweep_max, Scheme.GAUSS_SEIDEL, num_blocks)
-        # spent[t]: the tick norms of t's sweep before t, added left to right.
-        # Row s of `shifted` is 0 then the sweep's ticks but its last.
-        shifted = np.zeros((sweeps + 1) * num_blocks)
-        shifted[1 : traj.steps + 1] = eps
-        shifted[::num_blocks] = 0.0
-        spent = np.add.accumulate(shifted.reshape(sweeps + 1, num_blocks), axis=1).ravel()
-        spent = spent[: traj.steps + 1]
-        sweep = np.arange(traj.steps + 1) // num_blocks
-        bound = alpha ** sweep.astype(float) * d[0] + E[sweep] + spent
-    else:
-        E = accumulated_error_series(alpha, traj.error_norms, traj.scheme, num_blocks)
-        bound = alpha ** np.arange(traj.steps + 1, dtype=float) * d[0] + E
-    ok = d <= bound + 1e-9
-    return BoundCertificate(ok=ok, bound=bound, dist=d)
+    ticks, depth = _sweep(traj.scheme, mapping.partition.num_blocks)
+    steps, sweeps = traj.steps, traj.steps // ticks
+    rows = np.zeros((sweeps + 1, ticks))  # row s: sweep s's step norms, padded with +0.0
+    rows.reshape(-1)[:steps] = traj.error_norms
+    # A sweep of depth D has the factor of a Gauss-Seidel sweep over D blocks.
+    E = accumulated_error_series(alpha, rows[:sweeps].max(axis=1), Scheme.GAUSS_SEIDEL, depth)
+    # spent[t]: the norms of t's sweep before t, added left to right; +0.0 at a sweep's start.
+    spent = np.concatenate(([0.0], np.add.accumulate(rows, axis=1).reshape(-1)[:steps]))
+    spent[::ticks] = 0.0
+    s = np.arange(steps + 1) // ticks
+    bound = alpha ** s.astype(float) * d[0] + E[s] + spent
+    return BoundCertificate(ok=d <= bound + 1e-9, bound=bound, dist=d)
 
 
 def reference_fixed_point(
@@ -709,12 +713,6 @@ def affine_contraction(
     return mapping
 
 
-def _norm_kind(norm) -> tuple:
-    if isinstance(norm, WeightedMax):
-        return ("wmax", norm.size)
-    return ("lp", norm.p)
-
-
 def random_affine_contraction(
     part: BlockPartition,
     spec: NormSpec,
@@ -740,9 +738,9 @@ def random_affine_contraction(
 
     # Permute only among blocks sharing (size, norm kind).
     groups: dict[tuple, list[int]] = {}
-    for k in range(K):
-        key = (part.block_sizes[k],) + _norm_kind(spec.per_block[k])
-        groups.setdefault(key, []).append(k)
+    for k, norm_k in enumerate(spec.per_block):
+        kind = ("wmax", norm_k.size) if isinstance(norm_k, WeightedMax) else ("lp", norm_k.p)
+        groups.setdefault((part.block_sizes[k], kind), []).append(k)
     pi = np.empty(K, dtype=int)
     for members in groups.values():
         perm = rng.permutation(len(members))

@@ -437,8 +437,11 @@ class ProjectedBlockQuantizer:
         """The inner quantizer's Frobenius (L2) bound, valid for L_p with p >= 2.
 
         The projection is nonexpansive only in the Frobenius norm, and
-        ||.||_p <= ||.||_2 when p >= 2; no other block norm is bounded.
+        ||.||_p <= ||.||_2 when p >= 2; no other block norm is bounded.  The
+        bound is per block, so a quantizer of several blocks (`fuse`) refuses.
         """
+        if self.budgets.size != 1:
+            raise ValueError(f"{self.budgets.size} blocks: a worst-case error bound is per block")
         if not (isinstance(norm, Lp) and norm.p >= 2.0):
             raise ValueError(
                 "the feasibility projection bounds the error only in L_p block norms with p >= 2"

@@ -203,6 +203,43 @@ def test_simulate_gauss_seidel_scheme(tmp_path, capsys):
         assert line.split(",")[3] == "1"
 
 
+def _even_split_doc(doc_for, strategy, **over):
+    """The README's two unit-box coordinates at alpha = 0.5 and seeds 0-2, under `strategy`."""
+    return doc_for(quantizer=strategy, alpha=0.5, seeds=[0, 1, 2], **over)
+
+
+def test_the_ticoq_splits_of_the_readme_box_are_even():
+    part, spec = norms.NormSpec.from_json(json.dumps(_wmax_norm(2)))
+    box = norms.BoxDomain([[-1.0, 1.0], [-1.0, 1.0]])
+    for bits in (8, 16, 24, 32):
+        design = ticoq.ticoq_design(part, spec, box, bits, "sq-wmax")
+        assert list(design.bits) == list(ticoq.uniform_sq_allocation(2, bits)) == [bits // 2] * 2
+
+
+@pytest.mark.parametrize("scheme", ["jacobi", "gauss-seidel"])
+def test_simulate_uniform_equals_ticoq_on_an_even_split(tmp_path, scheme):
+    out = {}
+    for strategy in ("uniform", "ticoq"):
+        doc = _even_split_doc(_simulate_doc, strategy, scheme=scheme, T=10, L=16)
+        out[strategy] = tmp_path / f"{strategy}.csv"
+        argv = ["simulate", "--config", _write(tmp_path, f"{strategy}.json", doc)]
+        assert main(argv + ["--out", str(out[strategy])]) == 0
+    assert out["uniform"].read_bytes() == out["ticoq"].read_bytes()
+    lines = out["uniform"].read_text().splitlines()
+    assert len(lines) == 12 and all(line.split(",")[3] == "1" for line in lines[1:])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tradeoff_uniform_equals_ticoq_on_even_splits(tmp_path, fmt):
+    out = {}
+    for strategy in ("uniform", "ticoq"):
+        doc = _even_split_doc(_tradeoff_doc, strategy, values=[8, 16, 24, 32], T=30)
+        out[strategy] = tmp_path / f"{strategy}.{fmt}"
+        argv = ["tradeoff", "--config", _write(tmp_path, f"{strategy}.json", doc), "--format", fmt]
+        assert main(argv + ["--out", str(out[strategy])]) == 0
+    assert out["uniform"].read_bytes() == out["ticoq"].read_bytes()
+
+
 def test_simulate_rejects_bad_quantizer(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _simulate_doc(quantizer="magic"))
     assert main(["simulate", "--config", cfg]) == 1

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -217,6 +218,26 @@ def test_sequential_has_no_closed_form_bound():
         accumulated_error(0.5, [0.1], Scheme.SEQUENTIAL, num_blocks=2)
     with pytest.raises(ValueError, match="bound_certificate"):
         worst_case_error_bound(0.5, 0.1, 5, Scheme.SEQUENTIAL, num_blocks=2)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, math.inf, math.nan])
+def test_bounds_refuse_a_modulus_outside_the_unit_interval(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\), got"):
+        accumulated_error_series(alpha, [0.1], Scheme.JACOBI)
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\), got"):
+        worst_case_error_bound(alpha, 0.1, 5, Scheme.JACOBI)
+
+
+def test_bounds_refuse_a_negative_worst_case_error():
+    with pytest.raises(ValueError, match="worst-case single-step error must be nonnegative"):
+        worst_case_error_bound(0.5, -1e-300, math.inf, Scheme.JACOBI)
+
+
+def test_gauss_seidel_bounds_refuse_a_missing_block_count():
+    with pytest.raises(ValueError, match="Gauss-Seidel bounds need the block count"):
+        accumulated_error_series(0.5, [0.1], Scheme.GAUSS_SEIDEL)
+    with pytest.raises(ValueError, match="Gauss-Seidel bounds need the block count"):
+        worst_case_error_bound(0.5, 0.1, 5, Scheme.GAUSS_SEIDEL)
 
 
 @st.composite
@@ -1101,6 +1122,26 @@ def test_a_run_builds_each_group_quantizer_once(monkeypatch):
     assert len(built) == K // 2
 
 
+def test_a_bank_keeps_at_most_its_cap_of_groups_and_quantizes_every_group_alike():
+    K = 12
+    part = BlockPartition([1, 2] * (K // 2))
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    bank = make_sq_bank(part, box, np.arange(part.n) % 7)
+    x = np.random.default_rng(3).uniform(-1.2, 1.2, part.n)
+    groups = list(itertools.combinations(range(K), 2)) + list(itertools.combinations(range(K), 3))
+    assert len(groups) > engine._FUSED_PER_BANK >= K  # 286 groups for a cap of max(256, K)
+    for _ in range(2):  # the second pass rebuilds the groups that the clear dropped
+        for group in groups:
+            v = np.concatenate([x[part.block_slice(k)] for k in group])
+            got = bank.quantize_blocks(v, part, group)
+            assert len(bank._groups) <= engine._FUSED_PER_BANK
+            fresh = QuantizerBank(bank.blocks).quantize_blocks(v, part, group)
+            assert got.tobytes() == fresh.tobytes()
+            alone = [bank.blocks[k].quantize(x[part.block_slice(k)]) for k in group]
+            assert got.tobytes() == np.concatenate(alone).tobytes()
+    assert len(bank._groups) < len(groups)
+
+
 def test_affine_map_holds_its_rows_once():
     """A map holds A's nonzero entries, not its dense rows: O(nnz) bytes, not O(n^2)."""
     part = BlockPartition([4] * 64)
@@ -1217,12 +1258,38 @@ def test_grouped_block_evaluation_checks_its_shape():
         run_iteration(mapping, None, np.zeros(3), 1, Scheme.GAUSS_SEIDEL)
 
 
+# The bound layer as separate closed forms, one per scheme: the oracle that
+# the one-formula certificate must match hex for hex.
+
+
+def _oracle_factor(alpha, scheme, K):
+    if scheme == Scheme.JACOBI:
+        return 1.0
+    if scheme == Scheme.GAUSS_SEIDEL:
+        return (1.0 - alpha**K) / (1.0 - alpha)
+    return 1.0 / (1.0 - alpha)  # the asynchronous constant
+
+
+def _oracle_worst_case(alpha, e_bar, t, scheme, K):
+    geo = 1.0 / (1.0 - alpha) if math.isinf(t) else (1.0 - alpha**t) / (1.0 - alpha)
+    return geo * e_bar * _oracle_factor(alpha, scheme, K)
+
+
+def _oracle_series(alpha, norms, factor):
+    out = np.zeros(len(norms) + 1)
+    acc = 0.0
+    for t, norm in enumerate(norms):
+        acc = alpha * acc + norm
+        out[t + 1] = factor * acc
+    return out
+
+
 def _loop_sequential_bound(traj, alpha, d0, K):
     """The sequential certificate's bound with `spent` summed tick by tick."""
     eps = traj.error_norms
     sweeps = traj.steps // K
     sweep_max = eps[: sweeps * K].reshape(sweeps, K).max(axis=1)
-    E = accumulated_error_series(alpha, sweep_max, Scheme.GAUSS_SEIDEL, K)
+    E = _oracle_series(alpha, sweep_max, _oracle_factor(alpha, Scheme.GAUSS_SEIDEL, K))
     spent = np.zeros(traj.steps + 1)
     for t in range(1, traj.steps + 1):
         if t % K:
@@ -1247,3 +1314,59 @@ def test_sequential_spent_equals_the_tick_loop(K, steps, norms):
     cert = bound_certificate(traj, mapping, x_star)
     expected = _loop_sequential_bound(traj, mapping.modulus, cert.dist[0], K)
     assert cert.bound.tobytes() == expected.tobytes()
+
+
+def _oracle_certificate(traj, alpha, d, K):
+    """(bound, ok): alpha^t d0 + E(t) per step, or per sweep of K sequential ticks plus `spent`."""
+    if traj.scheme == Scheme.SEQUENTIAL:
+        bound = _loop_sequential_bound(traj, alpha, d[0], K)
+    else:
+        E = _oracle_series(alpha, traj.error_norms, _oracle_factor(alpha, traj.scheme, K))
+        bound = alpha ** np.arange(traj.steps + 1, dtype=float) * d[0] + E
+    return bound, d <= bound + 1e-9
+
+
+_ALPHAS = st.just(0.0) | st.just(1.0 - 2.0**-53) | st.floats(0.0, 1.0 - 2.0**-53)
+
+
+@st.composite
+def _runs_to_certify(draw):
+    K = draw(st.integers(1, 4))
+    part = BlockPartition(draw(st.lists(st.integers(1, 2), min_size=K, max_size=K)))
+    spec = draw(st.sampled_from([uniform_wmax_spec, uniform_l2_spec]))(part)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    alpha = draw(_ALPHAS)
+    mapping, x_star = random_affine_contraction(
+        part, spec, box, alpha, rng=draw(st.integers(0, 2**32 - 1))
+    )
+    bits = draw(st.none() | st.lists(st.integers(0, 6), min_size=part.n, max_size=part.n))
+    bank = None if bits is None else make_sq_bank(part, box, bits)
+    x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=part.n, max_size=part.n)))
+    scheme = draw(st.sampled_from([Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL]))
+    return run_iteration(mapping, bank, x0, draw(st.integers(1, 40)), scheme), mapping, x_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs_to_certify())
+def test_certificates_equal_the_per_scheme_closed_forms(run):
+    traj, mapping, x_star = run
+    cert = bound_certificate(traj, mapping, x_star)
+    bound, ok = _oracle_certificate(traj, mapping.modulus, cert.dist, mapping.partition.num_blocks)
+    assert cert.bound.tobytes() == bound.tobytes()
+    assert cert.ok.tobytes() == ok.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _ALPHAS,
+    st.integers(1, 300),
+    st.sampled_from([Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.ASYNC_BOUND_ONLY]),
+    st.sampled_from([math.inf, 0, 1, 3, 17, 2.5]) | st.integers(0, 400) | st.floats(0.0, 400.0),
+    st.floats(0.0, 1e3),
+)
+def test_factors_and_horizon_sums_equal_the_per_scheme_closed_forms(alpha, K, scheme, t, e_bar):
+    assert engine._scheme_factor(alpha, scheme, K).hex() == _oracle_factor(alpha, scheme, K).hex()
+    assert (
+        worst_case_error_bound(alpha, e_bar, t, scheme, K).hex()
+        == _oracle_worst_case(alpha, e_bar, t, scheme, K).hex()
+    )

@@ -38,7 +38,8 @@ from qfix.mimo import (
     vec_to_profile,
     waterfill,
 )
-from qfix.norms import Lp, WeightedMax, block_norm
+from qfix.norms import BlockPartition, Lp, WeightedMax, block_norm
+from qfix.squant import ScalarBlockQuantizer, ScalarQuantizer
 from qfix.ticoq import (
     make_sq_bank,
     make_vq_bank,
@@ -365,6 +366,47 @@ def test_grouped_projection_equals_each_block_bit_for_bit(links, antennas, latti
             (quantizer,) = bank.group_quantizers(part, (blocks,))
             assert isinstance(quantizer, ProjectedBlockQuantizer)
             assert quantizer.budgets.tolist() == game.budgets[list(blocks or range(links))].tolist()
+
+
+@pytest.mark.parametrize(
+    "lattice, block_bound", [(True, "0x1.666603dc59dc7p-9"), (False, "0x1.030dc4ea03ab0p-8")]
+)
+def test_a_group_quantizer_refuses_a_worst_case_bound(lattice, block_bound):
+    """A fused group would bound the whole group (or, over a block loop, nothing): it refuses."""
+    game = paper_style_game(seed=0)
+    part, box, spec = game_partition(game), game_box(game), game_norm_spec(game)
+    inner = make_vq_bank(part, box, [8, 8]) if lattice else make_sq_bank(part, box, [2] * part.n)
+    bank = feasible_bank(inner, game)
+    (group,) = bank.group_quantizers(part, (None,))
+    assert isinstance(group.inner, engine._BlockLoop if lattice else ScalarBlockQuantizer)
+    with pytest.raises(ValueError, match="2 blocks: a worst-case error bound is per block"):
+        group.worst_case_block_error(Lp(2.0))
+    # One block's bound is unchanged: its inner quantizer's, and the bank's is their max.
+    for q in bank.blocks:
+        assert q.worst_case_block_error(Lp(2.0)).hex() == block_bound
+    assert bank.worst_case_error(part, spec).hex() == block_bound
+
+
+def test_projected_blocks_of_two_sizes_quantize_a_group_block_by_block():
+    """2 x 2 and 3 x 3 blocks do not fuse (`fuse` gives None): the group loops over its blocks."""
+    games = [GameConfig(1, N, [[100.0]], 3.5, [10.0]) for N in (2, 3)]
+    part = BlockPartition([4, 9])
+    rng = np.random.default_rng(5)
+    blocks, values = [], []
+    for game in games:
+        box = game_box(game)
+        bits = rng.integers(0, 6, box.n)
+        coords = (ScalarQuantizer(lo, hi, b) for lo, hi, b in zip(box.lo, box.hi, bits))
+        blocks.append(ProjectedBlockQuantizer(ScalarBlockQuantizer(coords), game.budgets[0]))
+        values.append(profile_to_vec(random_feasible_profile(game, rng)) * rng.uniform(0.9, 1.1))
+    assert ProjectedBlockQuantizer.fuse(blocks, part.block_sizes) is None
+    bank = QuantizerBank(blocks)
+    (group,) = bank.group_quantizers(part, (None,))
+    assert isinstance(group, engine._BlockLoop)
+    alone = np.concatenate([q.quantize(v) for q, v in zip(blocks, values)])
+    assert bank.quantize_full(np.concatenate(values), part).tobytes() == alone.tobytes()
+    backwards = bank.quantize_blocks(np.concatenate(values[::-1]), part, (1, 0))
+    assert backwards.tobytes() == np.concatenate([alone[4:], alone[:4]]).tobytes()
 
 
 def test_a_quantized_jacobi_step_projects_once(monkeypatch):
