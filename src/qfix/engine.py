@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
@@ -50,16 +49,6 @@ class Scheme(enum.Enum):
     GAUSS_SEIDEL = "gauss-seidel"
     SEQUENTIAL = "sequential"
     ASYNC_BOUND_ONLY = "async-bound-only"
-
-
-class IdentityQuantizer:
-    """Pass-through block quantizer (infinite-rate surrogate)."""
-
-    def quantize(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=float).copy()
-
-    def worst_case_block_error(self, norm) -> float:
-        return 0.0
 
 
 _FUSED_PER_BANK = 256  # a bank keeps max(this, K) group quantizers for K blocks
@@ -142,10 +131,6 @@ class QuantizerBank:
         """Blocks `blocks` of a vector through their quantizers; v holds just them."""
         (quantizer,) = self.group_quantizers(part, (blocks,))
         return quantizer.quantize(np.asarray(v, dtype=float))
-
-    def quantize_full(self, x: np.ndarray, part: BlockPartition) -> np.ndarray:
-        """Every block of x through its quantizer."""
-        return self.quantize_blocks(x, part)
 
     def worst_case_error(self, part: BlockPartition, spec: NormSpec) -> float:
         """Block-norm bound on any single-step quantization error e(t)."""
@@ -324,39 +309,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.iterates[-1]
 
-    def to_csv(self, target, mapping: Optional[BlockMapping] = None, x_star=None) -> None:
-        """Write rows t, ||x(t)-x*||, ||e(t)||, bound, certificate flag.
-
-        Reference-dependent columns are left blank unless mapping and x_star
-        (or a stored reference) are available.
-        """
-        ref = x_star if x_star is not None else self.reference
-        bounds = ok = None
-        dists = self.dist_to_ref
-        if mapping is not None and ref is not None:
-            cert = bound_certificate(self, mapping, ref)
-            bounds, ok, dists = cert.bound, cert.ok, cert.dist
-
-        def fmt(v) -> str:
-            return "" if v is None else repr(float(v))
-
-        lines = ["t,err_to_ref,e_norm,bound,certified"]
-        for t in range(self.steps + 1):
-            row = [
-                str(t),
-                fmt(dists[t]) if dists is not None else "",
-                fmt(self.error_norms[t]) if t < self.steps else "",
-                fmt(bounds[t]) if bounds is not None else "",
-                ("1" if ok[t] else "0") if ok is not None else "",
-            ]
-            lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-        if isinstance(target, (str, bytes, os.PathLike)):
-            with open(target, "w") as fh:
-                fh.write(text)
-        else:
-            target.write(text)
-
 
 BankOrSchedule = Union[QuantizerBank, Sequence[QuantizerBank], None]
 
@@ -459,7 +411,7 @@ def run_iteration(
     traj.repeated_steps = repeated
     if reference is not None:
         traj.reference = np.asarray(reference, dtype=float)
-        traj.dist_to_ref = _distances(mapping, iterates, traj.reference)
+        traj.dist_to_ref = _row_norms(mapping, iterates, traj.reference)
         traj.dist_norm = (part, mapping.norm)
     return traj
 
@@ -486,18 +438,15 @@ def _row_norms(mapping: BlockMapping, rows: np.ndarray, ref=0.0) -> np.ndarray:
     return np.concatenate([block_norms(chunk - ref, part, spec) for chunk in _row_chunks(rows)])
 
 
-def _distances(mapping: BlockMapping, iterates: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """||x(t) - x*|| in the mapping's block norm, for every row x(t) of `iterates`."""
-    return _row_norms(mapping, iterates, ref)
-
-
 def _sweep(scheme: Scheme, num_blocks: Optional[int]) -> tuple:
     """(P, D): a sweep is P steps, and a step's error passes through at most D of its updates.
 
     Jacobi (1, 1), Gauss-Seidel (1, K), the asynchronous constant (1, inf)
     and sequential runs (K, K): K ticks, one per block in turn, are one
-    Gauss-Seidel sweep.
+    Gauss-Seidel sweep.  A block count, where given, is at least 1.
     """
+    if num_blocks is not None and not num_blocks >= 1:
+        raise ValueError(f"block count must be >= 1, got {num_blocks}")
     if scheme == Scheme.JACOBI:
         return 1, 1
     if scheme == Scheme.ASYNC_BOUND_ONLY:
@@ -564,6 +513,8 @@ def worst_case_error_bound(
     """Worst-case bound E-bar(t), its horizon sum `_geometric` at depth t (inf: the limit)."""
     if not (0.0 <= alpha < 1.0):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not t >= 0:
+        raise ValueError(f"horizon must be >= 0, got {t}")
     if e_bar_norm < 0:
         raise ValueError("worst-case single-step error must be nonnegative")
     return _geometric(alpha, t) * e_bar_norm * _scheme_factor(alpha, scheme, num_blocks)
@@ -595,7 +546,7 @@ def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundC
     alpha = mapping.modulus
     d = traj.dist_to_ref  # measured by run_iteration, if in this norm and to this reference
     if traj.dist_norm != (mapping.partition, mapping.norm) or not np.array_equal(traj.reference, ref):
-        d = _distances(mapping, traj.iterates, ref)
+        d = _row_norms(mapping, traj.iterates, ref)
     ticks, depth = _sweep(traj.scheme, mapping.partition.num_blocks)
     steps, sweeps = traj.steps, traj.steps // ticks
     rows = np.zeros((sweeps + 1, ticks))  # row s: sweep s's step norms, padded with +0.0

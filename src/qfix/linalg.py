@@ -31,11 +31,6 @@ def _require_pd(lam: np.ndarray) -> None:
         raise ValueError(f"matrix not positive definite (min eigenvalue {low[bad].min():.3e})")
 
 
-def frobenius_norm(a) -> float:
-    """||A||_F, computed with scaling so tiny entries do not underflow."""
-    return math.hypot(*np.abs(np.asarray(a, dtype=complex)).ravel())
-
-
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = U diag(lam) U^H of a Hermitian matrix or of each of a stack.
 

@@ -179,17 +179,6 @@ class StrategyProfile:
             self, "covariances", tuple(np.asarray(P, dtype=complex) for P in covariances)
         )
 
-    def validate(self, game: GameConfig) -> None:
-        """Each covariance PSD to 1e-10 relative and on its trace budget to 1e-9 relative."""
-        budgets = game.budgets
-        for k, P in enumerate(self.covariances):
-            lam, _ = herm_eig(P)
-            if lam[0] < -1e-10 * max(1.0, float(lam[-1])):
-                raise ValueError(f"link {k} covariance has eigenvalue {lam[0]:.3e} < 0")
-            tr = float(np.trace(P).real)
-            if abs(tr - budgets[k]) > 1e-9 * budgets[k]:
-                raise ValueError(f"link {k} trace {tr} != budget {budgets[k]}")
-
 
 def uniform_profile(game: GameConfig) -> StrategyProfile:
     """Equal power on every antenna: P_k = (budget/N) I."""

@@ -13,7 +13,6 @@ projection and the relaxed rate designs share.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -68,16 +67,6 @@ class BlockPartition:
         idx = np.concatenate([np.arange(self.offsets[k], self.offsets[k + 1]) for k in blocks])
         idx.flags.writeable = False
         return idx
-
-    def block_of(self, m: int) -> int:
-        """Index of the block containing coordinate m."""
-        if not (0 <= m < self.n):
-            raise IndexError(f"coordinate {m} outside 0..{self.n - 1}")
-        return bisect.bisect_right(self.offsets, m) - 1
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        x = np.asarray(x)
-        return [x[self.block_slice(k)] for k in range(self.num_blocks)]
 
 
 @dataclass(frozen=True)
@@ -235,19 +224,6 @@ class BoxDomain:
 
     def intervals(self) -> list[tuple[float, float]]:
         return list(zip(self.lo, self.hi))
-
-
-def weighted_max_norm(x: Sequence[float], a: Sequence[float]) -> float:
-    """max_m |x_m| / a_m with positive coordinate weights a."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if x.shape != a.shape:
-        raise ValueError(f"length mismatch: x has {x.shape}, a has {a.shape}")
-    if np.any(a <= 0):
-        raise ValueError("weights must be positive")
-    if x.size == 0:
-        return 0.0
-    return float(np.max(np.abs(x) / a))
 
 
 def lp_norm(x: Sequence[float], p: float) -> float:

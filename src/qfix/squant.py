@@ -36,10 +36,6 @@ class ScalarQuantizer:
         return 1 << self.bits
 
     @property
-    def cell_width(self) -> float:
-        return (self.hi - self.lo) / self.levels
-
-    @property
     def worst_case_error(self) -> float:
         return sq_worst_case_error((self.lo, self.hi), self.bits)
 
@@ -51,18 +47,6 @@ class ScalarQuantizer:
     def quantize(self, x: float) -> float:
         """Round-trip decode(encode(x))."""
         return float(self._block.quantize(np.array([x]))[0])
-
-
-def sq_encode(q: ScalarQuantizer, x: float) -> int:
-    """Index of the cell containing x, after clamping x into [lo, hi]."""
-    return int(q._block._encode(np.array([float(x)]))[0])
-
-
-def sq_decode(q: ScalarQuantizer, i: int) -> float:
-    """Midpoint of cell i."""
-    if not (0 <= i < q.levels):
-        raise ValueError(f"index {i} out of range for {q.bits}-bit quantizer")
-    return float(q._block._decode(i)[0])
 
 
 def _rate(bits) -> int:
@@ -89,6 +73,7 @@ class ScalarBlockQuantizer:
     def __init__(self, coords):
         coords = tuple(coords)
         object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_blocks", 1)  # blocks joined by `fuse`
         lo = np.array([q.lo for q in coords], dtype=float)
         hi = np.array([q.hi for q in coords], dtype=float)
         levels = np.array([float(q.levels) for q in coords])
@@ -114,7 +99,9 @@ class ScalarBlockQuantizer:
         """
         if any(q.size != size for q, size in zip(quantizers, sizes, strict=True)):
             return None
-        return ScalarBlockQuantizer(c for q in quantizers for c in q.coords)
+        fused = ScalarBlockQuantizer(c for q in quantizers for c in q.coords)
+        object.__setattr__(fused, "_blocks", sum(q._blocks for q in quantizers))
+        return fused
 
     def _encode(self, v: np.ndarray) -> np.ndarray:  # cell indices, as floats
         if v.shape != self._lo.shape:
@@ -144,8 +131,11 @@ class ScalarBlockQuantizer:
         """Bound on the block error in a weighted-max or L_p component norm.
 
         An L_p bound is taken in block_norm's scaled form, and widened by the
-        relative rounding of that form, which grows with the block size.
+        relative rounding of that form, which grows with the block size.  The
+        bound is per block, so a quantizer of several blocks (`fuse`) refuses.
         """
+        if self._blocks != 1:
+            raise ValueError(f"{self._blocks} blocks: a worst-case error bound is per block")
         errs = self.worst_case_errors()
         if isinstance(norm, WeightedMax):
             return float(np.max(errs / np.asarray(norm.a)))

@@ -27,7 +27,6 @@ and never scans.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -130,15 +129,6 @@ def nearest_point_a_star(y, scale: float) -> np.ndarray:
     return points[0] if single else points
 
 
-def vq_worst_case_error(box, n: int, bits: int) -> float:
-    """Worst-case decode error of the scaled lattice over the box interior."""
-    bits = _rate(bits)
-    lengths = _box_lengths(box)
-    if len(lengths) != n:
-        raise ValueError(f"box has {len(lengths)} intervals for dimension {n}")
-    return lattice_scale(lengths, bits) * covering_radius(n)
-
-
 def _box_lengths(box) -> np.ndarray:
     """Side lengths of a box of (lo, hi) intervals, each of which must be positive."""
     lengths = np.array([float(hi) - float(lo) for lo, hi in box])
@@ -229,30 +219,6 @@ class LatticeQuantizer:
         if not (isinstance(norm, Lp) and norm.p >= 2):
             raise ValueError("lattice quantizer error bound requires an L_p block norm with p >= 2")
         return self.worst_case_error
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "L": self.bits,
-                "box": [list(iv) for iv in self.box],
-                "scale": self.scale,
-                "basis": self.basis.tolist(),
-                "codebook_size": self.codebook_size,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "LatticeQuantizer":
-        doc = json.loads(text)
-        q = LatticeQuantizer(doc["box"], doc["L"])
-        if q.codebook_size != doc["codebook_size"]:
-            raise ValueError(
-                f"codebook size mismatch on reload: {q.codebook_size} != {doc['codebook_size']}"
-            )
-        if abs(q.scale - doc["scale"]) > 1e-12 * max(1.0, abs(doc["scale"])):
-            raise ValueError("scale mismatch on reload")
-        return q
 
 
 def vq_design(box, n: int, bits: int) -> LatticeQuantizer:

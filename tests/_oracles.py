@@ -1,0 +1,57 @@
+"""Reference helpers the tests use and the package does not.
+
+`IdentityQuantizer` is a pass-through block quantizer, the infinite-rate
+fake a bank can hold in place of a real one.  `weighted_max_norm` is the
+per-block weighted maximum norm in its plain form, the oracle `block_norm`
+is compared against.  `validate_profile` checks a MIMO strategy profile
+against its game's constraints.  `frobenius_norm` scales the Frobenius norm
+through `math.hypot`, so it stays positive on entries near
+`np.finfo(float).tiny`, where `np.linalg.norm` underflows to 0.
+"""
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from qfix.linalg import herm_eig
+
+
+class IdentityQuantizer:
+    """Pass-through block quantizer (infinite-rate surrogate)."""
+
+    def quantize(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(v, dtype=float).copy()
+
+    def worst_case_block_error(self, norm) -> float:
+        return 0.0
+
+
+def weighted_max_norm(x: Sequence[float], a: Sequence[float]) -> float:
+    """max_m |x_m| / a_m with positive coordinate weights a."""
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if x.shape != a.shape:
+        raise ValueError(f"length mismatch: x has {x.shape}, a has {a.shape}")
+    if np.any(a <= 0):
+        raise ValueError("weights must be positive")
+    if x.size == 0:
+        return 0.0
+    return float(np.max(np.abs(x) / a))
+
+
+def validate_profile(profile, game) -> None:
+    """Each covariance PSD to 1e-10 relative and on its trace budget to 1e-9 relative."""
+    budgets = game.budgets
+    for k, P in enumerate(profile.covariances):
+        lam, _ = herm_eig(P)
+        if lam[0] < -1e-10 * max(1.0, float(lam[-1])):
+            raise ValueError(f"link {k} covariance has eigenvalue {lam[0]:.3e} < 0")
+        tr = float(np.trace(P).real)
+        if abs(tr - budgets[k]) > 1e-9 * budgets[k]:
+            raise ValueError(f"link {k} trace {tr} != budget {budgets[k]}")
+
+
+def frobenius_norm(a) -> float:
+    """||A||_F, computed with scaling so tiny entries do not underflow."""
+    return math.hypot(*np.abs(np.asarray(a, dtype=complex)).ravel())

@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 import tracemalloc
@@ -9,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import IdentityQuantizer
 from qfix import engine
 from qfix.engine import (
     BlockMapping,
-    IdentityQuantizer,
     QuantizerBank,
     Scheme,
     accumulated_error,
@@ -240,6 +239,27 @@ def test_gauss_seidel_bounds_refuse_a_missing_block_count():
         worst_case_error_bound(0.5, 0.1, 5, Scheme.GAUSS_SEIDEL)
 
 
+@pytest.mark.parametrize("num_blocks", [0, -2, math.nan])
+def test_bounds_refuse_a_block_count_below_one(num_blocks):
+    # 0 and -2 gave the zero bounds [0, 0, 0] and the negative [-0, -0.6, -0.9]
+    for scheme in (Scheme.JACOBI, Scheme.GAUSS_SEIDEL):
+        with pytest.raises(ValueError, match="block count must be >= 1, got"):
+            accumulated_error_series(0.5, [0.1, 0.1], scheme, num_blocks)
+        with pytest.raises(ValueError, match="block count must be >= 1, got"):
+            worst_case_error_bound(0.5, 0.1, 5, scheme, num_blocks)
+    assert accumulated_error_series(0.5, [0.1, 0.1], Scheme.GAUSS_SEIDEL, 1).tolist() == [
+        0.0, 0.1, 0.15000000000000002
+    ]
+
+
+@pytest.mark.parametrize("t", [-3, -1e-300, -math.inf, math.nan])
+def test_worst_case_bound_refuses_a_negative_or_nan_horizon(t):
+    # t = -3 gave the negative bound -1.4
+    with pytest.raises(ValueError, match="horizon must be >= 0, got"):
+        worst_case_error_bound(0.5, 0.1, t)
+    assert worst_case_error_bound(0.5, 0.1, 0) == 0.0
+
+
 @st.composite
 def _contraction_runs(draw):
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
@@ -337,13 +357,14 @@ def test_certificate_reuses_the_run_distances(monkeypatch):
     plain = bound_certificate(run_iteration(mapping, bank, x0, 12, Scheme.JACOBI), mapping, x_star)
 
     calls = []
-    distances = engine._distances
+    row_norms = engine._row_norms
 
     def counted_distances(*args):
-        calls.append(args)
-        return distances(*args)
+        if len(args) == 3:  # distances to a reference, not the run's error norms
+            calls.append(args)
+        return row_norms(*args)
 
-    monkeypatch.setattr(engine, "_distances", counted_distances)
+    monkeypatch.setattr(engine, "_row_norms", counted_distances)
     traj = run_iteration(mapping, bank, x0, 12, Scheme.JACOBI, reference=x_star)
     cert = bound_certificate(traj, mapping, x_star)
     assert len(calls) == 1
@@ -368,7 +389,7 @@ def test_distances_in_row_chunks_equal_each_row_alone(monkeypatch, chunk):
     alone = [mapping.distance(x, x_star) for x in iterates]
     # a chunk of 1, 1, 1, 2 or all 40 rows, ending inside or at a row's end
     monkeypatch.setattr(engine, "_DISTANCE_CHUNK", chunk)
-    got = engine._distances(mapping, iterates, x_star)
+    got = engine._row_norms(mapping, iterates, x_star)
     assert got.tobytes() == np.array(alone).tobytes()
 
 
@@ -419,31 +440,6 @@ def test_reference_fixed_point():
     assert np.allclose(x_star, 0.0, atol=1e-11)
     with pytest.raises(RuntimeError):
         reference_fixed_point(mapping, x0=np.array([1.0, 1.0]), max_steps=1, tol=1e-16)
-
-
-def test_trajectory_csv_export(tmp_path):
-    part = BlockPartition([1, 1])
-    spec = uniform_wmax_spec(part)
-    box = BoxDomain([(-1.0, 1.0)] * 2)
-    mapping, x_star = random_affine_contraction(part, spec, box, 0.5, rng=3)
-    traj = run_iteration(mapping, None, np.zeros(2), 4, Scheme.JACOBI)
-    buf = io.StringIO()
-    traj.to_csv(buf, mapping=mapping, x_star=x_star)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,err_to_ref,e_norm,bound,certified"
-    assert len(lines) == 6  # header + t = 0..4
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert first[4] == "1"
-    # byte-identical re-export
-    buf2 = io.StringIO()
-    traj.to_csv(buf2, mapping=mapping, x_star=x_star)
-    assert buf2.getvalue() == buf.getvalue()
-    # a path, as an os.PathLike or a str, is written with the same bytes
-    traj.to_csv(tmp_path / "a.csv", mapping=mapping, x_star=x_star)
-    traj.to_csv(str(tmp_path / "b.csv"), mapping=mapping, x_star=x_star)
-    for name in ("a.csv", "b.csv"):
-        assert (tmp_path / name).read_bytes() == buf.getvalue().encode()
 
 
 def test_uniform_allocation_helper():
@@ -613,7 +609,7 @@ def test_block_evaluation_checks_its_shape():
     assert clamped.eval_block(0, -np.ones(3)).tolist() == [-1.0, -1.0]
 
 
-def _loop_quantize_full(bank, x, part):
+def _loop_quantize_blocks(bank, x, part):
     """The per-block quantization loop."""
     return np.concatenate(
         [bank.blocks[k].quantize(x[part.block_slice(k)]) for k in range(part.num_blocks)]
@@ -639,10 +635,10 @@ def _scalar_banks(draw):
 @given(_scalar_banks())
 def test_scalar_bank_quantizes_in_one_pass_bit_for_bit(case):
     part, bank, x = case
-    assert bank.quantize_full(x, part).tobytes() == _loop_quantize_full(bank, x, part).tobytes()
+    assert bank.quantize_blocks(x, part).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            bank.quantize_full(np.where(np.arange(part.n) == part.n - 1, bad, x), part)
+            bank.quantize_blocks(np.where(np.arange(part.n) == part.n - 1, bad, x), part)
 
 
 def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
@@ -651,9 +647,9 @@ def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
     bank = make_sq_bank(part, box, [2, 3, 4])
     x = np.array([0.3, -0.7, 0.9])
     with pytest.raises(ValueError):
-        bank.quantize_full(x, BlockPartition([1, 2]))
+        bank.quantize_blocks(x, BlockPartition([1, 2]))
     with pytest.raises(ValueError):
-        bank.quantize_full(np.zeros(4), part)
+        bank.quantize_blocks(np.zeros(4), part)
     calls = []
     quantize = ScalarBlockQuantizer.quantize
 
@@ -662,10 +658,29 @@ def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
         return quantize(self, v)
 
     monkeypatch.setattr(ScalarBlockQuantizer, "quantize", counted)
-    assert bank.quantize_full(x, part).tobytes() == _loop_quantize_full(bank, x, part).tobytes()
+    assert bank.quantize_blocks(x, part).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
     assert calls[0] == 3  # the fused pass
     mixed = QuantizerBank([bank.blocks[0], IdentityQuantizer()])
-    assert mixed.quantize_full(x, part).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
+    assert mixed.quantize_blocks(x, part).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
+
+
+def test_a_fused_scalar_group_refuses_a_worst_case_bound():
+    """A fused group would bound the whole group's values (0.7071 on L2 here): it refuses."""
+    part = BlockPartition([4, 4])
+    box = BoxDomain([(-1.0, 1.0)] * 8)
+    bank = make_sq_bank(part, box, [2] * 8)
+    (group,) = bank.group_quantizers(part, (None,))
+    assert isinstance(group, ScalarBlockQuantizer) and group.size == 8
+    for norm in (Lp(2.0), WeightedMax([1.0] * 8)):
+        with pytest.raises(ValueError, match="2 blocks: a worst-case error bound is per block"):
+            group.worst_case_block_error(norm)
+    # One block's bound is unchanged, a group of one block answers it, and the bank's is their max.
+    (single,) = bank.group_quantizers(part, ((1,),))
+    for q in (*bank.blocks, single):
+        assert q.worst_case_block_error(Lp(2.0)).hex() == "0x1.0000000000040p-1"
+        assert q.worst_case_block_error(WeightedMax([1.0] * 4)).hex() == "0x1.0000000000020p-2"
+    assert bank.worst_case_error(part, uniform_l2_spec(part)).hex() == "0x1.0000000000040p-1"
+    assert bank.worst_case_error(part, uniform_wmax_spec(part)).hex() == "0x1.0000000000020p-2"
 
 
 def test_jacobi_run_matches_the_per_block_loop():

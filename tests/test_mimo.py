@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _oracles import IdentityQuantizer, validate_profile
 from qfix import engine, mimo
-from qfix.engine import IdentityQuantizer, QuantizerBank, Scheme, bound_certificate
+from qfix.engine import QuantizerBank, Scheme, bound_certificate
 from qfix.mimo import (
     ChannelSet,
     GameConfig,
@@ -404,7 +405,7 @@ def test_projected_blocks_of_two_sizes_quantize_a_group_block_by_block():
     (group,) = bank.group_quantizers(part, (None,))
     assert isinstance(group, engine._BlockLoop)
     alone = np.concatenate([q.quantize(v) for q, v in zip(blocks, values)])
-    assert bank.quantize_full(np.concatenate(values), part).tobytes() == alone.tobytes()
+    assert bank.quantize_blocks(np.concatenate(values), part).tobytes() == alone.tobytes()
     backwards = bank.quantize_blocks(np.concatenate(values[::-1]), part, (1, 0))
     assert backwards.tobytes() == np.concatenate([alone[4:], alone[:4]]).tobytes()
 
@@ -427,7 +428,7 @@ def test_a_quantized_jacobi_step_projects_once(monkeypatch):
         x, states = profile_to_vec(uniform_profile(game)), set()
         for _ in range(5):
             states.add(x.tobytes())
-            x = bank.quantize_full(mapping.eval_full(x), mapping.partition)
+            x = bank.quantize_blocks(mapping.eval_full(x), mapping.partition)
         new_states.append(len(states))
     monkeypatch.setattr(mimo, "project_feasible", counting)
     for bank, evaluated in zip(banks, new_states):
@@ -539,7 +540,7 @@ def test_iwfa_iterates_are_feasible_profiles():
             for mode in ("simultaneous", "sequential"):
                 res = iwfa_run(ch, quantizers=bank, mode=mode, steps=30, modulus=est.alpha_hat)
                 for x in res.trajectory.iterates:
-                    vec_to_profile(x, game).validate(game)
+                    validate_profile(vec_to_profile(x, game), game)
                     checked += 1
     # Games 0-3 are all certified: 4 games x 3 banks x 2 modes x 31 iterates.
     assert checked == 744
@@ -856,7 +857,7 @@ def test_a_non_finite_profile_is_refused_without_warnings(bad, pos):
             lambda: mapping.eval_block(0, x),
             lambda: mapping.eval_block(1, x),
             lambda: projected.quantize(x[part.block_slice(k)]),
-            lambda: grouped.quantize_full(x, part),
+            lambda: grouped.quantize_blocks(x, part),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 call()

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfix.squant import (
-    ScalarBlockQuantizer,
-    ScalarQuantizer,
-    sq_decode,
-    sq_encode,
-    sq_worst_case_error,
-)
+from qfix.squant import ScalarBlockQuantizer, ScalarQuantizer, sq_worst_case_error
 
 
 def test_worst_case_error_formula():
@@ -22,7 +16,8 @@ def test_worst_case_error_formula():
     q = ScalarQuantizer(0.0, 1.0, 4)
     assert q.worst_case_error == 1.0 / 32.0
     assert q.levels == 16
-    assert q.cell_width == pytest.approx(1.0 / 16.0)
+    # cells of width 1/16: adjacent midpoints lie one cell apart
+    assert q.quantize(0.07) - q.quantize(0.0) == pytest.approx(1.0 / 16.0)
 
 
 def test_quantize_hits_cell_midpoints():
@@ -47,17 +42,20 @@ def test_quantize_error_bound_property():
 
 
 def test_encode_decode_round_trip():
-    q = ScalarQuantizer(-2.0, 2.0, 3)
+    q = ScalarQuantizer(-2.0, 2.0, 3)  # cells of width 0.5, midpoints -1.75..1.75
+    midpoints = [-2.0 + (i + 0.5) * 0.5 for i in range(q.levels)]
     for x in np.linspace(-2.5, 2.5, 41):
-        idx = sq_encode(q, x)
-        assert 0 <= idx < q.levels
-        assert sq_decode(q, idx) == q.quantize(x)
+        assert q.quantize(x) in midpoints
 
 
 def test_encode_clamps_out_of_range():
+    # inputs far outside the interval land on the end cells' midpoints
     q = ScalarQuantizer(0.0, 1.0, 2)
-    assert sq_encode(q, -100.0) == 0
-    assert sq_encode(q, 100.0) == q.levels - 1
+    assert q.quantize(-100.0) == 0.125
+    assert q.quantize(100.0) == 0.875
+    block = ScalarBlockQuantizer([q, ScalarQuantizer(-1.0, 1.0, 1)])
+    assert block.quantize(np.array([-100.0, 1e300])).tolist() == [0.125, 0.5]
+    assert block.quantize(np.array([100.0, -1e300])).tolist() == [0.875, -0.5]
 
 
 def test_zero_bits_single_level():
@@ -70,8 +68,10 @@ def test_zero_bits_single_level():
 def test_degenerate_interval():
     q = ScalarQuantizer(2.0, 2.0, 5)
     assert q.worst_case_error == 0.0
-    assert sq_encode(q, 7.0) == 0
-    assert sq_decode(q, 0) == 2.0
+    # a point interval decodes to its endpoint, from inside it or from anywhere else
+    for x in (2.0, 7.0, -7.0):
+        assert q.quantize(x) == 2.0
+    assert ScalarBlockQuantizer([q, q]).quantize(np.array([7.0, -7.0])).tolist() == [2.0, 2.0]
 
 
 def test_rejects_bad_inputs():
@@ -89,10 +89,10 @@ def test_rejects_bad_inputs():
     assert q.bits == 2 and type(q.bits) is int
     assert (q.levels, q.quantize(0.3), q.worst_case_error) == (4, 0.375, 0.125)
     assert q == ScalarQuantizer(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        sq_encode(q, float("nan"))
-    with pytest.raises(ValueError):
-        sq_decode(q, 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        q.quantize(float("nan"))
+    with pytest.raises(ValueError, match="non-finite"):
+        ScalarBlockQuantizer([q, q]).quantize(np.array([0.3, float("nan")]))
 
 
 def test_block_quantizer_coordinatewise():

@@ -15,11 +15,11 @@ from qfix.vquant import (
     embedding_basis,
     fundamental_volume,
     glue_vectors,
+    lattice_scale,
     nearest_point_a_star,
     vq_decode,
     vq_design,
     vq_encode,
-    vq_worst_case_error,
 )
 
 
@@ -49,23 +49,23 @@ def test_geometry_constants():
 
 def test_worst_case_error_unit_square():
     # n=2, unit box, zero bits: (1 / sqrt(1/3))^(1/2) * sqrt(8/36)
-    assert vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 0) == pytest.approx(
+    assert lattice_scale([1.0, 1.0], 0) * covering_radius(2) == pytest.approx(
         0.6204032394013997, rel=1e-12
     )
     # each extra bit shrinks the error by 2^(-1/n)
-    e4 = vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 4)
-    e5 = vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 5)
+    e4 = lattice_scale([1.0, 1.0], 4) * covering_radius(2)
+    e5 = lattice_scale([1.0, 1.0], 5) * covering_radius(2)
     assert e5 / e4 == pytest.approx(2 ** (-1 / 2), rel=1e-12)
-    assert vq_worst_case_error([(0.0, 1.0), (0.0, 1.0)], 2, 4.0) == e4  # an integral float rate
+    # the quantizer's bound is this expression, at an integral float rate too
+    assert LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 4).worst_case_error == e4
+    assert LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 4.0).worst_case_error == e4
 
 
 @pytest.mark.parametrize(
     "box", [[(1.0, 0.0)], [(1.0, 0.0), (0.0, 1.0)], [(0.0, 1.0), (2.0, 2.0)]]
 )
 def test_worst_case_error_refuses_a_degenerate_box(box):
-    # an inverted interval gave a negative or complex error; the quantizer refuses the same box
-    with pytest.raises(ValueError, match="degenerate box"):
-        vq_worst_case_error(box, len(box), 0)
+    # an inverted interval would give a negative or complex error
     with pytest.raises(ValueError, match="degenerate box"):
         LatticeQuantizer(box, 0)
 
@@ -73,7 +73,7 @@ def test_worst_case_error_refuses_a_degenerate_box(box):
 def test_dimension_one_matches_scalar_quantizer_error():
     # The 1-D dual lattice scaled by volume reduces to the uniform scalar grid.
     for bits in range(7):
-        assert vq_worst_case_error([(0.0, 1.0)], 1, bits) == pytest.approx(
+        assert lattice_scale([1.0], bits) * covering_radius(1) == pytest.approx(
             sq_worst_case_error((0.0, 1.0), bits), rel=1e-12
         )
 
@@ -124,7 +124,7 @@ def test_quantizer_scale_and_error():
     expected_scale = (vol / (32 * fundamental_volume(2))) ** 0.5
     assert q.scale == pytest.approx(expected_scale, rel=1e-14)
     assert q.worst_case_error == pytest.approx(
-        vq_worst_case_error(box, 2, 5), rel=1e-14
+        lattice_scale([2.0, 3.0], 5) * covering_radius(2), rel=1e-14
     )
     assert q.codebook_size > 0
     assert q.effective_bits == pytest.approx(math.log2(q.codebook_size))
@@ -167,14 +167,6 @@ def test_quantizer_clamps_far_inputs():
     assert np.linalg.norm(gaps) <= q.worst_case_error * (1 + 1e-9)
 
 
-def test_json_round_trip_reproduces_codebook():
-    q = LatticeQuantizer([(-0.5, 1.5), (0.0, 1.0)], 4)
-    q2 = LatticeQuantizer.from_json(q.to_json())
-    assert q2.codebook_size == q.codebook_size
-    assert np.array_equal(q2.points, q.points)
-    assert q2.keys == q.keys
-
-
 def test_construction_is_deterministic():
     a = LatticeQuantizer([(-1.0, 2.0), (0.5, 2.5), (0.0, 1.0)], 5)
     b = LatticeQuantizer([(-1.0, 2.0), (0.5, 2.5), (0.0, 1.0)], 5)
@@ -200,8 +192,6 @@ def test_rejects_bad_inputs():
     for bits in (1.5, -1):
         with pytest.raises(ValueError, match="nonnegative integer"):
             LatticeQuantizer([(0.0, 1.0)], bits)
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            vq_worst_case_error([(0.0, 1.0)], 1, bits)
     q = LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 2.0)
     assert q.bits == 2 and type(q.bits) is int
     with pytest.raises(ValueError):
