@@ -127,11 +127,6 @@ class QuantizerBank:
         self._check_blocks(part)
         return [self._group_quantizer(part, blocks) for blocks in groups]
 
-    def quantize_blocks(self, v: np.ndarray, part: BlockPartition, blocks=None) -> np.ndarray:
-        """Blocks `blocks` of a vector through their quantizers; v holds just them."""
-        (quantizer,) = self.group_quantizers(part, (blocks,))
-        return quantizer.quantize(np.asarray(v, dtype=float))
-
     def worst_case_error(self, part: BlockPartition, spec: NormSpec) -> float:
         """Block-norm bound on any single-step quantization error e(t)."""
         spec.check_partition(part)
@@ -376,7 +371,7 @@ def run_iteration(
         groups = mapping.sweep_groups
     records = [mapping._update_group(blocks) for blocks in groups]
     plans = {}  # id(bank) -> (group record, its quantizer) per group, resolved once per run
-    period = K if scheme == Scheme.SEQUENTIAL else 1
+    period = _sweep(scheme, K)[0]
     first = {}  # (hash of x(t)'s bytes, id(bank), t mod period) -> the first step t with that key
     repeated = 0
     for t, bank in enumerate(banks):

@@ -333,15 +333,3 @@ def block_norm(x: Sequence[float], part: BlockPartition, spec: NormSpec) -> floa
         raise ValueError(f"vector length {x.size} != partition dimension {part.n}")
     return float(block_norms(x.reshape(part.n), part, spec))
 
-
-def uniform_l2_spec(part: BlockPartition) -> NormSpec:
-    """Unit-weight spec with a plain Euclidean norm on every block."""
-    return NormSpec([1.0] * part.num_blocks, [Lp(2.0)] * part.num_blocks)
-
-
-def uniform_wmax_spec(part: BlockPartition) -> NormSpec:
-    """Unit-weight spec with unweighted max norm on every block."""
-    return NormSpec(
-        [1.0] * part.num_blocks,
-        [WeightedMax([1.0] * s) for s in part.block_sizes],
-    )

@@ -8,9 +8,6 @@ endpoint cell so iterates perturbed out of the box stay representable.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,42 +15,17 @@ import numpy as np
 from .norms import WeightedMax, lp_norm
 
 
-@dataclass(frozen=True)
-class ScalarQuantizer:
-    lo: float
-    hi: float
-    bits: int
+def _rate(bits):
+    """Rates as ints (an array's as an int array); ValueError unless each is in 0..1023.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval endpoints must be finite")
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "bits", _rate(self.bits))
-
-    @property
-    def levels(self) -> int:
-        return 1 << self.bits
-
-    @property
-    def worst_case_error(self) -> float:
-        return sq_worst_case_error((self.lo, self.hi), self.bits)
-
-    @cached_property
-    def _block(self) -> "ScalarBlockQuantizer":
-        """This quantizer as a one-coordinate block, built once."""
-        return ScalarBlockQuantizer((self,))
-
-    def quantize(self, x: float) -> float:
-        """Round-trip decode(encode(x))."""
-        return float(self._block.quantize(np.array([x]))[0])
-
-
-def _rate(bits) -> int:
-    """A rate as an int; ValueError unless it is a nonnegative integer (2.0 is, 1.5 is not)."""
-    if bits < 0 or bits != int(bits):
-        raise ValueError(f"rate must be a nonnegative integer, got {bits}")
-    return int(bits)
+    A rate is an integer (2.0 is, 1.5 is not) below 1024, where 2.0 ** L overflows.
+    """
+    given = np.asarray(bits)
+    rates = given.astype(float)
+    ok = (rates >= 0) & (rates < 1024) & (rates == np.floor(rates))
+    if not ok.all():
+        raise ValueError(f"rate must be a nonnegative integer below 1024, got {given[~ok].flat[0]}")
+    return rates.astype(int) if rates.ndim else int(rates)
 
 
 def sq_worst_case_error(interval, bits: int) -> float:
@@ -64,44 +36,57 @@ def sq_worst_case_error(interval, bits: int) -> float:
     return (hi - lo) / (2.0 * (1 << _rate(bits)))
 
 
-@dataclass(frozen=True)
 class ScalarBlockQuantizer:
-    """One uniform scalar quantizer per coordinate of a block, applied as arrays."""
+    """One uniform scalar quantizer per coordinate of a block, applied as arrays.
 
-    coords: tuple[ScalarQuantizer, ...]
+    Coordinate m quantizes [lo[m], hi[m]] at bits[m] bits.  The constructor
+    checks the three equal-length arrays once and derives the encode and
+    decode arrays; `_take` and `fuse` slice and join those checked arrays.
+    """
 
-    def __init__(self, coords):
-        coords = tuple(coords)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_blocks", 1)  # blocks joined by `fuse`
-        lo = np.array([q.lo for q in coords], dtype=float)
-        hi = np.array([q.hi for q in coords], dtype=float)
-        levels = np.array([float(q.levels) for q in coords])
+    def __init__(self, lo, hi, bits):
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        if not (lo.ndim == 1 and lo.shape == hi.shape == np.shape(bits)):
+            shapes = (lo.shape, hi.shape, np.shape(bits))
+            raise ValueError(f"lo, hi and bits must be equal-length vectors, got shapes {shapes}")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("interval endpoints must be finite")
+        empty = np.flatnonzero(hi < lo)
+        if empty.size:
+            raise ValueError(f"empty interval [{lo[empty[0]]}, {hi[empty[0]]}]")
+        levels = np.ldexp(1.0, _rate(bits))
         width = (hi - lo) / levels
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_top", levels - 1.0)
         # A point interval encodes to 0 (divide by 1) and decodes to lo + 0.5 * -0.0,
         # which is lo, signed zero included.
-        object.__setattr__(self, "_div", np.where(width > 0, width, 1.0))
-        object.__setattr__(self, "_width", np.where(width > 0, width, -0.0))
+        div, width = np.where(width > 0, width, 1.0), np.where(width > 0, width, -0.0)
+        self._set((lo, hi, levels - 1.0, div, width))
+
+    def _set(self, arrays, blocks: int = 1) -> "ScalarBlockQuantizer":
+        """Take checked (lo, hi, top, div, width) arrays, joined from `blocks` blocks; self."""
+        self._lo, self._hi, self._top, self._div, self._width = self._arrays = tuple(arrays)
+        self._blocks = blocks
+        return self
+
+    def _take(self, index: slice) -> "ScalarBlockQuantizer":
+        """Coordinates `index` as a quantizer of their own: the checked arrays, sliced."""
+        return object.__new__(ScalarBlockQuantizer)._set(a[index] for a in self._arrays)
 
     @property
     def size(self) -> int:
-        return len(self.coords)
+        return self._lo.size
 
     @staticmethod
     def fuse(quantizers, sizes) -> Optional["ScalarBlockQuantizer"]:
         """The blocks' coordinates as one quantizer, or None if a block is not of its size.
 
-        Quantization is coordinate-wise, so the fused quantizer gives each
-        block's result bit for bit.
+        Quantization is coordinate-wise, so the fused quantizer, whose arrays
+        join the blocks' checked arrays, gives each block's result bit for bit.
         """
         if any(q.size != size for q, size in zip(quantizers, sizes, strict=True)):
             return None
-        fused = ScalarBlockQuantizer(c for q in quantizers for c in q.coords)
-        object.__setattr__(fused, "_blocks", sum(q._blocks for q in quantizers))
-        return fused
+        arrays = (np.concatenate(a) for a in zip(*(q._arrays for q in quantizers)))
+        blocks = sum(q._blocks for q in quantizers)
+        return object.__new__(ScalarBlockQuantizer)._set(arrays, blocks)
 
     def _encode(self, v: np.ndarray) -> np.ndarray:  # cell indices, as floats
         if v.shape != self._lo.shape:

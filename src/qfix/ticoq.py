@@ -40,7 +40,7 @@ import numpy as np
 
 from .engine import QuantizerBank
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _water_level
-from .squant import ScalarBlockQuantizer, ScalarQuantizer
+from .squant import ScalarBlockQuantizer
 from .vquant import LatticeQuantizer, covering_radius, lattice_scale
 
 _ORACLE_GUARD = 10_000_000
@@ -611,26 +611,28 @@ def uniform_sq_allocation(n: int, total_bits: int) -> np.ndarray:
     return bits
 
 
+def _check_box(part: BlockPartition, box: BoxDomain) -> None:
+    if box.n != part.n:
+        raise ValueError(f"a box of dimension {box.n} for a partition of dimension {part.n}")
+
+
 def make_sq_bank(part: BlockPartition, box: BoxDomain, bits: Sequence[int]) -> QuantizerBank:
-    """Per-coordinate uniform scalar quantizers grouped into block quantizers."""
-    bits = np.asarray(bits, dtype=int)
-    if bits.size != part.n:
-        raise ValueError(f"{bits.size} rates for {part.n} coordinates")
-    coords = [ScalarQuantizer(*iv, int(b)) for iv, b in zip(box.intervals(), bits, strict=True)]
-    return QuantizerBank(
-        [ScalarBlockQuantizer(coords[part.block_slice(k)]) for k in range(part.num_blocks)]
-    )
+    """Per-coordinate uniform scalar quantizers, checked once, sliced into block quantizers."""
+    _check_box(part, box)
+    whole = ScalarBlockQuantizer(box.lo, box.hi, bits)
+    return QuantizerBank([whole._take(part.block_slice(k)) for k in range(part.num_blocks)])
 
 
 def make_vq_bank(part: BlockPartition, box: BoxDomain, block_bits: Sequence[int]) -> QuantizerBank:
     """One dual-lattice quantizer per block at the given block rates."""
-    block_bits = np.asarray(block_bits, dtype=int)
+    _check_box(part, box)
+    block_bits = np.asarray(block_bits)
     if block_bits.size != part.num_blocks:
         raise ValueError(f"{block_bits.size} rates for {part.num_blocks} blocks")
     blocks = []
     for k in range(part.num_blocks):
         sub = box.subbox(part.block_slice(k))
-        blocks.append(LatticeQuantizer(sub.intervals(), int(block_bits[k])))
+        blocks.append(LatticeQuantizer(sub.intervals(), block_bits[k]))
     return QuantizerBank(blocks)
 
 

@@ -7,6 +7,8 @@ is compared against.  `validate_profile` checks a MIMO strategy profile
 against its game's constraints.  `frobenius_norm` scales the Frobenius norm
 through `math.hypot`, so it stays positive on entries near
 `np.finfo(float).tiny`, where `np.linalg.norm` underflows to 0.
+`uniform_l2_spec` and `uniform_wmax_spec` are the unit-weight block norm
+specs the tests build their mappings and bounds on.
 """
 
 import math
@@ -15,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from qfix.linalg import herm_eig
+from qfix.norms import BlockPartition, Lp, NormSpec, WeightedMax
 
 
 class IdentityQuantizer:
@@ -55,3 +58,16 @@ def validate_profile(profile, game) -> None:
 def frobenius_norm(a) -> float:
     """||A||_F, computed with scaling so tiny entries do not underflow."""
     return math.hypot(*np.abs(np.asarray(a, dtype=complex)).ravel())
+
+
+def uniform_l2_spec(part: BlockPartition) -> NormSpec:
+    """Unit-weight spec with a plain Euclidean norm on every block."""
+    return NormSpec([1.0] * part.num_blocks, [Lp(2.0)] * part.num_blocks)
+
+
+def uniform_wmax_spec(part: BlockPartition) -> NormSpec:
+    """Unit-weight spec with unweighted max norm on every block."""
+    return NormSpec(
+        [1.0] * part.num_blocks,
+        [WeightedMax([1.0] * s) for s in part.block_sizes],
+    )

@@ -246,6 +246,18 @@ def test_simulate_rejects_bad_quantizer(tmp_path, capsys):
     assert "quantizer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("quantizer", ["ticoq", "uniform"])
+def test_simulate_refuses_a_rate_of_1024_bits_or_more(tmp_path, capsys, quantizer):
+    """1,100 bits on one coordinate: a config error, not an OverflowError from 2 ** 1100."""
+    doc = _simulate_doc(quantizer=quantizer, L=1100, norm=_wmax_norm(1), box=[[-1.0, 1.0]])
+    assert main(["simulate", "--config", _write(tmp_path, "sim.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: quantizer: rate must be a nonnegative integer below 1024, got 1100\n"
+    )
+
+
 def test_simulate_rejects_lattice_design_on_weighted_max_blocks(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _simulate_doc(quantizer="ticoq", design="vq"))
     assert main(["simulate", "--config", cfg]) == 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import IdentityQuantizer
+from _oracles import IdentityQuantizer, uniform_l2_spec, uniform_wmax_spec
 from qfix import engine
 from qfix.engine import (
     BlockMapping,
@@ -37,10 +37,8 @@ from qfix.norms import (
     NormSpec,
     WeightedMax,
     block_norm,
-    uniform_l2_spec,
-    uniform_wmax_spec,
 )
-from qfix.squant import ScalarBlockQuantizer, ScalarQuantizer
+from qfix.squant import ScalarBlockQuantizer
 from qfix.ticoq import make_sq_bank, ticoq_sq_wmax, uniform_sq_allocation
 
 
@@ -635,10 +633,11 @@ def _scalar_banks(draw):
 @given(_scalar_banks())
 def test_scalar_bank_quantizes_in_one_pass_bit_for_bit(case):
     part, bank, x = case
-    assert bank.quantize_blocks(x, part).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
+    (whole,) = bank.group_quantizers(part, (None,))
+    assert whole.quantize(x).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            bank.quantize_blocks(np.where(np.arange(part.n) == part.n - 1, bad, x), part)
+            whole.quantize(np.where(np.arange(part.n) == part.n - 1, bad, x))
 
 
 def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
@@ -647,9 +646,9 @@ def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
     bank = make_sq_bank(part, box, [2, 3, 4])
     x = np.array([0.3, -0.7, 0.9])
     with pytest.raises(ValueError):
-        bank.quantize_blocks(x, BlockPartition([1, 2]))
+        bank.group_quantizers(BlockPartition([1, 2]), (None,))[0].quantize(x)
     with pytest.raises(ValueError):
-        bank.quantize_blocks(np.zeros(4), part)
+        bank.group_quantizers(part, (None,))[0].quantize(np.zeros(4))
     calls = []
     quantize = ScalarBlockQuantizer.quantize
 
@@ -658,10 +657,12 @@ def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
         return quantize(self, v)
 
     monkeypatch.setattr(ScalarBlockQuantizer, "quantize", counted)
-    assert bank.quantize_blocks(x, part).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
+    (whole,) = bank.group_quantizers(part, (None,))
+    assert whole.quantize(x).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
     assert calls[0] == 3  # the fused pass
     mixed = QuantizerBank([bank.blocks[0], IdentityQuantizer()])
-    assert mixed.quantize_blocks(x, part).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
+    (group,) = mixed.group_quantizers(part, (None,))
+    assert group.quantize(x).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
 
 
 def test_a_fused_scalar_group_refuses_a_worst_case_bound():
@@ -723,8 +724,7 @@ def _scalar_blocks(draw):
     bits = draw(st.lists(st.integers(0, 8), min_size=len(box), max_size=len(box)))
     weights = st.lists(st.floats(0.1, 10.0), min_size=len(box), max_size=len(box))
     norms = st.one_of(_LP_AT_LEAST_2, st.sampled_from([1.0, 1.5]).map(Lp), weights.map(WeightedMax))
-    coords = (ScalarQuantizer(lo, hi, b) for (lo, hi), b in zip(box, bits))
-    return ScalarBlockQuantizer(coords), v, draw(norms)
+    return ScalarBlockQuantizer(*zip(*box), bits), v, draw(norms)
 
 
 @st.composite
@@ -751,7 +751,7 @@ def _projected_blocks(draw):
     if draw(st.booleans()):
         inner = LatticeQuantizer(box, bits)
     else:
-        inner = ScalarBlockQuantizer(ScalarQuantizer(lo, hi, bits) for lo, hi in box)
+        inner = ScalarBlockQuantizer(*zip(*box), [bits] * len(box))
     return ProjectedBlockQuantizer(inner, budget), v, draw(_LP_AT_LEAST_2)
 
 
@@ -1148,9 +1148,9 @@ def test_a_bank_keeps_at_most_its_cap_of_groups_and_quantizes_every_group_alike(
     for _ in range(2):  # the second pass rebuilds the groups that the clear dropped
         for group in groups:
             v = np.concatenate([x[part.block_slice(k)] for k in group])
-            got = bank.quantize_blocks(v, part, group)
+            got = bank.group_quantizers(part, (group,))[0].quantize(v)
             assert len(bank._groups) <= engine._FUSED_PER_BANK
-            fresh = QuantizerBank(bank.blocks).quantize_blocks(v, part, group)
+            fresh = QuantizerBank(bank.blocks).group_quantizers(part, (group,))[0].quantize(v)
             assert got.tobytes() == fresh.tobytes()
             alone = [bank.blocks[k].quantize(x[part.block_slice(k)]) for k in group]
             assert got.tobytes() == np.concatenate(alone).tobytes()

@@ -40,7 +40,7 @@ from qfix.mimo import (
     waterfill,
 )
 from qfix.norms import BlockPartition, Lp, WeightedMax, block_norm
-from qfix.squant import ScalarBlockQuantizer, ScalarQuantizer
+from qfix.squant import ScalarBlockQuantizer
 from qfix.ticoq import (
     make_sq_bank,
     make_vq_bank,
@@ -356,12 +356,13 @@ def test_grouped_projection_equals_each_block_bit_for_bit(links, antennas, latti
     x = profile_to_vec(random_feasible_profile(game, rng))
     x = box.clamp(x + rng.normal(scale=data.draw(st.sampled_from([0.0, 1e-3, 0.3])), size=x.size) * x)
     alone = [q.quantize(x[part.block_slice(k)]) for k, q in enumerate(bank.blocks)]
-    assert bank.quantize_blocks(x, part).tobytes() == np.concatenate(alone).tobytes()
+    (whole,) = bank.group_quantizers(part, (None,))
+    assert whole.quantize(x).tobytes() == np.concatenate(alone).tobytes()
     group = tuple(sorted(data.draw(st.sets(st.integers(0, links - 1), min_size=1))))
     if len(group) > 1:
         v = np.concatenate([x[part.block_slice(k)] for k in group])
         expected = np.concatenate([alone[k] for k in group])
-        assert bank.quantize_blocks(v, part, group).tobytes() == expected.tobytes()
+        assert bank.group_quantizers(part, (group,))[0].quantize(v).tobytes() == expected.tobytes()
         # the group is one projected quantizer: one stacked projection, not a block loop
         for blocks in (group, None):
             (quantizer,) = bank.group_quantizers(part, (blocks,))
@@ -397,16 +398,17 @@ def test_projected_blocks_of_two_sizes_quantize_a_group_block_by_block():
     for game in games:
         box = game_box(game)
         bits = rng.integers(0, 6, box.n)
-        coords = (ScalarQuantizer(lo, hi, b) for lo, hi, b in zip(box.lo, box.hi, bits))
-        blocks.append(ProjectedBlockQuantizer(ScalarBlockQuantizer(coords), game.budgets[0]))
+        inner = ScalarBlockQuantizer(box.lo, box.hi, bits)
+        blocks.append(ProjectedBlockQuantizer(inner, game.budgets[0]))
         values.append(profile_to_vec(random_feasible_profile(game, rng)) * rng.uniform(0.9, 1.1))
     assert ProjectedBlockQuantizer.fuse(blocks, part.block_sizes) is None
     bank = QuantizerBank(blocks)
     (group,) = bank.group_quantizers(part, (None,))
     assert isinstance(group, engine._BlockLoop)
     alone = np.concatenate([q.quantize(v) for q, v in zip(blocks, values)])
-    assert bank.quantize_blocks(np.concatenate(values), part).tobytes() == alone.tobytes()
-    backwards = bank.quantize_blocks(np.concatenate(values[::-1]), part, (1, 0))
+    whole, reverse = bank.group_quantizers(part, (None, (1, 0)))
+    assert whole.quantize(np.concatenate(values)).tobytes() == alone.tobytes()
+    backwards = reverse.quantize(np.concatenate(values[::-1]))
     assert backwards.tobytes() == np.concatenate([alone[4:], alone[:4]]).tobytes()
 
 
@@ -428,7 +430,7 @@ def test_a_quantized_jacobi_step_projects_once(monkeypatch):
         x, states = profile_to_vec(uniform_profile(game)), set()
         for _ in range(5):
             states.add(x.tobytes())
-            x = bank.quantize_blocks(mapping.eval_full(x), mapping.partition)
+            x = bank.group_quantizers(mapping.partition, (None,))[0].quantize(mapping.eval_full(x))
         new_states.append(len(states))
     monkeypatch.setattr(mimo, "project_feasible", counting)
     for bank, evaluated in zip(banks, new_states):
@@ -857,7 +859,7 @@ def test_a_non_finite_profile_is_refused_without_warnings(bad, pos):
             lambda: mapping.eval_block(0, x),
             lambda: mapping.eval_block(1, x),
             lambda: projected.quantize(x[part.block_slice(k)]),
-            lambda: grouped.quantize_blocks(x, part),
+            lambda: grouped.group_quantizers(part, (None,))[0].quantize(x),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 call()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import weighted_max_norm
+from _oracles import uniform_l2_spec, uniform_wmax_spec, weighted_max_norm
 from qfix.norms import (
     BlockPartition,
     BoxDomain,
@@ -16,8 +16,6 @@ from qfix.norms import (
     block_norm,
     block_norms,
     lp_norm,
-    uniform_l2_spec,
-    uniform_wmax_spec,
 )
 
 

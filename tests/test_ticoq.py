@@ -526,6 +526,30 @@ def test_bank_construction_consistency():
     )
 
 
+@pytest.mark.parametrize("dim", [3, 5])
+def test_banks_refuse_a_box_of_another_dimension(dim):
+    """A 3-interval box once gave a 1-dimensional lattice block, and a 5-interval one was cut."""
+    part = BlockPartition([2, 2])
+    box = BoxDomain([(0.0, 1.0)] * dim)
+    message = f"a box of dimension {dim} for a partition of dimension 4"
+    with pytest.raises(ValueError, match=message):
+        make_sq_bank(part, box, [2] * 4)
+    with pytest.raises(ValueError, match=message):
+        make_vq_bank(part, box, [2, 2])
+
+
+def test_banks_refuse_a_non_integer_rate():
+    """A 1.5-bit rate was once cut to 1 bit without a word."""
+    part = BlockPartition([2, 2])
+    box = BoxDomain([(0.0, 1.0)] * 4)
+    with pytest.raises(ValueError, match="nonnegative integer below 1024, got 1.5"):
+        make_sq_bank(part, box, [2, 1.5, 2, 2])
+    with pytest.raises(ValueError, match="nonnegative integer below 1024, got 1.5"):
+        make_vq_bank(part, box, [1.5, 2])
+    # integral float rates are their ints
+    assert [q.bits for q in make_vq_bank(part, box, [1.0, 2.0]).blocks] == [1, 2]
+
+
 def test_sq_bank_error_matches_design_value():
     rng = np.random.default_rng(7)
     for _ in range(20):
