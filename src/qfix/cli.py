@@ -155,11 +155,11 @@ def _design_report(cfg: dict) -> tuple[dict, int]:
     except ValueError as e:
         raise ConfigError(f"{kind}: {e}")
 
-    threshold = ticoq.tradeoff_threshold(alloc.constants)
+    threshold = ticoq.tradeoff_threshold(alloc.family)
     report = alloc.as_dict()
     report["kind"] = kind
     report["threshold"] = threshold
-    report["eta"] = ticoq.relaxed_eta(alloc.constants)
+    report["eta"] = ticoq.relaxed_eta(alloc.family)
     report["in_regime"] = bool(total_bits >= threshold - 1e-9)
     return report, _EXIT_OK
 

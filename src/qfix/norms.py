@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -33,11 +34,12 @@ class BlockPartition:
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, block_sizes: Sequence[int]):
-        sizes = tuple(int(s) for s in block_sizes)
-        if len(sizes) < 1:
+        given = tuple(block_sizes)
+        if len(given) < 1:
             raise ValueError("need at least one block")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"block sizes must be positive, got {sizes}")
+        if not all(s >= 1 and float(s).is_integer() for s in given):
+            raise ValueError(f"block sizes must be positive integers, got {given}")
+        sizes = tuple(int(s) for s in given)
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "offsets", (0, *itertools.accumulate(sizes)))
 
@@ -77,8 +79,8 @@ class WeightedMax:
 
     def __init__(self, a: Sequence[float]):
         aa = tuple(float(v) for v in a)
-        if any(v <= 0 for v in aa):
-            raise ValueError("weighted-max weights must be positive")
+        if not all(0 < v < math.inf for v in aa):
+            raise ValueError(f"weighted-max weights must be positive and finite, got {aa}")
         object.__setattr__(self, "a", aa)
 
     @property
@@ -111,8 +113,8 @@ class NormSpec:
     def __init__(self, block_weights: Sequence[float], per_block: Sequence[PerBlockNorm]):
         w = tuple(float(v) for v in block_weights)
         pb = tuple(per_block)
-        if any(v <= 0 for v in w):
-            raise ValueError("block weights must be positive")
+        if not all(0 < v < math.inf for v in w):
+            raise ValueError(f"block weights must be positive and finite, got {w}")
         if len(w) != len(pb):
             raise ValueError("one component norm per block weight required")
         for item in pb:
@@ -190,6 +192,8 @@ class BoxDomain:
         for m, (a, b) in enumerate(zip(lo, hi)):
             if not (a <= b):
                 raise ValueError(f"interval {m} has lo {a} > hi {b}")
+            if not (-math.inf < a and b < math.inf):
+                raise ValueError(f"interval {m} has an infinite endpoint: [{a}, {b}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         for name, bounds in (("_lo", lo), ("_hi", hi)):

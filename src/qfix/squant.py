@@ -28,14 +28,6 @@ def _rate(bits):
     return rates.astype(int) if rates.ndim else int(rates)
 
 
-def sq_worst_case_error(interval, bits: int) -> float:
-    """|X| / 2^(L+1): the midpoint rule's worst error over the interval."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    return (hi - lo) / (2.0 * (1 << _rate(bits)))
-
-
 class ScalarBlockQuantizer:
     """One uniform scalar quantizer per coordinate of a block, applied as arrays.
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -48,60 +48,46 @@ _ORACLE_GUARD = 10_000_000
 
 @dataclass(frozen=True)
 class DesignConstants:
-    """Per-coordinate (c) or per-block (d) error constants plus water levels.
+    """One design family: its entry constants and entry sizes, checked once.
 
-    kind selects the design family: "sq-wmax", "sq-lp", or "vq".  tau is
-    the global water level of the relaxed solution; tau_blocks holds the
-    per-block levels of the L_p design (NaN for inactive blocks).
+    kind selects the family.  "sq-wmax" (one entry per coordinate, size 1)
+    and "vq" (one entry per block, of size n_k) minimize the max term
+    max_i const_i 2^(-L_i / sizes_i).  "sq-lp" (one entry per coordinate)
+    minimizes max_k (sum_{m in M_k} const_m 2^(-p L_m))^(1/p) over the
+    coordinate blocks `blocks`; only it reads p and blocks.
     """
 
     kind: str
-    c: Optional[tuple] = None
-    d: Optional[tuple] = None
-    p: Optional[float] = None
-    block_sizes: Optional[tuple] = None
-    tau: float = math.nan
-    tau_blocks: Optional[tuple] = None
+    const: tuple
+    sizes: tuple
+    p: float = 1.0
+    blocks: Optional[tuple] = None
 
     def __post_init__(self):
         if self.kind not in ("sq-wmax", "sq-lp", "vq"):
             raise ValueError(f"unknown design kind {self.kind!r}")
-        if self.kind == "vq":
-            if self.d is None or self.block_sizes is None:
-                raise ValueError("vq constants need d and block_sizes")
-            if any(v <= 0 for v in self.d):
-                raise ValueError("all block constants must be positive")
-        else:
-            if self.c is None:
-                raise ValueError("scalar constants need c")
-            if any(v <= 0 for v in self.c):
-                raise ValueError("all coordinate constants must be positive")
-        if self.kind == "sq-lp":
-            if self.p is None or not (self.p >= 1.0):
-                raise ValueError("sq-lp constants need p >= 1")
-            if self.block_sizes is None:
-                raise ValueError("sq-lp constants need block_sizes")
+        if len(self.const) != len(self.sizes):
+            raise ValueError(f"{len(self.const)} constants for {len(self.sizes)} entry sizes")
+        if not all(v > 0 for v in self.const):
+            raise ValueError("all design constants must be positive")
+        if self.kind == "sq-lp" and not (
+            self.p >= 1.0 and self.blocks is not None and sum(self.blocks) == len(self.const)
+        ):
+            raise ValueError("sq-lp constants need p >= 1 and blocks covering every coordinate")
 
     @property
     def n(self) -> int:
         """Total quantized dimension."""
-        if self.kind == "vq":
-            return int(sum(self.block_sizes))
-        return len(self.c)
-
-    @property
-    def entries(self) -> int:
-        """Number of allocation entries: coordinates, or blocks for lattices."""
-        return len(self.d if self.kind == "vq" else self.c)
+        return int(sum(self.sizes))
 
 
 @dataclass(frozen=True)
 class RateAllocation:
     """The integer bit allocation for one total budget, and its relaxed optimum.
 
-    The relaxed optimum (`relaxed`, `relaxed_value` and the water levels in
-    `constants`) is computed from `family`, the constants without water
-    levels, on first read: the integer design never needs it.
+    The relaxed optimum (`relaxed`, `relaxed_value` and the water levels
+    `tau` and `tau_blocks`) is computed from `family` on first read: the
+    integer design never needs it.
     """
 
     total_bits: int
@@ -110,8 +96,8 @@ class RateAllocation:
     family: DesignConstants
 
     def __post_init__(self):
-        if len(self.bits) != self.family.entries:
-            raise ValueError(f"{len(self.bits)} rates for {self.family.entries} entries")
+        if len(self.bits) != len(self.family.const):
+            raise ValueError(f"{len(self.bits)} rates for {len(self.family.const)} entries")
         if any(b < 0 or b != int(b) for b in self.bits):
             raise ValueError("integer bits must be nonnegative integers")
         if sum(self.bits) != self.total_bits:
@@ -127,20 +113,23 @@ class RateAllocation:
     @cached_property
     def _relaxation(self) -> tuple:
         """Nested water-filling for "sq-lp", weighted water-filling at the exact level otherwise."""
-        c = self.family
-        if c.kind == "sq-lp":
-            part = BlockPartition(c.block_sizes)
-            relaxed, tau, levels = _relax_lp(np.asarray(c.c), c.p, part, self.total_bits)
-            return tuple(relaxed), tau ** (1.0 / c.p), replace(c, tau=tau, tau_blocks=tuple(levels))
+        f = self.family
+        if f.kind == "sq-lp":
+            relaxed, tau, levels = _relax_lp(np.asarray(f.const), f.p, BlockPartition(f.blocks), self.total_bits)
+            return tuple(relaxed), tau ** (1.0 / f.p), tau, tuple(levels)
         # Weighted: sum_k n_k (log2 d_k - t)^+ = L is unweighted over each entry repeated n_k times.
-        logs, sizes, _ = _log_terms(c)
+        logs, sizes, _ = _log_terms(f)
         level, top = _water_level(np.repeat(logs, sizes.astype(int)), np.asarray(float(self.total_bits)))
         t = float(min(level, top))  # a zero budget funds nothing: t is the largest log constant
-        return tuple(sizes * np.maximum(logs - t, 0.0)), 2.0**t, replace(c, tau=2.0**t)
+        return tuple(sizes * np.maximum(logs - t, 0.0)), 2.0**t, 2.0**t, None
 
     relaxed = property(lambda self: self._relaxation[0], doc="The real-valued optimum.")
     relaxed_value = property(lambda self: self._relaxation[1], doc="Its objective value.")
-    constants = property(lambda self: self._relaxation[2], doc="`family` with the water levels.")
+    tau = property(lambda self: self._relaxation[2], doc="The global water level.")
+    tau_blocks = property(
+        lambda self: self._relaxation[3],
+        doc='The "sq-lp" per-block levels (NaN for inactive blocks); None otherwise.',
+    )
 
     def as_dict(self) -> dict:
         return {
@@ -157,13 +146,16 @@ class RateAllocation:
 # Objective evaluators (shared by the solvers and the oracle)
 # ---------------------------------------------------------------------------
 
-def sq_wmax_objective(c: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
-    """max_m c_m 2^(-L_m) over rows of an allocation matrix."""
-    cv = np.asarray(c, dtype=float)
+def max_term_objective(
+    const: Sequence[float], sizes: Sequence[int]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """max_i const_i 2^(-L_i / sizes_i) over rows of an allocation matrix."""
+    cv = np.asarray(const, dtype=float)
+    nv = np.asarray(sizes, dtype=float)
 
     def f(allocs: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(allocs, dtype=float))
-        return np.max(cv * 2.0 ** (-a), axis=1)
+        return np.max(cv * 2.0 ** (-a / nv), axis=1)
 
     return f
 
@@ -187,37 +179,24 @@ def sq_lp_objective(
     return f
 
 
-def vq_lattice_objective(
-    d: Sequence[float], block_sizes: Sequence[int]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """max_k d_k 2^(-L_k / n_k) over rows of per-block allocations."""
-    dv = np.asarray(d, dtype=float)
-    nv = np.asarray(block_sizes, dtype=float)
-
-    def f(allocs: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(allocs, dtype=float))
-        return np.max(dv * 2.0 ** (-a / nv), axis=1)
-
-    return f
-
-
-def objective_for(constants: DesignConstants, part: Optional[BlockPartition] = None):
-    if constants.kind == "sq-wmax":
-        return sq_wmax_objective(constants.c)
-    if constants.kind == "sq-lp":
-        if part is None:
-            part = BlockPartition(constants.block_sizes)
-        return sq_lp_objective(constants.c, constants.p, part)
-    return vq_lattice_objective(constants.d, constants.block_sizes)
+def objective_for(family: DesignConstants) -> Callable[[np.ndarray], np.ndarray]:
+    if family.kind == "sq-lp":
+        return sq_lp_objective(family.const, family.p, BlockPartition(family.blocks))
+    return max_term_objective(family.const, family.sizes)
 
 
 # ---------------------------------------------------------------------------
 # Design constants from a box + norm specification
 # ---------------------------------------------------------------------------
 
-def _box_lengths(box: BoxDomain, n: int) -> np.ndarray:
-    if box.n != n:
-        raise ValueError(f"box dimension {box.n} != partition dimension {n}")
+def _check_box(part: BlockPartition, box: BoxDomain) -> None:
+    if box.n != part.n:
+        raise ValueError(f"a box of dimension {box.n} for a partition of dimension {part.n}")
+
+
+def _box_lengths(part: BlockPartition, box: BoxDomain) -> np.ndarray:
+    """The side lengths of a design's box, checked against its partition."""
+    _check_box(part, box)
     lengths = box.lengths
     if np.any(lengths <= 0):
         raise ValueError("every interval must have positive length")
@@ -227,7 +206,7 @@ def _box_lengths(box: BoxDomain, n: int) -> np.ndarray:
 def sq_wmax_constants(part: BlockPartition, spec: NormSpec, box: BoxDomain) -> np.ndarray:
     """c_m = |X_m| / (2 a_m w_k(m)) for weighted-max blocks."""
     spec.check_partition(part)
-    lengths = _box_lengths(box, part.n)
+    lengths = _box_lengths(part, box)
     for k, norm_k in enumerate(spec.per_block):
         if not isinstance(norm_k, WeightedMax):
             raise ValueError(f"block {k} does not carry a weighted-max norm")
@@ -240,7 +219,7 @@ def sq_lp_constants(
 ) -> tuple[np.ndarray, float]:
     """c_m = |X_m|^p / (2^p w_k(m)^p) and the common exponent p."""
     spec.check_partition(part)
-    lengths = _box_lengths(box, part.n)
+    lengths = _box_lengths(part, box)
     p = None
     for k, norm_k in enumerate(spec.per_block):
         if not isinstance(norm_k, Lp):
@@ -263,7 +242,7 @@ def vq_constants(part: BlockPartition, w: Sequence[float], box: BoxDomain) -> np
     w = np.asarray(w, dtype=float)
     if w.shape != (part.num_blocks,) or np.any(w <= 0):
         raise ValueError("need one positive weight per block")
-    lengths = _box_lengths(box, part.n)
+    lengths = _box_lengths(part, box)
     d = np.empty(part.num_blocks)
     for k in range(part.num_blocks):
         scale = lattice_scale(lengths[part.block_slice(k)], 0)
@@ -380,16 +359,16 @@ class RateFrontier:
     lattices) that took bit j; the walk's first b bits are budget b's design.
     """
 
-    constants: DesignConstants  # the family's constants, without water levels
+    family: DesignConstants
     order: np.ndarray
 
     def allocation(self, b: int) -> RateAllocation:
         """Budget b's design, 0 <= b <= len(order): the walk's first b bits and their value."""
         if b not in range(len(self.order) + 1):
             raise ValueError(f"budget {b} is outside the frontier's 0..{len(self.order)}")
-        bits = np.bincount(self.order[: int(b)], minlength=self.constants.entries)
-        value = objective_for(self.constants)(bits)[0]
-        return RateAllocation(int(b), tuple(bits.tolist()), float(value), self.constants)
+        bits = np.bincount(self.order[: int(b)], minlength=len(self.family.const))
+        value = objective_for(self.family)(bits)[0]
+        return RateAllocation(int(b), tuple(bits.tolist()), float(value), self.family)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +376,7 @@ class RateFrontier:
 # ---------------------------------------------------------------------------
 
 def _check_budget(total_bits: int) -> int:
-    if total_bits < 0 or total_bits != int(total_bits):
+    if not (total_bits >= 0 and float(total_bits).is_integer()):
         raise ValueError(f"total rate must be a nonnegative integer, got {total_bits}")
     return int(total_bits)
 
@@ -413,24 +392,23 @@ def ticoq_frontier(
     take the smallest L_p exponent.
     """
     max_bits = _check_budget(max_bits)
-    if mode == "sq-wmax":
-        c = sq_wmax_constants(part, spec, box)
-        constants = DesignConstants(kind="sq-wmax", c=tuple(c))
-        return RateFrontier(constants, _max_term_order(c, np.ones(c.size), max_bits))
     if mode == "sq-lp":
         c, p = sq_lp_constants(part, spec, box)
-        constants = DesignConstants(kind="sq-lp", c=tuple(c), p=p, block_sizes=part.block_sizes)
-        return RateFrontier(constants, _lp_order(c, p, part, max_bits))
-    if mode != "vq":
+        family = DesignConstants(mode, tuple(c), (1,) * part.n, p, part.block_sizes)
+        return RateFrontier(family, _lp_order(c, p, part, max_bits))
+    if mode == "sq-wmax":
+        family = DesignConstants(mode, tuple(sq_wmax_constants(part, spec, box)), (1,) * part.n)
+    elif mode == "vq":
+        if not all(isinstance(norm, Lp) for norm in spec.per_block):
+            raise ValueError("lattice designs require L_p block norms")
+        p = min(norm.p for norm in spec.per_block)
+        if not (p >= 2.0):
+            raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
+        family = DesignConstants(mode, tuple(vq_constants(part, spec.block_weights, box)), part.block_sizes)
+    else:
         raise ValueError(f"unknown design mode {mode!r}")
-    if not all(isinstance(norm, Lp) for norm in spec.per_block):
-        raise ValueError("lattice designs require L_p block norms")
-    p = min(norm.p for norm in spec.per_block)
-    if not (p >= 2.0):
-        raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
-    d = vq_constants(part, spec.block_weights, box)
-    constants = DesignConstants(kind="vq", d=tuple(d), block_sizes=part.block_sizes)
-    return RateFrontier(constants, _max_term_order(d, np.array(part.block_sizes, float), max_bits))
+    order = _max_term_order(np.asarray(family.const), np.asarray(family.sizes, dtype=float), max_bits)
+    return RateFrontier(family, order)
 
 
 def ticoq_design(
@@ -553,47 +531,41 @@ def allocation_oracle(
 # High-rate tradeoff threshold and prefactor
 # ---------------------------------------------------------------------------
 
-def _log_terms(constants: DesignConstants) -> tuple[np.ndarray, np.ndarray, float]:
+def _log_terms(family: DesignConstants) -> tuple[np.ndarray, np.ndarray, float]:
     """(log2 constants, entry sizes, p) of the high-rate law.
 
     Past the threshold the relaxed optimum is 2^(sum_i s_i log_i / (p n)) *
-    2^(-L/n) with n = sum_i s_i.  Scalar entries have size 1; the L_p design
-    weights coordinate m of block k by n_k and divides the exponent by p;
-    lattice entries are blocks of size n_k.
+    2^(-L/n) with n = sum_i s_i.  Max-term entries enter as they are, with
+    p = 1; the L_p design weights coordinate m of block k by n_k and divides
+    the exponent by p.
     """
-    if constants.kind == "vq":
-        return (
-            np.log2(np.asarray(constants.d)),
-            np.asarray(constants.block_sizes, dtype=float),
-            1.0,
-        )
-    c = np.asarray(constants.c)
-    if constants.kind == "sq-wmax":
-        return np.log2(c), np.ones(c.size), 1.0
-    sizes = np.asarray(constants.block_sizes, dtype=int)
-    return np.log2(np.repeat(sizes, sizes) * c), np.ones(c.size), constants.p
+    const, sizes = np.asarray(family.const), np.asarray(family.sizes, dtype=float)
+    if family.kind == "sq-lp":
+        blocks = np.asarray(family.blocks, dtype=int)
+        return np.log2(np.repeat(blocks, blocks) * const), sizes, family.p
+    return np.log2(const), sizes, 1.0
 
 
-def tradeoff_threshold(constants: DesignConstants) -> float:
+def tradeoff_threshold(family: DesignConstants) -> float:
     """Budget L' past which the relaxed optimum equals eta * 2^(-L/n).
 
     For weighted-max and lattice designs the threshold is tight.  For the
     L_p design it is intentionally conservative (the tight value would
     carry an extra 1/p factor), so the guarantee holds for every L >= L'.
     """
-    logs, sizes, _ = _log_terms(constants)
+    logs, sizes, _ = _log_terms(family)
     return float(np.sum(sizes * logs) - np.sum(sizes) * np.min(logs))
 
 
-def relaxed_eta(constants: DesignConstants) -> float:
+def relaxed_eta(family: DesignConstants) -> float:
     """Prefactor eta of the high-rate law: relaxed optimum = eta * 2^(-L/n)."""
-    logs, sizes, p = _log_terms(constants)
+    logs, sizes, p = _log_terms(family)
     return float(2.0 ** (np.sum(sizes * logs) / (p * np.sum(sizes))))
 
 
-def tradeoff_value(constants: DesignConstants, total_bits: float) -> float:
+def tradeoff_value(family: DesignConstants, total_bits: float) -> float:
     """eta * 2^(-L/n): the relaxed optimum for budgets past the threshold."""
-    return relaxed_eta(constants) * 2.0 ** (-float(total_bits) / constants.n)
+    return relaxed_eta(family) * 2.0 ** (-float(total_bits) / family.n)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +581,6 @@ def uniform_sq_allocation(n: int, total_bits: int) -> np.ndarray:
     bits = np.full(n, base, dtype=int)
     bits[:extra] += 1
     return bits
-
-
-def _check_box(part: BlockPartition, box: BoxDomain) -> None:
-    if box.n != part.n:
-        raise ValueError(f"a box of dimension {box.n} for a partition of dimension {part.n}")
 
 
 def make_sq_bank(part: BlockPartition, box: BoxDomain, bits: Sequence[int]) -> QuantizerBank:

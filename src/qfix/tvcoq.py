@@ -91,11 +91,11 @@ def master_objective(alpha: float, n: int) -> Callable[[np.ndarray], np.ndarray]
 def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: int) -> None:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"modulus must lie in (0, 1) for the stage split, got {alpha}")
-    if n < 1 or n != int(n):
+    if not (n >= 1 and float(n).is_integer()):
         raise ValueError(f"dimension must be a positive integer, got {n}")
-    if horizon < 1 or horizon != int(horizon):
+    if not (horizon >= 1 and float(horizon).is_integer()):
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    if per_stage_budget < 0 or per_stage_budget != int(per_stage_budget):
+    if not (per_stage_budget >= 0 and float(per_stage_budget).is_integer()):
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
 
@@ -162,7 +162,7 @@ def tvcoq_master(
     exact for this separable convex objective.
     """
     _validate_master_args(alpha, n, per_stage_budget, horizon)
-    if l_prime < 0:
+    if not l_prime >= 0:
         raise ValueError(f"threshold must be nonnegative, got {l_prime}")
     L, T = int(per_stage_budget), int(horizon)
     total = T * L
@@ -219,7 +219,7 @@ def tvcoq_design(
     of the walk is its own budget's design.  Stages with equal rates share
     one allocation and one bank.
     """
-    l_prime = tradeoff_threshold(ticoq_frontier(part, spec, box, 0, mode).constants)
+    l_prime = tradeoff_threshold(ticoq_frontier(part, spec, box, 0, mode).family)
     schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=l_prime)
     frontier = ticoq_frontier(part, spec, box, max(schedule.rates), mode)
     allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(schedule.rates)}
@@ -251,7 +251,7 @@ def tvcoq_error_bound(
     """Horizon-end worst-case error bound T alpha^((T-1)/2) eta 2^(-L/n)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"modulus must lie in (0, 1), got {alpha}")
-    if horizon < 1 or horizon != int(horizon):
+    if not (horizon >= 1 and float(horizon).is_integer()):
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")

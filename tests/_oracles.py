@@ -3,7 +3,8 @@
 `IdentityQuantizer` is a pass-through block quantizer, the infinite-rate
 fake a bank can hold in place of a real one.  `weighted_max_norm` is the
 per-block weighted maximum norm in its plain form, the oracle `block_norm`
-is compared against.  `validate_profile` checks a MIMO strategy profile
+is compared against.  `sq_worst_case_error` is the midpoint rule's half
+cell, the oracle the scalar and lattice quantizers' errors are held to.  `validate_profile` checks a MIMO strategy profile
 against its game's constraints.  `frobenius_norm` scales the Frobenius norm
 through `math.hypot`, so it stays positive on entries near
 `np.finfo(float).tiny`, where `np.linalg.norm` underflows to 0.
@@ -41,6 +42,12 @@ def weighted_max_norm(x: Sequence[float], a: Sequence[float]) -> float:
     if x.size == 0:
         return 0.0
     return float(np.max(np.abs(x) / a))
+
+
+def sq_worst_case_error(interval, bits: int) -> float:
+    """|X| / 2^(L+1): the midpoint rule's worst error over the interval at an integer rate."""
+    lo, hi = float(interval[0]), float(interval[1])
+    return (hi - lo) / (2.0 * (1 << int(bits)))
 
 
 def validate_profile(profile, game) -> None:

@@ -49,14 +49,13 @@ from qfix.ticoq import (
     allocation_oracle,
     bank_for_allocation,
     make_sq_bank,
+    max_term_objective,
     relaxed_eta,
     sq_lp_objective,
-    sq_wmax_objective,
     ticoq_sq_lp,
     ticoq_sq_wmax,
     ticoq_vq_lattice,
     uniform_sq_allocation,
-    vq_lattice_objective,
 )
 from qfix.tvcoq import master_objective, tvcoq_design, tvcoq_master
 from qfix.vquant import covering_radius, nearest_point_a_star
@@ -122,7 +121,7 @@ def test_c01_wmax_rate_design_matches_exhaustive_oracle():
         L = int(rng.integers(0, 13))
         alloc = ticoq_sq_wmax(part, spec, box, L)
         oracle = allocation_oracle(
-            sq_wmax_objective(np.asarray(alloc.constants.c)), part.n, L
+            max_term_objective(np.asarray(alloc.family.const), [1] * part.n), part.n, L
         )
         # Bit-level equality of the optimal max-error value.
         assert alloc.integer_value == oracle.value, (
@@ -145,7 +144,7 @@ def test_c02_lattice_rate_design_matches_exhaustive_oracle():
         L = int(rng.integers(0, 10))
         alloc = ticoq_vq_lattice(part, w, box, L)
         oracle = allocation_oracle(
-            vq_lattice_objective(np.asarray(alloc.constants.d), part.block_sizes),
+            max_term_objective(np.asarray(alloc.family.const), part.block_sizes),
             part.num_blocks,
             L,
         )
@@ -197,17 +196,17 @@ def test_c04_lp_relaxation_kkt_and_integer_optimum():
         box = _random_box(rng, part.n)
         L = int(rng.integers(0, 9))
         alloc = ticoq_sq_lp(part, spec, box, L)
-        c = np.asarray(alloc.constants.c)
-        p = alloc.constants.p
+        c = np.asarray(alloc.family.const)
+        p = alloc.family.p
         relaxed = np.asarray(alloc.relaxed)
-        tau = alloc.constants.tau
+        tau = alloc.tau
 
         # Primal feasibility: rates sum to the budget.
         resid = abs(relaxed.sum() - L) / max(1.0, L)
         worst_resid = max(worst_resid, resid)
         for k in range(part.num_blocks):
             sl = part.block_slice(k)
-            tau_k = alloc.constants.tau_blocks[k]
+            tau_k = alloc.tau_blocks[k]
             if math.isnan(tau_k):
                 # Inactive block: already below the water level with no bits.
                 assert np.all(relaxed[sl] == 0.0)
@@ -279,7 +278,7 @@ def test_c06_steady_error_follows_high_rate_law():
     bounds = []
     for L in budgets:
         alloc = ticoq_sq_wmax(part, spec, box, L)
-        eta = relaxed_eta(alloc.constants)
+        eta = relaxed_eta(alloc.family)
         bank = make_sq_bank(part, box, alloc.bits)
         bound = (1.0 / (1.0 - alpha)) * eta * 2.0 ** (-L / n)
         vals = []

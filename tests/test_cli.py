@@ -246,6 +246,39 @@ def test_simulate_rejects_bad_quantizer(tmp_path, capsys):
     assert "quantizer" in capsys.readouterr().err
 
 
+_LP_NORM = {"blocks": [2], "w": [1.0], "per_block": [{"kind": "lp", "p": 2.0}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        # a fractional block size was cut to an integer, and the design exited 0
+        ("design", _design_doc(norm=dict(_wmax_norm(), blocks=[1.5, 1])),
+         "norm: block sizes must be positive integers"),
+        # a NaN weight printed NaN and Infinity in a design, and a simulation ended in a traceback
+        ("design", _design_doc(norm=dict(_wmax_norm(), w=[float("nan"), 1.0])),
+         "norm: block weights must be positive and finite"),
+        ("simulate", _simulate_doc(norm=dict(_wmax_norm(), w=[float("nan"), 1.0])),
+         "norm: block weights must be positive and finite"),
+        ("design", _design_doc(norm={**_wmax_norm(1), "per_block": [{"kind": "wmax", "a": [float("inf")]}]},
+                               box=[[0.0, 1.0]]),
+         "norm: weighted-max weights must be positive and finite"),
+        # an infinite endpoint ended an unquantized simulation in a traceback, and an L_p design
+        # exited 0 with runtime warnings
+        ("simulate", _simulate_doc(quantizer="none", box=[[-1.0, float("inf")], [-1.0, 1.0]]),
+         "box: interval 0 has an infinite endpoint"),
+        ("design", _design_doc(kind="ticoq-lp", norm=_LP_NORM, box=[[0.0, 1.0], [0.0, float("inf")]]),
+         "box: interval 1 has an infinite endpoint"),
+    ],
+)
+def test_norm_and_box_records_refuse_what_no_design_can_use(tmp_path, capsys, command, doc, message):
+    assert main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("quantizer", ["ticoq", "uniform"])
 def test_simulate_refuses_a_rate_of_1024_bits_or_more(tmp_path, capsys, quantizer):
     """1,100 bits on one coordinate: a config error, not an OverflowError from 2 ** 1100."""

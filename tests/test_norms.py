@@ -39,6 +39,15 @@ def test_partition_rejects_bad_sizes():
         BlockPartition([2, -1])
 
 
+def test_partition_refuses_fractional_sizes_and_takes_integral_floats():
+    """[1.5, 1] was once cut to [1, 1] without a word."""
+    for sizes in ([1.5, 1], [2, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="block sizes must be positive integers"):
+            BlockPartition(sizes)
+    part = BlockPartition([2.0, np.int64(1)])
+    assert part.block_sizes == (2, 1) and all(type(s) is int for s in part.block_sizes)
+
+
 def test_weighted_max_norm_hand_value():
     # max(|3|/1, |-4|/2, |1|/0.5) = max(3, 2, 2) = 3
     assert weighted_max_norm([3.0, -4.0, 1.0], [1.0, 2.0, 0.5]) == 3.0
@@ -47,6 +56,15 @@ def test_weighted_max_norm_hand_value():
 def test_weighted_max_rejects_nonpositive_scale():
     with pytest.raises(ValueError):
         WeightedMax([1.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weights_must_be_finite(bad):
+    """NaN and infinite weights were once taken, and designs printed NaN and Infinity."""
+    with pytest.raises(ValueError, match="weighted-max weights must be positive and finite"):
+        WeightedMax([bad, 1.0])
+    with pytest.raises(ValueError, match="block weights must be positive and finite"):
+        NormSpec([bad, 1.0], [Lp(2.0), Lp(2.0)])
 
 
 def test_lp_norm_matches_numpy():
@@ -139,6 +157,13 @@ def test_box_domain_interval_validation():
     box = BoxDomain([(1.0, 1.0)])
     assert box.contains([1.0])
     assert box.clamp([5.0]) == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("interval", [(-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+def test_box_domain_refuses_infinite_endpoints(interval):
+    """[-1, inf] once reached a simulation's traceback, and an L_p design's runtime warnings."""
+    with pytest.raises(ValueError, match="interval 1 has an infinite endpoint"):
+        BoxDomain([(0.0, 1.0), interval])
 
 
 def test_block_norm_is_a_norm():

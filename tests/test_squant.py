@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfix.squant import ScalarBlockQuantizer, _rate, sq_worst_case_error
+from _oracles import sq_worst_case_error
+from qfix.squant import ScalarBlockQuantizer, _rate
 from qfix.vquant import LatticeQuantizer
 
 
@@ -93,8 +94,6 @@ def test_rejects_bad_inputs():
     for bits in (1.5, -1):
         with pytest.raises(ValueError, match="nonnegative integer"):
             ScalarBlockQuantizer([0.0, 0.0], [1.0, 1.0], [2, bits])
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            sq_worst_case_error((0.0, 1.0), bits)
     with pytest.raises(ValueError, match="shapes"):
         ScalarBlockQuantizer([0.0, 0.0], [1.0], [2])
     # An integral float rate is its int, and the quantizer works.
@@ -117,7 +116,6 @@ def test_refuses_a_rate_of_1024_bits_or_more(bits):
     """2.0 ** 1024 overflows a float, and every input would decode to lo: refused by one rule."""
     for build in (
         lambda: ScalarBlockQuantizer([0.0, 0.0], [1.0, 1.0], [2, bits]),
-        lambda: sq_worst_case_error((0.0, 1.0), bits),
         lambda: LatticeQuantizer([(0.0, 1.0)], bits),
     ):
         with pytest.raises(ValueError, match="nonnegative integer below 1024, got 1"):

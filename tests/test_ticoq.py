@@ -15,12 +15,12 @@ from qfix.ticoq import (
     bank_for_allocation,
     make_sq_bank,
     make_vq_bank,
+    max_term_objective,
     objective_for,
     relaxed_eta,
     sq_lp_constants,
     sq_lp_objective,
     sq_wmax_constants,
-    sq_wmax_objective,
     ticoq_design,
     ticoq_frontier,
     ticoq_sq_lp,
@@ -30,7 +30,6 @@ from qfix.ticoq import (
     tradeoff_value,
     uniform_sq_allocation,
     vq_constants,
-    vq_lattice_objective,
 )
 from qfix.tvcoq import tvcoq_design, tvcoq_master
 from qfix.vquant import covering_radius, fundamental_volume
@@ -67,7 +66,7 @@ def test_wmax_worked_instance():
     assert np.allclose(sq_wmax_constants(part, spec, box), [0.5, 2.0])
     assert alloc.bits == (0, 2)
     assert alloc.integer_value == pytest.approx(0.5)
-    assert alloc.constants.tau == pytest.approx(0.5, abs=1e-9)
+    assert alloc.tau == pytest.approx(0.5, abs=1e-9)
     assert np.allclose(alloc.relaxed, [0.0, 2.0], atol=1e-9)
     assert alloc.relaxed_value == pytest.approx(0.5, abs=1e-9)
 
@@ -93,7 +92,7 @@ def test_wmax_fraction_rounding_beats_value_ranking():
     alloc = ticoq_sq_wmax(part, spec, box, 3)
     assert alloc.bits == (2, 1)
     assert alloc.integer_value == pytest.approx(2.0)
-    oracle = allocation_oracle(sq_wmax_objective([8.0, 3.0]), 2, 3)
+    oracle = allocation_oracle(max_term_objective([8.0, 3.0], [1, 1]), 2, 3)
     assert alloc.integer_value == oracle.value
 
 
@@ -107,7 +106,7 @@ def test_wmax_budget_constraint_and_water_level():
         assert abs(relaxed.sum() - total) <= 1e-9
         assert sum(alloc.bits) == total
         c = sq_wmax_constants(part, spec, box)
-        tau = alloc.constants.tau
+        tau = alloc.tau
         active = relaxed > 1e-9
         # every coordinate holding bits sits exactly at the water level
         assert np.allclose(c[active] * 2.0 ** -relaxed[active], tau, rtol=1e-9)
@@ -121,7 +120,7 @@ def test_wmax_matches_oracle_batch():
         total = int(rng.integers(0, 13))
         alloc = ticoq_sq_wmax(part, spec, box, total)
         c = sq_wmax_constants(part, spec, box)
-        oracle = allocation_oracle(sq_wmax_objective(c), part.n, total)
+        oracle = allocation_oracle(max_term_objective(c, [1] * len(c)), part.n, total)
         assert alloc.integer_value == oracle.value
 
 
@@ -173,8 +172,8 @@ def test_lp_relaxed_kkt_residuals():
         c, p = sq_lp_constants(part, spec, box)
         relaxed = np.asarray(alloc.relaxed)
         assert abs(relaxed.sum() - total) <= 1e-9
-        tau = alloc.constants.tau
-        tau_blocks = alloc.constants.tau_blocks
+        tau = alloc.tau
+        tau_blocks = alloc.tau_blocks
         for k in range(part.num_blocks):
             sl = part.block_slice(k)
             tau_k = tau_blocks[k]
@@ -196,7 +195,7 @@ def test_lp_relaxed_kkt_residuals():
 def test_lp_relaxed_value_is_tau_root():
     part, spec, box = _random_lp_problem(np.random.default_rng(3), p=2.0)
     alloc = ticoq_sq_lp(part, spec, box, 6)
-    assert alloc.relaxed_value == pytest.approx(alloc.constants.tau ** 0.5, rel=1e-12)
+    assert alloc.relaxed_value == pytest.approx(alloc.tau ** 0.5, rel=1e-12)
 
 
 def test_lp_integer_value_matches_oracle():
@@ -241,7 +240,7 @@ def test_design_equals_the_oracle(data, mode, total):
     alloc = ticoq_design(part, spec, box, total, mode)
     dims = len(alloc.bits)
     assume(math.comb(total + dims - 1, dims - 1) <= 200_000)
-    oracle = allocation_oracle(objective_for(alloc.constants, part), dims, total)
+    oracle = allocation_oracle(objective_for(alloc.family), dims, total)
     if mode == "sq-lp":
         # Terms tied in exact arithmetic can round apart when p is not an integer
         # (sizes [2, 2], unit weights, spans (4, 0.5, 1, 0.5), p = 1.5, L = 11: 1 ulp).
@@ -260,21 +259,21 @@ _BALANCE_ULPS = 4  # an active L_p block's sum_m min(c_m, tau_k) = tau, in ulps 
 def test_relaxed_rates_sit_at_exact_water_levels(data, mode, total):
     part, spec, box = _design_problem(data, mode)
     alloc = ticoq_design(part, spec, box, total, mode)
-    relaxed, k = np.asarray(alloc.relaxed), alloc.constants
+    relaxed, k = np.asarray(alloc.relaxed), alloc.family
     assert abs(math.fsum(relaxed) - total) <= _SUM_ULPS * math.ulp(max(total, 1))
     if mode == "sq-lp":
-        logs, spent = np.log2(k.c), k.p * relaxed
-        levels = np.log2(np.repeat(k.tau_blocks, part.block_sizes))
-        for tau_k, sl in zip(k.tau_blocks, map(part.block_slice, range(part.num_blocks))):
-            block = np.asarray(k.c)[sl]
+        logs, spent = np.log2(k.const), k.p * relaxed
+        levels = np.log2(np.repeat(alloc.tau_blocks, part.block_sizes))
+        for tau_k, sl in zip(alloc.tau_blocks, map(part.block_slice, range(part.num_blocks))):
+            block = np.asarray(k.const)[sl]
             if math.isnan(tau_k):  # inactive: no bits, and its whole error sits below tau
-                assert not relaxed[sl].any() and math.fsum(block) <= k.tau + _BALANCE_ULPS * math.ulp(k.tau)
+                assert not relaxed[sl].any() and math.fsum(block) <= alloc.tau + _BALANCE_ULPS * math.ulp(alloc.tau)
             else:
-                assert abs(math.fsum(np.minimum(block, tau_k)) - k.tau) <= _BALANCE_ULPS * math.ulp(k.tau)
+                assert abs(math.fsum(np.minimum(block, tau_k)) - alloc.tau) <= _BALANCE_ULPS * math.ulp(alloc.tau)
     else:
-        sizes = np.asarray(k.block_sizes, float) if mode == "vq" else 1.0
-        logs, spent = np.log2(k.d if mode == "vq" else k.c), relaxed / sizes
-        levels = np.full(relaxed.size, math.log2(k.tau))
+        sizes = np.asarray(k.sizes, float) if mode == "vq" else 1.0
+        logs, spent = np.log2(k.const), relaxed / sizes
+        levels = np.full(relaxed.size, math.log2(alloc.tau))
     funded = relaxed > 0
     scale = np.spacing(np.maximum(np.maximum(np.abs(logs), np.abs(levels)), 1.0))[funded]
     assert np.all(np.abs(logs - spent - levels)[funded] <= _LEVEL_ULPS * scale)
@@ -294,9 +293,7 @@ def _relaxed_start_bits(alloc: ticoq.RateAllocation) -> list:
     frontier: flooring the relaxed rates shows no entry needs fewer than
     r_k - n_k/n_min bits (fractions within 1e-9 of an integer snapped).
     """
-    c = alloc.family
-    consts = list(c.d if c.kind == "vq" else c.c)
-    sizes = list(c.block_sizes) if c.kind == "vq" else [1] * len(consts)
+    consts, sizes = list(alloc.family.const), list(alloc.family.sizes)
     low = np.asarray(alloc.relaxed) - np.asarray(sizes) / min(sizes)
     near = np.abs(low - np.round(low)) <= 1e-9
     low[near] = np.round(low[near])
@@ -320,15 +317,15 @@ def test_frontier_rows_equal_each_budgets_design(data, mode, max_bits):
         row, alone = frontier.allocation(b), ticoq_design(part, spec, box, b, mode)
         assert row.bits == alone.bits and sum(row.bits) == b
         assert _hex(row.integer_value) == _hex(alone.integer_value)
-        assert _hex(row.integer_value) == _hex(objective_for(alone.constants, part)(row.bits))
+        assert _hex(row.integer_value) == _hex(objective_for(alone.family)(row.bits))
         # relaxed fields, read only now, meet this budget and equal a fresh design's bit for bit
         assert math.fsum(row.relaxed) == pytest.approx(b, abs=1e-9)
         assert _hex(row.relaxed) == _hex(alone.relaxed)
         assert _hex(row.relaxed_value) == _hex(alone.relaxed_value)
-        assert _hex(row.constants.tau) == _hex(alone.constants.tau)
-        assert (row.constants.tau_blocks is None) == (alone.constants.tau_blocks is None)
-        if row.constants.tau_blocks is not None:
-            assert _hex(row.constants.tau_blocks) == _hex(alone.constants.tau_blocks)
+        assert _hex(row.tau) == _hex(alone.tau)
+        assert (row.tau_blocks is None) == (alone.tau_blocks is None)
+        if row.tau_blocks is not None:
+            assert _hex(row.tau_blocks) == _hex(alone.tau_blocks)
         if mode != "sq-lp":
             # the walk from 0 and the walk from the relaxed lower bound agree
             assert tuple(_relaxed_start_bits(row)) == row.bits
@@ -350,7 +347,7 @@ def test_frontier_computes_the_relaxation_only_when_read(monkeypatch):
     sched = tvcoq_design(part, spec, box, 20, 30, 0.6, "sq-lp")
     assert calls == []
     alloc = sched.allocations[-1]
-    assert alloc.relaxed_value > 0 and alloc.constants.tau > 0 and len(alloc.relaxed) == part.n
+    assert alloc.relaxed_value > 0 and alloc.tau > 0 and len(alloc.relaxed) == part.n
     assert calls == [sched.rates[-1]]
 
 
@@ -416,7 +413,7 @@ def test_vq_equal_blocks_match_oracle():
         alloc = ticoq_vq_lattice(part, w, box, total)
         d = vq_constants(part, w, box)
         oracle = allocation_oracle(
-            vq_lattice_objective(d, part.block_sizes), num_blocks, total
+            max_term_objective(d, part.block_sizes), num_blocks, total
         )
         assert alloc.integer_value == oracle.value
 
@@ -427,7 +424,7 @@ def test_vq_unequal_blocks_match_oracle():
     box = BoxDomain([(0.0, 1.0)] * 4)
     alloc = ticoq_vq_lattice(part, w, box, 5)
     d = vq_constants(part, w, box)
-    oracle = allocation_oracle(vq_lattice_objective(d, part.block_sizes), 2, 5)
+    oracle = allocation_oracle(max_term_objective(d, part.block_sizes), 2, 5)
     assert alloc.integer_value == oracle.value
 
 
@@ -440,11 +437,11 @@ def test_vq_rejects_low_p():
 
 
 def test_oracle_basics():
-    obj = sq_wmax_objective([0.5, 2.0])
+    obj = max_term_objective([0.5, 2.0], [1, 1])
     res = allocation_oracle(obj, 2, 2)
     assert res.allocation == (0, 2)
     assert res.value == 0.5
-    res1 = allocation_oracle(sq_wmax_objective([1.0]), 1, 7)
+    res1 = allocation_oracle(max_term_objective([1.0], [1]), 1, 7)
     assert res1.allocation == (7,)
     # constant objective: lexicographically smallest allocation wins
     flat = allocation_oracle(lambda a: np.zeros(np.atleast_2d(a).shape[0]), 3, 2)
@@ -467,15 +464,15 @@ def test_oracle_refuses_a_row_only_objective():
 
 def test_oracle_enumeration_guard():
     with pytest.raises(ValueError):
-        allocation_oracle(sq_wmax_objective([1.0] * 12), 12, 40)
+        allocation_oracle(max_term_objective([1.0] * 12, [1] * 12), 12, 40)
 
 
 def test_threshold_worked_values():
-    c_small = DesignConstants(kind="sq-wmax", c=(0.5, 2.0))
+    c_small = DesignConstants("sq-wmax", (0.5, 2.0), (1, 1))
     assert tradeoff_threshold(c_small) == pytest.approx(2.0)
-    c_equal = DesignConstants(kind="sq-wmax", c=(1.3, 1.3, 1.3))
+    c_equal = DesignConstants("sq-wmax", (1.3, 1.3, 1.3), (1, 1, 1))
     assert tradeoff_threshold(c_equal) == pytest.approx(0.0)
-    c_vq = DesignConstants(kind="vq", d=(1.0, 2.0), block_sizes=(1, 1))
+    c_vq = DesignConstants("vq", (1.0, 2.0), (1, 1))
     assert tradeoff_threshold(c_vq) == pytest.approx(1.0)
 
 
@@ -484,27 +481,87 @@ def test_tradeoff_value_matches_solver_above_threshold():
     for _ in range(20):
         part, spec, box = _random_wmax_problem(rng, max_n=4)
         alloc0 = ticoq_sq_wmax(part, spec, box, 0)
-        threshold = tradeoff_threshold(alloc0.constants)
+        threshold = tradeoff_threshold(alloc0.family)
         total = int(math.ceil(max(threshold, 0.0))) + int(rng.integers(0, 5))
         alloc = ticoq_sq_wmax(part, spec, box, total)
-        eta = relaxed_eta(alloc.constants)
+        eta = relaxed_eta(alloc.family)
         assert alloc.relaxed_value == pytest.approx(
             eta * 2.0 ** (-total / part.n), rel=1e-8
         )
-        assert tradeoff_value(alloc.constants, total) == pytest.approx(
+        assert tradeoff_value(alloc.family, total) == pytest.approx(
             alloc.relaxed_value, rel=1e-8
         )
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("sq", (1.0,), (1,)), {}, "unknown design kind 'sq'"),
+        # two lattice constants over one entry size once gave n = 1
+        (("vq", (1.0, 2.0), (1,)), {}, "2 constants for 1 entry sizes"),
+        (("sq-wmax", (1.0, 0.0), (1, 1)), {}, "all design constants must be positive"),
+        (("sq-wmax", (1.0, math.nan), (1, 1)), {}, "all design constants must be positive"),
+        (("sq-lp", (1.0, 2.0), (1, 1)), {"p": 2.0}, "sq-lp constants need p >= 1 and blocks"),
+        (("sq-lp", (1.0, 2.0), (1, 1)), {"p": 0.5, "blocks": (2,)}, "sq-lp constants need p >= 1"),
+        # blocks of 5 coordinates over 2 constants once failed later with a numpy broadcast error
+        (("sq-lp", (1.0, 2.0), (1, 1)), {"p": 2.0, "blocks": (5,)}, "sq-lp constants need p >= 1"),
+    ],
+)
+def test_design_constants_refuse_inconsistent_records(args, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DesignConstants(*args, **kwargs)
+
+
+def _sq_wmax_objective(c):
+    """max_m c_m 2^(-L_m) over allocation rows: the weighted-max scalar objective in its own form."""
+    cv = np.asarray(c, dtype=float)
+
+    def f(allocs):
+        a = np.atleast_2d(np.asarray(allocs, dtype=float))
+        return np.max(cv * 2.0 ** (-a), axis=1)
+
+    return f
+
+
+@given(st.data(), st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6))
+def test_max_term_objective_at_unit_sizes_is_the_weighted_max_objective(data, c):
+    rows = st.lists(st.integers(0, 1100), min_size=len(c), max_size=len(c))
+    allocs = np.array(data.draw(st.lists(rows, min_size=1, max_size=5), label="allocs"))
+    assert _hex(max_term_objective(c, [1] * len(c))(allocs)) == _hex(_sq_wmax_objective(c)(allocs))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, -1])
+def test_budgets_refuse_non_integers_with_their_own_message(bad):
+    """An infinite budget once raised OverflowError from int(), a NaN one "cannot convert"."""
+    part, spec, box = _wmax_problem([0.5, 2.0])
+    with pytest.raises(ValueError, match="total rate must be a nonnegative integer"):
+        ticoq_design(part, spec, box, bad, "sq-wmax")
+    with pytest.raises(ValueError, match="total rate must be a nonnegative integer"):
+        allocation_oracle(max_term_objective([0.5, 2.0], [1, 1]), 2, bad)
+    with pytest.raises(ValueError, match="total rate must be a nonnegative integer"):
+        uniform_sq_allocation(2, bad)
+
+
+@pytest.mark.parametrize("mode", ["sq-wmax", "sq-lp", "vq"])
+def test_designs_refuse_a_box_of_another_dimension_with_the_banks_message(mode):
+    part = BlockPartition([2, 2])
+    if mode == "sq-wmax":
+        spec = NormSpec((1.0, 1.0), (WeightedMax([1.0, 1.0]), WeightedMax([1.0, 1.0])))
+    else:
+        spec = NormSpec((1.0, 1.0), (Lp(2.0), Lp(2.0)))
+    box = BoxDomain([(0.0, 1.0)] * 3)
+    with pytest.raises(ValueError, match="a box of dimension 3 for a partition of dimension 4"):
+        ticoq_design(part, spec, box, 4, mode)
+
+
 def test_objective_for_dispatch():
-    cw = DesignConstants(kind="sq-wmax", c=(0.5, 2.0))
-    part = BlockPartition([1, 1])
+    cw = DesignConstants("sq-wmax", (0.5, 2.0), (1, 1))
     a = np.array([[0, 2], [1, 1]])
-    assert np.allclose(objective_for(cw)(a), sq_wmax_objective([0.5, 2.0])(a))
-    cl = DesignConstants(kind="sq-lp", c=(1.0, 2.0), p=2.0, block_sizes=(2,))
+    assert np.allclose(objective_for(cw)(a), max_term_objective([0.5, 2.0], [1, 1])(a))
+    cl = DesignConstants("sq-lp", (1.0, 2.0), (1, 1), p=2.0, blocks=(2,))
     part2 = BlockPartition([2])
     assert np.allclose(
-        objective_for(cl, part2)(a), sq_lp_objective([1.0, 2.0], 2.0, part2)(a)
+        objective_for(cl)(a), sq_lp_objective([1.0, 2.0], 2.0, part2)(a)
     )
 
 

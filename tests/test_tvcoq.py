@@ -117,6 +117,25 @@ def test_master_validation():
         tvcoq_master(0.5, 1, 3, 2, l_prime=-0.5)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5])
+def test_master_refuses_non_integer_sizes_with_its_own_message(bad):
+    """An infinite size once raised OverflowError from int(), a NaN one "cannot convert"."""
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        tvcoq_master(0.5, bad, 3, 2)
+    with pytest.raises(ValueError, match="per-stage budget must be a nonnegative integer"):
+        tvcoq_master(0.5, 1, bad, 2)
+    with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        tvcoq_master(0.5, 1, 3, bad)
+    with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        tvcoq_error_bound(0.5, 1, 6, bad, 1.7)
+
+
+def test_master_refuses_a_nan_threshold():
+    """A NaN threshold was once accepted and gave required_min_bits NaN."""
+    with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
+        tvcoq_master(0.5, 1, 3, 2, l_prime=math.nan)
+
+
 def _wmax_problem():
     part = BlockPartition([1, 1])
     spec = NormSpec((1.0, 1.0), (WeightedMax([1.0]), WeightedMax([1.0])))
@@ -132,8 +151,8 @@ def test_design_end_to_end_wmax():
     assert sum(sched.rates) == 24
     # per-stage designed errors follow the closed-form law above threshold
     alloc0 = sched.allocations[0]
-    threshold = tradeoff_threshold(alloc0.constants)
-    eta = relaxed_eta(alloc0.constants)
+    threshold = tradeoff_threshold(alloc0.family)
+    eta = relaxed_eta(alloc0.family)
     for rate, e_star in zip(sched.rates, sched.e_stars):
         if rate >= threshold:
             relaxed_law = eta * 2.0 ** (-rate / part.n)

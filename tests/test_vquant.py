@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _lattice_oracle import brute_nearest_distance, enumerate_codebook, scan_decode
-from qfix.squant import sq_worst_case_error
+from _oracles import sq_worst_case_error
 from qfix.vquant import (
     LatticeQuantizer,
     _decode_batch,
