@@ -144,7 +144,7 @@ def _design_report(cfg: dict) -> tuple[dict, int]:
             schedule = tvcoq.tvcoq_design(part, spec, box, total_bits, horizon, float(alpha), mode)
         except ValueError as e:
             raise ConfigError(f"tvcoq: {e}")
-        report = json.loads(schedule.to_json())
+        report = schedule.as_dict()
         report["required_min_bits"] = schedule.required_min_bits
         report["tied_alternates"] = [list(a) for a in schedule.tied_alternates]
         return report, (_EXIT_OK if schedule.in_regime else _EXIT_REGIME)

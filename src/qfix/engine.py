@@ -54,78 +54,87 @@ class Scheme(enum.Enum):
 _FUSED_PER_BANK = 256  # a bank keeps max(this, K) group quantizers for K blocks
 
 
-def group_quantizer(quantizers: Sequence, sizes: Sequence):
-    """One quantizer for blocks of these sizes, their values concatenated in order.
+def group_quantizer(quantizers: Sequence) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> the quantized values of blocks whose values v concatenates in order.
 
-    The type's `fuse(quantizers, sizes)` when every quantizer has one type
-    that has `fuse` and it takes the group; otherwise a block-by-block loop.
+    The type's `fuse(quantizers)` when every quantizer has one type that has
+    `fuse` and it takes the group; otherwise a block-by-block loop over
+    slices of the quantizers' sizes.
     """
     kind = type(quantizers[0])
     if hasattr(kind, "fuse") and all(type(q) is kind for q in quantizers):
-        fused = kind.fuse(quantizers, sizes)
+        fused = kind.fuse(quantizers)
         if fused is not None:
             return fused
-    return _BlockLoop(quantizers, sizes)
+    ends = np.cumsum([q.size for q in quantizers]).tolist()
+    pieces = [(q, slice(end - q.size, end)) for q, end in zip(quantizers, ends)]
+
+    def loop(v: np.ndarray) -> np.ndarray:
+        if v.shape != (ends[-1],):
+            raise ValueError(f"{v.shape} values for blocks of {ends[-1]} coordinates")
+        return np.concatenate([q.quantize(v[piece]) for q, piece in pieces])
+
+    return loop
 
 
 @dataclass(frozen=True)
 class QuantizerBank:
     """One quantizer per block.
 
-    Every block quantizer exposes `quantize(v)` and
-    `worst_case_block_error(norm)`, its bound on ||q(v) - v|| in the
-    block's component norm.  A quantizer type may also offer
-    `fuse(quantizers, sizes)`: one quantizer for several blocks of the given
-    sizes, their values concatenated, or None when it cannot take them.
-    A bank of one such type quantizes a group of blocks in one call
-    (`group_quantizer`).  Group quantizers only quantize: per-block bounds
-    come from `bank.blocks`.  Every quantizer is a deterministic function of
-    its input: a run serves a step that repeats an earlier one from it
-    (`run_iteration`).
+    A block quantizer has a `size` (its block's coordinate count),
+    `quantize(v)` and `worst_case_block_error(norm)`, its bound on
+    ||q(v) - v|| in the block's component norm.  Its type may offer
+    `fuse(quantizers)`: a function v -> q(v) for several blocks, their
+    values concatenated, or None.  A group quantizer is a function
+    (`group_quantizer`): per-block bounds come from `bank.blocks`.
+    `group_quantizers` and `worst_case_error` refuse a partition whose
+    block sizes are not the quantizers' sizes.  Every quantizer is a
+    deterministic function of its input: a run serves a step that repeats
+    an earlier one from it (`run_iteration`).
     """
 
     blocks: tuple
 
     def __init__(self, blocks: Sequence):
         object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_groups", {})  # (block sizes, blocks) -> group quantizer
+        object.__setattr__(self, "_sizes", tuple(q.size for q in self.blocks))
+        object.__setattr__(self, "_groups", {})  # blocks -> group quantizer
 
     def _check_blocks(self, part: BlockPartition) -> None:
-        if len(self.blocks) != part.num_blocks:
-            raise ValueError(f"{len(self.blocks)} quantizers for {part.num_blocks} blocks")
+        if self._sizes != part.block_sizes:
+            raise ValueError(
+                f"quantizers of block sizes {self._sizes} for blocks of sizes {part.block_sizes}"
+            )
 
-    def _group_quantizer(self, part: BlockPartition, blocks):
-        """One quantizer for `blocks` (one block k, a tuple of blocks or None for all).
+    def _group_quantizer(self, blocks):
+        """The quantizer function of `blocks` (one block k, a tuple of blocks or None for all).
 
-        Block k's own quantizer; for a group, its `group_quantizer`, built
+        Block k's own `quantize`; for a group, its `group_quantizer`, built
         once per bank and group.  One mapping's groups (at most K / 2 + 1)
         all fit.
         """
         if blocks is not None and not isinstance(blocks, tuple):
-            return self.blocks[blocks]
-        key = (part.block_sizes, blocks)
-        quantizer = self._groups.get(key)
+            return self.blocks[blocks].quantize
+        quantizer = self._groups.get(blocks)
         if quantizer is None:
             if len(self._groups) >= max(_FUSED_PER_BANK, len(self.blocks)):
                 self._groups.clear()  # a bank outlives many mappings' groups
-            ks = range(part.num_blocks) if blocks is None else blocks
-            quantizer = self._groups[key] = group_quantizer(
-                [self.blocks[k] for k in ks], [part.block_sizes[k] for k in ks]
-            )
+            ks = range(len(self.blocks)) if blocks is None else blocks
+            quantizer = self._groups[blocks] = group_quantizer([self.blocks[k] for k in ks])
         return quantizer
 
     def group_quantizers(self, part: BlockPartition, groups) -> list:
-        """One quantizer per group of blocks in `groups`, each taking the group's values.
+        """One function v -> q(v) per group of blocks in `groups`, v the group's values.
 
         A group is one block k, a tuple of blocks (their values concatenated
         in that order) or None for every block.  A group goes through one
-        fused quantizer when the bank's quantizer type has `fuse`, which
+        fused function when the bank's quantizer type has `fuse`, which
         must give the per-block results bit for bit (scalar quantizers are
         coordinate-wise, so one pass over the group's coordinates does);
         other banks quantize block by block.
         """
         self._check_blocks(part)
-        return [self._group_quantizer(part, blocks) for blocks in groups]
+        return [self._group_quantizer(blocks) for blocks in groups]
 
     def worst_case_error(self, part: BlockPartition, spec: NormSpec) -> float:
         """Block-norm bound on any single-step quantization error e(t)."""
@@ -135,26 +144,6 @@ class QuantizerBank:
         for q, norm_k, w_k in zip(self.blocks, spec.per_block, spec.block_weights):
             worst = max(worst, float(q.worst_case_block_error(norm_k)) / w_k)
         return worst
-
-
-class _BlockLoop:
-    """Quantizers of several blocks applied block by block to their concatenated values."""
-
-    def __init__(self, quantizers: list, sizes: list):
-        self.quantizers = quantizers
-        self.sizes = sizes
-        self.size = sum(sizes)
-
-    def quantize(self, v: np.ndarray) -> np.ndarray:
-        if v.shape != (self.size,):
-            raise ValueError(f"{v.shape} values for blocks of {self.size} coordinates")
-        out = np.empty(self.size)
-        start = 0
-        for q, size in zip(self.quantizers, self.sizes):
-            end = start + size
-            out[start:end] = q.quantize(v[start:end])
-            start = end
-        return out
 
 
 class _UpdateGroup:
@@ -398,7 +387,7 @@ def run_iteration(
                 raw = mapping.eval_full(x)
             else:
                 raw = mapping.eval_block(group.blocks, x)
-            q = raw if quantizer is None else quantizer.quantize(raw)
+            q = raw if quantizer is None else quantizer(raw)
             e[group.index] = q - raw
             y[group.index] = q
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -110,15 +110,11 @@ class GameConfig:
         return self._budgets
 
 
-def paper_style_game(seed: int = 0, power_dbm: float = 10.0) -> GameConfig:
-    """Two-pair, two-antenna geometry with weak cross links."""
+def paper_style_game(seed: int = 0) -> GameConfig:
+    """Two-pair, two-antenna geometry with weak cross links, at 10 dBm per link."""
     return GameConfig(
-        num_links=2,
-        num_antennas=2,
-        distances=[[100.0, 200.0], [500.0, 100.0]],
-        gamma=3.5,
-        power_dbm=power_dbm,
-        seed=seed,
+        num_links=2, num_antennas=2, distances=[[100.0, 200.0], [500.0, 100.0]],
+        gamma=3.5, power_dbm=10.0, seed=seed,
     )
 
 
@@ -130,13 +126,13 @@ class ChannelSet:
     h: np.ndarray  # (K, K, N, N) complex; h[j, k] maps tx j to rx k
 
     @staticmethod
-    def generate(game: GameConfig, seed: Optional[int] = None) -> "ChannelSet":
-        """Pathloss-scaled i.i.d. standard complex Gaussian entries.
+    def generate(game: GameConfig) -> "ChannelSet":
+        """Pathloss-scaled i.i.d. standard complex Gaussian entries, drawn from the game's seed.
 
         The draw order is fixed (j outer, k inner, real before imaginary)
         so regeneration from the same seed is bit-identical.
         """
-        rng = np.random.default_rng(game.seed if seed is None else seed)
+        rng = np.random.default_rng(game.seed)
         K, N = game.num_links, game.num_antennas
         d = np.asarray(game.distances)
         h = np.empty((K, K, N, N), dtype=complex)
@@ -394,12 +390,8 @@ def project_feasible(P: np.ndarray, budget) -> np.ndarray:
 
 
 class ProjectedBlockQuantizer:
-    """Quantize vectorized covariances, then restore PSD/trace feasibility.
+    """Quantize a vectorized N x N covariance through `inner`, then project it onto `budget`.
 
-    `budget` is one trace budget per N x N block of the input (a number:
-    one block).  `inner` quantizes the input, then one `project_feasible`
-    call projects the (m, N, N) stack, each matrix onto its own budget
-    bit for bit as when projected alone.
     Decoded points are generally slightly infeasible; projecting them back
     onto the strategy set is nonexpansive, so the end-to-end error of
     quantize-then-project never exceeds the inner quantizer's worst case
@@ -408,29 +400,37 @@ class ProjectedBlockQuantizer:
 
     def __init__(self, inner, budget):
         self.inner = inner
-        self.budgets = np.array(budget, dtype=float).reshape(-1)
+        self.budget = float(budget)
+        self.size = inner.size
 
     def quantize(self, v: np.ndarray) -> np.ndarray:
-        q = self.inner.quantize(np.asarray(v, dtype=float)).reshape(self.budgets.size, -1)
-        return mat_to_vec(project_feasible(vec_to_mat(q), self.budgets)).ravel()
+        q = self.inner.quantize(np.asarray(v, dtype=float))
+        return mat_to_vec(project_feasible(vec_to_mat(q), self.budget))
 
     @staticmethod
-    def fuse(quantizers, sizes) -> Optional["ProjectedBlockQuantizer"]:
-        """Quantizers of N x N blocks of one N as one, over their inners' group; None otherwise."""
-        if len({size / q.budgets.size for q, size in zip(quantizers, sizes)}) != 1:
+    def fuse(quantizers) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """v -> the blocks' quantized values, or None unless every block is N x N for one N.
+
+        The inners' group quantizes v, and one `project_feasible` call projects
+        the (m, N, N) stack, each matrix onto its budget as when projected alone.
+        """
+        if len({q.size for q in quantizers}) != 1:
             return None
-        inner = group_quantizer([q.inner for q in quantizers], sizes)
-        return ProjectedBlockQuantizer(inner, np.concatenate([q.budgets for q in quantizers]))
+        inner = group_quantizer([q.inner for q in quantizers])
+        budgets = np.array([q.budget for q in quantizers])
+
+        def quantize(v: np.ndarray) -> np.ndarray:
+            q = inner(np.asarray(v, dtype=float)).reshape(budgets.size, -1)
+            return mat_to_vec(project_feasible(vec_to_mat(q), budgets)).ravel()
+
+        return quantize
 
     def worst_case_block_error(self, norm) -> float:
         """The inner quantizer's Frobenius (L2) bound, valid for L_p with p >= 2.
 
         The projection is nonexpansive only in the Frobenius norm, and
-        ||.||_p <= ||.||_2 when p >= 2; no other block norm is bounded.  The
-        bound is per block, so a quantizer of several blocks (`fuse`) refuses.
+        ||.||_p <= ||.||_2 when p >= 2; no other block norm is bounded.
         """
-        if self.budgets.size != 1:
-            raise ValueError(f"{self.budgets.size} blocks: a worst-case error bound is per block")
         if not (isinstance(norm, Lp) and norm.p >= 2.0):
             raise ValueError(
                 "the feasibility projection bounds the error only in L_p block norms with p >= 2"
@@ -443,12 +443,9 @@ def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
 
     Quantizers that already project are kept as they are.
     """
-    budgets = game.budgets
     return QuantizerBank(
-        [
-            q if isinstance(q, ProjectedBlockQuantizer) else ProjectedBlockQuantizer(q, budgets[k])
-            for k, q in enumerate(bank.blocks)
-        ]
+        q if isinstance(q, ProjectedBlockQuantizer) else ProjectedBlockQuantizer(q, budget)
+        for q, budget in zip(bank.blocks, game.budgets)
     )
 
 

@@ -8,7 +8,7 @@ endpoint cell so iterates perturbed out of the box stay representable.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class ScalarBlockQuantizer:
 
     Coordinate m quantizes [lo[m], hi[m]] at bits[m] bits.  The constructor
     checks the three equal-length arrays once and derives the encode and
-    decode arrays; `_take` and `fuse` slice and join those checked arrays.
+    decode arrays; `_take` and `_join` (behind `fuse`) slice and join
+    those checked arrays.
     """
 
     def __init__(self, lo, hi, bits):
@@ -53,46 +54,45 @@ class ScalarBlockQuantizer:
         div, width = np.where(width > 0, width, 1.0), np.where(width > 0, width, -0.0)
         self._set((lo, hi, levels - 1.0, div, width))
 
-    def _set(self, arrays, blocks: int = 1) -> "ScalarBlockQuantizer":
-        """Take checked (lo, hi, top, div, width) arrays, joined from `blocks` blocks; self."""
+    def _set(self, arrays) -> "ScalarBlockQuantizer":
+        """Take checked (lo, hi, top, div, width) arrays; self."""
         self._lo, self._hi, self._top, self._div, self._width = self._arrays = tuple(arrays)
-        self._blocks = blocks
         return self
 
     def _take(self, index: slice) -> "ScalarBlockQuantizer":
         """Coordinates `index` as a quantizer of their own: the checked arrays, sliced."""
         return object.__new__(ScalarBlockQuantizer)._set(a[index] for a in self._arrays)
 
+    @staticmethod
+    def _join(quantizers) -> "ScalarBlockQuantizer":
+        """The blocks' coordinates as one quantizer: their checked arrays, joined."""
+        arrays = (np.concatenate(a) for a in zip(*(q._arrays for q in quantizers)))
+        return object.__new__(ScalarBlockQuantizer)._set(arrays)
+
     @property
     def size(self) -> int:
         return self._lo.size
 
     @staticmethod
-    def fuse(quantizers, sizes) -> Optional["ScalarBlockQuantizer"]:
-        """The blocks' coordinates as one quantizer, or None if a block is not of its size.
+    def fuse(quantizers) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> the blocks' quantized values, bit for bit as block by block (coordinate-wise).
 
-        Quantization is coordinate-wise, so the fused quantizer, whose arrays
-        join the blocks' checked arrays, gives each block's result bit for bit.
+        `quantize` is looked up at each call, so a wrapper put on the class later
+        (perfbench's tracer) sees the call.
         """
-        if any(q.size != size for q, size in zip(quantizers, sizes, strict=True)):
-            return None
-        arrays = (np.concatenate(a) for a in zip(*(q._arrays for q in quantizers)))
-        blocks = sum(q._blocks for q in quantizers)
-        return object.__new__(ScalarBlockQuantizer)._set(arrays, blocks)
+        joined = ScalarBlockQuantizer._join(quantizers)
+        return lambda v: joined.quantize(v)
 
-    def _encode(self, v: np.ndarray) -> np.ndarray:  # cell indices, as floats
+    def quantize(self, v: np.ndarray) -> np.ndarray:
+        """The midpoint of v's cell, coordinate-wise, v clamped into [lo, hi] first."""
+        v = np.asarray(v, dtype=float)
         if v.shape != self._lo.shape:
             raise ValueError(f"block of shape {v.shape} for {self.size} coordinates")
         if not np.isfinite(v).all():
             raise ValueError(f"cannot encode non-finite value in {v}")
         x = np.minimum(np.maximum(v, self._lo), self._hi)
-        return np.minimum(np.floor((x - self._lo) / self._div), self._top)
-
-    def _decode(self, i) -> np.ndarray:
-        return self._lo + (i + 0.5) * self._width
-
-    def quantize(self, v: np.ndarray) -> np.ndarray:
-        return self._decode(self._encode(np.asarray(v, dtype=float)))
+        cell = np.minimum(np.floor((x - self._lo) / self._div), self._top)  # as floats
+        return self._lo + (cell + 0.5) * self._width
 
     def worst_case_errors(self) -> np.ndarray:
         """Per-coordinate bounds on the computed |q(v) - v| for v in the box.
@@ -108,11 +108,8 @@ class ScalarBlockQuantizer:
         """Bound on the block error in a weighted-max or L_p component norm.
 
         An L_p bound is taken in block_norm's scaled form, and widened by the
-        relative rounding of that form, which grows with the block size.  The
-        bound is per block, so a quantizer of several blocks (`fuse`) refuses.
+        relative rounding of that form, which grows with the block size.
         """
-        if self._blocks != 1:
-            raise ValueError(f"{self._blocks} blocks: a worst-case error bound is per block")
         errs = self.worst_case_errors()
         if isinstance(norm, WeightedMax):
             return float(np.max(errs / np.asarray(norm.a)))

@@ -15,7 +15,6 @@ largest stage rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -55,7 +54,7 @@ class StageSchedule:
         if sum(self.rates) != total:
             raise ValueError(f"stage rates sum to {sum(self.rates)}, expected {total}")
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         stages = []
         for t in range(self.horizon):
             stage = {"t": t, "L_t": int(self.rates[t])}
@@ -64,18 +63,15 @@ class StageSchedule:
             if self.e_stars is not None:
                 stage["e_star"] = self.e_stars[t]
             stages.append(stage)
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "T": self.horizon,
-                "L": self.per_stage_budget,
-                "n": self.n,
-                "in_regime": self.in_regime,
-                "objective": self.objective_value,
-                "stages": stages,
-            },
-            indent=2,
-        )
+        return {
+            "alpha": self.alpha,
+            "T": self.horizon,
+            "L": self.per_stage_budget,
+            "n": self.n,
+            "in_regime": self.in_regime,
+            "objective": self.objective_value,
+            "stages": stages,
+        }
 
 
 def master_objective(alpha: float, n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -88,13 +84,17 @@ def master_objective(alpha: float, n: int) -> Callable[[np.ndarray], np.ndarray]
     return f
 
 
-def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: int) -> None:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"modulus must lie in (0, 1) for the stage split, got {alpha}")
+def _check_size_and_horizon(n: int, horizon: int) -> None:
     if not (n >= 1 and float(n).is_integer()):
         raise ValueError(f"dimension must be a positive integer, got {n}")
     if not (horizon >= 1 and float(horizon).is_integer()):
         raise ValueError(f"horizon must be a positive integer, got {horizon}")
+
+
+def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: int) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"modulus must lie in (0, 1) for the stage split, got {alpha}")
+    _check_size_and_horizon(n, horizon)
     if not (per_stage_budget >= 0 and float(per_stage_budget).is_integer()):
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
@@ -251,11 +251,10 @@ def tvcoq_error_bound(
     """Horizon-end worst-case error bound T alpha^((T-1)/2) eta 2^(-L/n)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"modulus must lie in (0, 1), got {alpha}")
-    if not (horizon >= 1 and float(horizon).is_integer()):
-        raise ValueError(f"horizon must be a positive integer, got {horizon}")
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    if eta <= 0:
-        raise ValueError(f"prefactor must be positive, got {eta}")
+    _check_size_and_horizon(n, horizon)
+    if not (0.0 < eta < math.inf):
+        raise ValueError(f"prefactor must be positive and finite, got {eta}")
+    if not (0.0 <= per_stage_budget < math.inf):
+        raise ValueError(f"per-stage budget must be nonnegative and finite, got {per_stage_budget}")
     T = int(horizon)
     return float(T * alpha ** ((T - 1) / 2.0) * eta * 2.0 ** (-per_stage_budget / n))

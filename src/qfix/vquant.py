@@ -138,7 +138,7 @@ def _box_lengths(box) -> np.ndarray:
 
 
 class LatticeQuantizer:
-    """A scaled A*_n quantizer with a finite, deterministically indexed codebook."""
+    """A scaled A*_n quantizer with a finite, deterministically indexed codebook; `size` is n."""
 
     def __init__(self, box, bits: int):
         box = [(float(lo), float(hi)) for lo, hi in box]
@@ -148,7 +148,7 @@ class LatticeQuantizer:
         self.bits = _rate(bits)
         lengths = _box_lengths(box)
 
-        self.n = n
+        self.n = self.size = n
         self.box = tuple(box)
         self.scale = lattice_scale(lengths, self.bits)
         self.basis = embedding_basis(n)

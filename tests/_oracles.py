@@ -22,7 +22,10 @@ from qfix.norms import BlockPartition, Lp, NormSpec, WeightedMax
 
 
 class IdentityQuantizer:
-    """Pass-through block quantizer (infinite-rate surrogate)."""
+    """Pass-through block quantizer of `size` coordinates (infinite-rate surrogate)."""
+
+    def __init__(self, size: int):
+        self.size = size
 
     def quantize(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v, dtype=float).copy()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -25,7 +26,11 @@ from qfix.engine import (
 )
 from qfix.mimo import (
     ChannelSet,
+    feasible_bank,
+    game_box,
     game_mapping,
+    game_norm_spec,
+    game_partition,
     paper_style_game,
     profile_to_vec,
     random_feasible_profile,
@@ -39,7 +44,7 @@ from qfix.norms import (
     block_norm,
 )
 from qfix.squant import ScalarBlockQuantizer
-from qfix.ticoq import make_sq_bank, ticoq_sq_wmax, uniform_sq_allocation
+from qfix.ticoq import make_sq_bank, make_vq_bank, ticoq_sq_wmax, uniform_sq_allocation
 
 
 def _halving_map(n=2):
@@ -634,10 +639,10 @@ def _scalar_banks(draw):
 def test_scalar_bank_quantizes_in_one_pass_bit_for_bit(case):
     part, bank, x = case
     (whole,) = bank.group_quantizers(part, (None,))
-    assert whole.quantize(x).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
+    assert whole(x).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            whole.quantize(np.where(np.arange(part.n) == part.n - 1, bad, x))
+            whole(np.where(np.arange(part.n) == part.n - 1, bad, x))
 
 
 def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
@@ -646,9 +651,9 @@ def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
     bank = make_sq_bank(part, box, [2, 3, 4])
     x = np.array([0.3, -0.7, 0.9])
     with pytest.raises(ValueError):
-        bank.group_quantizers(BlockPartition([1, 2]), (None,))[0].quantize(x)
+        bank.group_quantizers(BlockPartition([1, 2]), (None,))[0](x)
     with pytest.raises(ValueError):
-        bank.group_quantizers(part, (None,))[0].quantize(np.zeros(4))
+        bank.group_quantizers(part, (None,))[0](np.zeros(4))
     calls = []
     quantize = ScalarBlockQuantizer.quantize
 
@@ -658,30 +663,70 @@ def test_scalar_bank_checks_block_sizes_and_mixed_banks_loop(monkeypatch):
 
     monkeypatch.setattr(ScalarBlockQuantizer, "quantize", counted)
     (whole,) = bank.group_quantizers(part, (None,))
-    assert whole.quantize(x).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
+    assert whole(x).tobytes() == _loop_quantize_blocks(bank, x, part).tobytes()
     assert calls[0] == 3  # the fused pass
-    mixed = QuantizerBank([bank.blocks[0], IdentityQuantizer()])
+    mixed = QuantizerBank([bank.blocks[0], IdentityQuantizer(1)])
     (group,) = mixed.group_quantizers(part, (None,))
-    assert group.quantize(x).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
+    assert group(x).tolist() == list(bank.blocks[0].quantize(x[:2])) + [0.9]
 
 
-def test_a_fused_scalar_group_refuses_a_worst_case_bound():
-    """A fused group would bound the whole group's values (0.7071 on L2 here): it refuses."""
-    part = BlockPartition([4, 4])
-    box = BoxDomain([(-1.0, 1.0)] * 8)
-    bank = make_sq_bank(part, box, [2] * 8)
-    (group,) = bank.group_quantizers(part, (None,))
-    assert isinstance(group, ScalarBlockQuantizer) and group.size == 8
-    for norm in (Lp(2.0), WeightedMax([1.0] * 8)):
-        with pytest.raises(ValueError, match="2 blocks: a worst-case error bound is per block"):
-            group.worst_case_block_error(norm)
-    # One block's bound is unchanged, a group of one block answers it, and the bank's is their max.
-    (single,) = bank.group_quantizers(part, ((1,),))
-    for q in (*bank.blocks, single):
-        assert q.worst_case_block_error(Lp(2.0)).hex() == "0x1.0000000000040p-1"
-        assert q.worst_case_block_error(WeightedMax([1.0] * 4)).hex() == "0x1.0000000000020p-2"
-    assert bank.worst_case_error(part, uniform_l2_spec(part)).hex() == "0x1.0000000000040p-1"
-    assert bank.worst_case_error(part, uniform_wmax_spec(part)).hex() == "0x1.0000000000020p-2"
+def _group_banks(kind):
+    """(part, spec, bank, x, block bound hex): a bank of two blocks and a value for each."""
+    if kind == "scalar":
+        part = BlockPartition([4, 4])
+        box = BoxDomain([(-1.0, 1.0)] * 8)
+        x = np.random.default_rng(3).uniform(-1.2, 1.2, 8)
+        return part, uniform_l2_spec(part), make_sq_bank(part, box, [2] * 8), x, "0x1.0000000000040p-1"
+    game = paper_style_game(seed=0)
+    part, box = game_partition(game), game_box(game)
+    x = profile_to_vec(random_feasible_profile(game, 5))
+    if kind == "projected-lattice":
+        inner, bound = make_vq_bank(part, box, [8, 8]), "0x1.666603dc59dc7p-9"
+    else:
+        inner, bound = make_sq_bank(part, box, [2] * part.n), "0x1.030dc4ea03ab0p-8"
+    return part, game_norm_spec(game), feasible_bank(inner, game), x, bound
+
+
+@pytest.mark.parametrize("kind", ["scalar", "projected-scalar", "projected-lattice"])
+def test_a_group_quantizer_is_a_function_equal_to_the_block_loop(kind):
+    """Every group's quantizer equals the block-by-block loop bit for bit, and bounds nothing.
+
+    A fused group's bound would be the whole group's (0.7071 on L2 for the scalar bank):
+    per-block bounds come from the bank's blocks alone, and the bank's is their max.
+    """
+    part, spec, bank, x, block_bound = _group_banks(kind)
+    alone = [q.quantize(x[part.block_slice(k)]) for k, q in enumerate(bank.blocks)]
+    for group in (None, (0, 1), (1, 0), (0,), (1,), 0, 1):
+        ks = range(part.num_blocks) if group is None else np.atleast_1d(group).tolist()
+        (quantizer,) = bank.group_quantizers(part, (group,))
+        v = np.concatenate([x[part.block_slice(k)] for k in ks])
+        assert quantizer(v).tobytes() == np.concatenate([alone[k] for k in ks]).tobytes()
+        assert not hasattr(quantizer, "worst_case_block_error")
+    for q in bank.blocks:
+        assert q.worst_case_block_error(Lp(2.0)).hex() == block_bound
+    assert bank.worst_case_error(part, spec).hex() == block_bound
+    if kind == "scalar":
+        for q in bank.blocks:
+            assert q.worst_case_block_error(WeightedMax([1.0] * 4)).hex() == "0x1.0000000000020p-2"
+        assert bank.worst_case_error(part, uniform_wmax_spec(part)).hex() == "0x1.0000000000020p-2"
+
+
+def test_a_bank_refuses_a_partition_of_other_block_sizes():
+    """A bank for blocks [2, 2] once gave an L2 bound of 0.3536 for blocks [1, 3], unrefused."""
+    bank = make_sq_bank(BlockPartition([2, 2]), BoxDomain([(-1.0, 1.0)] * 4), [2] * 4)
+    part = BlockPartition([1, 3])
+    spec = NormSpec([1.0, 1.0], [Lp(2.0), Lp(2.0)])
+    mapping, _ = random_affine_contraction(part, spec, BoxDomain([(-1.0, 1.0)] * 4), 0.5, rng=0)
+    message = re.escape("quantizers of block sizes (2, 2) for blocks of sizes (1, 3)")
+    for call in (
+        lambda: bank.group_quantizers(part, (None,)),
+        lambda: bank.worst_case_error(part, spec),
+        lambda: run_iteration(mapping, bank, np.zeros(4), 1, Scheme.JACOBI),
+        lambda: run_iteration(mapping, [bank], np.zeros(4), 1, Scheme.SEQUENTIAL),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert bank.worst_case_error(BlockPartition([2, 2]), spec).hex() == "0x1.6a09e667f3c1cp-2"
 
 
 def test_jacobi_run_matches_the_per_block_loop():
@@ -758,7 +803,7 @@ def _projected_blocks(draw):
 @st.composite
 def _identity_blocks(draw):
     box, v = _in_box(draw, draw(st.integers(1, 4)))
-    return IdentityQuantizer(), v, draw(st.sampled_from([1.0, 2.0, 3.0]).map(Lp))
+    return IdentityQuantizer(v.size), v, draw(st.sampled_from([1.0, 2.0, 3.0]).map(Lp))
 
 
 def _assert_bound_holds(case):
@@ -781,13 +826,13 @@ def test_projected_worst_case_block_error_bounds_the_realized_error(case):
 
 @given(_projected_blocks())
 def test_a_one_block_projection_equals_the_matrix_projection(case):
-    """A one-block quantizer projects a (1, N, N) stack; it equals the (N, N) matrix alone."""
+    """A one-block quantizer projects the (N, N) matrix; it equals the (1, N, N) stack, as fused."""
     from qfix.mimo import mat_to_vec, project_feasible, vec_to_mat
 
     quantizer, v, _ = case
     matrix = vec_to_mat(quantizer.inner.quantize(v))
-    assert matrix.ndim == 2 and quantizer.budgets.shape == (1,)
-    expected = mat_to_vec(project_feasible(matrix, float(quantizer.budgets[0])))
+    assert matrix.ndim == 2 and np.ndim(quantizer.budget) == 0
+    expected = mat_to_vec(project_feasible(matrix[None], [quantizer.budget]))[0]
     assert quantizer.quantize(v).tobytes() == expected.tobytes()
 
 
@@ -874,7 +919,7 @@ def _sparse_affine_runs(draw):
         if fusable:
             return make_sq_bank(part, box, rng.integers(0, 9, part.n))
         return QuantizerBank(
-            _lattice_quantizer(size) if rng.random() < 0.5 else IdentityQuantizer()
+            _lattice_quantizer(size) if rng.random() < 0.5 else IdentityQuantizer(size)
             for size in sizes
         )
 
@@ -1037,7 +1082,7 @@ def _orbit_runs(draw):
         sq = make_sq_bank(part, box, rng.integers(0, 3, n))
         if draw(st.booleans()):
             return sq
-        return QuantizerBank(IdentityQuantizer() if rng.random() < 0.5 else q for q in sq.blocks)
+        return QuantizerBank(IdentityQuantizer(q.size) if rng.random() < 0.5 else q for q in sq.blocks)
 
     family = draw(st.sampled_from(["none", "flat", "revisit", "drawn"]))
     if family == "none":
@@ -1124,9 +1169,9 @@ def test_a_run_builds_each_group_quantizer_once(monkeypatch):
     fuse = ScalarBlockQuantizer.fuse
     built = []
 
-    def counted(quantizers, sizes):
-        built.append(tuple(sizes))
-        return fuse(quantizers, sizes)
+    def counted(quantizers):
+        built.append(tuple(q.size for q in quantizers))
+        return fuse(quantizers)
 
     monkeypatch.setattr(ScalarBlockQuantizer, "fuse", staticmethod(counted))
     run_iteration(mapping, bank, np.zeros(K), 10, Scheme.GAUSS_SEIDEL)
@@ -1148,9 +1193,9 @@ def test_a_bank_keeps_at_most_its_cap_of_groups_and_quantizes_every_group_alike(
     for _ in range(2):  # the second pass rebuilds the groups that the clear dropped
         for group in groups:
             v = np.concatenate([x[part.block_slice(k)] for k in group])
-            got = bank.group_quantizers(part, (group,))[0].quantize(v)
+            got = bank.group_quantizers(part, (group,))[0](v)
             assert len(bank._groups) <= engine._FUSED_PER_BANK
-            fresh = QuantizerBank(bank.blocks).group_quantizers(part, (group,))[0].quantize(v)
+            fresh = QuantizerBank(bank.blocks).group_quantizers(part, (group,))[0](v)
             assert got.tobytes() == fresh.tobytes()
             alone = [bank.blocks[k].quantize(x[part.block_slice(k)]) for k in group]
             assert got.tobytes() == np.concatenate(alone).tobytes()

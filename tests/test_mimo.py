@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_channel_generation_deterministic():
     a = ChannelSet.generate(game)
     b = ChannelSet.generate(game)
     assert np.array_equal(a.h, b.h)
-    c = ChannelSet.generate(game, seed=4)
+    c = ChannelSet.generate(paper_style_game(seed=4))
     assert not np.array_equal(a.h, c.h)
 
 
@@ -357,36 +358,20 @@ def test_grouped_projection_equals_each_block_bit_for_bit(links, antennas, latti
     x = box.clamp(x + rng.normal(scale=data.draw(st.sampled_from([0.0, 1e-3, 0.3])), size=x.size) * x)
     alone = [q.quantize(x[part.block_slice(k)]) for k, q in enumerate(bank.blocks)]
     (whole,) = bank.group_quantizers(part, (None,))
-    assert whole.quantize(x).tobytes() == np.concatenate(alone).tobytes()
+    assert whole(x).tobytes() == np.concatenate(alone).tobytes()
     group = tuple(sorted(data.draw(st.sets(st.integers(0, links - 1), min_size=1))))
     if len(group) > 1:
         v = np.concatenate([x[part.block_slice(k)] for k in group])
         expected = np.concatenate([alone[k] for k in group])
-        assert bank.group_quantizers(part, (group,))[0].quantize(v).tobytes() == expected.tobytes()
-        # the group is one projected quantizer: one stacked projection, not a block loop
-        for blocks in (group, None):
+        assert bank.group_quantizers(part, (group,))[0](v).tobytes() == expected.tobytes()
+        # the group is one stacked projection onto its blocks' budgets, not a block loop
+        for blocks, values in ((group, v), (None, x)):
             (quantizer,) = bank.group_quantizers(part, (blocks,))
-            assert isinstance(quantizer, ProjectedBlockQuantizer)
-            assert quantizer.budgets.tolist() == game.budgets[list(blocks or range(links))].tolist()
-
-
-@pytest.mark.parametrize(
-    "lattice, block_bound", [(True, "0x1.666603dc59dc7p-9"), (False, "0x1.030dc4ea03ab0p-8")]
-)
-def test_a_group_quantizer_refuses_a_worst_case_bound(lattice, block_bound):
-    """A fused group would bound the whole group (or, over a block loop, nothing): it refuses."""
-    game = paper_style_game(seed=0)
-    part, box, spec = game_partition(game), game_box(game), game_norm_spec(game)
-    inner = make_vq_bank(part, box, [8, 8]) if lattice else make_sq_bank(part, box, [2] * part.n)
-    bank = feasible_bank(inner, game)
-    (group,) = bank.group_quantizers(part, (None,))
-    assert isinstance(group.inner, engine._BlockLoop if lattice else ScalarBlockQuantizer)
-    with pytest.raises(ValueError, match="2 blocks: a worst-case error bound is per block"):
-        group.worst_case_block_error(Lp(2.0))
-    # One block's bound is unchanged: its inner quantizer's, and the bank's is their max.
-    for q in bank.blocks:
-        assert q.worst_case_block_error(Lp(2.0)).hex() == block_bound
-    assert bank.worst_case_error(part, spec).hex() == block_bound
+            with mock.patch.object(mimo, "project_feasible", wraps=mimo.project_feasible) as spy:
+                quantizer(values)
+            ((stack, budgets), _), = spy.call_args_list
+            assert stack.shape == (len(blocks or range(links)), antennas, antennas)
+            assert budgets.tolist() == game.budgets[list(blocks or range(links))].tolist()
 
 
 def test_projected_blocks_of_two_sizes_quantize_a_group_block_by_block():
@@ -401,14 +386,12 @@ def test_projected_blocks_of_two_sizes_quantize_a_group_block_by_block():
         inner = ScalarBlockQuantizer(box.lo, box.hi, bits)
         blocks.append(ProjectedBlockQuantizer(inner, game.budgets[0]))
         values.append(profile_to_vec(random_feasible_profile(game, rng)) * rng.uniform(0.9, 1.1))
-    assert ProjectedBlockQuantizer.fuse(blocks, part.block_sizes) is None
+    assert ProjectedBlockQuantizer.fuse(blocks) is None
     bank = QuantizerBank(blocks)
-    (group,) = bank.group_quantizers(part, (None,))
-    assert isinstance(group, engine._BlockLoop)
     alone = np.concatenate([q.quantize(v) for q, v in zip(blocks, values)])
     whole, reverse = bank.group_quantizers(part, (None, (1, 0)))
-    assert whole.quantize(np.concatenate(values)).tobytes() == alone.tobytes()
-    backwards = reverse.quantize(np.concatenate(values[::-1]))
+    assert whole(np.concatenate(values)).tobytes() == alone.tobytes()
+    backwards = reverse(np.concatenate(values[::-1]))
     assert backwards.tobytes() == np.concatenate([alone[4:], alone[:4]]).tobytes()
 
 
@@ -430,7 +413,7 @@ def test_a_quantized_jacobi_step_projects_once(monkeypatch):
         x, states = profile_to_vec(uniform_profile(game)), set()
         for _ in range(5):
             states.add(x.tobytes())
-            x = bank.group_quantizers(mapping.partition, (None,))[0].quantize(mapping.eval_full(x))
+            x = bank.group_quantizers(mapping.partition, (None,))[0](mapping.eval_full(x))
         new_states.append(len(states))
     monkeypatch.setattr(mimo, "project_feasible", counting)
     for bank, evaluated in zip(banks, new_states):
@@ -850,8 +833,9 @@ def test_a_non_finite_profile_is_refused_without_warnings(bad, pos):
     x = profile_to_vec(uniform_profile(game))
     x[pos] = bad
     k = pos // game.num_antennas**2
-    projected = ProjectedBlockQuantizer(IdentityQuantizer(), game.budgets[k])
-    grouped = feasible_bank(QuantizerBank([IdentityQuantizer()] * game.num_links), game)
+    size = game.num_antennas**2
+    projected = ProjectedBlockQuantizer(IdentityQuantizer(size), game.budgets[k])
+    grouped = feasible_bank(QuantizerBank([IdentityQuantizer(size)] * game.num_links), game)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would escape pytest.raises
         for call in (
@@ -859,7 +843,7 @@ def test_a_non_finite_profile_is_refused_without_warnings(bad, pos):
             lambda: mapping.eval_block(0, x),
             lambda: mapping.eval_block(1, x),
             lambda: projected.quantize(x[part.block_slice(k)]),
-            lambda: grouped.group_quantizers(part, (None,))[0].quantize(x),
+            lambda: grouped.group_quantizers(part, (None,))[0](x),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 call()

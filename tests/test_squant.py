@@ -174,8 +174,8 @@ def test_block_quantize_matches_the_per_coordinate_loop_bit_for_bit(coords):
     assert block.quantize(v).tobytes() == ref.tobytes()
     assert single.tobytes() == ref.tobytes()
     # joined from one-coordinate quantizers, or sliced from the block, the arrays are the same
-    fused = ScalarBlockQuantizer.fuse(singles, [1] * len(singles))
-    for q in (fused, block._take(slice(None))):
+    assert ScalarBlockQuantizer.fuse(singles)(v).tobytes() == ref.tobytes()
+    for q in (ScalarBlockQuantizer._join(singles), block._take(slice(None))):
         assert q.quantize(v).tobytes() == ref.tobytes()
         assert q.worst_case_errors().tobytes() == block.worst_case_errors().tobytes()
     for m, q in enumerate(singles):

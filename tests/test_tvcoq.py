@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,25 @@ def test_master_refuses_non_integer_sizes_with_its_own_message(bad):
         tvcoq_error_bound(0.5, 1, 6, bad, 1.7)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.5, 4, 8, 3, math.nan), "prefactor must be positive and finite, got nan"),
+        ((0.5, 4, 8, 3, math.inf), "prefactor must be positive and finite, got inf"),
+        ((0.5, 4, 8, 3, 0.0), "prefactor must be positive and finite, got 0.0"),
+        ((0.5, math.nan, 8, 3, 1.7), "dimension must be a positive integer, got nan"),
+        ((0.5, 2.5, 8, 3, 1.7), "dimension must be a positive integer, got 2.5"),
+        ((0.5, 4, math.nan, 3, 1.7), "per-stage budget must be nonnegative and finite, got nan"),
+        ((0.5, 4, math.inf, 3, 1.7), "per-stage budget must be nonnegative and finite, got inf"),
+        ((0.5, 4, -1.0, 3, 1.7), "per-stage budget must be nonnegative and finite, got -1.0"),
+    ],
+)
+def test_error_bound_refuses_nan_and_infinite_arguments(args, message):
+    """NaN eta, n or budget once gave a NaN bound, and eta = inf an infinite one."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tvcoq_error_bound(*args)
+
+
 def test_master_refuses_a_nan_threshold():
     """A NaN threshold was once accepted and gave required_min_bits NaN."""
     with pytest.raises(ValueError, match="threshold must be nonnegative, got nan"):
@@ -256,9 +276,7 @@ def test_schedule_objective_discounts_stage_errors():
 
 def test_json_export_round_trip_fields():
     sched = tvcoq_master(0.5, 1, 3, 2)
-    import json
-
-    doc = json.loads(sched.to_json())
+    doc = sched.as_dict()
     assert doc["alpha"] == 0.5
     assert doc["T"] == 2
     assert doc["L"] == 3
