@@ -20,8 +20,10 @@ A's nonzero entries and b: a row is the left-to-right sum of its
 entries' products, and each block and sweep group keeps its own rows'
 entries, so a node's update reads only the nodes it depends on.  Maps
 and quantizers are deterministic, so a step from an iterate, bank and
-tick phase that an earlier step of the run had repeats it bit for bit:
-the run serves it from that step and computes nothing.  The loop
+tick phase that an earlier step of the run had repeats it bit for bit
+and closes an orbit: the run copies it, and every later step whose bank
+is the bank one orbit period earlier, from the orbit in one gather, and
+computes nothing for them.  The loop
 records the residuals e(t), and one formula bounds every run: sweeps of
 P steps (K sequential ticks, else 1) shrink the distance to x* by alpha,
 and a step's error passes through at most D updates of its sweep, a
@@ -327,10 +329,15 @@ def run_iteration(
     e(t) = 0.
 
     A step depends only on x(t), its bank and, for sequential ticks, its
-    phase t mod K.  So a step whose (x(t)'s bytes, bank object, phase)
-    an earlier step a had copies x(a+1) and e(a) and evaluates nothing;
-    the bytes are compared, so -0.0 and +0.0 differ and a hash collision
-    cannot pass.  `Trajectory.repeated_steps` counts these steps.
+    phase t mod K.  So a step t whose (x(t)'s bytes, bank object, phase)
+    an earlier step a had closes an orbit of period p = t - a, a multiple
+    of the phase period: from t on, x(s) = x(s - p) for as long as
+    `banks[s] is banks[s - p]`.  The run copies those steps' iterates and
+    errors from rows a + (j mod p) in one gather, evaluates nothing, and
+    goes on from the first step whose bank breaks the rule (a single bank
+    never does).  The bytes are compared, so -0.0 and +0.0 differ and a
+    hash collision cannot pass.  `Trajectory.repeated_steps` counts the
+    copied steps.
     """
     if scheme == Scheme.ASYNC_BOUND_ONLY:
         raise ValueError(
@@ -362,13 +369,21 @@ def run_iteration(
     plans = {}  # id(bank) -> (group record, its quantizer) per group, resolved once per run
     period = _sweep(scheme, K)[0]
     first = {}  # (hash of x(t)'s bytes, id(bank), t mod period) -> the first step t with that key
-    repeated = 0
-    for t, bank in enumerate(banks):
+    t = repeated = 0
+    while t < steps:
+        bank = banks[t]
         state = iterates[t].tobytes()
         a = first.setdefault((hash(state), id(bank), t % period), t)
         if a != t and iterates[a].tobytes() == state:  # step t repeats step a bit for bit
-            iterates[t + 1], errors[t] = iterates[a + 1], errors[a]
-            repeated += 1
+            # An orbit of period p = t - a closes: step s repeats step s - p for as long as
+            # its bank is step s - p's.  Fill those steps from rows a + (j mod p) at once.
+            p, end = t - a, t + 1
+            while end < steps and banks[end] is banks[end - p]:
+                end += 1
+            src = a + np.arange(end - t) % p
+            iterates[t + 1 : end + 1], errors[t:end] = iterates[src + 1], errors[src]
+            repeated += end - t
+            t = end
             continue
         plan = plans.get(id(bank))
         if plan is None:
@@ -390,6 +405,7 @@ def run_iteration(
             q = raw if quantizer is None else quantizer(raw)
             e[group.index] = q - raw
             y[group.index] = q
+        t += 1
 
     traj = Trajectory(iterates, errors, _row_norms(mapping, errors), scheme)
     traj.repeated_steps = repeated
@@ -693,7 +709,7 @@ def random_affine_contraction(
                 core[:, 0] = -core[:, 0]
         else:
             perm = rng.permutation(nk)
-            signs = rng.choice([-1.0, 1.0], size=nk)
+            signs = np.array([-1.0, 1.0])[rng.integers(0, 2, size=nk)]  # as rng.choice draws them
             core = np.zeros((nk, nk))
             core[np.arange(nk), perm] = signs
             if isinstance(norm_k, WeightedMax):

@@ -265,56 +265,73 @@ def _water_level(v: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndar
 class _BlockLayout:
     """A NormSpec over one partition as arrays, checked once.
 
-    Every block has coordinate weights a (1 on L_p blocks).  The L_p
-    blocks, which need a power sum, are also listed with their coordinates,
-    the L_p block of each such coordinate, the blocks' offsets in that list
-    and their exponents; a weighted-max block's norm is its largest
-    weighted entry alone.
+    Every coordinate has its weight a (1 on L_p blocks).  The weighted-max
+    blocks' coordinates are listed with their block's weight w_k.  The L_p
+    blocks, which need a power sum, are listed with their coordinates, the
+    L_p block of each such coordinate, the blocks' offsets in that list,
+    their exponents and their weights.  A coordinate list that is one
+    contiguous run (every coordinate, or none) is kept as a slice, so
+    indexing with it takes a view.
     """
 
     def __init__(self, spec: NormSpec, part: BlockPartition):
         spec.check_partition(part)
-        self.starts = np.asarray(part.offsets[:-1])
-        self.w = np.asarray(spec.block_weights)
         self.a = np.concatenate(
             [
                 item.a if isinstance(item, WeightedMax) else np.ones(size)
                 for item, size in zip(spec.per_block, part.block_sizes)
             ]
         )
+        w = np.asarray(spec.block_weights)
         is_lp = np.array([isinstance(item, Lp) for item in spec.per_block])
+        coord_is_lp = np.repeat(is_lp, part.block_sizes)
+        self.wm_coords = _coordinates(~coord_is_lp)
+        self.wm_w = np.repeat(w, part.block_sizes)[self.wm_coords]
         sizes = np.asarray(part.block_sizes)[is_lp]
         exps = np.array([item.p for item in spec.per_block if isinstance(item, Lp)])
         self.has_lp = bool(is_lp.any())
-        self.lp_blocks = np.flatnonzero(is_lp)
-        self.lp_coords = np.flatnonzero(np.repeat(is_lp, part.block_sizes))
+        self.lp_coords = _coordinates(coord_is_lp)
         self.lp_owner = np.repeat(np.arange(sizes.size), sizes)
         self.lp_starts = np.cumsum(sizes) - sizes
+        self.lp_w = w[is_lp]
         self.p, self.inv_p = np.repeat(exps, sizes), 1.0 / exps
+
+
+def _coordinates(mask: np.ndarray) -> Union[slice, np.ndarray]:
+    """The coordinates where `mask` holds: a slice if they are one contiguous run, else an array."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, 0)
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def block_norms(rows: np.ndarray, part: BlockPartition, spec: NormSpec) -> np.ndarray:
     """The weighted block-maximum norm of every row of a (..., n) array.
 
-    All block norms come from one pass.  A weighted-max block's norm is its
-    largest weighted entry, exactly.  Each L_p block is scaled by that
-    entry before the power sum, so no block under- or overflows where its
-    norm is representable; the sum is not compensated.  Every row gets the
-    same floating-point operations as when it is passed alone.
+    A weighted-max block's norm over its weight, max_m (|x_m| / a_m) / w_k,
+    is the largest of its entries' (|x_m| / a_m) / w_k: dividing by w_k > 0
+    is correctly rounded and monotone, so it commutes with the max bit for
+    bit, NaN included.  So every weighted-max block goes into one flat max
+    over their coordinates.  Each L_p block is scaled by its largest entry
+    before the power sum, so no block under- or overflows where its norm is
+    representable; the sum is not compensated.  Every row gets the same
+    floating-point operations as when it is passed alone.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 0 or rows.shape[-1] != part.n:
         raise ValueError(f"vector length {rows.shape[-1:]} != partition dimension {part.n}")
     layout = spec._layout(part)
     ax = np.abs(rows) / layout.a
-    norms = np.maximum.reduceat(ax, layout.starts, axis=-1)
+    norm = (ax[..., layout.wm_coords] / layout.wm_w).max(axis=-1, initial=0.0)
     if layout.has_lp:
-        scale = norms.take(layout.lp_blocks, axis=-1)
+        lp = ax[..., layout.lp_coords]
+        scale = np.maximum.reduceat(lp, layout.lp_starts, axis=-1)
         unit = np.where(scale > 0, scale, 1.0).take(layout.lp_owner, axis=-1)
-        y = ax.take(layout.lp_coords, axis=-1) / unit
-        sums = np.add.reduceat(_power(y, layout.p), layout.lp_starts, axis=-1)
-        norms[..., layout.lp_blocks] = scale * _power(sums, layout.inv_p)
-    return (norms / layout.w).max(axis=-1)
+        sums = np.add.reduceat(_power(lp / unit, layout.p), layout.lp_starts, axis=-1)
+        norm = np.maximum(norm, (scale * _power(sums, layout.inv_p) / layout.lp_w).max(axis=-1))
+    return norm
 
 
 def _power(base: np.ndarray, exps: np.ndarray) -> np.ndarray:

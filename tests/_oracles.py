@@ -3,11 +3,15 @@
 `IdentityQuantizer` is a pass-through block quantizer, the infinite-rate
 fake a bank can hold in place of a real one.  `weighted_max_norm` is the
 per-block weighted maximum norm in its plain form, the oracle `block_norm`
-is compared against.  `sq_worst_case_error` is the midpoint rule's half
-cell, the oracle the scalar and lattice quantizers' errors are held to.  `validate_profile` checks a MIMO strategy profile
-against its game's constraints.  `frobenius_norm` scales the Frobenius norm
-through `math.hypot`, so it stays positive on entries near
-`np.finfo(float).tiny`, where `np.linalg.norm` underflows to 0.
+is compared against; `reduceat_block_norms` is the block-by-block formula
+(one `np.maximum.reduceat` max per block, then each L_p block's scaled
+power sum), the oracle `block_norms` must equal bit for bit.
+`sq_worst_case_error` is the midpoint rule's half cell, the oracle the
+scalar and lattice quantizers' errors are held to.  `validate_profile`
+checks a MIMO strategy profile against its game's constraints.
+`frobenius_norm` scales the Frobenius norm through `math.hypot`, so it
+stays positive on entries near `np.finfo(float).tiny`, where
+`np.linalg.norm` underflows to 0.
 `uniform_l2_spec` and `uniform_wmax_spec` are the unit-weight block norm
 specs the tests build their mappings and bounds on.
 """
@@ -45,6 +49,45 @@ def weighted_max_norm(x: Sequence[float], a: Sequence[float]) -> float:
     if x.size == 0:
         return 0.0
     return float(np.max(np.abs(x) / a))
+
+
+def reduceat_block_norms(rows, part: BlockPartition, spec: NormSpec) -> np.ndarray:
+    """The weighted block-maximum norm of every row of a (..., n) array, block by block.
+
+    Each block's largest weighted entry |x_m| / a_m comes from one
+    `np.maximum.reduceat`; an L_p block's norm is that scale times the
+    power sum of its entries over it; each block norm is divided by its
+    weight w_k, and the row's norm is the largest.
+    """
+    rows = np.asarray(rows, dtype=float)
+    sizes = np.asarray(part.block_sizes)
+    a = np.concatenate(
+        [
+            np.asarray(item.a) if isinstance(item, WeightedMax) else np.ones(size)
+            for item, size in zip(spec.per_block, part.block_sizes)
+        ]
+    )
+    ax = np.abs(rows) / a
+    norms = np.maximum.reduceat(ax, np.asarray(part.offsets[:-1]), axis=-1)
+    is_lp = np.array([isinstance(item, Lp) for item in spec.per_block])
+    if is_lp.any():
+        lp_sizes = sizes[is_lp]
+        exps = np.array([item.p for item in spec.per_block if isinstance(item, Lp)])
+        lp_starts = np.cumsum(lp_sizes) - lp_sizes
+        owner = np.repeat(np.arange(lp_sizes.size), lp_sizes)
+        scale = norms[..., is_lp]
+        unit = np.where(scale > 0, scale, 1.0).take(owner, axis=-1)
+        y = ax.take(np.flatnonzero(np.repeat(is_lp, sizes)), axis=-1) / unit
+        sums = np.add.reduceat(_full_power(y, np.repeat(exps, lp_sizes)), lp_starts, axis=-1)
+        norms[..., is_lp] = scale * _full_power(sums, 1.0 / exps)
+    return (norms / np.asarray(spec.block_weights)).max(axis=-1)
+
+
+def _full_power(base: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """base ** exps with the exponents copied out to the base's shape (contiguous operands)."""
+    full = np.empty_like(base)
+    full[...] = exps
+    return base**full
 
 
 def sq_worst_case_error(interval, bits: int) -> float:

@@ -437,6 +437,63 @@ def test_random_affine_contraction_deterministic():
     assert np.array_equal(m1.eval_full(probe), m2.eval_full(probe))
 
 
+def _affine_draw_with_choice(part, spec, domain, alpha, rng):
+    """A, b and x* drawn as `random_affine_contraction` once drew them, signs by `rng.choice`."""
+    K, n = part.num_blocks, part.n
+    groups = {}
+    for k, norm_k in enumerate(spec.per_block):
+        kind = ("wmax", norm_k.size) if isinstance(norm_k, WeightedMax) else ("lp", norm_k.p)
+        groups.setdefault((part.block_sizes[k], kind), []).append(k)
+    pi = np.empty(K, dtype=int)
+    for members in groups.values():
+        perm = rng.permutation(len(members))
+        for pos, k in enumerate(members):
+            pi[k] = members[perm[pos]]
+    A = np.zeros((n, n))
+    for k in range(K):
+        src, nk, norm_k = int(pi[k]), part.block_sizes[k], spec.per_block[k]
+        if isinstance(norm_k, Lp) and norm_k.p == 2.0:
+            core, _ = np.linalg.qr(rng.standard_normal((nk, nk)))
+            if np.linalg.det(core) < 0:
+                core[:, 0] = -core[:, 0]
+        else:
+            perm = rng.permutation(nk)
+            core = np.zeros((nk, nk))
+            core[np.arange(nk), perm] = rng.choice([-1.0, 1.0], size=nk)
+            if isinstance(norm_k, WeightedMax):
+                a_src = np.asarray(spec.per_block[src].a)
+                core[np.arange(nk), perm] *= np.asarray(norm_k.a) / a_src[perm]
+        scale = alpha * spec.block_weights[k] / spec.block_weights[src]
+        A[part.block_slice(k), part.block_slice(src)] = scale * core
+    lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
+    x_star = lo + rng.uniform(0.15, 0.85, size=n) * (hi - lo)
+    return A, x_star - A @ x_star, x_star
+
+
+def test_random_affine_contraction_draws_the_maps_of_the_choice_draw():
+    """Signs indexed by `integers(0, 2)` are the signs, and the generator state, `choice` gives."""
+    part = BlockPartition([4, 4, 2, 3, 3, 1, 2, 2])
+    spec = NormSpec(
+        [1.0, 2.0, 0.5, 1.0, 1.0, 3.0, 1.0, 1.0],
+        [
+            WeightedMax([1.0, 0.5, 2.0, 1.0]), WeightedMax([2.0, 1.0, 1.0, 0.25]),
+            WeightedMax([1.0, 3.0]), Lp(2.0), Lp(2.0), WeightedMax([1.0]), Lp(1.0), Lp(1.0),
+        ],
+    )
+    box = BoxDomain([(-1.0, 2.0)] * part.n)
+    for seed in range(40):
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        mapping, x_star = random_affine_contraction(part, spec, box, 0.7, rng=rng)
+        A, b, x_old = _affine_draw_with_choice(part, spec, box, 0.7, old)
+        entries = mapping.fn
+        drawn = np.zeros((part.n, part.n))
+        drawn[entries.row, entries.col] = entries.val
+        assert drawn.tobytes() == A.tobytes()
+        assert entries.b.tobytes() == b.tobytes()
+        assert x_star.tobytes() == x_old.tobytes()
+        assert rng.bit_generator.state == old.bit_generator.state
+
+
 def test_reference_fixed_point():
     mapping = _halving_map()
     x_star = reference_fixed_point(mapping)
@@ -1127,6 +1184,58 @@ def test_repeated_steps_equal_the_block_by_block_loop(case, collide):
         assert len(calls) == per_step * evaluated
         if not collide:
             assert evaluated == _new_keys(iterates, quantizers, scheme, K)
+
+
+_ORBIT_PART = BlockPartition([1, 1, 1])
+_ORBIT_BOX = BoxDomain([(-1.0, 1.0)] * 3)
+_ORBIT_BANK = make_sq_bank(_ORBIT_PART, _ORBIT_BOX, [2, 2, 2])  # cell midpoints +-0.25, +-0.75
+
+
+def _orbit_map(perm):
+    """0.9 x[perm], which the 2-bit bank takes from one set of cell midpoints to its permutation."""
+    return BlockMapping(
+        lambda x: 0.9 * x[list(perm)], _ORBIT_PART, _ORBIT_BOX, uniform_wmax_spec(_ORBIT_PART), 0.9
+    )
+
+
+@pytest.mark.parametrize(
+    "perm, scheme, banks, repeated",
+    [
+        ((0, 1, 2), Scheme.JACOBI, [_ORBIT_BANK] * 8, 7),  # period 1
+        ((1, 0, 2), Scheme.JACOBI, [_ORBIT_BANK] * 9, 7),  # period 2
+        ((1, 2, 0), Scheme.JACOBI, [_ORBIT_BANK] * 12, 9),  # period 3
+        ((1, 2, 0), Scheme.GAUSS_SEIDEL, [_ORBIT_BANK] * 12, 9),  # period 2 from x(1)
+        ((0, 1, 2), Scheme.SEQUENTIAL, [_ORBIT_BANK] * 10, 7),  # period K = 3 ticks
+        # An unquantized step in the middle of the orbit: the fill stops there, the loop
+        # evaluates that step and the next, and fills again from the orbit it is back on.
+        ((1, 2, 0), Scheme.JACOBI, [_ORBIT_BANK] * 7 + [None] + [_ORBIT_BANK] * 12, 15),
+        ((1, 2, 0), Scheme.SEQUENTIAL, [_ORBIT_BANK] * 7 + [None] + [_ORBIT_BANK] * 12, None),
+    ],
+)
+def test_a_closed_orbit_fills_its_steps_at_once(perm, scheme, banks, repeated):
+    mapping = _orbit_map(perm)
+    x0 = np.array([0.75, -0.25, 0.25])
+    steps = len(banks)
+    single = all(bank is banks[0] for bank in banks)
+    quantizers = banks[0] if single else banks
+    counted, calls = _with_counted_evaluations(mapping)
+    hashed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "hash", lambda state: hashed.append(state) or hash(state), raising=False)
+        traj = run_iteration(counted, quantizers, x0, steps, scheme)
+    raw_map = mapping.eval_full
+    iterates, errors = _block_by_block(_ORBIT_PART, raw_map, quantizers, x0, steps, scheme)
+    assert traj.iterates.tobytes() == iterates.tobytes()
+    assert traj.errors.tobytes() == errors.tobytes()
+    assert np.any(errors[1:] != 0.0)  # the orbit's steps carry quantization errors
+    evaluated = _new_keys(iterates, quantizers, scheme, 3)
+    assert traj.repeated_steps == steps - evaluated
+    if repeated is not None:
+        assert traj.repeated_steps == repeated
+    per_step = len(mapping.sweep_groups) if scheme == Scheme.GAUSS_SEIDEL else 1
+    assert len(calls) == per_step * evaluated
+    if single:  # the first repeat fills the whole tail
+        assert len(hashed) == evaluated + 1
 
 
 def test_a_state_differing_only_in_a_zero_sign_is_not_a_repeat():

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import uniform_l2_spec, uniform_wmax_spec, weighted_max_norm
+from _oracles import reduceat_block_norms, uniform_l2_spec, uniform_wmax_spec, weighted_max_norm
 from qfix.norms import (
     BlockPartition,
     BoxDomain,
@@ -262,6 +262,61 @@ def test_block_norms_of_a_stack_equal_each_row_alone(case, rows, seed):
     assert block_norms(stack, part, wmax).tolist() == exact
     with pytest.raises(ValueError):
         block_norms(stack[:, 1:], part, spec)
+
+
+# Entries that stress the flat max: NaN, infinities, a negative zero, and magnitudes at
+# the ends of the range, which the weights below push past overflow or into subnormals.
+_EDGE_ENTRY = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(-1e3, 1e3),
+)
+_WIDE_WEIGHT = st.builds(lambda e: 10.0**e, st.floats(-200.0, 200.0))
+
+
+@st.composite
+def _edge_cases(draw):
+    """A weighted-max-only, L_p-only or mixed spec over unequal blocks, and a row or a stack."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    kinds = draw(st.sampled_from(["wmax", "lp", "mixed"]))
+    per_block = []
+    for size in sizes:
+        lp = kinds == "lp" or (kinds == "mixed" and draw(st.booleans()))
+        if lp:
+            per_block.append(Lp(draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]))))
+        else:
+            weights = draw(st.lists(_WIDE_WEIGHT, min_size=size, max_size=size))
+            per_block.append(WeightedMax(weights))
+    spec = NormSpec([draw(_WIDE_WEIGHT) for _ in sizes], per_block)
+    shape = draw(st.sampled_from([(), (1,), (4,)])) + (sum(sizes),)
+    x = np.array(draw(st.lists(_EDGE_ENTRY, min_size=math.prod(shape), max_size=math.prod(shape))))
+    return BlockPartition(sizes), spec, x.reshape(shape)
+
+
+def _same_bits_or_both_nan(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal bytes where `want` is a number, and NaN exactly where it is NaN.
+
+    A NaN's sign bit is not part of the contract: numpy's max reductions pick
+    it by their SIMD path (the max of [NaN, inf, inf] is +NaN, of [inf, NaN]
+    the NaN as given), and inf / inf in an L_p block gives the negative one.
+    """
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=400)
+@given(_edge_cases())
+def test_block_norms_equal_the_block_by_block_reduceat_formula(case):
+    """The flat weighted-max max equals one max per block, then the division by w_k, bit for bit."""
+    part, spec, x = case
+    with np.errstate(all="ignore"):  # inf / inf and overflow are the point here
+        got = np.asarray(block_norms(x, part, spec))
+        want = np.asarray(reduceat_block_norms(x, part, spec))
+        alone = np.array([block_norm(row, part, spec) for row in x.reshape(-1, part.n)])
+    assert got.shape == want.shape == x.shape[:-1]
+    assert _same_bits_or_both_nan(got, want)
+    assert _same_bits_or_both_nan(alone, got.reshape(-1))
+    if all(isinstance(item, WeightedMax) for item in spec.per_block):
+        assert got.tobytes() == want.tobytes()  # a NaN entry's own NaN, sign cleared by |x|
 
 
 def test_block_norms_of_a_tall_stack_over_one_lp_block():
