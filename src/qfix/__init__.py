@@ -31,7 +31,6 @@ from .ticoq import (
     ticoq_sq_wmax,
     ticoq_vq_lattice,
     tradeoff_threshold,
-    tradeoff_value,
     uniform_sq_allocation,
 )
 from .tvcoq import StageSchedule, tvcoq_design, tvcoq_error_bound, tvcoq_master
@@ -65,7 +64,6 @@ __all__ = [
     "ticoq_sq_wmax",
     "ticoq_vq_lattice",
     "tradeoff_threshold",
-    "tradeoff_value",
     "tvcoq_design",
     "tvcoq_error_bound",
     "tvcoq_master",

@@ -4,32 +4,32 @@ One loop runs block mappings in three update orders: Jacobi (every block
 from the old iterate), Gauss-Seidel (a sweep over every block, later
 blocks seeing the already-quantized earlier blocks of the new iterate)
 and sequential (one block per step, k = t mod K, reading the current
-iterate).  Every step is a loop over groups of blocks, each group one
-evaluation and one bank pass: a Jacobi step is one group of all blocks,
-a sequential tick one block, and a Gauss-Seidel sweep the mapping's
-`sweep_groups`.  A mapping that declares which blocks each block reads
-(`block_reads`, which `affine_contraction` takes from A's zero blocks)
-sweeps blocks that read none of each other's new values as one group,
-and the sweep equals the block-by-block one; any other sweeps one block
-at a time.  Block updates evaluate natively, through the mapping's
-`fn_block`, when it has one, otherwise by slicing a full evaluation.  A
-run works out its groups once: the mapping keeps each update group's
-coordinates, size and box bounds, and the run looks up each distinct
-bank's quantizer for each group once.  `affine_contraction` keeps only
-A's nonzero entries and b: a row is the left-to-right sum of its
-entries' products, and each block and sweep group keeps its own rows'
-entries, so a node's update reads only the nodes it depends on.  Maps
-and quantizers are deterministic, so a step from an iterate, bank and
-tick phase that an earlier step of the run had repeats it bit for bit
-and closes an orbit: the run copies it, and every later step whose bank
-is the bank one orbit period earlier, from the orbit in one gather, and
-computes nothing for them.  The loop
-records the residuals e(t), and one formula bounds every run: sweeps of
-P steps (K sequential ticks, else 1) shrink the distance to x* by alpha,
-and a step's error passes through at most D updates of its sweep, a
-factor (1 - alpha^D) / (1 - alpha): D = 1 for Jacobi, K for Gauss-Seidel
-and sequential sweeps, inf for the asynchronous constant (bounds only,
-no scheduler) and t for the worst-case horizon sum.
+iterate).  Every step copies x(t) into x(t+1) and updates a run of
+groups of blocks in place, each group one evaluation and one bank pass:
+a Jacobi step is one group of all blocks, a sequential tick one block,
+and a Gauss-Seidel sweep the mapping's `sweep_groups`.  A mapping that
+declares which blocks each block reads (`block_reads`, which
+`affine_contraction` takes from A's zero blocks) sweeps blocks that read
+none of each other's new values as one group, and the sweep equals the
+block-by-block one; any other sweeps one block at a time.  The mapping
+owns its update groups: it builds each group's record once, with its
+coordinates, box bounds and evaluator, the function `group_fn(blocks)`
+when it has `group_fn`, otherwise a slice of a full evaluation.  A run
+looks up each distinct bank's quantizer for each group once.
+`affine_contraction` keeps only A's nonzero entries and b: a row is the
+left-to-right sum of its entries' products, and each group's function
+holds its own rows' entries, so a node's update reads only the nodes it
+depends on.  Maps and quantizers are deterministic, so a step from an
+iterate, bank and tick phase that an earlier step of the run had repeats
+it bit for bit and closes an orbit: the run copies it, and every later
+step whose bank is the bank one orbit period earlier, from the orbit in
+one gather, and computes nothing for them.  The loop records the
+residuals e(t), and one formula bounds every run: sweeps of P steps (K
+sequential ticks, else 1) shrink the distance to x* by alpha, and a
+step's error passes through at most D updates of its sweep, a factor
+(1 - alpha^D) / (1 - alpha): D = 1 for Jacobi, K for Gauss-Seidel and
+sequential sweeps, inf for the asynchronous constant (bounds only, no
+scheduler) and t for the worst-case horizon sum.
 """
 
 from __future__ import annotations
@@ -149,16 +149,19 @@ class QuantizerBank:
 
 
 class _UpdateGroup:
-    """Blocks updated together, with their coordinates, size and box bounds worked out once.
+    """Blocks updated together, with their coordinates, size, box bounds and evaluator built once.
 
     `blocks` is None (every block), one block k or a tuple of blocks;
-    `index` is a slice, or a tuple's read-only coordinate array.
+    `index` is a slice, or a tuple's read-only coordinate array;
+    `evaluate` is the mapping's `group_fn(blocks)`, or None for every block
+    and for a mapping without `group_fn`.
     """
 
-    __slots__ = ("blocks", "index", "size", "lo", "hi")
+    __slots__ = ("blocks", "index", "size", "lo", "hi", "evaluate")
 
-    def __init__(self, blocks, index: Union[slice, np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, blocks, index, lo: np.ndarray, hi: np.ndarray, evaluate: Optional[Callable]):
         self.blocks, self.index, self.size, self.lo, self.hi = blocks, index, lo.size, lo, hi
+        self.evaluate = evaluate
 
 
 def sweep_groups_of(block_reads: np.ndarray) -> tuple:
@@ -191,14 +194,17 @@ def sweep_groups_of(block_reads: np.ndarray) -> tuple:
 class BlockMapping:
     """Evaluable mapping T: X -> X with block structure and a declared modulus.
 
-    `fn(x)` gives the whole raw map; the optional `fn_block(k, x)` gives its
-    block k alone, and must equal `fn(x)[block k]` bit for bit.  Both are
-    clamped into the box.  The optional `block_reads` is a K x K bool
-    pattern: block k's value depends only on the blocks j with
-    block_reads[k, j].  A mapping that declares it must also take a tuple
-    of blocks in `fn_block` (their values concatenated, in that order),
-    since a Gauss-Seidel sweep then evaluates blocks that read none of
-    each other's new values in one call.  `fn` and `fn_block` are
+    `fn(x)` gives the whole raw map.  The optional `group_fn(k)` gives a
+    function x -> block k of the raw map alone, which must equal
+    `fn(x)[block k]` bit for bit.  Both are clamped into the box.  The
+    optional `block_reads` is a K x K bool pattern: block k's value depends
+    only on the blocks j with block_reads[k, j].  A mapping that declares it
+    must also take a tuple of blocks in `group_fn` (their values
+    concatenated, in that order), since a Gauss-Seidel sweep then evaluates
+    blocks that read none of each other's new values in one call.  The
+    mapping is the one owner of its update groups: the first time a group
+    is asked for, it builds the group's record (coordinates, box bounds and
+    `group_fn(blocks)`) and keeps it.  `fn` and the group functions are
     deterministic functions of their input: a run serves a step that
     repeats an earlier one from it (`run_iteration`).
     """
@@ -208,7 +214,7 @@ class BlockMapping:
     domain: BoxDomain
     norm: NormSpec
     modulus: float
-    fn_block: Optional[Callable[[Union[int, tuple], np.ndarray], np.ndarray]] = None
+    group_fn: Optional[Callable[[Union[int, tuple]], Callable[[np.ndarray], np.ndarray]]] = None
     block_reads: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -238,17 +244,17 @@ class BlockMapping:
 
     @cached_property
     def _update_groups(self) -> dict:
-        """Records of the groups a run updates (all blocks, each block, each sweep group)."""
+        """The record of every group asked for (None, a block k or a tuple of blocks)."""
         return {}
 
     def _update_group(self, blocks) -> _UpdateGroup:
-        """The record of `blocks`, built once for a group a run updates."""
+        """The record of `blocks`, built the first time it is asked for."""
         group = self._update_groups.get(blocks)
         if group is None:
             index = self.partition.block_index(blocks)
-            group = _UpdateGroup(blocks, index, *self.domain.bounds(index))
-            if not isinstance(blocks, tuple) or blocks in self.sweep_groups:
-                self._update_groups[blocks] = group
+            evaluate = None if blocks is None or self.group_fn is None else self.group_fn(blocks)
+            group = _UpdateGroup(blocks, index, *self.domain.bounds(index), evaluate)
+            self._update_groups[blocks] = group
         return group
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:
@@ -260,9 +266,9 @@ class BlockMapping:
     def eval_block(self, k: Union[int, tuple], x: np.ndarray) -> np.ndarray:
         """Block k of the map at x, or the blocks of a tuple k concatenated."""
         group = self._update_group(k)
-        if self.fn_block is None:
+        if group.evaluate is None:
             return self.eval_full(x)[group.index]
-        y = np.asarray(self.fn_block(k, np.asarray(x, dtype=float)), dtype=float)
+        y = np.asarray(group.evaluate(np.asarray(x, dtype=float)), dtype=float)
         if y.shape != (group.size,):
             raise ValueError(
                 f"block {k} of the mapping has shape {y.shape}, expected ({group.size},)"
@@ -318,15 +324,16 @@ def run_iteration(
 ) -> Trajectory:
     """Iterate x(t+1) = T(x(t)) + e(t) for `steps` steps.
 
-    Each step decides which blocks update and what they read.  Jacobi
-    updates every block from one evaluation at x(t).  Gauss-Seidel sweeps
-    every block, and sequential updates block t mod K only; both evaluate
-    a block at the partially updated iterate whose earlier blocks already
-    hold their *quantized* values, so the quantized message — not the raw
-    one — is what later blocks consume.  A sweep updates the mapping's
-    `sweep_groups` in turn, each with one evaluation and one bank pass.
-    With quantizers=None the dynamics reduce to the exact iteration and
-    e(t) = 0.
+    A run's groups are the one group of all blocks (Jacobi), the mapping's
+    `sweep_groups` (Gauss-Seidel) or each block (sequential), and a sweep
+    is P steps (`_sweep`).  Every step copies x(t) into x(t+1), then updates
+    groups[t mod P :: P] in turn, each with one evaluation at x(t+1) and one
+    bank pass: a Gauss-Seidel sweep every group, a sequential tick block
+    t mod K.  A later group reads the *quantized* values of the earlier
+    ones, so the quantized message — not the raw one — is what later
+    blocks consume.  Jacobi's one group reads x(t+1) before it writes any
+    of it, so it evaluates at x(t) bit for bit.  With quantizers=None the
+    dynamics reduce to the exact iteration and e(t) = 0.
 
     A step depends only on x(t), its bank and, for sequential ticks, its
     phase t mod K.  So a step t whose (x(t)'s bytes, bank object, phase)
@@ -390,18 +397,12 @@ def run_iteration(
             qs = [None] * len(records) if bank is None else bank.group_quantizers(part, groups)
             plan = plans[id(bank)] = list(zip(records, qs))
         y, e = iterates[t + 1], errors[t]
-        if scheme == Scheme.JACOBI:
-            x = iterates[t]  # every block reads x(t), and every block of y is written
-        else:
-            y[:] = iterates[t]
-            x = y
-            if scheme == Scheme.SEQUENTIAL:
-                plan = plan[t % K : t % K + 1]
-        for group, quantizer in plan:
+        y[:] = iterates[t]
+        for group, quantizer in plan[t % period :: period]:
             if group.blocks is None:
-                raw = mapping.eval_full(x)
+                raw = mapping.eval_full(y)
             else:
-                raw = mapping.eval_block(group.blocks, x)
+                raw = mapping.eval_block(group.blocks, y)
             q = raw if quantizer is None else quantizer(raw)
             e[group.index] = q - raw
             y[group.index] = q
@@ -588,38 +589,28 @@ class _AffineEntries:
     """T(x) = A x + b over A's nonzero entries, kept in row-major order, and b.
 
     Row r adds its products A[r, c] x[c], columns ascending, from +0.0
-    through `np.bincount` (a plain sequential loop), then adds b[r].  A
-    block, or a tuple of blocks, takes its rows' entries renumbered to
-    their places in the group, so it equals the same rows of the whole map
-    bit for bit; they are worked out once for each block and each tuple
-    that `kept` accepts (the sweep groups).
+    through `np.bincount` (a plain sequential loop), then adds b[r].
+    `group(k)` gives the function of a block, or a tuple of blocks, over
+    its rows' entries renumbered to their places in the group, so it equals
+    the same rows of the whole map bit for bit.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, part: BlockPartition, kept: Callable):
+    def __init__(self, A: np.ndarray, b: np.ndarray, part: BlockPartition):
         flat = np.flatnonzero(A != 0)
         self.row, self.col = np.divmod(flat, A.shape[1])
-        self.val, self.b = A.ravel()[flat], b
-        self._part, self._kept, self._groups = part, kept, {}
+        self.val, self.b, self._part = A.ravel()[flat], b, part
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.row, self.val * x[self.col], minlength=self.b.size) + self.b
 
-    def _group(self, k: Union[int, tuple]) -> tuple:
-        group = self._groups.get(k)
-        if group is None:
-            rows = np.arange(self.b.size)[self._part.block_index(k)]
-            where = np.full(self.b.size, -1)
-            where[rows] = np.arange(rows.size)
-            at = where[self.row]
-            mine = at >= 0
-            group = (at[mine], self.col[mine], self.val[mine], self.b[rows])
-            if not isinstance(k, tuple) or self._kept(k):
-                self._groups[k] = group
-        return group
-
-    def block(self, k: Union[int, tuple], x: np.ndarray) -> np.ndarray:
-        at, col, val, b = self._group(k)
-        return np.bincount(at, val * x[col], minlength=b.size) + b
+    def group(self, k: Union[int, tuple]) -> Callable[[np.ndarray], np.ndarray]:
+        rows = np.arange(self.b.size)[self._part.block_index(k)]
+        where = np.full(self.b.size, -1)
+        where[rows] = np.arange(rows.size)
+        at = where[self.row]
+        mine = at >= 0
+        at, col, val, b = at[mine], self.col[mine], self.val[mine], self.b[rows]
+        return lambda x: np.bincount(at, val * x[col], minlength=b.size) + b
 
 
 def affine_contraction(
@@ -648,8 +639,7 @@ def affine_contraction(
         raise ValueError(f"A has shape {A.shape}, expected ({n}, {n})")
     if b.shape != (n,):
         raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-    # `mapping` is bound below; the store asks for its sweep groups only when it evaluates a tuple.
-    affine = _AffineEntries(A, b, part, kept=lambda blocks: blocks in mapping.sweep_groups)
+    affine = _AffineEntries(A, b, part)
     if not np.isfinite(affine.val).all():
         raise ValueError("A has non-finite entries")
     if not np.isfinite(b).all():
@@ -657,11 +647,10 @@ def affine_contraction(
     owner = np.repeat(np.arange(part.num_blocks), part.block_sizes)
     reads = np.zeros((part.num_blocks, part.num_blocks), dtype=bool)
     reads[owner[affine.row], owner[affine.col]] = True
-    mapping = BlockMapping(
+    return BlockMapping(
         fn=affine, partition=part, domain=domain, norm=spec, modulus=modulus,
-        fn_block=affine.block, block_reads=reads,
+        group_fn=affine.group, block_reads=reads,
     )
-    return mapping
 
 
 def random_affine_contraction(

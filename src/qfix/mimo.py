@@ -461,17 +461,13 @@ def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
     best response, not K.
     """
     game = channels.game
-
-    def fn_block(k: int, x: np.ndarray) -> np.ndarray:
-        return mat_to_vec(waterfill(channels, _vec_to_stack(x, game), k))
-
     return BlockMapping(
         fn=lambda x: _best_responses(channels, x),
         partition=game_partition(game),
         domain=game_box(game),
         norm=game_norm_spec(game),
         modulus=modulus,
-        fn_block=fn_block,
+        group_fn=lambda k: lambda x: mat_to_vec(waterfill(channels, _vec_to_stack(x, game), k)),
     )
 
 

@@ -59,8 +59,7 @@ class BlockPartition:
 
         Every block (None) and block k (an int) give a slice; a tuple of
         blocks gives their coordinates in that order, as a read-only int
-        array (the mapping's group records and the affine store keep the
-        groups a run updates).
+        array (a mapping's group record keeps it).
         """
         if blocks is None:
             return slice(None)
@@ -140,21 +139,6 @@ class NormSpec:
         if layout is None:
             layout = self._layouts[part.block_sizes] = _BlockLayout(self, part)
         return layout
-
-    def to_json(self, part: BlockPartition) -> str:
-        self.check_partition(part)
-        per_block = []
-        for item in self.per_block:
-            if isinstance(item, WeightedMax):
-                per_block.append({"kind": "wmax", "a": list(item.a)})
-            else:
-                per_block.append({"kind": "lp", "p": item.p})
-        doc = {
-            "blocks": list(part.block_sizes),
-            "w": list(self.block_weights),
-            "per_block": per_block,
-        }
-        return json.dumps(doc)
 
     @staticmethod
     def from_json(text: str) -> tuple["BlockPartition", "NormSpec"]:
@@ -238,8 +222,8 @@ def lp_norm(x: Sequence[float], p: float) -> float:
     if x.size == 0:
         return 0.0
     scale = float(np.max(np.abs(x)))
-    if scale == 0.0:
-        return 0.0
+    if scale == 0.0 or scale == math.inf:
+        return scale
     return scale * float(np.sum((np.abs(x) / scale) ** p)) ** (1.0 / p)
 
 
@@ -316,8 +300,10 @@ def block_norms(rows: np.ndarray, part: BlockPartition, spec: NormSpec) -> np.nd
     bit, NaN included.  So every weighted-max block goes into one flat max
     over their coordinates.  Each L_p block is scaled by its largest entry
     before the power sum, so no block under- or overflows where its norm is
-    representable; the sum is not compensated.  Every row gets the same
-    floating-point operations as when it is passed alone.
+    representable; the sum is not compensated.  A block whose largest entry
+    is inf is not scaled, so its norm is inf, or NaN if it holds a NaN.
+    Every row gets the same floating-point operations as when it is passed
+    alone.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 0 or rows.shape[-1] != part.n:
@@ -328,7 +314,7 @@ def block_norms(rows: np.ndarray, part: BlockPartition, spec: NormSpec) -> np.nd
     if layout.has_lp:
         lp = ax[..., layout.lp_coords]
         scale = np.maximum.reduceat(lp, layout.lp_starts, axis=-1)
-        unit = np.where(scale > 0, scale, 1.0).take(layout.lp_owner, axis=-1)
+        unit = np.where((scale > 0) & (scale < np.inf), scale, 1.0).take(layout.lp_owner, axis=-1)
         sums = np.add.reduceat(_power(lp / unit, layout.p), layout.lp_starts, axis=-1)
         norm = np.maximum(norm, (scale * _power(sums, layout.inv_p) / layout.lp_w).max(axis=-1))
     return norm

@@ -446,14 +446,13 @@ def ticoq_vq_lattice(
     w: Sequence[float],
     box: BoxDomain,
     total_bits: int,
-    p: float = 2.0,
 ) -> RateAllocation:
     """Optimal per-block lattice rate allocation under L_p (p >= 2) block norms.
 
     The integer optimum gives each bit to the block of largest error
     d_k 2^(-L_k/n_k), whatever the block dimensions.
     """
-    return ticoq_design(part, NormSpec(w, [Lp(p)] * part.num_blocks), box, total_bits, "vq")
+    return ticoq_design(part, NormSpec(w, [Lp(2.0)] * part.num_blocks), box, total_bits, "vq")
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +560,6 @@ def relaxed_eta(family: DesignConstants) -> float:
     """Prefactor eta of the high-rate law: relaxed optimum = eta * 2^(-L/n)."""
     logs, sizes, p = _log_terms(family)
     return float(2.0 ** (np.sum(sizes * logs) / (p * np.sum(sizes))))
-
-
-def tradeoff_value(family: DesignConstants, total_bits: float) -> float:
-    """eta * 2^(-L/n): the relaxed optimum for budgets past the threshold."""
-    return relaxed_eta(family) * 2.0 ** (-float(total_bits) / family.n)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,10 @@ def reduceat_block_norms(rows, part: BlockPartition, spec: NormSpec) -> np.ndarr
 
     Each block's largest weighted entry |x_m| / a_m comes from one
     `np.maximum.reduceat`; an L_p block's norm is that scale times the
-    power sum of its entries over it; each block norm is divided by its
-    weight w_k, and the row's norm is the largest.
+    power sum of its entries over it (over 1 where the scale is 0, inf or
+    NaN, so a block holding inf has norm inf, or NaN with a NaN); each
+    block norm is divided by its weight w_k, and the row's norm is the
+    largest.
     """
     rows = np.asarray(rows, dtype=float)
     sizes = np.asarray(part.block_sizes)
@@ -76,7 +78,7 @@ def reduceat_block_norms(rows, part: BlockPartition, spec: NormSpec) -> np.ndarr
         lp_starts = np.cumsum(lp_sizes) - lp_sizes
         owner = np.repeat(np.arange(lp_sizes.size), lp_sizes)
         scale = norms[..., is_lp]
-        unit = np.where(scale > 0, scale, 1.0).take(owner, axis=-1)
+        unit = np.where((scale > 0) & (scale < np.inf), scale, 1.0).take(owner, axis=-1)
         y = ax.take(np.flatnonzero(np.repeat(is_lp, sizes)), axis=-1) / unit
         sums = np.add.reduceat(_full_power(y, np.repeat(exps, lp_sizes)), lp_starts, axis=-1)
         norms[..., is_lp] = scale * _full_power(sums, 1.0 / exps)

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import re
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -311,6 +313,46 @@ def test_certificate_fails_for_understated_modulus():
     assert not cert.all_ok()
 
 
+@pytest.mark.parametrize(
+    "scheme, bound",
+    [
+        # E(t) = S(t), S(t+1) = S(t) / 2 + 1/4: bound = 2^-t + S(t)
+        (Scheme.JACOBI, [1.0, 0.75, 0.625, 0.5625, 0.53125]),
+        # sweeps of 2 ticks: 2^-s + (3/2) S(s) + spent(t), s = t // 2, spent 1/4 on odd ticks
+        (Scheme.SEQUENTIAL, [1.0, 1.25, 0.875, 1.125, 0.8125]),
+    ],
+    ids=["jacobi", "sequential"],
+)
+def test_certificate_flags_a_step_just_past_its_bound(scheme, bound):
+    """A hand-made run whose distances sit at, just past and well past the bound."""
+    mapping = _halving_map()
+    dist = [bound[0], bound[1] + 2e-9, bound[2], 1.5 * bound[3], bound[4]]
+    iterates = np.array([[d, 0.0] for d in dist])
+    errors = np.tile([0.25, 0.0], (4, 1))
+    traj = engine.Trajectory(iterates, errors, np.full(4, 0.25), scheme)
+    cert = bound_certificate(traj, mapping, np.zeros(2))
+    assert cert.bound.tolist() == bound
+    assert cert.dist.tolist() == dist
+    assert cert.ok.tolist() == [True, False, True, False, True]
+
+
+def test_an_affine_map_is_freed_by_reference_counting():
+    """No reference cycle holds a map that has built its group records."""
+    part = BlockPartition([2] * 4)
+    box = BoxDomain([(-1.0, 1.0)] * part.n)
+    gc.disable()
+    try:
+        mapping, _ = random_affine_contraction(part, uniform_wmax_spec(part), box, 0.5, rng=0)
+        for scheme in (Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.SEQUENTIAL):
+            run_iteration(mapping, None, np.zeros(part.n), 3, scheme)
+        assert len(mapping._update_groups) > 1
+        freed = weakref.ref(mapping)
+        del mapping
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_run_iteration_validation():
     mapping = _halving_map()
     with pytest.raises(ValueError):
@@ -611,18 +653,23 @@ def test_game_blocks_equal_the_sliced_full_evaluation(game_id):
 
 
 def _counted(mapping):
-    calls = {"fn": 0, "fn_block": 0}
+    calls = {"fn": 0, "group": 0}
 
     def fn(x):
         calls["fn"] += 1
         return mapping.fn(x)
 
-    def fn_block(k, x):
-        calls["fn_block"] += 1
-        return mapping.fn_block(k, x)
+    def group_fn(k):
+        evaluate = mapping.group_fn(k)
+
+        def counted(x):
+            calls["group"] += 1
+            return evaluate(x)
+
+        return counted
 
     counted = BlockMapping(
-        fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus, fn_block=fn_block
+        fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus, group_fn=group_fn
     )
     return counted, calls
 
@@ -636,15 +683,15 @@ def test_block_updates_evaluate_one_block_each():
     x0 = np.zeros(part.n)
     counted, calls = _counted(mapping)
     sweep = run_iteration(counted, bank, x0, 1, Scheme.GAUSS_SEIDEL)
-    assert calls == {"fn": 0, "fn_block": part.num_blocks}
+    assert calls == {"fn": 0, "group": part.num_blocks}
     ticks = run_iteration(counted, bank, x0, part.num_blocks, Scheme.SEQUENTIAL)
-    assert calls == {"fn": 0, "fn_block": 2 * part.num_blocks}
+    assert calls == {"fn": 0, "group": 2 * part.num_blocks}
     assert np.array_equal(ticks.final(), sweep.final())
     run_iteration(counted, bank, x0, 3, Scheme.JACOBI)
-    assert calls == {"fn": 3, "fn_block": 2 * part.num_blocks}
+    assert calls == {"fn": 3, "group": 2 * part.num_blocks}
     # the same runs through sliced full evaluations
     sliced = BlockMapping(mapping.fn, part, box, spec, mapping.modulus)
-    assert sliced.fn_block is None
+    assert sliced.group_fn is None
     resliced = run_iteration(sliced, bank, x0, 1, Scheme.GAUSS_SEIDEL)
     assert resliced.final().tobytes() == sweep.final().tobytes()
 
@@ -654,7 +701,7 @@ def test_block_evaluation_checks_its_shape():
     spec = uniform_wmax_spec(part)
     box = BoxDomain([(-1.0, 1.0)] * 3)
     mapping = BlockMapping(
-        lambda x: 0.5 * x, part, box, spec, 0.5, fn_block=lambda k, x: 0.5 * x
+        lambda x: 0.5 * x, part, box, spec, 0.5, group_fn=lambda k: lambda x: 0.5 * x
     )
     with pytest.raises(ValueError, match="block 0 of the mapping has shape"):
         mapping.eval_block(0, np.zeros(3))
@@ -663,7 +710,7 @@ def test_block_evaluation_checks_its_shape():
     # the block is clamped against its own slice of the box
     clamped = BlockMapping(
         lambda x: 3.0 * x, part, BoxDomain([(-1.0, 1.0), (-1.0, 1.0), (0.0, 0.5)]), spec, 0.5,
-        fn_block=lambda k, x: 3.0 * x[part.block_slice(k)],
+        group_fn=lambda k: lambda x: 3.0 * x[part.block_slice(k)],
     )
     assert clamped.eval_block(1, np.ones(3)).tolist() == [0.5]
     assert clamped.eval_block(0, -np.ones(3)).tolist() == [-1.0, -1.0]
@@ -1026,7 +1073,7 @@ def _clamped_affine(affine):
 def _with_counted_evaluations(mapping):
     """The mapping with its block pattern kept and every evaluation recorded.
 
-    An fn call records None, an fn_block call its blocks.
+    An fn call records None, a group function's call its blocks.
     """
     calls = []
 
@@ -1034,13 +1081,18 @@ def _with_counted_evaluations(mapping):
         calls.append(None)
         return mapping.fn(x)
 
-    def fn_block(k, x):
-        calls.append(k)
-        return mapping.fn_block(k, x)
+    def group_fn(k):
+        evaluate = mapping.group_fn(k)
+
+        def counted(x):
+            calls.append(k)
+            return evaluate(x)
+
+        return counted
 
     counted = BlockMapping(
         fn, mapping.partition, mapping.domain, mapping.norm, mapping.modulus,
-        fn_block=None if mapping.fn_block is None else fn_block, block_reads=mapping.block_reads,
+        group_fn=None if mapping.group_fn is None else group_fn, block_reads=mapping.block_reads,
     )
     return counted, calls
 
@@ -1087,7 +1139,7 @@ def test_runs_equal_the_block_by_block_loop(case):
         assert traj.error_norms.tobytes() == np.array(
             [block_norm(e, part, mapping.norm) for e in errors]
         ).tobytes()
-    if mapping.fn_block is not None:
+    if mapping.group_fn is not None:
         counted, calls = _with_counted_evaluations(mapping)
         run_iteration(counted, quantizers, x0, steps, Scheme.GAUSS_SEIDEL)
         # Every sweep from a new (x(t), bank) evaluates each group once, in order;
@@ -1333,15 +1385,18 @@ def test_affine_map_holds_its_rows_once():
     finally:
         tracemalloc.stop()
     assert held < matrix_bytes / 8  # 256 entries, b, the sweep groups' entries and bounds
-    store = mapping.fn_block.__self__
+    store = mapping.group_fn.__self__
     assert store.val.size == part.n
     assert any(isinstance(g, tuple) for g in mapping.sweep_groups)
     x = np.linspace(-1.0, 1.0, part.n)
     full = mapping.eval_full(x)
     for blocks in (*range(part.num_blocks), *mapping.sweep_groups, (1, 0)):
         assert mapping.eval_block(blocks, x).tobytes() == full[part.block_index(blocks)].tobytes()
-    # every block and sweep group keeps its entries; a tuple outside the sweep gathers anew
-    assert set(store._groups) == {*range(part.num_blocks), *mapping.sweep_groups}
+    # the mapping keeps one record per group asked for; the store keeps no groups of its own
+    assert set(mapping._update_groups) == {
+        None, *range(part.num_blocks), *mapping.sweep_groups, (1, 0)
+    }
+    assert vars(store).keys() == {"row", "col", "val", "b", "_part"}
 
 
 @given(st.integers(1, 9), st.integers(0, 2**16))
@@ -1351,7 +1406,7 @@ def test_dense_and_undeclared_patterns_sweep_one_block_at_a_time(K, seed):
     rng = np.random.default_rng(seed)
     dense = rng.uniform(0.5, 1.0, (part.n, part.n)) / part.n
     mapping = affine_contraction(dense, np.zeros(part.n), part, box, uniform_wmax_spec(part), 0.5)
-    undeclared = BlockMapping(mapping.fn, part, box, mapping.norm, 0.5, fn_block=mapping.fn_block)
+    undeclared = BlockMapping(mapping.fn, part, box, mapping.norm, 0.5, group_fn=mapping.group_fn)
     assert undeclared.block_reads is None
     assert mapping.sweep_groups == undeclared.sweep_groups == tuple(range(K))
 
@@ -1420,7 +1475,7 @@ def test_grouped_block_evaluation_checks_its_shape():
     box = BoxDomain([(-1.0, 1.0)] * 3)
     mapping = BlockMapping(
         lambda x: 0.5 * x, part, box, uniform_wmax_spec(part), 0.5,
-        fn_block=lambda k, x: 0.5 * x[:2], block_reads=np.eye(2, dtype=bool),
+        group_fn=lambda k: lambda x: 0.5 * x[:2], block_reads=np.eye(2, dtype=bool),
     )
     assert mapping.sweep_groups == ((0, 1),)
     with pytest.raises(ValueError, match=r"block \(0, 1\) of the mapping has shape"):

@@ -27,7 +27,6 @@ from qfix.ticoq import (
     ticoq_sq_wmax,
     ticoq_vq_lattice,
     tradeoff_threshold,
-    tradeoff_value,
     uniform_sq_allocation,
     vq_constants,
 )
@@ -430,10 +429,9 @@ def test_vq_unequal_blocks_match_oracle():
 
 def test_vq_rejects_low_p():
     part = BlockPartition([2])
-    w = (1.0,)
     box = BoxDomain([(0.0, 1.0)] * 2)
-    with pytest.raises(ValueError):
-        ticoq_vq_lattice(part, w, box, 4, p=1.5)
+    with pytest.raises(ValueError, match="lattice designs require an L_p block norm with p >= 2"):
+        ticoq_design(part, NormSpec((1.0,), (Lp(1.5),)), box, 4, "vq")
 
 
 def test_oracle_basics():
@@ -487,9 +485,6 @@ def test_tradeoff_value_matches_solver_above_threshold():
         eta = relaxed_eta(alloc.family)
         assert alloc.relaxed_value == pytest.approx(
             eta * 2.0 ** (-total / part.n), rel=1e-8
-        )
-        assert tradeoff_value(alloc.family, total) == pytest.approx(
-            alloc.relaxed_value, rel=1e-8
         )
 
 
