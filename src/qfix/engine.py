@@ -273,7 +273,7 @@ class BlockMapping:
             raise ValueError(
                 f"block {k} of the mapping has shape {y.shape}, expected ({group.size},)"
             )
-        return y.clip(group.lo, group.hi)
+        return np.minimum(np.maximum(y, group.lo), group.hi)
 
     def distance(self, x, y) -> float:
         return block_norm(np.asarray(x) - np.asarray(y), self.partition, self.norm)
@@ -303,6 +303,16 @@ class Trajectory:
 
 
 BankOrSchedule = Union[QuantizerBank, Sequence[QuantizerBank], None]
+
+
+def _count(value, name: str, least: int) -> int:
+    """`value` as an int; ValueError naming `name` unless it is an integer >= least.
+
+    As for rates (`squant._rate`), 3.0 is an integer and 2.5, NaN and inf are not.
+    """
+    if not (value >= least and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _bank_schedule(quantizers: BankOrSchedule, steps: int) -> list[Optional[QuantizerBank]]:
@@ -351,8 +361,7 @@ def run_iteration(
             "the asynchronous scheme has bound calculators only; "
             "run Jacobi, Gauss-Seidel or sequential"
         )
-    if steps < 1:
-        raise ValueError(f"step count must be >= 1, got {steps}")
+    steps = _count(steps, "steps", 1)
     part = mapping.partition
     x = np.asarray(x0, dtype=float)
     if x.shape != (part.n,):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .engine import (
     QuantizerBank,
     Scheme,
     Trajectory,
+    _count,
     _row_chunks,
     group_quantizer,
     reference_fixed_point,
@@ -55,6 +56,8 @@ class GameConfig:
     distances[j][k] is the transmitter-j to receiver-k distance in meters;
     channel gains scale as distance^(-gamma/2).  Budgets are given in dBm
     and used in linear watts; the noise covariance is noise_power * I.
+    Every parameter is checked once: the counts are integers (2.0 is one),
+    and gamma, the distances, the budgets and the noise power are finite.
     """
 
     num_links: int
@@ -76,25 +79,27 @@ class GameConfig:
         noise_power: Optional[float] = None,
         seed: int = 0,
     ):
-        if num_links < 1 or num_antennas < 1:
-            raise ValueError("need at least one link and one antenna")
-        if gamma <= 0:
-            raise ValueError(f"pathloss exponent must be positive, got {gamma}")
+        num_links = _count(num_links, "num_links", 1)
+        num_antennas = _count(num_antennas, "num_antennas", 1)
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"pathloss exponent must be positive and finite, got {gamma}")
         d = np.asarray(distances, dtype=float)
-        if d.shape != (num_links, num_links) or np.any(d <= 0):
-            raise ValueError("distances must be a positive KxK matrix")
+        if d.shape != (num_links, num_links) or not np.all((d > 0) & (d < math.inf)):
+            raise ValueError("distances must be a positive, finite KxK matrix")
         if np.isscalar(power_dbm):
             power_dbm = (float(power_dbm),) * num_links
         else:
             power_dbm = tuple(float(v) for v in power_dbm)
             if len(power_dbm) != num_links:
                 raise ValueError(f"{len(power_dbm)} budgets for {num_links} links")
+        if not all(map(math.isfinite, power_dbm)):
+            raise ValueError(f"budgets must be finite dBm values, got {power_dbm}")
         if noise_power is None:
             noise_power = default_noise_power()
-        if noise_power <= 0:
-            raise ValueError(f"noise power must be positive, got {noise_power}")
-        object.__setattr__(self, "num_links", int(num_links))
-        object.__setattr__(self, "num_antennas", int(num_antennas))
+        if not 0 < noise_power < math.inf:
+            raise ValueError(f"noise power must be positive and finite, got {noise_power}")
+        object.__setattr__(self, "num_links", num_links)
+        object.__setattr__(self, "num_antennas", num_antennas)
         object.__setattr__(self, "distances", tuple(tuple(row) for row in d))
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "power_dbm", power_dbm)
@@ -108,6 +113,11 @@ class GameConfig:
     def budgets(self) -> np.ndarray:
         """Per-link transmit power budgets in watts (read-only, built once)."""
         return self._budgets
+
+    @cached_property
+    def _space(self) -> "_ProfileSpace":
+        """The game's profile space, built the first time it is asked for and then shared."""
+        return _profile_space(self)
 
 
 def paper_style_game(seed: int = 0) -> GameConfig:
@@ -189,17 +199,18 @@ def random_feasible_profile(game: GameConfig, rng) -> StrategyProfile:
 
 def _random_covariances(game: GameConfig, rng, count: int) -> np.ndarray:
     """(count, K, N, N) profiles, drawn as `count` one-profile draws: per link, the rank r, then
-    Re and Im of G (N x r); W = G G^H is scaled to its budget on stacks of equal rank."""
+    Re and Im of G (N x r) in one (2, N, r) call, the same stream as Re's call then Im's;
+    W = G G^H is scaled to its budget on stacks of equal rank."""
     K, N = game.num_links, game.num_antennas
-    ranks, re, im = np.empty(count * K, dtype=int), [], []
+    ranks, parts = np.empty(count * K, dtype=int), []
     for i in range(count * K):
         r = ranks[i] = rng.integers(1, N + 1)
-        re.append(rng.standard_normal((N, r)))
-        im.append(rng.standard_normal((N, r)))
+        parts.append(rng.standard_normal((2, N, r)))
     out, budgets = np.empty((count * K, N, N), dtype=complex), np.tile(game.budgets, count)
     for r in set(ranks.tolist()):  # not np.unique, which imports numpy.ma (about 1 MB)
         idx = np.flatnonzero(ranks == r)
-        G = (np.array([re[i] for i in idx]) + 1j * np.array([im[i] for i in idx])) / _SQRT2
+        stack = np.array([parts[i] for i in idx])  # (m, 2, N, r): Re, then Im
+        G = (stack[:, 0] + 1j * stack[:, 1]) / _SQRT2
         W = G @ conj_t(G)
         out[idx] = W * (budgets[idx] / np.trace(W, axis1=-2, axis2=-1).real)[:, None, None]
     return out.reshape(count, K, N, N)
@@ -235,13 +246,13 @@ def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np
 
 def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     """(..., L, N, N) best responses of the links in `links`."""
-    ids = range(channels.game.num_links)[links]
-    ill = channels.ill_conditioned.intersection(ids)
-    if ill:
-        raise ValueError(f"direct channel of link {min(ill)} is ill-conditioned")
+    if channels.ill_conditioned:  # empty for most games, which then build no link range
+        ill = channels.ill_conditioned.intersection(range(channels.game.num_links)[links])
+        if ill:
+            raise ValueError(f"direct channel of link {min(ill)} is ill-conditioned")
     lam, U = herm_eig(_effective_channels(channels, P, links))
     if lam[..., 0].min() <= 0:
-        k = ids[np.nonzero(lam[..., 0] <= 0)[-1][0]]
+        k = range(channels.game.num_links)[links][np.nonzero(lam[..., 0] <= 0)[-1][0]]
         raise ValueError(f"link {k} effective channel is singular")
     powers = project_simplex(-1.0 / lam, channels.game.budgets[links])
     Q = (U * powers[..., None, :]) @ conj_t(U)
@@ -345,26 +356,44 @@ def vec_to_mat(v: np.ndarray) -> np.ndarray:
     return entries[..., _vec_layout(N)[2]].reshape(v.shape[:-1] + (N, N))
 
 
-def game_partition(game: GameConfig) -> BlockPartition:
-    return BlockPartition([game.num_antennas**2] * game.num_links)
+class _ProfileSpace(NamedTuple):
+    """A game's profile space: constants of the game, built once and shared (`GameConfig._space`)."""
+
+    partition: BlockPartition
+    norm: NormSpec
+    box: BoxDomain
+    start: np.ndarray  # the uniform profile's vector, read-only
 
 
-def game_norm_spec(game: GameConfig) -> NormSpec:
-    """Unit-weight L2 block norms: block distance = Frobenius distance."""
-    return NormSpec(
-        block_weights=[1.0] * game.num_links,
-        per_block=[Lp(2.0) for _ in range(game.num_links)],
-    )
-
-
-def game_box(game: GameConfig) -> BoxDomain:
-    """Coordinate bounds: diagonals in [0, P_k], off-diagonal coords in [-P_k, P_k]."""
-    N = game.num_antennas
+def _profile_space(game: GameConfig) -> _ProfileSpace:
+    N, K = game.num_antennas, game.num_links
     intervals = []
     for b in game.budgets:
         intervals.extend([(0.0, float(b))] * N)
         intervals.extend([(-float(b), float(b))] * (N * N - N))
-    return BoxDomain(intervals)
+    start = profile_to_vec(uniform_profile(game))
+    start.flags.writeable = False
+    return _ProfileSpace(
+        partition=BlockPartition([N * N] * K),
+        norm=NormSpec(block_weights=[1.0] * K, per_block=[Lp(2.0) for _ in range(K)]),
+        box=BoxDomain(intervals),
+        start=start,
+    )
+
+
+def game_partition(game: GameConfig) -> BlockPartition:
+    """One N^2-coordinate block per link (the game's shared partition)."""
+    return game._space.partition
+
+
+def game_norm_spec(game: GameConfig) -> NormSpec:
+    """Unit-weight L2 block norms: block distance = Frobenius distance (the game's shared spec)."""
+    return game._space.norm
+
+
+def game_box(game: GameConfig) -> BoxDomain:
+    """Coordinate bounds: diagonals in [0, P_k], off-diagonal coords in [-P_k, P_k] (shared)."""
+    return game._space.box
 
 
 def profile_to_vec(profile) -> np.ndarray:
@@ -492,8 +521,7 @@ def estimate_modulus(channels: ChannelSet, samples: int = 50, rng=0) -> ModulusE
     safety factor.  A value >= 1 means the game is not certifiably contractive
     (designs still run, but bounds should be treated as uncertified).
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    samples = _count(samples, "samples", 2)
     part, spec = game_partition(channels.game), game_norm_spec(channels.game)
     # Pair s is (x, y) = profiles (2s, 2s + 1), drawn in that order.
     X = profile_to_vec(_random_covariances(channels.game, np.random.default_rng(rng), 2 * samples))
@@ -541,7 +569,7 @@ def iwfa_run(
     modulus: float,
     reference: Optional[np.ndarray] = None,
 ) -> IwfaResult:
-    """Run (quantized) iterative waterfilling from the uniform profile.
+    """Run (quantized) iterative waterfilling from the uniform profile (the game's shared vector).
 
     Simultaneous mode updates every link per step (`Scheme.JACOBI`);
     sequential mode is `Scheme.SEQUENTIAL`: link t mod K best-responds per
@@ -563,13 +591,13 @@ def iwfa_run(
         wrapped = {id(bank): feasible_bank(bank, game) for bank in distinct}
         quantizers = [wrapped[id(bank)] for bank in schedule]
 
-    x0 = profile_to_vec(uniform_profile(game))
-    traj = run_iteration(mapping, quantizers, x0, steps, _MODE_SCHEMES[mode], reference=reference)
+    start = game._space.start
+    traj = run_iteration(mapping, quantizers, start, steps, _MODE_SCHEMES[mode], reference=reference)
     return IwfaResult(trajectory=traj, mapping=mapping, channels=channels)
 
 
 def nash_reference(channels: ChannelSet, modulus: float) -> np.ndarray:
-    """Unquantized fixed point of the simultaneous best-response map, to 1e-12."""
+    """Unquantized fixed point of the simultaneous best-response map, to 1e-12, from the uniform
+    profile (the game's shared vector)."""
     mapping = game_mapping(channels, modulus)
-    x0 = profile_to_vec(uniform_profile(channels.game))
-    return reference_fixed_point(mapping, x0=x0, tol=1e-12)
+    return reference_fixed_point(mapping, x0=channels.game._space.start, tol=1e-12)

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -194,8 +195,8 @@ class BoxDomain:
         return self._hi - self._lo
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
-        """x clipped into the box."""
-        return np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
+        """x clipped into the box, as min(max(x, lo), hi): `np.clip`'s bytes without its wrapper."""
+        return np.minimum(np.maximum(np.asarray(x, dtype=float), self._lo), self._hi)
 
     def bounds(self, index: Union[slice, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """The read-only lower and upper bounds at coordinates `index` (a slice or an int array)."""
@@ -239,11 +240,19 @@ def _water_level(v: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndar
     n = v.shape[-1]
     u = np.sort(v, axis=-1)[..., ::-1]
     excess = u.cumsum(axis=-1) - budget[..., None]
-    count = np.arange(1, n + 1)
+    count = _counts(n)
     active = u * count > excess
     rho = n - active[..., ::-1].argmax(axis=-1)  # last active index + 1
     theta = np.where((count == rho[..., None]) & active, excess, np.inf).min(axis=-1) / rho
     return theta, u[..., 0]
+
+
+@lru_cache(maxsize=None)
+def _counts(n: int) -> np.ndarray:
+    """The read-only entry counts 1, ..., n, built once per n."""
+    count = np.arange(1, n + 1)
+    count.flags.writeable = False
+    return count
 
 
 class _BlockLayout:

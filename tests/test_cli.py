@@ -375,6 +375,34 @@ def test_simulate_mimo_refusal_reports_the_measured_modulus(tmp_path, capsys):
         assert figure in captured.err
 
 
+_README_GAME = {
+    "K": 2, "N": 2, "distances": [[100.0, 200.0], [500.0, 100.0]], "gamma": 3.5, "power_dbm": 10.0
+}
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        # gamma = NaN ended in an SVD failure, Infinity in an ill-conditioned direct channel
+        ({"gamma": float("nan")}, "pathloss exponent must be positive and finite, got nan"),
+        ({"gamma": float("inf")}, "pathloss exponent must be positive and finite, got inf"),
+        # an infinite budget ended in "non-finite entries" from the first profile
+        ({"power_dbm": float("inf")}, "budgets must be finite dBm values"),
+        ({"noise": float("inf")}, "noise power must be positive and finite, got inf"),
+        ({"N": 2.7}, "num_antennas must be an integer >= 1, got 2.7"),
+    ],
+    ids=["gamma-nan", "gamma-inf", "power-inf", "noise-inf", "antennas-2.7"],
+)
+def test_simulate_mimo_refuses_a_non_finite_or_non_integral_game(tmp_path, capsys, over, message):
+    doc = {"schema": 1, "system": "mimo", "game": {**_README_GAME, **over}, "T": 10,
+           "quantizer": "none", "seeds": [0]}
+    assert main(["simulate", "--config", _write(tmp_path, "mimo.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: game: {message}")
+    assert "Traceback" not in captured.err
+
+
 def _tradeoff_doc(**over):
     doc = {
         "schema": 1,

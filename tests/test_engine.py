@@ -1594,3 +1594,17 @@ def test_factors_and_horizon_sums_equal_the_per_scheme_closed_forms(alpha, K, sc
         worst_case_error_bound(alpha, e_bar, t, scheme, K).hex()
         == _oracle_worst_case(alpha, e_bar, t, scheme, K).hex()
     )
+
+
+def test_run_iteration_takes_an_integral_step_count():
+    """steps=3.0 once failed in the bank schedule (a list times a float); 2.5 is refused."""
+    mapping = _halving_map()
+    bank = make_sq_bank(mapping.partition, mapping.domain, [2, 2])
+    x0 = np.array([0.9, -0.7])
+    for quantizers in (None, bank):
+        whole = run_iteration(mapping, quantizers, x0, 3, Scheme.JACOBI)
+        given = run_iteration(mapping, quantizers, x0, 3.0, Scheme.JACOBI)
+        assert given.steps == 3 and given.iterates.tobytes() == whole.iterates.tobytes()
+    for steps in (2.5, math.nan, math.inf, 0):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
+            run_iteration(mapping, bank, x0, steps, Scheme.JACOBI)

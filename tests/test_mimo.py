@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _oracles import IdentityQuantizer, validate_profile
-from qfix import engine, mimo
+from qfix import engine, mimo, norms
 from qfix.engine import QuantizerBank, Scheme, bound_certificate
 from qfix.mimo import (
     ChannelSet,
@@ -40,7 +40,7 @@ from qfix.mimo import (
     vec_to_profile,
     waterfill,
 )
-from qfix.norms import BlockPartition, Lp, WeightedMax, block_norm
+from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, block_norm
 from qfix.squant import ScalarBlockQuantizer
 from qfix.ticoq import (
     make_sq_bank,
@@ -857,3 +857,99 @@ def test_iwfa_run_checks_the_mode_first(form):
     quantizers = {"none": None, "bank": bank, "schedule": [bank] * 3}[form]
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         iwfa_run(ch, quantizers=quantizers, mode="bogus", steps=3, modulus=0.5)
+
+
+_TWO_LINKS = dict(distances=[[100.0, 200.0], [500.0, 100.0]], gamma=3.5, power_dbm=10.0)
+
+
+_BAD_GAME_PARAMETERS = [
+    (dict(gamma=np.nan), "pathloss exponent must be positive and finite"),
+    (dict(gamma=np.inf), "pathloss exponent must be positive and finite"),
+    (dict(distances=[[100.0, np.nan], [500.0, 100.0]]), "distances must be a positive, finite"),
+    (dict(distances=[[100.0, np.inf], [500.0, 100.0]]), "distances must be a positive, finite"),
+    (dict(power_dbm=np.inf), "budgets must be finite dBm values"),
+    (dict(power_dbm=[10.0, -np.inf]), "budgets must be finite dBm values"),
+    (dict(power_dbm=np.nan), "budgets must be finite dBm values"),
+    (dict(noise_power=np.inf), "noise power must be positive and finite"),
+    (dict(noise_power=np.nan), "noise power must be positive and finite"),
+    (dict(num_links=2.7), "num_links must be an integer >= 1, got 2.7"),
+    (dict(num_antennas=2.7), "num_antennas must be an integer >= 1, got 2.7"),
+    (dict(num_antennas=np.nan), "num_antennas must be an integer >= 1"),
+    (dict(num_antennas=0), "num_antennas must be an integer >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    _BAD_GAME_PARAMETERS,
+    ids=[",".join(f"{k}={v}" for k, v in over.items()) for over, _ in _BAD_GAME_PARAMETERS],
+)
+def test_game_config_refuses_non_finite_and_non_integral_parameters(over, message):
+    """gamma = NaN ended in an SVD failure, inf in an ill-conditioned channel, and N = 2.7 was 2."""
+    args = {**_TWO_LINKS, "num_links": 2, "num_antennas": 2, **over}
+    with pytest.raises(ValueError, match=message):
+        GameConfig(**args)
+
+
+def test_game_config_takes_integral_counts_as_integers():
+    game = GameConfig(num_links=2.0, num_antennas=np.float64(2.0), **_TWO_LINKS)
+    assert type(game.num_links) is int and type(game.num_antennas) is int
+    assert game == GameConfig(num_links=2, num_antennas=2, **_TWO_LINKS)
+
+
+def test_run_and_sample_counts_are_integers():
+    ch = ChannelSet.generate(paper_style_game(seed=0))
+    for call, name in (
+        (lambda: iwfa_run(ch, steps=2.5, modulus=0.5), "steps"),
+        (lambda: iwfa_run(ch, mode="sequential", steps=np.nan, modulus=0.5), "steps"),
+        (lambda: estimate_modulus(ch, samples=2.5), "samples"),
+        (lambda: estimate_modulus(ch, samples=np.inf), "samples"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+    # An integral float is that integer: the same run, the same estimate.
+    for mode in ("simultaneous", "sequential"):
+        whole = iwfa_run(ch, mode=mode, steps=3, modulus=0.5).trajectory
+        given = iwfa_run(ch, mode=mode, steps=3.0, modulus=0.5).trajectory
+        assert given.iterates.tobytes() == whole.iterates.tobytes()
+    assert estimate_modulus(ch, samples=4.0) == estimate_modulus(ch, samples=4)
+
+
+def test_a_game_keeps_one_shared_profile_space():
+    game = paper_style_game(seed=5)
+    assert game_partition(game) is game_partition(game)
+    assert game_norm_spec(game) is game_norm_spec(game)
+    assert game_box(game) is game_box(game)
+    # The shared objects equal freshly built ones.
+    N, K, budgets = game.num_antennas, game.num_links, game.budgets
+    assert game_partition(game) == BlockPartition([N * N] * K)
+    assert game_norm_spec(game) == NormSpec([1.0] * K, [Lp(2.0)] * K)
+    intervals = [
+        iv for b in budgets for iv in [(0.0, float(b))] * N + [(-float(b), float(b))] * (N * N - N)
+    ]
+    assert game_box(game) == BoxDomain(intervals)
+    # The start vector is the uniform profile's, read-only.
+    start = game._space.start
+    assert not start.flags.writeable
+    assert start.tobytes() == profile_to_vec(uniform_profile(game)).tobytes()
+    # Equal games share nothing but are equal: the space depends on the config alone.
+    other = paper_style_game(seed=5)
+    assert game_box(other) is not game_box(game) and game_box(other) == game_box(game)
+
+
+def test_a_game_builds_one_block_layout(monkeypatch):
+    """One modulus estimate, one Nash reference and two runs share one spec's layout."""
+    built = []
+
+    class CountedLayout(norms._BlockLayout):
+        def __init__(self, spec, part):
+            built.append(spec)
+            super().__init__(spec, part)
+
+    monkeypatch.setattr(norms, "_BlockLayout", CountedLayout)
+    ch = ChannelSet.generate(paper_style_game(seed=0))
+    alpha = estimate_modulus(ch, samples=10, rng=0).alpha_hat
+    ref = nash_reference(ch, alpha)
+    iwfa_run(ch, mode="simultaneous", steps=5, modulus=alpha, reference=ref)
+    iwfa_run(ch, mode="sequential", steps=10, modulus=alpha, reference=ref)
+    assert built == [game_norm_spec(ch.game)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import reduceat_block_norms, uniform_l2_spec, uniform_wmax_spec, weighted_max_norm
+from qfix.engine import BlockMapping
 from qfix.norms import (
     BlockPartition,
     BoxDomain,
@@ -340,3 +341,33 @@ def test_block_norms_of_a_tall_stack_over_one_lp_block():
         stack = rng.standard_normal((500, part.n))
         alone = [block_norm(row, part, spec) for row in stack]
         assert block_norms(stack, part, spec).tobytes() == np.array(alone).tobytes()
+
+
+# ±0, ±inf, ±1, ±2 and ±the smallest subnormal: the bounds; the inputs add NaN.
+_CLAMP_BOUNDS = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324]
+
+
+def test_the_clamp_form_equals_np_clip_byte_for_byte():
+    """min(max(x, lo), hi), the form of `BoxDomain.clamp` and the block clip of `eval_block`,
+    gives np.clip's bytes on every input against every bound pair lo <= hi: 616 cases."""
+    pairs = np.array([(a, b) for a in _CLAMP_BOUNDS for b in _CLAMP_BOUNDS if a <= b])
+    inputs = np.array(_CLAMP_BOUNDS + [math.nan])
+    x, lo, hi = np.repeat(inputs, len(pairs)), *np.tile(pairs, (inputs.size, 1)).T
+    assert x.size == 616
+    assert np.minimum(np.maximum(x, lo), hi).tobytes() == np.clip(x, lo, hi).tobytes()
+    for case in zip(x, lo, hi):  # one element at a time, off numpy's vector loops
+        v, a, b = (np.array([c]) for c in case)
+        assert np.minimum(np.maximum(v, a), b).tobytes() == np.clip(v, a, b).tobytes(), case
+    # Through the box and a block evaluation, on the finite bound pairs a box takes.
+    finite = pairs[np.isfinite(pairs).all(axis=1)]
+    box = BoxDomain(finite)
+    part = BlockPartition([len(finite)])
+    mapping = BlockMapping(
+        lambda v: v, part, box, NormSpec([1.0], [Lp(2.0)]), 0.5, group_fn=lambda k: lambda v: v
+    )
+    for value in inputs:
+        v = np.full(part.n, value)
+        expected = np.clip(v, finite[:, 0], finite[:, 1]).tobytes()
+        assert box.clamp(v).tobytes() == expected
+        assert mapping.eval_full(v).tobytes() == expected
+        assert mapping.eval_block(0, v).tobytes() == expected
