@@ -371,7 +371,7 @@ def _tradeoff_point(part, spec, box, alpha: float, banks, steps: int, maps: list
         e_bars = [b.worst_case_error(part, spec) for b in banks]
     else:
         e_bars = [banks.worst_case_error(part, spec)] * steps
-    accumulated = float(engine.accumulated_error_series(alpha, e_bars, Scheme.JACOBI)[steps])
+    accumulated = float(engine.accumulated_error_series(alpha, e_bars)[steps])
 
     x0 = np.asarray(box.lo) + 0.9 * box.lengths
     measured = bound = 0.0

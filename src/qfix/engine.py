@@ -27,9 +27,10 @@ one gather, and computes nothing for them.  The loop records the
 residuals e(t), and one formula bounds every run: sweeps of P steps (K
 sequential ticks, else 1) shrink the distance to x* by alpha, and a
 step's error passes through at most D updates of its sweep, a factor
-(1 - alpha^D) / (1 - alpha): D = 1 for Jacobi, K for Gauss-Seidel and
-sequential sweeps, inf for the asynchronous constant (bounds only, no
-scheduler) and t for the worst-case horizon sum.
+(1 - alpha^D) / (1 - alpha).  The bound calculators take D alone: 1 for
+Jacobi, K for Gauss-Seidel and sequential sweeps, and math.inf for the
+totally asynchronous constant; the worst-case horizon sum is the same
+factor at D = t.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class Scheme(enum.Enum):
     JACOBI = "jacobi"
     GAUSS_SEIDEL = "gauss-seidel"
     SEQUENTIAL = "sequential"
-    ASYNC_BOUND_ONLY = "async-bound-only"
 
 
 _FUSED_PER_BANK = 256  # a bank keeps max(this, K) group quantizers for K blocks
@@ -356,11 +356,6 @@ def run_iteration(
     hash collision cannot pass.  `Trajectory.repeated_steps` counts the
     copied steps.
     """
-    if scheme == Scheme.ASYNC_BOUND_ONLY:
-        raise ValueError(
-            "the asynchronous scheme has bound calculators only; "
-            "run Jacobi, Gauss-Seidel or sequential"
-        )
     steps = _count(steps, "steps", 1)
     part = mapping.partition
     x = np.asarray(x0, dtype=float)
@@ -448,24 +443,19 @@ def _row_norms(mapping: BlockMapping, rows: np.ndarray, ref=0.0) -> np.ndarray:
     return np.concatenate([block_norms(chunk - ref, part, spec) for chunk in _row_chunks(rows)])
 
 
-def _sweep(scheme: Scheme, num_blocks: Optional[int]) -> tuple:
+def _sweep(scheme: Scheme, num_blocks: int) -> tuple:
     """(P, D): a sweep is P steps, and a step's error passes through at most D of its updates.
 
-    Jacobi (1, 1), Gauss-Seidel (1, K), the asynchronous constant (1, inf)
-    and sequential runs (K, K): K ticks, one per block in turn, are one
-    Gauss-Seidel sweep.  A block count, where given, is at least 1.
+    Jacobi (1, 1), Gauss-Seidel (1, K) and sequential runs (K, K): K ticks,
+    one per block in turn, are one Gauss-Seidel sweep.
     """
-    if num_blocks is not None and not num_blocks >= 1:
-        raise ValueError(f"block count must be >= 1, got {num_blocks}")
     if scheme == Scheme.JACOBI:
         return 1, 1
-    if scheme == Scheme.ASYNC_BOUND_ONLY:
-        return 1, math.inf
-    if scheme != Scheme.GAUSS_SEIDEL and scheme != Scheme.SEQUENTIAL:
-        raise ValueError(f"unknown scheme {scheme}")
-    if num_blocks is None:
-        raise ValueError("Gauss-Seidel bounds need the block count")
-    return (num_blocks if scheme == Scheme.SEQUENTIAL else 1), num_blocks
+    if scheme == Scheme.GAUSS_SEIDEL:
+        return 1, num_blocks
+    if scheme == Scheme.SEQUENTIAL:
+        return num_blocks, num_blocks
+    raise ValueError(f"unknown scheme {scheme}")
 
 
 def _geometric(alpha: float, depth: Union[int, float]) -> float:
@@ -473,61 +463,46 @@ def _geometric(alpha: float, depth: Union[int, float]) -> float:
     return (1.0 - alpha**depth) / (1.0 - alpha)
 
 
-def _scheme_factor(alpha: float, scheme: Scheme, num_blocks: Optional[int]) -> float:
-    """`_geometric` at the depth of a scheme whose sweep is one step."""
-    if scheme == Scheme.SEQUENTIAL:
-        raise ValueError(
-            "sequential runs have no per-tick closed-form error bound; "
-            "bound_certificate certifies them sweep by sweep"
-        )
-    return _geometric(alpha, _sweep(scheme, num_blocks)[1])
+def _check_bound_args(alpha: float, depth: float) -> None:
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    if not depth >= 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
 
 
-def accumulated_error(
-    alpha: float,
-    error_norms: Sequence[float],
-    scheme: Scheme = Scheme.JACOBI,
-    num_blocks: Optional[int] = None,
-) -> float:
+def accumulated_error(alpha: float, error_norms: Sequence[float], *, depth: float = 1) -> float:
     """Accumulated error E(t) from the recorded per-step ||e(l)||, l < t.
 
     The last value of `accumulated_error_series`, the one E(t) recurrence.
     """
-    series = accumulated_error_series(alpha, error_norms, scheme, num_blocks)
+    series = accumulated_error_series(alpha, error_norms, depth=depth)
     if series.size == 1:
         raise ValueError("need at least one error norm")
     return float(series[-1])
 
 
-def accumulated_error_series(
-    alpha: float,
-    error_norms: Sequence[float],
-    scheme: Scheme = Scheme.JACOBI,
-    num_blocks: Optional[int] = None,
-) -> np.ndarray:
-    """E(t) = factor * S(t), t = 0..len(error_norms): S(0) = 0, S(t+1) = alpha S(t) + ||e(t)||."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+def accumulated_error_series(alpha: float, error_norms: Sequence[float], *, depth: float = 1) -> np.ndarray:
+    """E(t) = factor * S(t), t = 0..len(error_norms): S(0) = 0, S(t+1) = alpha S(t) + ||e(t)||.
+
+    The factor is `_geometric` at the sweep depth D >= 1: 1 for Jacobi, K
+    for Gauss-Seidel, math.inf for the totally asynchronous constant.
+    """
+    _check_bound_args(alpha, depth)
     norms = np.asarray(error_norms, dtype=float)
     S = itertools.accumulate(norms.tolist(), lambda s, e: alpha * s + e, initial=0.0)
-    return _scheme_factor(alpha, scheme, num_blocks) * np.fromiter(S, float, norms.size + 1)
+    return _geometric(alpha, depth) * np.fromiter(S, float, norms.size + 1)
 
 
 def worst_case_error_bound(
-    alpha: float,
-    e_bar_norm: float,
-    t: Union[int, float] = math.inf,
-    scheme: Scheme = Scheme.JACOBI,
-    num_blocks: Optional[int] = None,
+    alpha: float, e_bar_norm: float, t: Union[int, float] = math.inf, *, depth: float = 1
 ) -> float:
-    """Worst-case bound E-bar(t), its horizon sum `_geometric` at depth t (inf: the limit)."""
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    """Worst-case bound E-bar(t): `_geometric` at the horizon t (inf: the limit) and at depth D."""
+    _check_bound_args(alpha, depth)
     if not t >= 0:
         raise ValueError(f"horizon must be >= 0, got {t}")
     if e_bar_norm < 0:
         raise ValueError("worst-case single-step error must be nonnegative")
-    return _geometric(alpha, t) * e_bar_norm * _scheme_factor(alpha, scheme, num_blocks)
+    return _geometric(alpha, t) * e_bar_norm * _geometric(alpha, depth)
 
 
 @dataclass(frozen=True)
@@ -561,8 +536,7 @@ def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundC
     steps, sweeps = traj.steps, traj.steps // ticks
     rows = np.zeros((sweeps + 1, ticks))  # row s: sweep s's step norms, padded with +0.0
     rows.reshape(-1)[:steps] = traj.error_norms
-    # A sweep of depth D has the factor of a Gauss-Seidel sweep over D blocks.
-    E = accumulated_error_series(alpha, rows[:sweeps].max(axis=1), Scheme.GAUSS_SEIDEL, depth)
+    E = accumulated_error_series(alpha, rows[:sweeps].max(axis=1), depth=depth)
     # spent[t]: the norms of t's sweep before t, added left to right; +0.0 at a sweep's start.
     spent = np.concatenate(([0.0], np.add.accumulate(rows, axis=1).reshape(-1)[:steps]))
     spent[::ticks] = 0.0

@@ -57,7 +57,8 @@ class GameConfig:
     channel gains scale as distance^(-gamma/2).  Budgets are given in dBm
     and used in linear watts; the noise covariance is noise_power * I.
     Every parameter is checked once: the counts are integers (2.0 is one),
-    and gamma, the distances, the budgets and the noise power are finite.
+    gamma, the distances, the budgets and the noise power are finite, and
+    so are the gains d^-gamma (and positive) and the budgets in watts.
     """
 
     num_links: int
@@ -86,6 +87,10 @@ class GameConfig:
         d = np.asarray(distances, dtype=float)
         if d.shape != (num_links, num_links) or not np.all((d > 0) & (d < math.inf)):
             raise ValueError("distances must be a positive, finite KxK matrix")
+        with np.errstate(over="ignore", under="ignore"):
+            gains = d ** -float(gamma)
+        if not np.all((gains > 0) & (gains < math.inf)):
+            raise ValueError(f"pathloss gains d^-gamma must be positive and finite, got {gains.tolist()}")
         if np.isscalar(power_dbm):
             power_dbm = (float(power_dbm),) * num_links
         else:
@@ -94,6 +99,10 @@ class GameConfig:
                 raise ValueError(f"{len(power_dbm)} budgets for {num_links} links")
         if not all(map(math.isfinite, power_dbm)):
             raise ValueError(f"budgets must be finite dBm values, got {power_dbm}")
+        try:
+            budgets = np.array([dbm_to_watts(v) for v in power_dbm])
+        except OverflowError:  # 10^((dBm - 30) / 10) past float64's range
+            raise ValueError(f"budgets must have finite watts, got {power_dbm} dBm") from None
         if noise_power is None:
             noise_power = default_noise_power()
         if not 0 < noise_power < math.inf:
@@ -105,7 +114,6 @@ class GameConfig:
         object.__setattr__(self, "power_dbm", power_dbm)
         object.__setattr__(self, "noise_power", float(noise_power))
         object.__setattr__(self, "seed", int(seed))
-        budgets = np.array([dbm_to_watts(v) for v in power_dbm])
         budgets.flags.writeable = False
         object.__setattr__(self, "_budgets", budgets)
 

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .engine import accumulated_error
 from .norms import BlockPartition, BoxDomain, NormSpec
 from .ticoq import _max_term_order, bank_for_allocation, ticoq_frontier, tradeoff_threshold
 
@@ -95,6 +96,9 @@ def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: 
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"modulus must lie in (0, 1) for the stage split, got {alpha}")
     _check_size_and_horizon(n, horizon)
+    # The objective's discounts sum to less than alpha^-(T-1) / (1 - alpha) = 2^this.
+    if (horizon - 1) * -math.log2(alpha) - math.log2(1.0 - alpha) >= 1024:
+        raise ValueError(f"horizon {horizon} at alpha = {alpha}: the stage discounts alpha^-t overflow float64")
     if not (per_stage_budget >= 0 and float(per_stage_budget).is_integer()):
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
@@ -231,14 +235,10 @@ def tvcoq_design(
 
 
 def schedule_objective(schedule: StageSchedule) -> float:
-    """alpha^(T-1) sum_t alpha^(-t) ||e*_t||: the design-time horizon bound."""
+    """E(T) over the stage optima: sum_t alpha^(T-1-t) ||e*_t||, the design-time horizon bound."""
     if schedule.e_stars is None:
         raise ValueError("schedule has no per-stage designs; run tvcoq_design")
-    alpha, T = schedule.alpha, schedule.horizon
-    return float(
-        alpha ** (T - 1)
-        * sum(alpha ** (-t) * schedule.e_stars[t] for t in range(T))
-    )
+    return accumulated_error(schedule.alpha, schedule.e_stars)
 
 
 def tvcoq_error_bound(

@@ -291,6 +291,20 @@ def test_simulate_refuses_a_rate_of_1024_bits_or_more(tmp_path, capsys, quantize
     )
 
 
+@pytest.mark.parametrize("command", ["simulate", "design"])
+def test_tvcoq_refuses_a_horizon_whose_discounts_overflow(tmp_path, capsys, command):
+    """At T = 1100 and alpha = 0.5, alpha^-(T-1) overflowed: an objective of NaN, then a traceback."""
+    doc = (_simulate_doc(quantizer="tvcoq", alpha=0.5, T=1100, seeds=[0]) if command == "simulate"
+           else _design_doc(kind="tvcoq", alpha=0.5, T=1100, mode="sq-wmax"))
+    assert main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "quantizer" if command == "simulate" else "tvcoq"
+    assert captured.err == (
+        f"config error: {prefix}: horizon 1100 at alpha = 0.5: the stage discounts alpha^-t overflow float64\n"
+    )
+
+
 def test_simulate_rejects_lattice_design_on_weighted_max_blocks(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _simulate_doc(quantizer="ticoq", design="vq"))
     assert main(["simulate", "--config", cfg]) == 1
@@ -390,8 +404,14 @@ _README_GAME = {
         ({"power_dbm": float("inf")}, "budgets must be finite dBm values"),
         ({"noise": float("inf")}, "noise power must be positive and finite, got inf"),
         ({"N": 2.7}, "num_antennas must be an integer >= 1, got 2.7"),
+        # 10,000 dBm ended in an OverflowError, a gain d^-gamma of inf in a failed SVD and one of
+        # 0 in an ill-conditioned direct channel
+        ({"power_dbm": 10000.0}, "budgets must have finite watts"),
+        ({"distances": [[1e-200, 200.0], [500.0, 100.0]]}, "pathloss gains d^-gamma must be positive"),
+        ({"distances": [[1e200, 200.0], [500.0, 100.0]]}, "pathloss gains d^-gamma must be positive"),
     ],
-    ids=["gamma-nan", "gamma-inf", "power-inf", "noise-inf", "antennas-2.7"],
+    ids=["gamma-nan", "gamma-inf", "power-inf", "noise-inf", "antennas-2.7", "power-10000",
+         "distance-1e-200", "distance-1e200"],
 )
 def test_simulate_mimo_refuses_a_non_finite_or_non_integral_game(tmp_path, capsys, over, message):
     doc = {"schema": 1, "system": "mimo", "game": {**_README_GAME, **over}, "T": 10,
@@ -498,7 +518,7 @@ def test_tradeoff_bound_is_the_seed_mean_of_the_certified_bound(tmp_path, capsys
         else:
             banks = tvcoq.tvcoq_design(part, spec, box, bits, steps, alpha, "sq-wmax").banks
         e_bars = [b.worst_case_error(part, spec) for b in banks]
-        E = engine.accumulated_error_series(alpha, e_bars, engine.Scheme.JACOBI)[-1]
+        E = engine.accumulated_error_series(alpha, e_bars)[-1]
         bound = 0.0
         for seed in doc["seeds"]:
             mapping, x_star = engine.random_affine_contraction(part, spec, box, alpha, rng=seed)

@@ -117,51 +117,42 @@ def test_geometric_decay_at_declared_modulus():
 def test_accumulated_error_worked_values():
     # alpha=0.5, constant error 0.1, t=3: 0.25*0.1*(1+2+4)
     errs = [0.1, 0.1, 0.1]
-    assert accumulated_error(0.5, errs, Scheme.JACOBI) == pytest.approx(0.175, rel=1e-12)
-    assert accumulated_error(
-        0.5, errs, Scheme.GAUSS_SEIDEL, num_blocks=2
-    ) == pytest.approx(0.2625, rel=1e-12)
-    assert accumulated_error(0.9, [0.3], Scheme.JACOBI) == pytest.approx(0.3)
+    assert accumulated_error(0.5, errs) == pytest.approx(0.175, rel=1e-12)
+    assert accumulated_error(0.5, errs, depth=2) == pytest.approx(0.2625, rel=1e-12)
+    assert accumulated_error(0.9, [0.3]) == pytest.approx(0.3)
     with pytest.raises(ValueError):
-        accumulated_error(0.5, [], Scheme.JACOBI)
+        accumulated_error(0.5, [])
 
 
 def test_accumulated_error_series_matches_recurrence():
     rng = np.random.default_rng(5)
     errs = rng.uniform(0, 1, size=12)
-    series = accumulated_error_series(0.55, errs, Scheme.JACOBI)
+    series = accumulated_error_series(0.55, errs)
     assert series[0] == 0.0
     for t in range(1, 13):
-        assert series[t] == pytest.approx(
-            accumulated_error(0.55, errs[:t], Scheme.JACOBI), rel=1e-12
-        )
+        assert series[t] == pytest.approx(accumulated_error(0.55, errs[:t]), rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     alpha=st.floats(0.0, 0.999),
     errs=st.lists(st.floats(0.0, 1e3, allow_nan=False), min_size=1, max_size=40),
-    num_blocks=st.integers(1, 8),
-    scheme=st.sampled_from([Scheme.JACOBI, Scheme.GAUSS_SEIDEL]),
+    depth=st.integers(1, 8) | st.just(math.inf),
 )
-def test_accumulated_error_is_the_series_last_value(alpha, errs, num_blocks, scheme):
-    last = accumulated_error_series(alpha, errs, scheme, num_blocks)[-1]
-    assert accumulated_error(alpha, errs, scheme, num_blocks) == last
-    assert isinstance(accumulated_error(alpha, errs, scheme, num_blocks), float)
+def test_accumulated_error_is_the_series_last_value(alpha, errs, depth):
+    last = accumulated_error_series(alpha, errs, depth=depth)[-1]
+    assert accumulated_error(alpha, errs, depth=depth) == last
+    assert isinstance(accumulated_error(alpha, errs, depth=depth), float)
 
 
 def test_worst_case_bound_worked_values():
-    assert worst_case_error_bound(0.5, 0.1, math.inf, Scheme.JACOBI) == pytest.approx(0.2)
-    assert worst_case_error_bound(
-        0.5, 0.1, math.inf, Scheme.GAUSS_SEIDEL, num_blocks=2
-    ) == pytest.approx(0.3)
-    assert worst_case_error_bound(0.5, 0.0, math.inf, Scheme.ASYNC_BOUND_ONLY) == 0.0
+    assert worst_case_error_bound(0.5, 0.1, math.inf) == pytest.approx(0.2)
+    assert worst_case_error_bound(0.5, 0.1, math.inf, depth=2) == pytest.approx(0.3)
+    assert worst_case_error_bound(0.5, 0.0, math.inf, depth=math.inf) == 0.0
     # finite-t Jacobi: (1 - alpha^t) / (1 - alpha) * e_bar
-    assert worst_case_error_bound(0.5, 0.1, 3, Scheme.JACOBI) == pytest.approx(0.175)
+    assert worst_case_error_bound(0.5, 0.1, 3) == pytest.approx(0.175)
     # async limiting bound: e_bar / (1 - alpha)^2
-    assert worst_case_error_bound(
-        0.5, 0.1, math.inf, Scheme.ASYNC_BOUND_ONLY
-    ) == pytest.approx(0.4)
+    assert worst_case_error_bound(0.5, 0.1, math.inf, depth=math.inf) == pytest.approx(0.4)
 
 
 def test_certificate_on_quantized_runs():
@@ -217,42 +208,28 @@ def test_sequential_bound_counts_ticks_of_the_current_sweep():
     assert cert.all_ok()
 
 
-def test_sequential_has_no_closed_form_bound():
-    with pytest.raises(ValueError, match="bound_certificate"):
-        accumulated_error(0.5, [0.1], Scheme.SEQUENTIAL, num_blocks=2)
-    with pytest.raises(ValueError, match="bound_certificate"):
-        worst_case_error_bound(0.5, 0.1, 5, Scheme.SEQUENTIAL, num_blocks=2)
-
-
 @pytest.mark.parametrize("alpha", [-0.1, 1.0, 1.5, math.inf, math.nan])
 def test_bounds_refuse_a_modulus_outside_the_unit_interval(alpha):
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\), got"):
-        accumulated_error_series(alpha, [0.1], Scheme.JACOBI)
+        accumulated_error_series(alpha, [0.1])
     with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\), got"):
-        worst_case_error_bound(alpha, 0.1, 5, Scheme.JACOBI)
+        worst_case_error_bound(alpha, 0.1, 5)
 
 
 def test_bounds_refuse_a_negative_worst_case_error():
     with pytest.raises(ValueError, match="worst-case single-step error must be nonnegative"):
-        worst_case_error_bound(0.5, -1e-300, math.inf, Scheme.JACOBI)
+        worst_case_error_bound(0.5, -1e-300, math.inf)
 
 
-def test_gauss_seidel_bounds_refuse_a_missing_block_count():
-    with pytest.raises(ValueError, match="Gauss-Seidel bounds need the block count"):
-        accumulated_error_series(0.5, [0.1], Scheme.GAUSS_SEIDEL)
-    with pytest.raises(ValueError, match="Gauss-Seidel bounds need the block count"):
-        worst_case_error_bound(0.5, 0.1, 5, Scheme.GAUSS_SEIDEL)
-
-
-@pytest.mark.parametrize("num_blocks", [0, -2, math.nan])
-def test_bounds_refuse_a_block_count_below_one(num_blocks):
-    # 0 and -2 gave the zero bounds [0, 0, 0] and the negative [-0, -0.6, -0.9]
-    for scheme in (Scheme.JACOBI, Scheme.GAUSS_SEIDEL):
-        with pytest.raises(ValueError, match="block count must be >= 1, got"):
-            accumulated_error_series(0.5, [0.1, 0.1], scheme, num_blocks)
-        with pytest.raises(ValueError, match="block count must be >= 1, got"):
-            worst_case_error_bound(0.5, 0.1, 5, scheme, num_blocks)
-    assert accumulated_error_series(0.5, [0.1, 0.1], Scheme.GAUSS_SEIDEL, 1).tolist() == [
+@pytest.mark.parametrize("depth", [0, -2, math.nan])
+def test_bounds_refuse_a_block_count_below_one(depth):
+    # The depth counts the blocks of a sweep an error passes through. A Gauss-Seidel block
+    # count of 0 or -2 gave the zero bounds [0, 0, 0] and the negative [-0, -0.6, -0.9].
+    with pytest.raises(ValueError, match="depth must be >= 1, got"):
+        accumulated_error_series(0.5, [0.1, 0.1], depth=depth)
+    with pytest.raises(ValueError, match="depth must be >= 1, got"):
+        worst_case_error_bound(0.5, 0.1, 5, depth=depth)
+    assert accumulated_error_series(0.5, [0.1, 0.1], depth=1).tolist() == [
         0.0, 0.1, 0.15000000000000002
     ]
 
@@ -361,8 +338,6 @@ def test_run_iteration_validation():
         run_iteration(mapping, None, np.zeros(2), 0, Scheme.JACOBI)
     with pytest.raises(ValueError):
         run_iteration(mapping, None, np.zeros(3), 5, Scheme.JACOBI)
-    with pytest.raises(ValueError):
-        run_iteration(mapping, None, np.zeros(2), 5, Scheme.ASYNC_BOUND_ONLY)
     bank = make_sq_bank(mapping.partition, mapping.domain, [1, 1])
     with pytest.raises(ValueError):
         run_iteration(mapping, [bank] * 3, np.zeros(2), 5, Scheme.JACOBI)
@@ -1486,17 +1461,18 @@ def test_grouped_block_evaluation_checks_its_shape():
 # the one-formula certificate must match hex for hex.
 
 
-def _oracle_factor(alpha, scheme, K):
-    if scheme == Scheme.JACOBI:
+def _oracle_factor(alpha, depth):
+    """The factor's closed form at D = 1 (Jacobi), K (Gauss-Seidel) and inf (asynchronous)."""
+    if depth == 1:
         return 1.0
-    if scheme == Scheme.GAUSS_SEIDEL:
-        return (1.0 - alpha**K) / (1.0 - alpha)
-    return 1.0 / (1.0 - alpha)  # the asynchronous constant
+    if math.isinf(depth):
+        return 1.0 / (1.0 - alpha)  # the asynchronous constant
+    return (1.0 - alpha**depth) / (1.0 - alpha)
 
 
-def _oracle_worst_case(alpha, e_bar, t, scheme, K):
+def _oracle_worst_case(alpha, e_bar, t, depth):
     geo = 1.0 / (1.0 - alpha) if math.isinf(t) else (1.0 - alpha**t) / (1.0 - alpha)
-    return geo * e_bar * _oracle_factor(alpha, scheme, K)
+    return geo * e_bar * _oracle_factor(alpha, depth)
 
 
 def _oracle_series(alpha, norms, factor):
@@ -1513,7 +1489,7 @@ def _loop_sequential_bound(traj, alpha, d0, K):
     eps = traj.error_norms
     sweeps = traj.steps // K
     sweep_max = eps[: sweeps * K].reshape(sweeps, K).max(axis=1)
-    E = _oracle_series(alpha, sweep_max, _oracle_factor(alpha, Scheme.GAUSS_SEIDEL, K))
+    E = _oracle_series(alpha, sweep_max, _oracle_factor(alpha, K))
     spent = np.zeros(traj.steps + 1)
     for t in range(1, traj.steps + 1):
         if t % K:
@@ -1545,7 +1521,8 @@ def _oracle_certificate(traj, alpha, d, K):
     if traj.scheme == Scheme.SEQUENTIAL:
         bound = _loop_sequential_bound(traj, alpha, d[0], K)
     else:
-        E = _oracle_series(alpha, traj.error_norms, _oracle_factor(alpha, traj.scheme, K))
+        depth = 1 if traj.scheme == Scheme.JACOBI else K
+        E = _oracle_series(alpha, traj.error_norms, _oracle_factor(alpha, depth))
         bound = alpha ** np.arange(traj.steps + 1, dtype=float) * d[0] + E
     return bound, d <= bound + 1e-9
 
@@ -1583,16 +1560,15 @@ def test_certificates_equal_the_per_scheme_closed_forms(run):
 @settings(max_examples=500, deadline=None)
 @given(
     _ALPHAS,
-    st.integers(1, 300),
-    st.sampled_from([Scheme.JACOBI, Scheme.GAUSS_SEIDEL, Scheme.ASYNC_BOUND_ONLY]),
+    st.integers(1, 300).flatmap(lambda K: st.sampled_from([1, K, math.inf])),
     st.sampled_from([math.inf, 0, 1, 3, 17, 2.5]) | st.integers(0, 400) | st.floats(0.0, 400.0),
     st.floats(0.0, 1e3),
 )
-def test_factors_and_horizon_sums_equal_the_per_scheme_closed_forms(alpha, K, scheme, t, e_bar):
-    assert engine._scheme_factor(alpha, scheme, K).hex() == _oracle_factor(alpha, scheme, K).hex()
+def test_factors_and_horizon_sums_equal_the_per_scheme_closed_forms(alpha, depth, t, e_bar):
+    assert engine._geometric(alpha, depth).hex() == _oracle_factor(alpha, depth).hex()
     assert (
-        worst_case_error_bound(alpha, e_bar, t, scheme, K).hex()
-        == _oracle_worst_case(alpha, e_bar, t, scheme, K).hex()
+        worst_case_error_bound(alpha, e_bar, t, depth=depth).hex()
+        == _oracle_worst_case(alpha, e_bar, t, depth).hex()
     )
 
 

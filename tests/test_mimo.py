@@ -870,6 +870,11 @@ _BAD_GAME_PARAMETERS = [
     (dict(power_dbm=np.inf), "budgets must be finite dBm values"),
     (dict(power_dbm=[10.0, -np.inf]), "budgets must be finite dBm values"),
     (dict(power_dbm=np.nan), "budgets must be finite dBm values"),
+    # 10,000 dBm ended in an OverflowError from 10^997 W
+    (dict(power_dbm=[10.0, 10000.0]), "budgets must have finite watts"),
+    # a gain of inf ended in a failed SVD, and a gain of 0 in an ill-conditioned channel
+    (dict(distances=[[1e-200, 200.0], [500.0, 100.0]]), "pathloss gains d\\^-gamma must be positive and finite"),
+    (dict(distances=[[1e200, 200.0], [500.0, 100.0]]), "pathloss gains d\\^-gamma must be positive and finite"),
     (dict(noise_power=np.inf), "noise power must be positive and finite"),
     (dict(noise_power=np.nan), "noise power must be positive and finite"),
     (dict(num_links=2.7), "num_links must be an integer >= 1, got 2.7"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qfix import tvcoq
+from qfix.engine import accumulated_error
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
 from qfix.ticoq import (
     allocation_oracle,
@@ -272,6 +273,27 @@ def test_schedule_objective_discounts_stage_errors():
         0.5 ** (3 - 1 - t) * e for t, e in enumerate(sched.e_stars)
     )
     assert schedule_objective(sched) == pytest.approx(expected, rel=1e-12)
+
+
+def test_schedule_objective_is_the_accumulated_error():
+    part, spec, box = _wmax_problem()
+    for T, alpha in ((1, 0.5), (3, 0.5), (7, 0.9)):
+        sched = tvcoq_design(part, spec, box, 6, T, alpha, "sq-wmax")
+        assert schedule_objective(sched) == accumulated_error(sched.alpha, sched.e_stars)
+
+
+@pytest.mark.parametrize("alpha, first", [(0.5, 1024), (0.9, 6716)])
+def test_master_refuses_a_horizon_whose_discounts_overflow(alpha, first):
+    """tvcoq_master(0.5, 4, 8, 1100) gave objective NaN and one stage 4,300 bits. At T = 1024
+    the discounts 0.5^-t fit float64, but their sum, the objective at L = 0, did not."""
+    part, spec, box = _wmax_problem()
+    for horizon in (first, 2 * first):
+        for L in (0, 8):
+            with pytest.raises(ValueError, match=f"horizon {horizon} at alpha = {alpha}: the stage"):
+                tvcoq_master(alpha, 4, L, horizon)
+        with pytest.raises(ValueError, match="the stage discounts alpha\\^-t overflow float64"):
+            tvcoq_design(part, spec, box, 8, horizon, alpha, "sq-wmax")
+    assert 0 < tvcoq_master(alpha, 1, 0, first - 1).objective_value < math.inf
 
 
 def test_json_export_round_trip_fields():
