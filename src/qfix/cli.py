@@ -147,6 +147,7 @@ def _design_report(cfg: dict) -> tuple[dict, int]:
         report = schedule.as_dict()
         report["required_min_bits"] = schedule.required_min_bits
         report["tied_alternates"] = [list(a) for a in schedule.tied_alternates]
+        report["tied_alternates_total"] = schedule.tied_alternates_total
         return report, (_EXIT_OK if schedule.in_regime else _EXIT_REGIME)
 
     mode = {"ticoq-wmax": "sq-wmax", "ticoq-lp": "sq-lp", "ticoq-vq": "vq"}[kind]

@@ -38,13 +38,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, block_norm, block_norms
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _Frozen, block_norm, block_norms
 
 
 class Scheme(enum.Enum):
@@ -79,8 +78,7 @@ def group_quantizer(quantizers: Sequence) -> Callable[[np.ndarray], np.ndarray]:
     return loop
 
 
-@dataclass(frozen=True)
-class QuantizerBank:
+class QuantizerBank(_Frozen):
     """One quantizer per block.
 
     A block quantizer has a `size` (its block's coordinate count),
@@ -95,12 +93,12 @@ class QuantizerBank:
     an earlier one from it (`run_iteration`).
     """
 
-    blocks: tuple
+    _fields = ("blocks",)
 
     def __init__(self, blocks: Sequence):
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "_sizes", tuple(q.size for q in self.blocks))
-        object.__setattr__(self, "_groups", {})  # blocks -> group quantizer
+        blocks = tuple(blocks)
+        # _groups: blocks -> group quantizer (`_group_quantizer`)
+        self._set(blocks=blocks, _sizes=tuple(q.size for q in blocks), _groups={})
 
     def _check_blocks(self, part: BlockPartition) -> None:
         if self._sizes != part.block_sizes:
@@ -190,8 +188,7 @@ def sweep_groups_of(block_reads: np.ndarray) -> tuple:
     return tuple(m[0] if len(m) == 1 else tuple(m) for m in members)
 
 
-@dataclass(frozen=True)
-class BlockMapping:
+class BlockMapping(_Frozen):
     """Evaluable mapping T: X -> X with block structure and a declared modulus.
 
     `fn(x)` gives the whole raw map.  The optional `group_fn(k)` gives a
@@ -209,27 +206,33 @@ class BlockMapping:
     repeats an earlier one from it (`run_iteration`).
     """
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    partition: BlockPartition
-    domain: BoxDomain
-    norm: NormSpec
-    modulus: float
-    group_fn: Optional[Callable[[Union[int, tuple]], Callable[[np.ndarray], np.ndarray]]] = None
-    block_reads: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _fields = ("fn", "partition", "domain", "norm", "modulus", "group_fn")
 
-    def __post_init__(self):
-        if not (0.0 <= self.modulus < 1.0):
-            raise ValueError(f"modulus must lie in [0, 1), got {self.modulus}")
-        if self.domain.n != self.partition.n:
+    def __init__(
+        self,
+        fn: Callable[[np.ndarray], np.ndarray],
+        partition: BlockPartition,
+        domain: BoxDomain,
+        norm: NormSpec,
+        modulus: float,
+        group_fn: Optional[Callable[[Union[int, tuple]], Callable[[np.ndarray], np.ndarray]]] = None,
+        block_reads: Optional[np.ndarray] = None,
+    ):
+        if not (0.0 <= modulus < 1.0):
+            raise ValueError(f"modulus must lie in [0, 1), got {modulus}")
+        if domain.n != partition.n:
             raise ValueError("domain dimension does not match partition")
-        self.norm.check_partition(self.partition)
-        if self.block_reads is not None:
-            reads = np.array(self.block_reads, dtype=bool)
-            K = self.partition.num_blocks
-            if reads.shape != (K, K):
-                raise ValueError(f"block_reads has shape {reads.shape}, expected ({K}, {K})")
-            reads.flags.writeable = False
-            object.__setattr__(self, "block_reads", reads)
+        norm.check_partition(partition)
+        if block_reads is not None:
+            block_reads = np.array(block_reads, dtype=bool)
+            K = partition.num_blocks
+            if block_reads.shape != (K, K):
+                raise ValueError(f"block_reads has shape {block_reads.shape}, expected ({K}, {K})")
+            block_reads.flags.writeable = False
+        self._set(
+            fn=fn, partition=partition, domain=domain, norm=norm, modulus=modulus,
+            group_fn=group_fn, block_reads=block_reads,
+        )
 
     @cached_property
     def sweep_groups(self) -> tuple:
@@ -279,20 +282,29 @@ class BlockMapping:
         return block_norm(np.asarray(x) - np.asarray(y), self.partition, self.norm)
 
 
-@dataclass
 class Trajectory:
-    iterates: np.ndarray  # (steps+1, n)
-    errors: np.ndarray  # (steps, n)
-    error_norms: np.ndarray  # (steps,)
-    scheme: Scheme
-    dist_to_ref: Optional[np.ndarray] = None  # (steps+1,) when a reference was given
-    reference: Optional[np.ndarray] = None
-    dist_norm: Optional[tuple] = field(default=None, init=False, repr=False)  # (partition, norm)
-    repeated_steps: int = field(default=0, init=False)  # steps served from an earlier step
+    """A run's iterates (steps+1, n), errors (steps, n) and error norms (steps,).
 
-    def __post_init__(self):
-        if self.iterates.shape[0] != self.errors.shape[0] + 1:
+    `dist_to_ref` (steps+1,) holds the distances to `reference` in the norm
+    `dist_norm` (partition, norm) when a reference was given;
+    `repeated_steps` counts the steps served from an earlier step.
+    """
+
+    def __init__(
+        self,
+        iterates: np.ndarray,
+        errors: np.ndarray,
+        error_norms: np.ndarray,
+        scheme: Scheme,
+        dist_to_ref: Optional[np.ndarray] = None,
+        reference: Optional[np.ndarray] = None,
+    ):
+        if iterates.shape[0] != errors.shape[0] + 1:
             raise ValueError("iterates must contain exactly one more row than errors")
+        self.iterates, self.errors, self.error_norms, self.scheme = iterates, errors, error_norms, scheme
+        self.dist_to_ref, self.reference = dist_to_ref, reference
+        self.dist_norm: Optional[tuple] = None
+        self.repeated_steps = 0
 
     @property
     def steps(self) -> int:
@@ -505,11 +517,13 @@ def worst_case_error_bound(
     return _geometric(alpha, t) * e_bar_norm * _geometric(alpha, depth)
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
-    ok: np.ndarray  # (steps+1,) bool
-    bound: np.ndarray  # (steps+1,)
-    dist: np.ndarray  # (steps+1,)
+class BoundCertificate(_Frozen):
+    """Per step t = 0..steps: ok (bool), the bound and the measured distance."""
+
+    _fields = ("ok", "bound", "dist")
+
+    def __init__(self, ok: np.ndarray, bound: np.ndarray, dist: np.ndarray):
+        self._set(ok=ok, bound=bound, dist=dist)
 
     def all_ok(self) -> bool:
         return bool(np.all(self.ok))

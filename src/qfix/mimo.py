@@ -12,7 +12,6 @@ vector whose L2 norm equals the Frobenius norm of the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -31,7 +30,7 @@ from .engine import (
     run_iteration,
 )
 from .linalg import conj_t, herm_eig, logdet_psd, psd_solve
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _water_level, block_norms
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _Frozen, _water_level, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 DEFAULT_BANDWIDTH_HZ = 10e6
@@ -49,8 +48,7 @@ def default_noise_power() -> float:
     return dbm_to_watts(THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(DEFAULT_BANDWIDTH_HZ))
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(_Frozen):
     """Static parameters of one K-pair, N-antenna interference game.
 
     distances[j][k] is the transmitter-j to receiver-k distance in meters;
@@ -61,14 +59,7 @@ class GameConfig:
     so are the gains d^-gamma (and positive) and the budgets in watts.
     """
 
-    num_links: int
-    num_antennas: int
-    distances: tuple
-    gamma: float
-    power_dbm: tuple
-    noise_power: float
-    seed: int = 0
-    _budgets: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("num_links", "num_antennas", "distances", "gamma", "power_dbm", "noise_power", "seed")
 
     def __init__(
         self,
@@ -107,15 +98,12 @@ class GameConfig:
             noise_power = default_noise_power()
         if not 0 < noise_power < math.inf:
             raise ValueError(f"noise power must be positive and finite, got {noise_power}")
-        object.__setattr__(self, "num_links", num_links)
-        object.__setattr__(self, "num_antennas", num_antennas)
-        object.__setattr__(self, "distances", tuple(tuple(row) for row in d))
-        object.__setattr__(self, "gamma", float(gamma))
-        object.__setattr__(self, "power_dbm", power_dbm)
-        object.__setattr__(self, "noise_power", float(noise_power))
-        object.__setattr__(self, "seed", int(seed))
         budgets.flags.writeable = False
-        object.__setattr__(self, "_budgets", budgets)
+        self._set(
+            num_links=num_links, num_antennas=num_antennas, distances=tuple(tuple(row) for row in d),
+            gamma=float(gamma), power_dbm=power_dbm, noise_power=float(noise_power), seed=int(seed),
+            _budgets=budgets,
+        )
 
     @property
     def budgets(self) -> np.ndarray:
@@ -136,12 +124,16 @@ def paper_style_game(seed: int = 0) -> GameConfig:
     )
 
 
-@dataclass(frozen=True)
-class ChannelSet:
-    """All cross/direct channel matrices H_jk for one fading draw."""
+class ChannelSet(_Frozen):
+    """All cross/direct channel matrices H_jk for one fading draw.
 
-    game: GameConfig
-    h: np.ndarray  # (K, K, N, N) complex; h[j, k] maps tx j to rx k
+    h is (K, K, N, N) complex; h[j, k] maps tx j to rx k.
+    """
+
+    _fields = ("game", "h")
+
+    def __init__(self, game: GameConfig, h: np.ndarray):
+        self._set(game=game, h=h)
 
     @staticmethod
     def generate(game: GameConfig) -> "ChannelSet":
@@ -182,16 +174,13 @@ class ChannelSet:
         return tx, H, conj_t(H), D, conj_t(D), noise
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """One transmit covariance per link."""
+class StrategyProfile(_Frozen):
+    """One transmit covariance per link: K complex (N, N) arrays."""
 
-    covariances: tuple  # K complex (N, N) arrays
+    _fields = ("covariances",)
 
     def __init__(self, covariances: Sequence[np.ndarray]):
-        object.__setattr__(
-            self, "covariances", tuple(np.asarray(P, dtype=complex) for P in covariances)
-        )
+        self._set(covariances=tuple(np.asarray(P, dtype=complex) for P in covariances))
 
 
 def uniform_profile(game: GameConfig) -> StrategyProfile:
@@ -512,13 +501,16 @@ def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
 # Contraction modulus estimate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModulusEstimate:
-    alpha_hat: float  # sampled ratio max, inflated by the safety factor
-    certified: bool  # alpha_hat < 1: bounds/designs may use it
-    max_ratio: float  # raw sampled maximum
-    samples: int
-    safety: float  # alpha_hat / max_ratio
+class ModulusEstimate(_Frozen):
+    """alpha_hat, the sampled ratio max `max_ratio` inflated by the `safety` factor, over
+    `samples` pairs; `certified` when alpha_hat < 1, so bounds and designs may use it."""
+
+    _fields = ("alpha_hat", "certified", "max_ratio", "samples", "safety")
+
+    def __init__(self, alpha_hat: float, certified: bool, max_ratio: float, samples: int, safety: float):
+        self._set(
+            alpha_hat=alpha_hat, certified=certified, max_ratio=max_ratio, samples=samples, safety=safety
+        )
 
 
 def estimate_modulus(channels: ChannelSet, samples: int = 50, rng=0) -> ModulusEstimate:
@@ -552,11 +544,9 @@ def estimate_modulus(channels: ChannelSet, samples: int = 50, rng=0) -> ModulusE
 # Iterative waterfilling runs
 # ---------------------------------------------------------------------------
 
-@dataclass
 class IwfaResult:
-    trajectory: Trajectory
-    mapping: BlockMapping
-    channels: ChannelSet
+    def __init__(self, trajectory: Trajectory, mapping: BlockMapping, channels: ChannelSet):
+        self.trajectory, self.mapping, self.channels = trajectory, mapping, channels
 
     @cached_property
     def throughputs(self) -> np.ndarray:

@@ -16,23 +16,57 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class _Frozen:
+    """An immutable value: field-wise ==, hash and repr over the class's `_fields`.
+
+    A subclass lists its fields in `_fields` and its constructor stores
+    every attribute through `_set`, after which assigning or deleting one
+    raises AttributeError.  Attributes outside `_fields` (caches, derived
+    arrays) take no part in ==, hash or repr.  Instances keep a `__dict__`,
+    so a `cached_property` works.
+    """
+
+    _fields: tuple = ()
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BlockPartition(_Frozen):
     """Contiguous decomposition of an n-dimensional state into K blocks.
 
     Block k covers coordinates [offsets[k], offsets[k+1]); the offsets are
     cumulative sums of the block sizes, computed once.
     """
 
-    block_sizes: tuple[int, ...]
-    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("block_sizes",)
 
     def __init__(self, block_sizes: Sequence[int]):
         given = tuple(block_sizes)
@@ -41,8 +75,7 @@ class BlockPartition:
         if not all(s >= 1 and float(s).is_integer() for s in given):
             raise ValueError(f"block sizes must be positive integers, got {given}")
         sizes = tuple(int(s) for s in given)
-        object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "offsets", (0, *itertools.accumulate(sizes)))
+        self._set(block_sizes=sizes, offsets=(0, *itertools.accumulate(sizes)))
 
     @property
     def n(self) -> int:
@@ -71,44 +104,43 @@ class BlockPartition:
         return idx
 
 
-@dataclass(frozen=True)
-class WeightedMax:
+class WeightedMax(_Frozen):
     """Per-block weighted maximum norm with coordinate weights a_m > 0."""
 
-    a: tuple[float, ...]
+    _fields = ("a",)
 
     def __init__(self, a: Sequence[float]):
         aa = tuple(float(v) for v in a)
         if not all(0 < v < math.inf for v in aa):
             raise ValueError(f"weighted-max weights must be positive and finite, got {aa}")
-        object.__setattr__(self, "a", aa)
+        self._set(a=aa)
 
     @property
     def size(self) -> int:
         return len(self.a)
 
 
-@dataclass(frozen=True)
-class Lp:
+class Lp(_Frozen):
     """Per-block L_p norm, p >= 1."""
 
-    p: float
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError(f"p must be >= 1, got {self.p}")
+    def __init__(self, p: float):
+        if not (p >= 1.0):
+            raise ValueError(f"p must be >= 1, got {p}")
+        self._set(p=p)
 
 
 PerBlockNorm = Union[WeightedMax, Lp]
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Block weights w plus one component norm per block."""
+class NormSpec(_Frozen):
+    """Block weights w plus one component norm per block.
 
-    block_weights: tuple[float, ...]
-    per_block: tuple[PerBlockNorm, ...]
-    _layouts: dict = field(init=False, repr=False, compare=False)  # block sizes -> _BlockLayout
+    `_layouts` maps block sizes to the spec's `_BlockLayout` over them.
+    """
+
+    _fields = ("block_weights", "per_block")
 
     def __init__(self, block_weights: Sequence[float], per_block: Sequence[PerBlockNorm]):
         w = tuple(float(v) for v in block_weights)
@@ -120,9 +152,7 @@ class NormSpec:
         for item in pb:
             if not isinstance(item, (WeightedMax, Lp)):
                 raise TypeError(f"unsupported per-block norm {item!r}")
-        object.__setattr__(self, "block_weights", w)
-        object.__setattr__(self, "per_block", pb)
-        object.__setattr__(self, "_layouts", {})
+        self._set(block_weights=w, per_block=pb, _layouts={})
 
     def check_partition(self, part: BlockPartition) -> None:
         if len(self.block_weights) != part.num_blocks:
@@ -158,18 +188,14 @@ class NormSpec:
         return part, spec
 
 
-@dataclass(frozen=True)
-class BoxDomain:
+class BoxDomain(_Frozen):
     """Per-coordinate closed intervals [lo_m, hi_m].
 
     The bounds are also kept as read-only arrays, built once, for clamping
     and membership tests.
     """
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    _lo: np.ndarray = field(init=False, repr=False, compare=False)
-    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("lo", "hi")
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
         lo = tuple(float(iv[0]) for iv in intervals)
@@ -179,12 +205,9 @@ class BoxDomain:
                 raise ValueError(f"interval {m} has lo {a} > hi {b}")
             if not (-math.inf < a and b < math.inf):
                 raise ValueError(f"interval {m} has an infinite endpoint: [{a}, {b}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        for name, bounds in (("_lo", lo), ("_hi", hi)):
-            arr = np.array(bounds, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        lo_arr, hi_arr = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        lo_arr.flags.writeable = hi_arr.flags.writeable = False
+        self._set(lo=lo, hi=hi, _lo=lo_arr, _hi=hi_arr)
 
     @property
     def n(self) -> int:

@@ -32,22 +32,20 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .engine import QuantizerBank
-from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _water_level
+from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _Frozen, _water_level
 from .squant import ScalarBlockQuantizer
 from .vquant import LatticeQuantizer, covering_radius, lattice_scale
 
 _ORACLE_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
-class DesignConstants:
+class DesignConstants(_Frozen):
     """One design family: its entry constants and entry sizes, checked once.
 
     kind selects the family.  "sq-wmax" (one entry per coordinate, size 1)
@@ -57,23 +55,20 @@ class DesignConstants:
     coordinate blocks `blocks`; only it reads p and blocks.
     """
 
-    kind: str
-    const: tuple
-    sizes: tuple
-    p: float = 1.0
-    blocks: Optional[tuple] = None
+    _fields = ("kind", "const", "sizes", "p", "blocks")
 
-    def __post_init__(self):
-        if self.kind not in ("sq-wmax", "sq-lp", "vq"):
-            raise ValueError(f"unknown design kind {self.kind!r}")
-        if len(self.const) != len(self.sizes):
-            raise ValueError(f"{len(self.const)} constants for {len(self.sizes)} entry sizes")
-        if not all(v > 0 for v in self.const):
+    def __init__(
+        self, kind: str, const: tuple, sizes: tuple, p: float = 1.0, blocks: Optional[tuple] = None
+    ):
+        if kind not in ("sq-wmax", "sq-lp", "vq"):
+            raise ValueError(f"unknown design kind {kind!r}")
+        if len(const) != len(sizes):
+            raise ValueError(f"{len(const)} constants for {len(sizes)} entry sizes")
+        if not all(v > 0 for v in const):
             raise ValueError("all design constants must be positive")
-        if self.kind == "sq-lp" and not (
-            self.p >= 1.0 and self.blocks is not None and sum(self.blocks) == len(self.const)
-        ):
+        if kind == "sq-lp" and not (p >= 1.0 and blocks is not None and sum(blocks) == len(const)):
             raise ValueError("sq-lp constants need p >= 1 and blocks covering every coordinate")
+        self._set(kind=kind, const=const, sizes=sizes, p=p, blocks=blocks)
 
     @property
     def n(self) -> int:
@@ -81,8 +76,7 @@ class DesignConstants:
         return int(sum(self.sizes))
 
 
-@dataclass(frozen=True)
-class RateAllocation:
+class RateAllocation(_Frozen):
     """The integer bit allocation for one total budget, and its relaxed optimum.
 
     The relaxed optimum (`relaxed`, `relaxed_value` and the water levels
@@ -90,20 +84,17 @@ class RateAllocation:
     integer design never needs it.
     """
 
-    total_bits: int
-    bits: tuple  # integer allocation actually used
-    integer_value: float
-    family: DesignConstants
+    _fields = ("total_bits", "bits", "integer_value", "family")
 
-    def __post_init__(self):
-        if len(self.bits) != len(self.family.const):
-            raise ValueError(f"{len(self.bits)} rates for {len(self.family.const)} entries")
-        if any(b < 0 or b != int(b) for b in self.bits):
+    def __init__(self, total_bits: int, bits: tuple, integer_value: float, family: DesignConstants):
+        """`bits` is the integer allocation actually used, and `integer_value` its objective."""
+        if len(bits) != len(family.const):
+            raise ValueError(f"{len(bits)} rates for {len(family.const)} entries")
+        if any(b < 0 or b != int(b) for b in bits):
             raise ValueError("integer bits must be nonnegative integers")
-        if sum(self.bits) != self.total_bits:
-            raise ValueError(
-                f"integer bits sum to {sum(self.bits)}, budget is {self.total_bits}"
-            )
+        if sum(bits) != total_bits:
+            raise ValueError(f"integer bits sum to {sum(bits)}, budget is {total_bits}")
+        self._set(total_bits=total_bits, bits=bits, integer_value=integer_value, family=family)
 
     @property
     def mode(self) -> str:
@@ -351,16 +342,19 @@ def _lp_order(c: np.ndarray, p: float, part: BlockPartition, budget: int) -> np.
     return _walk([math.fsum(terms[m] for m in block) for block in blocks], budget, give_bit)
 
 
-@dataclass(frozen=True, eq=False)
-class RateFrontier:
+class RateFrontier(_Frozen):
     """Every budget's integer design of one family, from one walk from 0 bits.
 
     `order[j]` is the entry (a coordinate for scalar designs, a block for
     lattices) that took bit j; the walk's first b bits are budget b's design.
+    A frontier equals only itself.
     """
 
-    family: DesignConstants
-    order: np.ndarray
+    _fields = ("family", "order")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, family: DesignConstants, order: np.ndarray):
+        self._set(family=family, order=order)
 
     def allocation(self, b: int) -> RateAllocation:
         """Budget b's design, 0 <= b <= len(order): the walk's first b bits and their value."""
@@ -459,11 +453,13 @@ def ticoq_vq_lattice(
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleResult:
-    allocation: tuple
-    value: float
-    ties: Optional[tuple] = None  # all optimal allocations, when requested
+class OracleResult(_Frozen):
+    """The optimal allocation, its value and, when requested, every optimal allocation (`ties`)."""
+
+    _fields = ("allocation", "value", "ties")
+
+    def __init__(self, allocation: tuple, value: float, ties: Optional[tuple] = None):
+        self._set(allocation=allocation, value=value, ties=ties)
 
 
 def _compositions_chunked(total: int, dims: int, chunk: int):

@@ -16,7 +16,6 @@ largest stage rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,34 +25,43 @@ from .norms import BlockPartition, BoxDomain, NormSpec
 from .ticoq import _max_term_order, bank_for_allocation, ticoq_frontier, tradeoff_threshold
 
 _SNAP_TOL = 1e-9
+_TIED_LISTED = 64  # tied alternates a schedule lists; it counts them all
 
 
-@dataclass
 class StageSchedule:
-    """Per-stage sum rates (and optionally full designs) over a horizon."""
+    """Per-stage sum rates (and optionally full designs) over a horizon.
 
-    alpha: float
-    n: int
-    per_stage_budget: int  # the L whose horizon total T*L is being split
-    horizon: int
-    rates: tuple  # integer L(t), t = 0..horizon-1
-    relaxed_rates: tuple
-    in_regime: bool  # closed-form validity condition held
-    required_min_bits: float  # smallest per-stage budget the closed form needs
-    objective_value: float  # sum_t alpha^(-t) 2^(-L(t)/n)
-    tied_alternates: tuple = ()  # other integer schedules with the same objective
-    allocations: Optional[tuple] = None  # per-stage RateAllocation (tvcoq_design)
-    banks: Optional[tuple] = None  # per-stage QuantizerBank (tvcoq_design)
-    e_stars: Optional[tuple] = None  # per-stage design optimum values
+    per_stage_budget: the L whose horizon total T*L is being split
+    rates: the integer L(t), t = 0..horizon-1
+    in_regime: whether the closed form's validity condition held
+    required_min_bits: the smallest per-stage budget the closed form needs
+    objective_value: sum_t alpha^(-t) 2^(-L(t)/n)
+    tied_alternates: other integer schedules with the same objective, the first _TIED_LISTED
+    tied_alternates_total: how many there are (default: as many as listed)
+    allocations, banks, e_stars: per stage, the RateAllocation, QuantizerBank and design
+        optimum value (tvcoq_design)
+    """
 
-    def __post_init__(self):
-        if len(self.rates) != self.horizon:
-            raise ValueError(f"{len(self.rates)} stage rates for horizon {self.horizon}")
-        if any(r < 0 or r != int(r) for r in self.rates):
+    def __init__(
+        self, alpha: float, n: int, per_stage_budget: int, horizon: int, rates: tuple,
+        relaxed_rates: tuple, in_regime: bool, required_min_bits: float, objective_value: float,
+        tied_alternates: tuple = (), allocations: Optional[tuple] = None, banks: Optional[tuple] = None,
+        e_stars: Optional[tuple] = None, tied_alternates_total: Optional[int] = None,
+    ):
+        if len(rates) != horizon:
+            raise ValueError(f"{len(rates)} stage rates for horizon {horizon}")
+        if any(r < 0 or r != int(r) for r in rates):
             raise ValueError("stage rates must be nonnegative integers")
-        total = self.horizon * self.per_stage_budget
-        if sum(self.rates) != total:
-            raise ValueError(f"stage rates sum to {sum(self.rates)}, expected {total}")
+        total = horizon * per_stage_budget
+        if sum(rates) != total:
+            raise ValueError(f"stage rates sum to {sum(rates)}, expected {total}")
+        self.alpha, self.n, self.per_stage_budget, self.horizon = alpha, n, per_stage_budget, horizon
+        self.rates, self.relaxed_rates, self.in_regime = rates, relaxed_rates, in_regime
+        self.required_min_bits, self.objective_value = required_min_bits, objective_value
+        if tied_alternates_total is None:
+            tied_alternates_total = len(tied_alternates)
+        self.tied_alternates, self.tied_alternates_total = tied_alternates, tied_alternates_total
+        self.allocations, self.banks, self.e_stars = allocations, banks, e_stars
 
     def as_dict(self) -> dict:
         stages = []
@@ -134,18 +142,25 @@ def _round_by_fractions(
     return bits, ceiled
 
 
-def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> list[tuple]:
-    """Schedules reachable by moving one ceil to an equal-fraction floored stage."""
+def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> tuple[list[tuple], int]:
+    """Schedules reachable by moving one ceil to an equal-fraction floored stage, and their count.
+
+    Each pair (ceiled stage i, floored stage j) with fractions within 1e-12
+    gives one schedule, a distinct one since i != j.  They are listed by i in
+    ceiling order, then j ascending, and only the first _TIED_LISTED are
+    built: an evenly split horizon of T stages ties T^2 / 4 pairs.
+    """
+    floored = np.ones(bits.size, dtype=bool)
+    floored[ceiled] = False
+    floored = np.flatnonzero(floored)
+    tied = np.abs(fracs[ceiled][:, None] - fracs[floored]) <= 1e-12
     alternates = []
-    floored = [t for t in range(bits.size) if t not in set(ceiled.tolist())]
-    for i in ceiled:
-        for j in floored:
-            if abs(fracs[i] - fracs[j]) <= 1e-12:
-                alt = bits.copy()
-                alt[i] -= 1
-                alt[j] += 1
-                alternates.append(tuple(int(b) for b in alt))
-    return list(dict.fromkeys(alternates))
+    for i, j in np.argwhere(tied)[:_TIED_LISTED]:
+        alt = bits.copy()
+        alt[ceiled[i]] -= 1
+        alt[floored[j]] += 1
+        alternates.append(tuple(int(b) for b in alt))
+    return alternates, int(tied.sum())
 
 
 def tvcoq_master(
@@ -178,13 +193,13 @@ def tvcoq_master(
     relaxed = L + n * math.log2(alpha) * ((T - 1) / 2.0 - t_idx)
     objective = master_objective(alpha, n)
 
-    alternates: list[tuple] = []
+    alternates, tied_total = [], 0
     if in_regime:
         # Ties at the cutoff prefer the larger snapped rate (the later
         # stage), which keeps the schedule lexicographically smallest.
         snapped = _snap_integers(relaxed)
         bits, ceiled = _round_by_fractions(relaxed, total, snapped)
-        alternates = _tied_swaps(bits, snapped - np.floor(snapped), ceiled)
+        alternates, tied_total = _tied_swaps(bits, snapped - np.floor(snapped), ceiled)
     else:
         order = _max_term_order(alpha ** (-t_idx), np.full(T, float(n)), total)
         bits = np.bincount(order, minlength=T)
@@ -201,6 +216,7 @@ def tvcoq_master(
         required_min_bits=float(required),
         objective_value=value,
         tied_alternates=tuple(alternates),
+        tied_alternates_total=tied_total,
     )
 
 

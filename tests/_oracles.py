@@ -13,7 +13,9 @@ checks a MIMO strategy profile against its game's constraints.
 stays positive on entries near `np.finfo(float).tiny`, where
 `np.linalg.norm` underflows to 0.
 `uniform_l2_spec` and `uniform_wmax_spec` are the unit-weight block norm
-specs the tests build their mappings and bounds on.
+specs the tests build their mappings and bounds on.  `tied_swaps` yields
+every tied alternate of a rounded stage split, unbounded, in the order the
+package lists its first ones.
 """
 
 import math
@@ -126,3 +128,20 @@ def uniform_wmax_spec(part: BlockPartition) -> NormSpec:
         [1.0] * part.num_blocks,
         [WeightedMax([1.0] * s) for s in part.block_sizes],
     )
+
+
+def tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray):
+    """Each schedule one ceil away from `bits`, moved to a floored stage of equal fraction, lazily.
+
+    Fractions within 1e-12 are equal.  The order is ceiled stages in ceiling
+    order, then floored stages ascending.
+    """
+    ceiled_set = set(ceiled.tolist())
+    floored = [t for t in range(bits.size) if t not in ceiled_set]
+    for i in ceiled:
+        for j in floored:
+            if abs(fracs[i] - fracs[j]) <= 1e-12:
+                alt = bits.copy()
+                alt[i] -= 1
+                alt[j] += 1
+                yield tuple(int(b) for b in alt)

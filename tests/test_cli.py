@@ -62,6 +62,18 @@ def test_design_tvcoq_worked_instance(tmp_path, capsys):
     assert [3, 3] in out["tied_alternates"]
 
 
+def test_design_tvcoq_lists_64_tied_alternates_and_counts_all(tmp_path, capsys):
+    """alpha = 1/2 on one coordinate at L = T = 40: the 20 ceiled stages each tie with the 20
+    floored ones, 400 schedules. The report lists the first 64 and counts them all."""
+    doc = {"schema": 1, "kind": "tvcoq", "L": 40, "T": 40, "alpha": 0.5, "mode": "sq-wmax",
+           "norm": _wmax_norm(1), "box": [[-1.0, 1.0]]}
+    cfg = _write(tmp_path, "tv.json", doc)
+    assert main(["design", "--config", cfg]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["tied_alternates_total"] == 400 and len(out["tied_alternates"]) == 64
+    assert out["tied_alternates"] == [list(a) for a in tvcoq.tvcoq_master(0.5, 1, 40, 40).tied_alternates]
+
+
 def test_design_out_of_regime_exit_code(tmp_path, capsys):
     doc = {
         "schema": 1,

@@ -1,9 +1,14 @@
+import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from _oracles import tied_swaps
 from qfix import tvcoq
 from qfix.engine import accumulated_error
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
@@ -304,3 +309,40 @@ def test_json_export_round_trip_fields():
     assert doc["L"] == 3
     assert doc["in_regime"] is True
     assert [s["L_t"] for s in doc["stages"]] == [2, 4]
+
+
+def _unbounded_tied_swaps(sched):
+    """The oracle's lazy listing of every tied alternate of an in-regime schedule."""
+    relaxed = np.asarray(sched.relaxed_rates)
+    snapped = tvcoq._snap_integers(relaxed)
+    bits, ceiled = tvcoq._round_by_fractions(relaxed, sched.horizon * sched.per_stage_budget, snapped)
+    return tied_swaps(bits, snapped - np.floor(snapped), ceiled)
+
+
+def test_an_evenly_split_horizon_lists_64_tied_alternates_and_counts_all():
+    """alpha = 1/2, n = 1, L = T = 400: every stage's relaxed rate ends in 1/2, so each of the 200
+    ceiled stages ties with each of the 200 floored ones. The list used to hold all 40,000
+    schedules of 400 ints and take about 1 s."""
+    tvcoq_master(0.5, 1, 400, 400)  # warm
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        sched = tvcoq_master(0.5, 1, 400, 400)
+        elapsed.append(time.perf_counter() - start)
+    assert sched.in_regime and sched.tied_alternates_total == 40_000
+    assert list(sched.tied_alternates) == list(itertools.islice(_unbounded_tied_swaps(sched), 64))
+    assert min(elapsed) < 0.1
+
+
+@given(
+    st.sampled_from([0.5, 0.25, 2**-0.5, 0.3, 0.9]),
+    st.integers(1, 3),
+    st.integers(0, 40),
+    st.integers(1, 30),
+)
+def test_tied_alternates_are_the_unbounded_listings_prefix(alpha, n, L, T):
+    """Under the cap the list is the whole listing, unchanged; over it, its first 64."""
+    sched = tvcoq_master(alpha, n, L, T)
+    every = list(_unbounded_tied_swaps(sched)) if sched.in_regime else []
+    assert list(sched.tied_alternates) == every[:64]
+    assert sched.tied_alternates_total == len(every)
