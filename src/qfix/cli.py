@@ -13,6 +13,7 @@ line, 2 design outside the closed-form regime or an uncertified game.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ class ConfigError(Exception):
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_REGIME = 2
+_REQUIRED = object()  # the default of a field that has none
 
 
 def _fmt(v) -> str:
@@ -52,12 +54,12 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _need(cfg: dict, key: str, kinds, what: str = "") -> object:
+def _need(cfg: dict, key: str, kinds, what: str) -> object:
     if key not in cfg:
         raise ConfigError(f"{key}: missing required field")
     val = cfg[key]
-    if kinds is not None and not isinstance(val, kinds):
-        raise ConfigError(f"{key}: expected {what or kinds}, got {type(val).__name__}")
+    if not isinstance(val, kinds):
+        raise ConfigError(f"{key}: expected {what}, got {type(val).__name__}")
     return val
 
 
@@ -68,17 +70,33 @@ def _need_int(cfg: dict, key: str, minimum: int = 0) -> int:
     return int(val)
 
 
+def _choice(cfg: dict, key: str, options: tuple, default=_REQUIRED):
+    """cfg[key], which must be one of `options`; an absent key reads `default` when there is one."""
+    val = cfg.get(key, default)
+    if val is _REQUIRED:
+        raise ConfigError(f"{key}: missing required field")
+    if val not in options:
+        listed = " | ".join(json.dumps(o) for o in options)
+        raise ConfigError(f"{key}: expected {listed}, got {json.dumps(val)}")
+    return val
+
+
+@contextlib.contextmanager
+def _refusal(key: str, *kinds: type):
+    """Turn a library's refusal of `key`'s value (`kinds`, default ValueError) into a ConfigError."""
+    try:
+        yield
+    except (kinds or ValueError) as e:
+        raise ConfigError(f"{key}: {e}")
+
+
 def _norm_and_box(cfg: dict):
     norm_obj = _need(cfg, "norm", dict, "a norm object")
-    try:
+    with _refusal("norm", ValueError, KeyError, TypeError):
         part, spec = norms.NormSpec.from_json(json.dumps(norm_obj))
-    except (ValueError, KeyError, TypeError) as e:
-        raise ConfigError(f"norm: {e}")
     box_obj = _need(cfg, "box", list, "a list of [lo, hi] pairs")
-    try:
+    with _refusal("box", ValueError, TypeError, IndexError):
         box = norms.BoxDomain(box_obj)
-    except (ValueError, TypeError, IndexError) as e:
-        raise ConfigError(f"box: {e}")
     if box.n != part.n:
         raise ConfigError(f"box: {box.n} intervals for dimension {part.n}")
     return part, spec, box
@@ -90,13 +108,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _need_alpha(cfg: dict) -> float:
-    alpha = _need(cfg, "alpha", (int, float), "a number in [0, 1)")
-    if isinstance(alpha, bool) or not (0.0 <= alpha < 1.0):
-        raise ConfigError(f"alpha: expected a number in [0, 1), got {alpha!r}")
-    return float(alpha)
 
 
 def _seed_list(args, cfg: dict, seed_key: Optional[str] = None) -> list[int]:
@@ -126,35 +137,29 @@ def _seed_list(args, cfg: dict, seed_key: Optional[str] = None) -> list[int]:
 # design
 # ---------------------------------------------------------------------------
 
-_DESIGN_KINDS = ("ticoq-wmax", "ticoq-lp", "ticoq-vq", "tvcoq")
+_DESIGN_MODES = ("sq-wmax", "sq-lp", "vq")
+_TICOQ_MODES = {"ticoq-wmax": "sq-wmax", "ticoq-lp": "sq-lp", "ticoq-vq": "vq"}
 
 
 def _design_report(cfg: dict) -> tuple[dict, int]:
-    kind = _need(cfg, "kind", str, "one of " + "|".join(_DESIGN_KINDS))
-    if kind not in _DESIGN_KINDS:
-        raise ConfigError(f"kind: expected one of {_DESIGN_KINDS}, got {kind!r}")
+    kind = _choice(cfg, "kind", (*_TICOQ_MODES, "tvcoq"))
     total_bits = _need_int(cfg, "L")
     part, spec, box = _norm_and_box(cfg)
 
     if kind == "tvcoq":
         alpha = _need(cfg, "alpha", (int, float), "a number in (0, 1)")
         horizon = _need_int(cfg, "T", minimum=1)
-        mode = _need(cfg, "mode", str, '"sq-wmax" | "sq-lp" | "vq"')
-        try:
+        mode = _choice(cfg, "mode", _DESIGN_MODES)
+        with _refusal("tvcoq"):
             schedule = tvcoq.tvcoq_design(part, spec, box, total_bits, horizon, float(alpha), mode)
-        except ValueError as e:
-            raise ConfigError(f"tvcoq: {e}")
         report = schedule.as_dict()
         report["required_min_bits"] = schedule.required_min_bits
         report["tied_alternates"] = [list(a) for a in schedule.tied_alternates]
         report["tied_alternates_total"] = schedule.tied_alternates_total
         return report, (_EXIT_OK if schedule.in_regime else _EXIT_REGIME)
 
-    mode = {"ticoq-wmax": "sq-wmax", "ticoq-lp": "sq-lp", "ticoq-vq": "vq"}[kind]
-    try:
-        alloc = ticoq.ticoq_design(part, spec, box, total_bits, mode)
-    except ValueError as e:
-        raise ConfigError(f"{kind}: {e}")
+    with _refusal(kind):
+        alloc = ticoq.ticoq_design(part, spec, box, total_bits, _TICOQ_MODES[kind])
 
     threshold = ticoq.tradeoff_threshold(alloc.family)
     report = alloc.as_dict()
@@ -177,26 +182,30 @@ def _cmd_design(args) -> int:
 # ---------------------------------------------------------------------------
 
 _QUANT_STRATEGIES = ("none", "uniform", "ticoq", "tvcoq")
+_SCHEMES = {"jacobi": Scheme.JACOBI, "gauss-seidel": Scheme.GAUSS_SEIDEL}
 
 
-def _design_mode(cfg: dict, spec: norms.NormSpec) -> str:
-    mode = cfg.get("design")
-    if mode is None:
-        mode = "sq-wmax" if isinstance(spec.per_block[0], norms.WeightedMax) else "sq-lp"
-    if mode not in ("sq-wmax", "sq-lp", "vq"):
-        raise ConfigError(f'design: expected "sq-wmax" | "sq-lp" | "vq", got {mode!r}')
-    return mode
+def _design_mode(cfg: dict, spec: norms.NormSpec, strategy: str) -> str:
+    """A designing strategy's "design" ("" for others); absent or null, the norm's scalar design."""
+    if strategy not in ("ticoq", "tvcoq"):
+        return ""
+    if cfg.get("design") is None:
+        return "sq-wmax" if isinstance(spec.per_block[0], norms.WeightedMax) else "sq-lp"
+    return _choice(cfg, "design", _DESIGN_MODES)
+
+
+def _synthetic(cfg: dict):
+    """A synthetic system's partition, norm, box, modulus and default start lo + 0.9 (hi - lo)."""
+    part, spec, box = _norm_and_box(cfg)
+    alpha = _need(cfg, "alpha", (int, float), "a number in [0, 1)")
+    if isinstance(alpha, bool) or not (0.0 <= alpha < 1.0):
+        raise ConfigError(f"alpha: expected a number in [0, 1), got {alpha!r}")
+    return part, spec, box, float(alpha), np.asarray(box.lo) + 0.9 * box.lengths
 
 
 def _banks_for(
-    strategy: str,
-    mode: str,
-    part: norms.BlockPartition,
-    spec: norms.NormSpec,
-    box: norms.BoxDomain,
-    total_bits: int,
-    steps: int,
-    alpha: float,
+    strategy: str, mode: str, part: norms.BlockPartition, spec: norms.NormSpec, box: norms.BoxDomain,
+    total_bits: int, steps: int, alpha: float,
 ):
     """Quantizer bank (or per-step list) for one run. None = perfect passing."""
     if strategy == "none":
@@ -212,31 +221,18 @@ def _banks_for(
 
 def _simulate_synthetic(cfg: dict, strategy: str, total_bits: int, steps: int):
     """Column names and the per-seed run of a synthetic simulation."""
-    part, spec, box = _norm_and_box(cfg)
-    alpha = _need_alpha(cfg)
-    scheme_name = cfg.get("scheme", "jacobi")
-    if scheme_name not in ("jacobi", "gauss-seidel"):
-        raise ConfigError(f'scheme: expected "jacobi" | "gauss-seidel", got {scheme_name!r}')
-    scheme = Scheme.JACOBI if scheme_name == "jacobi" else Scheme.GAUSS_SEIDEL
-    mode = _design_mode(cfg, spec) if strategy in ("ticoq", "tvcoq") else ""
+    part, spec, box, alpha, x0 = _synthetic(cfg)
+    scheme = _SCHEMES[_choice(cfg, "scheme", tuple(_SCHEMES), "jacobi")]
+    mode = _design_mode(cfg, spec, strategy)
     if strategy == "tvcoq" and not (0.0 < alpha < 1.0):
         raise ConfigError("alpha: stage splitting needs alpha in (0, 1)")
-
-    x0 = cfg.get("x0")
-    if x0 is not None:
-        try:
-            x0 = np.asarray(x0, dtype=float)
-        except (ValueError, TypeError):
-            raise ConfigError("x0: expected a list of numbers")
+    if cfg.get("x0") is not None:
+        with _refusal("x0", ValueError, TypeError):
+            x0 = np.asarray(cfg["x0"], dtype=float)
         if x0.shape != (part.n,) or not box.contains(x0, tol=1e-9):
             raise ConfigError(f"x0: expected {part.n} finite coordinates inside the box")
-    else:
-        x0 = np.asarray(box.lo) + 0.9 * box.lengths
-
-    try:
+    with _refusal("quantizer"):
         banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
-    except ValueError as e:
-        raise ConfigError(f"quantizer: {e}")
 
     def run_seed(seed: int):
         mapping, x_star = engine.random_affine_contraction(part, spec, box, alpha, rng=seed)
@@ -254,14 +250,12 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
     reports the sampled modulus on stderr and returns None.
     """
     game_obj = _need(cfg, "game", dict, "a game object")
-    run_mode = cfg.get("scheme", "simultaneous")
-    if run_mode not in ("simultaneous", "sequential"):
-        raise ConfigError(f'scheme: expected "simultaneous" | "sequential", got {run_mode!r}')
+    run_mode = _choice(cfg, "scheme", ("simultaneous", "sequential"), "simultaneous")
     if run_mode == "sequential" and strategy == "tvcoq":
         raise ConfigError("scheme: per-stage schedules require the simultaneous scheme")
 
     def run_seed(seed: int):
-        try:
+        with _refusal("game", KeyError, ValueError, TypeError):
             game = mimo.GameConfig(
                 num_links=game_obj["K"],
                 num_antennas=game_obj["N"],
@@ -271,8 +265,6 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
                 noise_power=game_obj.get("noise"),
                 seed=seed,
             )
-        except (KeyError, ValueError, TypeError) as e:
-            raise ConfigError(f"game: {e}")
         channels = mimo.ChannelSet.generate(game)
         estimate = mimo.estimate_modulus(channels, rng=seed)
         if not estimate.certified:
@@ -287,11 +279,9 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
         part = mimo.game_partition(game)
         spec = mimo.game_norm_spec(game)
         box = mimo.game_box(game)
-        mode = _design_mode(cfg, spec) if strategy in ("ticoq", "tvcoq") else ""
-        try:
+        mode = _design_mode(cfg, spec, strategy)
+        with _refusal("quantizer"):
             banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
-        except ValueError as e:
-            raise ConfigError(f"quantizer: {e}")
 
         reference = mimo.nash_reference(channels, alpha)
         result = mimo.iwfa_run(
@@ -337,14 +327,10 @@ _SIMULATORS = {"synthetic": _simulate_synthetic, "mimo": _simulate_mimo}
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    system = _need(cfg, "system", str, '"synthetic" | "mimo"')
+    system = _choice(cfg, "system", tuple(_SIMULATORS))
     seeds = _seed_list(args, cfg, seed_key="seed")
-    if system not in _SIMULATORS:
-        raise ConfigError(f'system: expected "synthetic" | "mimo", got {system!r}')
     steps = _need_int(cfg, "T", minimum=1)
-    strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES))
-    if strategy not in _QUANT_STRATEGIES:
-        raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES}, got {strategy!r}")
+    strategy = _choice(cfg, "quantizer", _QUANT_STRATEGIES)
     total_bits = _need_int(cfg, "L") if strategy != "none" else 0
     columns, run_seed = _SIMULATORS[system](cfg, strategy, total_bits, steps)
     lines, code = _seed_mean_rows(columns, run_seed, seeds, steps)
@@ -362,8 +348,8 @@ def _cmd_simulate(args) -> int:
 # tradeoff
 # ---------------------------------------------------------------------------
 
-def _tradeoff_point(part, spec, box, alpha: float, banks, steps: int, maps: list) -> tuple[float, float]:
-    """Mean final measured error and mean final analytic bound over the (mapping, x*) pairs.
+def _tradeoff_point(part, spec, alpha: float, banks, steps: int, maps: list, x0) -> tuple[float, float]:
+    """Mean final measured error and mean final analytic bound over the (mapping, x*) pairs from x0.
 
     The bound is alpha^T ||x(0) - x*|| + E(T), with E(T) the last value of
     the accumulated-error series over the banks' worst-case errors.
@@ -373,8 +359,6 @@ def _tradeoff_point(part, spec, box, alpha: float, banks, steps: int, maps: list
     else:
         e_bars = [banks.worst_case_error(part, spec)] * steps
     accumulated = float(engine.accumulated_error_series(alpha, e_bars)[steps])
-
-    x0 = np.asarray(box.lo) + 0.9 * box.lengths
     measured = bound = 0.0
     for mapping, x_star in maps:
         traj = engine.run_iteration(mapping, banks, x0, steps, Scheme.JACOBI)
@@ -385,39 +369,28 @@ def _tradeoff_point(part, spec, box, alpha: float, banks, steps: int, maps: list
 
 def _cmd_tradeoff(args) -> int:
     cfg = _load_config(args.config)
-    system = _need(cfg, "system", str, '"synthetic"')
-    if system != "synthetic":
-        raise ConfigError(f'system: tradeoff sweeps run on "synthetic", got {system!r}')
-    sweep = _need(cfg, "sweep", str, '"L" | "T"')
-    if sweep not in ("L", "T"):
-        raise ConfigError(f'sweep: expected "L" | "T", got {sweep!r}')
+    _choice(cfg, "system", ("synthetic",))
+    sweep = _choice(cfg, "sweep", ("L", "T"))
     values = _need(cfg, "values", list, "a nonempty list of integers")
     if not values or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in values):
         raise ConfigError("values: expected a nonempty list of nonnegative integers")
     if sweep == "T" and min(values) < 1:
         raise ConfigError(f"values: a horizon sweep needs every T >= 1, got {min(values)}")
-    strategy = _need(cfg, "quantizer", str, "|".join(_QUANT_STRATEGIES[1:]))
-    if strategy not in _QUANT_STRATEGIES[1:]:
-        raise ConfigError(f"quantizer: expected one of {_QUANT_STRATEGIES[1:]}, got {strategy!r}")
-    part, spec, box = _norm_and_box(cfg)
-    alpha = _need_alpha(cfg)
+    strategy = _choice(cfg, "quantizer", _QUANT_STRATEGIES[1:])
+    part, spec, box, alpha, x0 = _synthetic(cfg)
     seeds = _seed_list(args, cfg)
-    mode = _design_mode(cfg, spec) if strategy in ("ticoq", "tvcoq") else ""
+    mode = _design_mode(cfg, spec, strategy)
+    fixed = _need_int(cfg, "T", minimum=1) if sweep == "L" else _need_int(cfg, "L")
     # A seed's map does not depend on the swept value, so each is built once.
     maps = [engine.random_affine_contraction(part, spec, box, alpha, rng=s) for s in seeds]
 
     rows = []
     for v in values:
-        if sweep == "L":
-            total_bits, steps = int(v), _need_int(cfg, "T", minimum=1)
-        else:
-            total_bits, steps = _need_int(cfg, "L"), int(v)
-        try:
+        total_bits, steps = (v, fixed) if sweep == "L" else (fixed, v)
+        with _refusal("quantizer"):
             banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
-            measured, bound = _tradeoff_point(part, spec, box, alpha, banks, steps, maps)
-        except ValueError as e:
-            raise ConfigError(f"quantizer: {e}")
-        rows.append((int(v), measured, bound))
+            measured, bound = _tradeoff_point(part, spec, alpha, banks, steps, maps, x0)
+        rows.append((v, measured, bound))
 
     xs = np.array([r[0] for r in rows], dtype=float)
     ys = np.array([r[1] for r in rows], dtype=float)

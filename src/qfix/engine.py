@@ -518,9 +518,10 @@ def worst_case_error_bound(
 
 
 class BoundCertificate(_Frozen):
-    """Per step t = 0..steps: ok (bool), the bound and the measured distance."""
+    """Per step t = 0..steps: ok (bool), the bound and the measured distance.  It equals only itself."""
 
     _fields = ("ok", "bound", "dist")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, ok: np.ndarray, bound: np.ndarray, dist: np.ndarray):
         self._set(ok=ok, bound=bound, dist=dist)

@@ -127,10 +127,11 @@ def paper_style_game(seed: int = 0) -> GameConfig:
 class ChannelSet(_Frozen):
     """All cross/direct channel matrices H_jk for one fading draw.
 
-    h is (K, K, N, N) complex; h[j, k] maps tx j to rx k.
+    h is (K, K, N, N) complex; h[j, k] maps tx j to rx k.  A channel set equals only itself.
     """
 
     _fields = ("game", "h")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, game: GameConfig, h: np.ndarray):
         self._set(game=game, h=h)
@@ -175,9 +176,10 @@ class ChannelSet(_Frozen):
 
 
 class StrategyProfile(_Frozen):
-    """One transmit covariance per link: K complex (N, N) arrays."""
+    """One transmit covariance per link: K complex (N, N) arrays.  A profile equals only itself."""
 
     _fields = ("covariances",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, covariances: Sequence[np.ndarray]):
         self._set(covariances=tuple(np.asarray(P, dtype=complex) for P in covariances))

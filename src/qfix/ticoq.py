@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engine import QuantizerBank
+from .engine import QuantizerBank, _count
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _Frozen, _water_level
 from .squant import ScalarBlockQuantizer
 from .vquant import LatticeQuantizer, covering_radius, lattice_scale
@@ -492,8 +492,7 @@ def allocation_oracle(
     return_ties=True to also collect every optimal allocation.
     """
     total_bits = _check_budget(total_bits)
-    if dims < 1:
-        raise ValueError(f"need at least one dimension, got {dims}")
+    dims = _count(dims, "dims", 1)
     if dims == 1:
         alloc = (total_bits,)
         val = float(np.asarray(objective(np.array([[total_bits]])))[0])
@@ -565,8 +564,7 @@ def relaxed_eta(family: DesignConstants) -> float:
 def uniform_sq_allocation(n: int, total_bits: int) -> np.ndarray:
     """Equal split of the budget, leftovers to the lowest-indexed coordinates."""
     total_bits = _check_budget(total_bits)
-    if n < 1:
-        raise ValueError(f"need at least one coordinate, got {n}")
+    n = _count(n, "n", 1)
     base, extra = divmod(total_bits, n)
     bits = np.full(n, base, dtype=int)
     bits[:extra] += 1

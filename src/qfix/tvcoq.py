@@ -237,13 +237,21 @@ def tvcoq_design(
     eta * 2^(-L(t)/n) law whenever the budget allows.  One frontier walked
     to the largest stage rate yields every stage's design, since each prefix
     of the walk is its own budget's design.  Stages with equal rates share
-    one allocation and one bank.
+    one allocation and one bank; a bank's refusal (a coordinate rate of
+    1024 bits or more) names the first stage with that rate.
     """
     l_prime = tradeoff_threshold(ticoq_frontier(part, spec, box, 0, mode).family)
     schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=l_prime)
     frontier = ticoq_frontier(part, spec, box, max(schedule.rates), mode)
     allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(schedule.rates)}
-    banks = {L_t: bank_for_allocation(part, box, alloc) for L_t, alloc in allocs.items()}
+    banks = {}
+    for t, L_t in enumerate(schedule.rates):
+        if L_t not in banks:
+            try:
+                banks[L_t] = bank_for_allocation(part, box, allocs[L_t])
+            except ValueError as e:
+                T, L = schedule.horizon, schedule.per_stage_budget
+                raise ValueError(f"stage {t} of T = {T} at L = {L}, with L(t) = {L_t} bits: {e}") from e
     schedule.allocations = tuple(allocs[L_t] for L_t in schedule.rates)
     schedule.banks = tuple(banks[L_t] for L_t in schedule.rates)
     schedule.e_stars = tuple(alloc.integer_value for alloc in schedule.allocations)

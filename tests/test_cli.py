@@ -582,3 +582,32 @@ def test_tradeoff_builds_each_seed_map_once(tmp_path, capsys, monkeypatch):
     doc = _tradeoff_doc(values=[8, 16, 24, 32], seeds=[0, 1, 2])
     assert main(["tradeoff", "--config", _write(tmp_path, "t.json", doc)]) == 0
     assert sorted(built) == [0, 1, 2]
+
+
+_MIMO_DOC = {"schema": 1, "system": "mimo", "game": _README_GAME, "T": 10, "quantizer": "none", "seeds": [0]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, key, options",
+    [
+        ("design", _design_doc(kind="bogus"), "kind", '"ticoq-wmax" | "ticoq-lp" | "ticoq-vq" | "tvcoq"'),
+        ("design", _design_doc(kind="tvcoq", alpha=0.5, T=5, mode="bogus"), "mode", '"sq-wmax" | "sq-lp" | "vq"'),
+        ("simulate", _simulate_doc(system="bogus"), "system", '"synthetic" | "mimo"'),
+        ("simulate", _simulate_doc(quantizer="bogus"), "quantizer", '"none" | "uniform" | "ticoq" | "tvcoq"'),
+        ("simulate", _simulate_doc(scheme="bogus"), "scheme", '"jacobi" | "gauss-seidel"'),
+        ("simulate", dict(_MIMO_DOC, scheme="bogus"), "scheme", '"simultaneous" | "sequential"'),
+        ("simulate", _simulate_doc(design="bogus"), "design", '"sq-wmax" | "sq-lp" | "vq"'),
+        ("tradeoff", _tradeoff_doc(system="bogus"), "system", '"synthetic"'),
+        ("tradeoff", _tradeoff_doc(sweep="bogus"), "sweep", '"L" | "T"'),
+        ("tradeoff", _tradeoff_doc(quantizer="bogus"), "quantizer", '"uniform" | "ticoq" | "tvcoq"'),
+        ("tradeoff", _tradeoff_doc(design="bogus"), "design", '"sq-wmax" | "sq-lp" | "vq"'),
+    ],
+    ids=["design-kind", "design-mode", "simulate-system", "simulate-quantizer", "simulate-scheme",
+         "simulate-mimo-scheme", "simulate-design", "tradeoff-system", "tradeoff-sweep", "tradeoff-quantizer",
+         "tradeoff-design"],
+)
+def test_a_choice_field_refuses_an_unknown_value_listing_every_option(tmp_path, capsys, command, doc, key, options):
+    assert main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f'config error: {key}: expected {options}, got "bogus"\n'

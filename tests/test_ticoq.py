@@ -537,6 +537,21 @@ def test_budgets_refuse_non_integers_with_their_own_message(bad):
         uniform_sq_allocation(2, bad)
 
 
+def test_allocation_counts_take_integral_floats():
+    """A count of 2.0 once raised numpy's TypeError from np.full and math.comb."""
+    objective = max_term_objective([0.5, 2.0], [1, 1])
+    assert list(uniform_sq_allocation(2.0, 8)) == list(uniform_sq_allocation(2, 8)) == [4, 4]
+    assert allocation_oracle(objective, 2.0, 4) == allocation_oracle(objective, 2, 4)
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, 0])
+def test_allocation_counts_refuse_non_integers_and_zero(bad):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        uniform_sq_allocation(bad, 8)
+    with pytest.raises(ValueError, match="dims must be an integer >= 1"):
+        allocation_oracle(max_term_objective([0.5, 2.0], [1, 1]), bad, 4)
+
+
 @pytest.mark.parametrize("mode", ["sq-wmax", "sq-lp", "vq"])
 def test_designs_refuse_a_box_of_another_dimension_with_the_banks_message(mode):
     part = BlockPartition([2, 2])

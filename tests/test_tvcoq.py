@@ -252,6 +252,22 @@ def test_design_refuses_a_mode_before_the_master_split(monkeypatch):
         tvcoq_design(part, wrong, box, 6, 3, 0.5, "vq")
 
 
+def test_design_names_the_first_stage_whose_rate_no_bank_takes():
+    """At T = L = 1000 and alpha = 0.5 one coordinate's stage rates run from 500 to 1,500 bits."""
+    part, box = BlockPartition([1]), BoxDomain([(-1.0, 1.0)])
+    spec = NormSpec((1.0,), (WeightedMax([1.0]),))
+    message = (
+        "stage 523 of T = 1000 at L = 1000, with L(t) = 1024 bits: "
+        "rate must be a nonnegative integer below 1024, got 1024"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tvcoq_design(part, spec, box, 1000, 1000, 0.5, "sq-wmax")
+    # The cap is per coordinate: two coordinates share a stage rate of 1,500 bits.
+    part, box = BlockPartition([1, 1]), BoxDomain([(-1.0, 1.0)] * 2)
+    spec = NormSpec((1.0, 1.0), (WeightedMax([1.0]), WeightedMax([1.0])))
+    assert max(tvcoq_design(part, spec, box, 1500, 2, 0.5, "sq-wmax").rates) >= 1500
+
+
 def test_design_rejects_unknown_mode():
     part, spec, box = _wmax_problem()
     with pytest.raises(ValueError):

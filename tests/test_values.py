@@ -248,6 +248,25 @@ def test_frozen_records_refuse_assignment_and_deletion(value, field):
     assert getattr(value, field) is before and not hasattr(value, "new_attribute")
 
 
+_ARRAY_RECORDS = {
+    "BoundCertificate": lambda: BoundCertificate(np.ones(2, dtype=bool), np.ones(2), np.zeros(2)),
+    "ChannelSet": lambda: ChannelSet.generate(paper_style_game(3)),
+    "StrategyProfile": lambda: StrategyProfile([np.eye(2), np.eye(2)]),
+    "RateFrontier": lambda: ticoq_frontier(
+        BlockPartition([1, 1]), NormSpec([1.0, 1.0], [Lp(2.0), Lp(2.0)]), BoxDomain([[0.0, 1.0]] * 2), 4, "sq-lp"
+    ),
+}
+
+
+@pytest.mark.parametrize("make", list(_ARRAY_RECORDS.values()), ids=list(_ARRAY_RECORDS))
+def test_records_of_arrays_equal_only_themselves(make):
+    """Field-wise == over arrays raised "truth value of an array is ambiguous", and hash raised TypeError."""
+    value, twin = make(), make()
+    assert value == value and not value != value
+    assert value != twin and not value == twin
+    assert hash(value) == hash(value) and len({value, twin, value}) == 2
+
+
 def test_caches_stay_out_of_equality_hash_and_repr():
     """A spec whose layout cache is filled, and a game whose profile space is built, equal fresh ones."""
     part = BlockPartition([2, 1])
