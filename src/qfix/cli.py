@@ -185,12 +185,12 @@ _QUANT_STRATEGIES = ("none", "uniform", "ticoq", "tvcoq")
 _SCHEMES = {"jacobi": Scheme.JACOBI, "gauss-seidel": Scheme.GAUSS_SEIDEL}
 
 
-def _design_mode(cfg: dict, spec: norms.NormSpec, strategy: str) -> str:
-    """A designing strategy's "design" ("" for others); absent or null, the norm's scalar design."""
+def _design_mode(cfg: dict, strategy: str, first_norm) -> str:
+    """A designing strategy's "design" ("" for others); absent or null, `first_norm`'s scalar design."""
     if strategy not in ("ticoq", "tvcoq"):
         return ""
     if cfg.get("design") is None:
-        return "sq-wmax" if isinstance(spec.per_block[0], norms.WeightedMax) else "sq-lp"
+        return "sq-wmax" if isinstance(first_norm, norms.WeightedMax) else "sq-lp"
     return _choice(cfg, "design", _DESIGN_MODES)
 
 
@@ -223,7 +223,7 @@ def _simulate_synthetic(cfg: dict, strategy: str, total_bits: int, steps: int):
     """Column names and the per-seed run of a synthetic simulation."""
     part, spec, box, alpha, x0 = _synthetic(cfg)
     scheme = _SCHEMES[_choice(cfg, "scheme", tuple(_SCHEMES), "jacobi")]
-    mode = _design_mode(cfg, spec, strategy)
+    mode = _design_mode(cfg, strategy, spec.per_block[0])
     if strategy == "tvcoq" and not (0.0 < alpha < 1.0):
         raise ConfigError("alpha: stage splitting needs alpha in (0, 1)")
     if cfg.get("x0") is not None:
@@ -253,6 +253,7 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
     run_mode = _choice(cfg, "scheme", ("simultaneous", "sequential"), "simultaneous")
     if run_mode == "sequential" and strategy == "tvcoq":
         raise ConfigError("scheme: per-stage schedules require the simultaneous scheme")
+    mode = _design_mode(cfg, strategy, norms.Lp(2.0))  # a game's blocks carry Frobenius (L2) norms
 
     def run_seed(seed: int):
         with _refusal("game", KeyError, ValueError, TypeError):
@@ -279,7 +280,6 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
         part = mimo.game_partition(game)
         spec = mimo.game_norm_spec(game)
         box = mimo.game_box(game)
-        mode = _design_mode(cfg, spec, strategy)
         with _refusal("quantizer"):
             banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
 
@@ -379,7 +379,7 @@ def _cmd_tradeoff(args) -> int:
     strategy = _choice(cfg, "quantizer", _QUANT_STRATEGIES[1:])
     part, spec, box, alpha, x0 = _synthetic(cfg)
     seeds = _seed_list(args, cfg)
-    mode = _design_mode(cfg, spec, strategy)
+    mode = _design_mode(cfg, strategy, spec.per_block[0])
     fixed = _need_int(cfg, "T", minimum=1) if sweep == "L" else _need_int(cfg, "L")
     # A seed's map does not depend on the swept value, so each is built once.
     maps = [engine.random_affine_contraction(part, spec, box, alpha, rng=s) for s in seeds]

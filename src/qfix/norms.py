@@ -198,13 +198,20 @@ class BoxDomain(_Frozen):
     _fields = ("lo", "hi")
 
     def __init__(self, intervals: Sequence[Sequence[float]]):
-        lo = tuple(float(iv[0]) for iv in intervals)
-        hi = tuple(float(iv[1]) for iv in intervals)
-        for m, (a, b) in enumerate(zip(lo, hi)):
+        lo, hi = [], []
+        for m, iv in enumerate(intervals):
+            try:
+                a, b = iv
+            except (TypeError, ValueError):
+                raise ValueError(f"interval {m} is not a [lo, hi] pair: {iv!r}") from None
+            a, b = float(a), float(b)
             if not (a <= b):
                 raise ValueError(f"interval {m} has lo {a} > hi {b}")
             if not (-math.inf < a and b < math.inf):
                 raise ValueError(f"interval {m} has an infinite endpoint: [{a}, {b}]")
+            lo.append(a)
+            hi.append(b)
+        lo, hi = tuple(lo), tuple(hi)
         lo_arr, hi_arr = np.array(lo, dtype=float), np.array(hi, dtype=float)
         lo_arr.flags.writeable = hi_arr.flags.writeable = False
         self._set(lo=lo, hi=hi, _lo=lo_arr, _hi=hi_arr)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .engine import QuantizerBank, _count
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, _Frozen, _water_level
-from .squant import ScalarBlockQuantizer
+from .squant import ScalarBlockQuantizer, _rate
 from .vquant import LatticeQuantizer, covering_radius, lattice_scale
 
 _ORACLE_GUARD = 10_000_000
@@ -64,8 +64,8 @@ class DesignConstants(_Frozen):
             raise ValueError(f"unknown design kind {kind!r}")
         if len(const) != len(sizes):
             raise ValueError(f"{len(const)} constants for {len(sizes)} entry sizes")
-        if not all(v > 0 for v in const):
-            raise ValueError("all design constants must be positive")
+        if not all(0 < v < math.inf for v in const):
+            raise ValueError("all design constants must be positive and finite")
         if kind == "sq-lp" and not (p >= 1.0 and blocks is not None and sum(blocks) == len(const)):
             raise ValueError("sq-lp constants need p >= 1 and blocks covering every coordinate")
         self._set(kind=kind, const=const, sizes=sizes, p=p, blocks=blocks)
@@ -180,6 +180,11 @@ def objective_for(family: DesignConstants) -> Callable[[np.ndarray], np.ndarray]
 # Design constants from a box + norm specification
 # ---------------------------------------------------------------------------
 
+def _quiet(builder):
+    """A constant builder whose overflow gives inf and underflow 0, unwarned: DesignConstants refuses both."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")(builder)
+
+
 def _check_box(part: BlockPartition, box: BoxDomain) -> None:
     if box.n != part.n:
         raise ValueError(f"a box of dimension {box.n} for a partition of dimension {part.n}")
@@ -194,6 +199,7 @@ def _box_lengths(part: BlockPartition, box: BoxDomain) -> np.ndarray:
     return lengths
 
 
+@_quiet
 def sq_wmax_constants(part: BlockPartition, spec: NormSpec, box: BoxDomain) -> np.ndarray:
     """c_m = |X_m| / (2 a_m w_k(m)) for weighted-max blocks."""
     spec.check_partition(part)
@@ -205,6 +211,7 @@ def sq_wmax_constants(part: BlockPartition, spec: NormSpec, box: BoxDomain) -> n
     return lengths / (2.0 * a * np.repeat(spec.block_weights, part.block_sizes))
 
 
+@_quiet
 def sq_lp_constants(
     part: BlockPartition, spec: NormSpec, box: BoxDomain
 ) -> tuple[np.ndarray, float]:
@@ -223,6 +230,7 @@ def sq_lp_constants(
     return c, float(p)
 
 
+@_quiet
 def vq_constants(part: BlockPartition, w: Sequence[float], box: BoxDomain) -> np.ndarray:
     """d_k: worst-case lattice error of block k's unit-rate cell, over w_k.
 
@@ -408,8 +416,18 @@ def ticoq_frontier(
 def ticoq_design(
     part: BlockPartition, spec: NormSpec, box: BoxDomain, total_bits: int, mode: str
 ) -> RateAllocation:
-    """The "sq-wmax", "sq-lp" or "vq" design: the last row of its own frontier."""
-    return ticoq_frontier(part, spec, box, total_bits, mode).allocation(total_bits)
+    """The "sq-wmax", "sq-lp" or "vq" design: the last row of its own frontier.
+
+    A bank takes below 1024 bits an entry (`squant._rate`).  A budget whose
+    even split already puts more on an entry is refused before the walk; the
+    walk's rates are checked after it, since terms that underflow to 0 tie
+    and every further bit goes to the lowest index.
+    """
+    entries = part.n if mode in ("sq-wmax", "sq-lp") else part.num_blocks
+    _rate(-(-_check_budget(total_bits) // entries))
+    alloc = ticoq_frontier(part, spec, box, total_bits, mode).allocation(total_bits)
+    _rate(alloc.bits)
+    return alloc
 
 
 def ticoq_sq_wmax(

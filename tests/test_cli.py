@@ -1,10 +1,20 @@
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
 
+import qfix
 from qfix import engine, norms, ticoq, tvcoq
 from qfix.cli import main
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write(tmp_path, name, doc):
@@ -257,90 +267,10 @@ def test_simulate_rejects_bad_quantizer(tmp_path, capsys):
     assert main(["simulate", "--config", cfg]) == 1
     assert "quantizer" in capsys.readouterr().err
 
-
-_LP_NORM = {"blocks": [2], "w": [1.0], "per_block": [{"kind": "lp", "p": 2.0}]}
-
-
-@pytest.mark.parametrize(
-    "command, doc, message",
-    [
-        # a fractional block size was cut to an integer, and the design exited 0
-        ("design", _design_doc(norm=dict(_wmax_norm(), blocks=[1.5, 1])),
-         "norm: block sizes must be positive integers"),
-        # a NaN weight printed NaN and Infinity in a design, and a simulation ended in a traceback
-        ("design", _design_doc(norm=dict(_wmax_norm(), w=[float("nan"), 1.0])),
-         "norm: block weights must be positive and finite"),
-        ("simulate", _simulate_doc(norm=dict(_wmax_norm(), w=[float("nan"), 1.0])),
-         "norm: block weights must be positive and finite"),
-        ("design", _design_doc(norm={**_wmax_norm(1), "per_block": [{"kind": "wmax", "a": [float("inf")]}]},
-                               box=[[0.0, 1.0]]),
-         "norm: weighted-max weights must be positive and finite"),
-        # an infinite endpoint ended an unquantized simulation in a traceback, and an L_p design
-        # exited 0 with runtime warnings
-        ("simulate", _simulate_doc(quantizer="none", box=[[-1.0, float("inf")], [-1.0, 1.0]]),
-         "box: interval 0 has an infinite endpoint"),
-        ("design", _design_doc(kind="ticoq-lp", norm=_LP_NORM, box=[[0.0, 1.0], [0.0, float("inf")]]),
-         "box: interval 1 has an infinite endpoint"),
-    ],
-)
-def test_norm_and_box_records_refuse_what_no_design_can_use(tmp_path, capsys, command, doc, message):
-    assert main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"config error: {message}")
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("quantizer", ["ticoq", "uniform"])
-def test_simulate_refuses_a_rate_of_1024_bits_or_more(tmp_path, capsys, quantizer):
-    """1,100 bits on one coordinate: a config error, not an OverflowError from 2 ** 1100."""
-    doc = _simulate_doc(quantizer=quantizer, L=1100, norm=_wmax_norm(1), box=[[-1.0, 1.0]])
-    assert main(["simulate", "--config", _write(tmp_path, "sim.json", doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "config error: quantizer: rate must be a nonnegative integer below 1024, got 1100\n"
-    )
-
-
-@pytest.mark.parametrize("command", ["simulate", "design"])
-def test_tvcoq_refuses_a_horizon_whose_discounts_overflow(tmp_path, capsys, command):
-    """At T = 1100 and alpha = 0.5, alpha^-(T-1) overflowed: an objective of NaN, then a traceback."""
-    doc = (_simulate_doc(quantizer="tvcoq", alpha=0.5, T=1100, seeds=[0]) if command == "simulate"
-           else _design_doc(kind="tvcoq", alpha=0.5, T=1100, mode="sq-wmax"))
-    assert main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    prefix = "quantizer" if command == "simulate" else "tvcoq"
-    assert captured.err == (
-        f"config error: {prefix}: horizon 1100 at alpha = 0.5: the stage discounts alpha^-t overflow float64\n"
-    )
-
-
 def test_simulate_rejects_lattice_design_on_weighted_max_blocks(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.json", _simulate_doc(quantizer="ticoq", design="vq"))
     assert main(["simulate", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("config error: quantizer: lattice designs")
-
-
-@pytest.mark.parametrize("command", ["simulate", "tradeoff"])
-@pytest.mark.parametrize("seeds", [",", " , "])
-def test_empty_seed_list_exit_one(tmp_path, capsys, command, seeds):
-    doc = _simulate_doc() if command == "simulate" else _tradeoff_doc()
-    cfg = _write(tmp_path, "c.json", doc)
-    assert main([command, "--config", cfg, "--seed-list", seeds]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: --seed-list:")
-
-
-@pytest.mark.parametrize("command", ["simulate", "tradeoff"])
-@pytest.mark.parametrize("alpha", [1.5, 1.0, -0.1, True, "0.5"])
-def test_bad_alpha_exit_one(tmp_path, capsys, command, alpha):
-    doc = (_simulate_doc if command == "simulate" else _tradeoff_doc)(alpha=alpha)
-    cfg = _write(tmp_path, "c.json", doc)
-    assert main([command, "--config", cfg]) == 1
-    assert capsys.readouterr().err.startswith("config error: alpha:")
 
 
 @pytest.mark.parametrize("scheme", ["simultaneous", "sequential"])
@@ -401,40 +331,6 @@ def test_simulate_mimo_refusal_reports_the_measured_modulus(tmp_path, capsys):
         assert figure in captured.err
 
 
-_README_GAME = {
-    "K": 2, "N": 2, "distances": [[100.0, 200.0], [500.0, 100.0]], "gamma": 3.5, "power_dbm": 10.0
-}
-
-
-@pytest.mark.parametrize(
-    "over, message",
-    [
-        # gamma = NaN ended in an SVD failure, Infinity in an ill-conditioned direct channel
-        ({"gamma": float("nan")}, "pathloss exponent must be positive and finite, got nan"),
-        ({"gamma": float("inf")}, "pathloss exponent must be positive and finite, got inf"),
-        # an infinite budget ended in "non-finite entries" from the first profile
-        ({"power_dbm": float("inf")}, "budgets must be finite dBm values"),
-        ({"noise": float("inf")}, "noise power must be positive and finite, got inf"),
-        ({"N": 2.7}, "num_antennas must be an integer >= 1, got 2.7"),
-        # 10,000 dBm ended in an OverflowError, a gain d^-gamma of inf in a failed SVD and one of
-        # 0 in an ill-conditioned direct channel
-        ({"power_dbm": 10000.0}, "budgets must have finite watts"),
-        ({"distances": [[1e-200, 200.0], [500.0, 100.0]]}, "pathloss gains d^-gamma must be positive"),
-        ({"distances": [[1e200, 200.0], [500.0, 100.0]]}, "pathloss gains d^-gamma must be positive"),
-    ],
-    ids=["gamma-nan", "gamma-inf", "power-inf", "noise-inf", "antennas-2.7", "power-10000",
-         "distance-1e-200", "distance-1e200"],
-)
-def test_simulate_mimo_refuses_a_non_finite_or_non_integral_game(tmp_path, capsys, over, message):
-    doc = {"schema": 1, "system": "mimo", "game": {**_README_GAME, **over}, "T": 10,
-           "quantizer": "none", "seeds": [0]}
-    assert main(["simulate", "--config", _write(tmp_path, "mimo.json", doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"config error: game: {message}")
-    assert "Traceback" not in captured.err
-
-
 def _tradeoff_doc(**over):
     doc = {
         "schema": 1,
@@ -493,15 +389,6 @@ def test_tradeoff_json_format(tmp_path, capsys):
     assert "fitted_log2_slope" in doc
 
 
-@pytest.mark.parametrize("x0", [[2.0, 0.0], [float("nan"), 0.0], [0.0, float("inf")]])
-def test_simulate_bad_x0_names_the_field(tmp_path, capsys, x0):
-    cfg = _write(tmp_path, "sim.json", _simulate_doc(x0=x0))
-    assert main(["simulate", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: x0:")
-
-
 def test_tradeoff_horizon_sweep_refuses_zero_steps(tmp_path, capsys):
     cfg = _write(tmp_path, "t.json", _tradeoff_doc(sweep="T", values=[4, 0], L=12))
     assert main(["tradeoff", "--config", cfg]) == 1
@@ -551,16 +438,6 @@ def _synthetic_sim_doc(**over):
     doc.update(over)
     return doc
 
-
-@pytest.mark.parametrize("seed", ["abc", 1.7, True])
-def test_simulate_rejects_a_non_integer_seed(tmp_path, capsys, seed):
-    cfg = _write(tmp_path, "s.json", _synthetic_sim_doc(seed=seed))
-    assert main(["simulate", "--config", cfg]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: seed:")
-
-
 def test_simulate_checks_the_seed_only_when_it_is_used(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     listed = _write(tmp_path, "l.json", _synthetic_sim_doc(seed="abc", seeds=[3]))
@@ -584,30 +461,309 @@ def test_tradeoff_builds_each_seed_map_once(tmp_path, capsys, monkeypatch):
     assert sorted(built) == [0, 1, 2]
 
 
-_MIMO_DOC = {"schema": 1, "system": "mimo", "game": _README_GAME, "T": 10, "quantizer": "none", "seeds": [0]}
+# ---------------------------------------------------------------------------
+# The CLI contract: which configs each command accepts, with the same bytes in
+# a fresh interpreter, and which it refuses, naming the field
+# ---------------------------------------------------------------------------
+
+# The README's design, synthetic simulate and MIMO configs, keyed by kind or system.
+_README_CONFIGS = {
+    doc.get("system", doc.get("kind")): doc
+    for doc in map(json.loads, re.findall(r"^```json\n(.*?)^```", _README.read_text(), re.M | re.S))
+}
+DESIGN, SIM, MIMO = (_README_CONFIGS[key] for key in ("ticoq-wmax", "synthetic", "mimo"))
 
 
-@pytest.mark.parametrize(
-    "command, doc, key, options",
-    [
-        ("design", _design_doc(kind="bogus"), "kind", '"ticoq-wmax" | "ticoq-lp" | "ticoq-vq" | "tvcoq"'),
-        ("design", _design_doc(kind="tvcoq", alpha=0.5, T=5, mode="bogus"), "mode", '"sq-wmax" | "sq-lp" | "vq"'),
-        ("simulate", _simulate_doc(system="bogus"), "system", '"synthetic" | "mimo"'),
-        ("simulate", _simulate_doc(quantizer="bogus"), "quantizer", '"none" | "uniform" | "ticoq" | "tvcoq"'),
-        ("simulate", _simulate_doc(scheme="bogus"), "scheme", '"jacobi" | "gauss-seidel"'),
-        ("simulate", dict(_MIMO_DOC, scheme="bogus"), "scheme", '"simultaneous" | "sequential"'),
-        ("simulate", _simulate_doc(design="bogus"), "design", '"sq-wmax" | "sq-lp" | "vq"'),
-        ("tradeoff", _tradeoff_doc(system="bogus"), "system", '"synthetic"'),
-        ("tradeoff", _tradeoff_doc(sweep="bogus"), "sweep", '"L" | "T"'),
-        ("tradeoff", _tradeoff_doc(quantizer="bogus"), "quantizer", '"uniform" | "ticoq" | "tvcoq"'),
-        ("tradeoff", _tradeoff_doc(design="bogus"), "design", '"sq-wmax" | "sq-lp" | "vq"'),
+# The README's budget sweep on the simulate config's system, and a horizon sweep at its budget.
+_SWEPT = {key: SIM[key] for key in ("schema", "system", "alpha", "quantizer", "seeds", "norm", "box")}
+SWEEPS = {"L": dict(_SWEPT, sweep="L", values=[8, 16, 24, 32], T=30),
+          "T": dict(_SWEPT, sweep="T", values=[5, 10, 20, 40], L=16)}
+
+_TVCOQ = {"kind": "tvcoq", "alpha": 0.5, "T": 5, "mode": "sq-wmax"}
+_ONE = {"norm": _wmax_norm(1), "box": [[-1.0, 1.0]]}  # one weighted-max coordinate
+_LP = {
+    "norm": {"blocks": [2, 2], "w": [1.0, 0.5], "per_block": [{"kind": "lp", "p": 2.0}] * 2},
+    "box": [[0.0, 1.0], [0.0, 3.0], [-1.0, 1.0], [0.0, 0.5]],
+}
+_N256 = {  # the benchmark's 64 weighted-max blocks of 4
+    "norm": {"blocks": [4] * 64, "w": [1.0] * 64, "per_block": [{"kind": "wmax", "a": [1.0] * 4}] * 64},
+    "box": [[-1.0, 1.0]] * 256,
+}
+_MIXED = {
+    "norm": {"blocks": [2, 2, 1], "w": [1.0, 0.5, 2.0], "per_block": [
+        {"kind": "wmax", "a": [1.0, 0.5]}, {"kind": "lp", "p": 2.0}, {"kind": "wmax", "a": [1.0]}]},
+    "box": [[-1.0, 1.0], [0.0, 2.0], [-1.0, 1.0], [0.0, 0.5], [-2.0, 2.0]],
+}
+# At T = 1000 every stage's relaxed rate has fraction 1/2, so 500 x 500 = 250,000 schedules tie;
+# L = 512 keeps every stage rate (12 to 1012) below 1024 bits.
+_TVCOQ_1000 = {**DESIGN, **_TVCOQ, **_ONE, "T": 1000, "L": 512}
+_DESIGN_LP = {**DESIGN, **_LP, "kind": "ticoq-lp", "L": 9}
+_MIMO_TICOQ = dict(MIMO, quantizer="ticoq", L=20, scheme="sequential")
+
+
+class Accepted(NamedTuple):
+    id: str
+    command: str
+    config: dict
+    argv: tuple = ()
+    code: int = 0  # 2: a design outside its closed-form regime
+    check: Optional[Callable[[str], bool]] = None  # of stdout
+
+
+def _relaxed_spends(budget):
+    return lambda out: abs(math.fsum(json.loads(out)["relaxed"]) - budget) <= 1e-9
+
+
+def _tied_alternates(out):
+    """A TVCOQ report's numbers of listed and of all tied alternates."""
+    report = json.loads(out)
+    return len(report["tied_alternates"]), report["tied_alternates_total"]
+
+
+ACCEPTED = [
+    Accepted("design", "design", DESIGN, check=_relaxed_spends(12)),
+    Accepted("design-tvcoq", "design", {**DESIGN, **_TVCOQ}),
+    Accepted("design-tvcoq-L4", "design", {**DESIGN, **_TVCOQ, "L": 4}, code=2),
+    Accepted("design-tvcoq-T1000", "design", _TVCOQ_1000, check=lambda out: _tied_alternates(out) == (64, 250_000)),
+    Accepted("design-lp", "design", _DESIGN_LP, check=_relaxed_spends(9)),
+    Accepted("design-vq", "design", dict(_DESIGN_LP, kind="ticoq-vq"), check=_relaxed_spends(9)),
+    Accepted("design-lp-tvcoq-sq-lp", "design", {**_DESIGN_LP, **_TVCOQ, "mode": "sq-lp"}, code=2),
+    Accepted("design-lp-tvcoq-vq", "design", {**_DESIGN_LP, **_TVCOQ, "mode": "vq"}),
+    # the paths whose repeated steps a run serves from earlier ones, and the uniform split, which
+    # builds a scalar bank from an allocation with no design
+    Accepted("simulate", "simulate", SIM),
+    Accepted("simulate-gauss-seidel", "simulate", dict(SIM, scheme="gauss-seidel")),
+    Accepted("simulate-tvcoq", "simulate", dict(SIM, quantizer="tvcoq")),
+    Accepted("simulate-uniform", "simulate", dict(SIM, quantizer="uniform")),
+    Accepted("simulate-uniform-gauss-seidel", "simulate", dict(SIM, quantizer="uniform", scheme="gauss-seidel")),
+    Accepted("simulate-lp-vq-gauss-seidel", "simulate", {**SIM, **_LP, "design": "vq", "scheme": "gauss-seidel"}),
+    # the flat weighted-max norm and the orbit fill: both runs close orbits
+    Accepted("simulate-n256-gauss-seidel", "simulate",
+             {**SIM, **_N256, "T": 15, "L": 512, "scheme": "gauss-seidel", "seeds": [0, 1]}),
+    Accepted("simulate-mixed-uniform", "simulate", {**SIM, **_MIXED, "T": 20, "quantizer": "uniform"}),
+    # a sequential run projects one block a tick, a simultaneous one both links' stack in one call
+    Accepted("simulate-mimo-ticoq-sequential", "simulate", _MIMO_TICOQ),
+    Accepted("simulate-mimo-tvcoq", "simulate", dict(_MIMO_TICOQ, quantizer="tvcoq", scheme="simultaneous")),
+    Accepted("simulate-mimo-vq-sequential", "simulate", dict(_MIMO_TICOQ, design="vq")),
+    Accepted("simulate-mimo-vq", "simulate", dict(_MIMO_TICOQ, design="vq", scheme="simultaneous")),
+    *(
+        Accepted(f"tradeoff-{sweep}-{fmt}", "tradeoff", doc, ("--format", fmt))
+        for sweep, doc in SWEEPS.items()
+        for fmt in ("csv", "json")
+    ),
+]
+
+# Runs each accepted row's argv in one interpreter, printing one JSON line [id, exit code, stdout] a row.
+_RERUN = """
+import contextlib, io, json, sys
+from qfix.cli import main
+for row_id, argv in json.load(sys.stdin).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    print(json.dumps([row_id, code, out.getvalue()]), flush=True)
+"""
+
+
+@pytest.fixture(scope="session")
+def accepted_runs(tmp_path_factory):
+    """Each accepted row's argv, and its (exit code, stdout) from one fresh interpreter.
+
+    The interpreter starts once, runs the rows in table order while the
+    tests run them in-process, and warns with an error, as tier-1 does.
+    """
+    where = tmp_path_factory.mktemp("accepted")
+    argvs = {row.id: [row.command, "--config", _write(where, f"{row.id}.json", row.config), *row.argv]
+             for row in ACCEPTED}
+    src = str(Path(qfix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with open(where / "stderr.txt", "w") as stderr:
+        child = subprocess.Popen([sys.executable, "-W", "error::RuntimeWarning", "-c", _RERUN], env=env,
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr, text=True)
+    child.stdin.write(json.dumps(argvs))
+    child.stdin.close()
+    done = {}
+
+    def rerun(row_id):
+        while row_id not in done:
+            line = child.stdout.readline()
+            assert line, f"the fresh interpreter stopped:\n{(where / 'stderr.txt').read_text()}"
+            got, code, out = json.loads(line)
+            done[got] = code, out
+        return done[row_id]
+
+    yield argvs, rerun
+    child.kill()
+    child.wait()
+    child.stdout.close()
+
+
+@pytest.mark.parametrize("row", ACCEPTED, ids=[row.id for row in ACCEPTED])
+def test_accepted_config(capsys, accepted_runs, row):
+    argvs, rerun = accepted_runs
+    code = main(argvs[row.id])
+    out = capsys.readouterr().out
+    assert code == row.code
+    assert row.check is None or row.check(out)
+    assert rerun(row.id) == (code, out)
+
+
+class Refused(NamedTuple):
+    id: str
+    command: str
+    config: dict
+    argv: tuple
+    field: str
+    message: str  # how the message after "<field>: " starts; one that ends in a newline is all of it
+
+
+def _choice_row(row_id, command, config, field, options):
+    return Refused(row_id, command, config, (), field, f'expected {options}, got "bogus"\n')
+
+
+_STAGE_DISCOUNTS = "horizon 1100 at alpha = 0.5: the stage discounts alpha^-t overflow float64\n"
+_RATE_1100 = "rate must be a nonnegative integer below 1024, got 1100\n"
+_CONSTANTS = "all design constants must be positive and finite\n"
+_LP_NORM = {"blocks": [2], "w": [1.0], "per_block": [{"kind": "lp", "p": 2.0}]}
+
+# A test name and the refusals it runs, one parametrized test per name.
+REFUSED = {
+    "test_refused_config": [
+        Refused("design-tvcoq-T1000-L1000", "design", dict(_TVCOQ_1000, L=1000), (), "tvcoq",
+                "stage 523 of T = 1000 at L = 1000, with L(t) = 1024 bits: "
+                "rate must be a nonnegative integer below 1024, got 1024\n"),
+        # {} as an interval ended in a KeyError traceback; three numbers were cut to two
+        Refused("design-box-not-a-pair", "design", dict(DESIGN, box=[[-1.0, 1.0], {}, [-2.0, 2.0]]), (), "box",
+                "interval 1 is not a [lo, hi] pair: {}\n"),
+        Refused("design-box-three-numbers", "design", dict(DESIGN, box=[[-1.0, 1.0], [0.0, 4.0, 9.0], [-2.0, 2.0]]),
+                (), "box", "interval 1 is not a [lo, hi] pair: [0.0, 4.0, 9.0]\n"),
+        # a 1e-320 weight printed NaN rates and an Infinity objective with exit 0; a 1e308 block
+        # weight warned of an overflow before its refusal
+        Refused("design-subnormal-weight", "design", dict(DESIGN, norm=dict(DESIGN["norm"], per_block=[
+            {"kind": "wmax", "a": [1.0, 0.5]}, {"kind": "wmax", "a": [1e-320]}])), (), "ticoq-wmax", _CONSTANTS),
+        Refused("design-huge-block-weight", "design", dict(DESIGN, norm=dict(DESIGN["norm"], w=[1.0, 1e308])), (),
+                "ticoq-wmax", _CONSTANTS),
+        # L = 3,300 gave rates of [1150, 1075, 1075] with exit 0, and L = 2^70 did not finish; a
+        # coordinate set 997 bits ahead by its constant took 1,075 bits at L = 3,000, where
+        # 2^-1075 underflows and every further bit ties
+        Refused("design-L3300", "design", dict(DESIGN, L=3300), (), "ticoq-wmax", _RATE_1100),
+        Refused("design-L2^70", "design", dict(DESIGN, L=2**70), (), "ticoq-wmax",
+                "rate must be a nonnegative integer below 1024, got 393530540239137101142\n"),
+        Refused("design-L3000-underflow", "design", dict(DESIGN, L=3000, norm=dict(DESIGN["norm"], per_block=[
+            {"kind": "wmax", "a": [1e-300, 0.5]}, {"kind": "wmax", "a": [1.0]}])), (), "ticoq-wmax",
+                "rate must be a nonnegative integer below 1024, got 1075\n"),
+        # a game that is not certifiably contractive exited 2 before its design was read
+        _choice_row("simulate-mimo-design-uncertified-game", "simulate", {
+            **_MIMO_TICOQ, "design": "bogus", "game": dict(MIMO["game"], distances=[[100.0, 10.0], [10.0, 100.0]]),
+        }, "design", '"sq-wmax" | "sq-lp" | "vq"'),
     ],
-    ids=["design-kind", "design-mode", "simulate-system", "simulate-quantizer", "simulate-scheme",
-         "simulate-mimo-scheme", "simulate-design", "tradeoff-system", "tradeoff-sweep", "tradeoff-quantizer",
-         "tradeoff-design"],
-)
-def test_a_choice_field_refuses_an_unknown_value_listing_every_option(tmp_path, capsys, command, doc, key, options):
-    assert main([command, "--config", _write(tmp_path, "cfg.json", doc)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f'config error: {key}: expected {options}, got "bogus"\n'
+    "test_a_choice_field_refuses_an_unknown_value_listing_every_option": [
+        _choice_row(*row) for row in [
+            ("design-kind", "design", _design_doc(kind="bogus"), "kind",
+             '"ticoq-wmax" | "ticoq-lp" | "ticoq-vq" | "tvcoq"'),
+            ("design-mode", "design", _design_doc(kind="tvcoq", alpha=0.5, T=5, mode="bogus"), "mode",
+             '"sq-wmax" | "sq-lp" | "vq"'),
+            ("simulate-system", "simulate", _simulate_doc(system="bogus"), "system", '"synthetic" | "mimo"'),
+            ("simulate-quantizer", "simulate", _simulate_doc(quantizer="bogus"), "quantizer",
+             '"none" | "uniform" | "ticoq" | "tvcoq"'),
+            ("simulate-scheme", "simulate", _simulate_doc(scheme="bogus"), "scheme", '"jacobi" | "gauss-seidel"'),
+            ("simulate-mimo-scheme", "simulate", dict(MIMO, scheme="bogus"), "scheme",
+             '"simultaneous" | "sequential"'),
+            ("simulate-design", "simulate", _simulate_doc(design="bogus"), "design", '"sq-wmax" | "sq-lp" | "vq"'),
+            ("tradeoff-system", "tradeoff", _tradeoff_doc(system="bogus"), "system", '"synthetic"'),
+            ("tradeoff-sweep", "tradeoff", _tradeoff_doc(sweep="bogus"), "sweep", '"L" | "T"'),
+            ("tradeoff-quantizer", "tradeoff", _tradeoff_doc(quantizer="bogus"), "quantizer",
+             '"uniform" | "ticoq" | "tvcoq"'),
+            ("tradeoff-design", "tradeoff", _tradeoff_doc(design="bogus"), "design", '"sq-wmax" | "sq-lp" | "vq"'),
+        ]
+    ],
+    "test_norm_and_box_records_refuse_what_no_design_can_use": [
+        # a fractional block size was cut to an integer, and the design exited 0
+        Refused("design-doc0-norm: block sizes must be positive integers", "design",
+                _design_doc(norm=dict(_wmax_norm(), blocks=[1.5, 1])), (), "norm",
+                "block sizes must be positive integers"),
+        # a NaN weight printed NaN and Infinity in a design, and a simulation ended in a traceback
+        Refused("design-doc1-norm: block weights must be positive and finite", "design",
+                _design_doc(norm=dict(_wmax_norm(), w=[math.nan, 1.0])), (), "norm",
+                "block weights must be positive and finite"),
+        Refused("simulate-doc2-norm: block weights must be positive and finite", "simulate",
+                _simulate_doc(norm=dict(_wmax_norm(), w=[math.nan, 1.0])), (), "norm",
+                "block weights must be positive and finite"),
+        Refused("design-doc3-norm: weighted-max weights must be positive and finite", "design",
+                _design_doc(norm={**_wmax_norm(1), "per_block": [{"kind": "wmax", "a": [math.inf]}]},
+                            box=[[0.0, 1.0]]), (), "norm", "weighted-max weights must be positive and finite"),
+        # an infinite endpoint ended an unquantized simulation in a traceback, and an L_p design
+        # exited 0 with runtime warnings
+        Refused("simulate-doc4-box: interval 0 has an infinite endpoint", "simulate",
+                _simulate_doc(quantizer="none", box=[[-1.0, math.inf], [-1.0, 1.0]]), (), "box",
+                "interval 0 has an infinite endpoint"),
+        Refused("design-doc5-box: interval 1 has an infinite endpoint", "design",
+                _design_doc(kind="ticoq-lp", norm=_LP_NORM, box=[[0.0, 1.0], [0.0, math.inf]]), (), "box",
+                "interval 1 has an infinite endpoint"),
+    ],
+    # 1,100 bits on one coordinate: a config error, not an OverflowError from 2 ** 1100
+    "test_simulate_refuses_a_rate_of_1024_bits_or_more": [
+        Refused(q, "simulate", _simulate_doc(quantizer=q, L=1100, **_ONE), (), "quantizer", _RATE_1100)
+        for q in ("ticoq", "uniform")
+    ],
+    # at T = 1100 and alpha = 0.5, alpha^-(T-1) overflowed: an objective of NaN, then a traceback
+    "test_tvcoq_refuses_a_horizon_whose_discounts_overflow": [
+        Refused("simulate", "simulate", _simulate_doc(quantizer="tvcoq", alpha=0.5, T=1100, seeds=[0]), (),
+                "quantizer", _STAGE_DISCOUNTS),
+        Refused("design", "design", _design_doc(kind="tvcoq", alpha=0.5, T=1100, mode="sq-wmax"), (), "tvcoq",
+                _STAGE_DISCOUNTS),
+    ],
+    "test_empty_seed_list_exit_one": [
+        Refused(f"{seeds}-{command}", command, doc, ("--seed-list", seeds), "--seed-list", "")
+        for command, doc in (("simulate", _simulate_doc()), ("tradeoff", _tradeoff_doc()))
+        for seeds in (",", " , ")
+    ],
+    "test_bad_alpha_exit_one": [
+        Refused(f"{alpha}-{command}", command, doc(alpha=alpha), (), "alpha", "")
+        for command, doc in (("simulate", _simulate_doc), ("tradeoff", _tradeoff_doc))
+        for alpha in (1.5, 1.0, -0.1, True, "0.5")
+    ],
+    "test_simulate_mimo_refuses_a_non_finite_or_non_integral_game": [
+        Refused(row_id, "simulate", dict(MIMO, game={**MIMO["game"], **over}), (), "game", message)
+        for row_id, over, message in [
+            # gamma = NaN ended in an SVD failure, Infinity in an ill-conditioned direct channel
+            ("gamma-nan", {"gamma": math.nan}, "pathloss exponent must be positive and finite, got nan"),
+            ("gamma-inf", {"gamma": math.inf}, "pathloss exponent must be positive and finite, got inf"),
+            # an infinite budget ended in "non-finite entries" from the first profile
+            ("power-inf", {"power_dbm": math.inf}, "budgets must be finite dBm values"),
+            ("noise-inf", {"noise": math.inf}, "noise power must be positive and finite, got inf"),
+            ("antennas-2.7", {"N": 2.7}, "num_antennas must be an integer >= 1, got 2.7"),
+            # 10,000 dBm ended in an OverflowError, a gain d^-gamma of inf in a failed SVD and one
+            # of 0 in an ill-conditioned direct channel
+            ("power-10000", {"power_dbm": 10000.0}, "budgets must have finite watts"),
+            ("distance-1e-200", {"distances": [[1e-200, 200.0], [500.0, 100.0]]},
+             "pathloss gains d^-gamma must be positive"),
+            ("distance-1e200", {"distances": [[1e200, 200.0], [500.0, 100.0]]},
+             "pathloss gains d^-gamma must be positive"),
+        ]
+    ],
+    "test_simulate_bad_x0_names_the_field": [
+        Refused(f"x0{i}", "simulate", _simulate_doc(x0=x0), (), "x0", "")
+        for i, x0 in enumerate([[2.0, 0.0], [math.nan, 0.0], [0.0, math.inf]])
+    ],
+    "test_simulate_rejects_a_non_integer_seed": [
+        Refused(str(seed), "simulate", _synthetic_sim_doc(seed=seed), (), "seed", "") for seed in ("abc", 1.7, True)
+    ],
+}
+
+
+def _refusal_test(rows):
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(tmp_path, capsys, row):
+        argv = [row.command, "--config", _write(tmp_path, "cfg.json", row.config), *row.argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: {row.field}: {row.message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    return test
+
+
+for _name, _rows in REFUSED.items():
+    globals()[_name] = _refusal_test(_rows)

@@ -178,6 +178,13 @@ def test_box_domain_refuses_infinite_endpoints(interval):
         BoxDomain([(0.0, 1.0), interval])
 
 
+@pytest.mark.parametrize("interval", [{}, (0.0, 4.0, 9.0), (1.0,), 5.0])
+def test_box_domain_refuses_an_interval_that_is_not_a_pair(interval):
+    """{} once ended in a KeyError traceback, and a third number was dropped without a word."""
+    with pytest.raises(ValueError, match="interval 1 is not a \\[lo, hi\\] pair"):
+        BoxDomain([(0.0, 1.0), interval])
+
+
 def test_block_norm_is_a_norm():
     rng = np.random.default_rng(3)
     part = BlockPartition([2, 3])

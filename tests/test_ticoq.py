@@ -500,6 +500,8 @@ def test_tradeoff_value_matches_solver_above_threshold():
         (("sq-lp", (1.0, 2.0), (1, 1)), {"p": 0.5, "blocks": (2,)}, "sq-lp constants need p >= 1"),
         # blocks of 5 coordinates over 2 constants once failed later with a numpy broadcast error
         (("sq-lp", (1.0, 2.0), (1, 1)), {"p": 2.0, "blocks": (5,)}, "sq-lp constants need p >= 1"),
+        # a 1e-320 weighted-max weight once gave an infinite constant, then NaN rates
+        (("sq-wmax", (1.0, math.inf), (1, 1)), {}, "all design constants must be positive and finite"),
     ],
 )
 def test_design_constants_refuse_inconsistent_records(args, kwargs, message):
@@ -615,6 +617,25 @@ def test_banks_refuse_a_non_integer_rate():
         make_vq_bank(part, box, [1.5, 2])
     # integral float rates are their ints
     assert [q.bits for q in make_vq_bank(part, box, [1.0, 2.0]).blocks] == [1, 2]
+
+
+@pytest.mark.parametrize("mode, total, got", [("sq-wmax", 4093, 1024), ("sq-lp", 2**70, 2**68), ("vq", 2047, 1024)])
+def test_designs_refuse_a_budget_whose_even_split_no_bank_takes(mode, total, got):
+    """Some entry of a budget above 1,023 bits an entry gets 1,024 or more; 2^70 bits never finished."""
+    part = BlockPartition([2, 2])
+    spec = NormSpec([1.0, 1.0], [WeightedMax([1.0, 1.0])] * 2 if mode == "sq-wmax" else [Lp(2.0)] * 2)
+    with pytest.raises(ValueError, match=f"below 1024, got {got}$"):
+        ticoq_design(part, spec, BoxDomain([(0.0, 1.0)] * 4), total, mode)
+
+
+def test_a_design_refuses_the_rates_its_walk_gives_past_1023_bits():
+    """A constant 2^997 ahead takes 1,075 bits at L = 3,000, where 2^-1075 underflows and bits tie."""
+    part = BlockPartition([1, 1, 1])
+    spec = NormSpec([1.0] * 3, [WeightedMax([2.0**-997]), WeightedMax([1.0]), WeightedMax([1.0])])
+    box = BoxDomain([(0.0, 1.0)] * 3)
+    with pytest.raises(ValueError, match="below 1024, got 1075$"):
+        ticoq_design(part, spec, box, 3000, "sq-wmax")
+    assert ticoq_design(part, spec, box, 1000, "sq-wmax").bits == (998, 1, 1)
 
 
 def test_sq_bank_error_matches_design_value():
