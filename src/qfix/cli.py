@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -68,6 +69,17 @@ def _need_int(cfg: dict, key: str, minimum: int = 0) -> int:
     if isinstance(val, bool) or val < minimum:
         raise ConfigError(f"{key}: expected an integer >= {minimum}, got {val!r}")
     return int(val)
+
+
+def _check_horizon(key: str, steps: int, width: int) -> None:
+    """Refuse `steps` before anything is allocated when a run's iterates and errors, 2 (steps + 1)
+    rows of `width` float64s, exceed the host's memory (or numpy's largest array)."""
+    memory = np.iinfo(np.intp).max
+    with contextlib.suppress(AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        memory = min(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), memory)
+    if 16 * (steps + 1) * width > memory:
+        raise ConfigError(f"{key}: a run of {steps} steps keeps {16 * (steps + 1) * width} bytes of "
+                          f"iterates and errors, more than this host's {memory} bytes of memory")
 
 
 def _choice(cfg: dict, key: str, options: tuple, default=_REQUIRED):
@@ -150,6 +162,8 @@ def _design_report(cfg: dict) -> tuple[dict, int]:
         alpha = _need(cfg, "alpha", (int, float), "a number in (0, 1)")
         horizon = _need_int(cfg, "T", minimum=1)
         mode = _choice(cfg, "mode", _DESIGN_MODES)
+        with _refusal("L"):
+            tvcoq.horizon_total(total_bits, horizon)
         with _refusal("tvcoq"):
             schedule = tvcoq.tvcoq_design(part, spec, box, total_bits, horizon, float(alpha), mode)
         report = schedule.as_dict()
@@ -222,6 +236,7 @@ def _banks_for(
 def _simulate_synthetic(cfg: dict, strategy: str, total_bits: int, steps: int):
     """Column names and the per-seed run of a synthetic simulation."""
     part, spec, box, alpha, x0 = _synthetic(cfg)
+    _check_horizon("T", steps, part.n)
     scheme = _SCHEMES[_choice(cfg, "scheme", tuple(_SCHEMES), "jacobi")]
     mode = _design_mode(cfg, strategy, spec.per_block[0])
     if strategy == "tvcoq" and not (0.0 < alpha < 1.0):
@@ -255,9 +270,9 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
         raise ConfigError("scheme: per-stage schedules require the simultaneous scheme")
     mode = _design_mode(cfg, strategy, norms.Lp(2.0))  # a game's blocks carry Frobenius (L2) norms
 
-    def run_seed(seed: int):
+    def make_game(seed: int) -> mimo.GameConfig:
         with _refusal("game", KeyError, ValueError, TypeError):
-            game = mimo.GameConfig(
+            return mimo.GameConfig(
                 num_links=game_obj["K"],
                 num_antennas=game_obj["N"],
                 distances=game_obj["distances"],
@@ -266,6 +281,12 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
                 noise_power=game_obj.get("noise"),
                 seed=seed,
             )
+
+    first = make_game(0)  # every seed's game has this one's size
+    _check_horizon("T", steps, first.num_links * first.num_antennas**2)
+
+    def run_seed(seed: int):
+        game = make_game(seed)
         channels = mimo.ChannelSet.generate(game)
         estimate = mimo.estimate_modulus(channels, rng=seed)
         if not estimate.certified:
@@ -277,21 +298,13 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
             return None
         alpha = estimate.alpha_hat
 
-        part = mimo.game_partition(game)
-        spec = mimo.game_norm_spec(game)
-        box = mimo.game_box(game)
+        part, spec, box = mimo.game_partition(game), mimo.game_norm_spec(game), mimo.game_box(game)
         with _refusal("quantizer"):
             banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
 
         reference = mimo.nash_reference(channels, alpha)
-        result = mimo.iwfa_run(
-            channels,
-            quantizers=banks,
-            mode=run_mode,
-            steps=steps,
-            modulus=alpha,
-            reference=reference,
-        )
+        result = mimo.iwfa_run(channels, quantizers=banks, mode=run_mode, steps=steps, modulus=alpha,
+                               reference=reference)
         cert = engine.bound_certificate(result.trajectory, result.mapping, reference)
         return (result.throughputs, cert.dist, cert.bound), cert.ok
 
@@ -381,6 +394,7 @@ def _cmd_tradeoff(args) -> int:
     seeds = _seed_list(args, cfg)
     mode = _design_mode(cfg, strategy, spec.per_block[0])
     fixed = _need_int(cfg, "T", minimum=1) if sweep == "L" else _need_int(cfg, "L")
+    _check_horizon(*(("T", fixed) if sweep == "L" else ("values", max(values))), part.n)
     # A seed's map does not depend on the swept value, so each is built once.
     maps = [engine.random_affine_contraction(part, spec, box, alpha, rng=s) for s in seeds]
 

@@ -23,10 +23,10 @@ def conj_t(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
-def _require_pd(lam: np.ndarray) -> None:
-    # ||A||_F is the 2-norm of the eigenvalues; hypot scales, so it does not underflow.
+def _require_pd(lam: np.ndarray, scale=1.0) -> None:
+    # ||A||_F is the 2-norm of the eigenvalues (hypot does not underflow); `scale` lowers the floor.
     low = lam[..., 0]
-    bad = low <= _PD_REL_FLOOR * np.hypot.reduce(lam, axis=-1)
+    bad = low <= _PD_REL_FLOOR * scale * np.hypot.reduce(lam, axis=-1)
     if bad.any():
         raise ValueError(f"matrix not positive definite (min eigenvalue {low[bad].min():.3e})")
 

@@ -29,7 +29,7 @@ from .engine import (
     reference_fixed_point,
     run_iteration,
 )
-from .linalg import conj_t, herm_eig, logdet_psd, psd_solve
+from .linalg import _require_pd, conj_t, herm_eig, logdet_psd, psd_solve
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _Frozen, _water_level, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -166,6 +166,16 @@ class ChannelSet(_Frozen):
         return frozenset(np.flatnonzero(self.direct_cond > _COND_GUARD).tolist())
 
     @cached_property
+    def direct_inverses(self) -> tuple:
+        """(H_kk^-1, H_kk^-H) per link, built once apart from `operands` (an ill-conditioned H_kk's are
+        NaN), so a set with one still serves interference sums and its other links."""
+        D = self.h[range(self.game.num_links), range(self.game.num_links)]
+        inv = np.full_like(D, np.nan)
+        ok = np.flatnonzero(self.direct_cond <= _COND_GUARD)
+        inv[ok] = np.linalg.inv(D[ok])
+        return inv, conj_t(inv)
+
+    @cached_property
     def operands(self) -> tuple:
         """(tx, H_jk, H_jk^H, H_kk, H_kk^H, noise_power * I); tx[k]: rx k's other txs, ascending."""
         K = self.game.num_links
@@ -244,16 +254,17 @@ def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np
 
 
 def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
-    """(..., L, N, N) best responses of the links in `links`."""
+    """(..., L, N, N) best responses of the links in `links`, from one eigendecomposition of
+    G_k = H_kk^-1 R_{-k} H_kk^-H.  As ||G|| <= ||H^-1||^2 ||R|| and min eig G >= min eig R / ||H||^2,
+    an R_{-k} above the positive-definite floor gives a G_k above it over cond(H_kk)^2."""
     if channels.ill_conditioned:  # empty for most games, which then build no link range
         ill = channels.ill_conditioned.intersection(range(channels.game.num_links)[links])
         if ill:
             raise ValueError(f"direct channel of link {min(ill)} is ill-conditioned")
-    lam, U = herm_eig(_effective_channels(channels, P, links))
-    if lam[..., 0].min() <= 0:
-        k = range(channels.game.num_links)[links][np.nonzero(lam[..., 0] <= 0)[-1][0]]
-        raise ValueError(f"link {k} effective channel is singular")
-    powers = project_simplex(-1.0 / lam, channels.game.budgets[links])
+    inv, inv_h = channels.direct_inverses
+    g, U = herm_eig(inv[links] @ _interference(channels, P, links) @ inv_h[links])
+    _require_pd(g, channels.direct_cond[links] ** -2.0)
+    powers = project_simplex(-g, channels.game.budgets[links])
     Q = (U * powers[..., None, :]) @ conj_t(U)
     return 0.5 * (Q + conj_t(Q))
 
@@ -298,9 +309,10 @@ def project_simplex(v: np.ndarray, budget) -> np.ndarray:
 def waterfill(channels: ChannelSet, profile, k: int) -> np.ndarray:
     """Rate-optimal covariance for link k against the rest of the profile.
 
-    Diagonalizes M = H_kk^H R_{-k}^{-1} H_kk and projects the eigenvalues
-    of -M^{-1} onto the trace simplex; the projection shares M's
-    eigenbasis, which turns the matrix projection into a vector one.
+    Diagonalizes G = H_kk^-1 R_{-k} H_kk^-H = M^-1, the inverse of the
+    whitened channel M = H_kk^H R_{-k}^-1 H_kk, and projects the eigenvalues
+    of -G onto the trace simplex; the projection shares G's eigenbasis,
+    which turns the matrix projection into a vector one.
     """
     return _waterfill(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
 

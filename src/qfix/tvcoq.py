@@ -111,6 +111,15 @@ def _validate_master_args(alpha: float, n: int, per_stage_budget: int, horizon: 
         raise ValueError(f"per-stage budget must be a nonnegative integer, got {per_stage_budget}")
 
 
+def horizon_total(per_stage_budget: int, horizon: int) -> int:
+    """T * L; ValueError past 2^53, the last total whose float64 floors and sums are exact."""
+    total = int(per_stage_budget) * int(horizon)
+    if total > 2**53:
+        raise ValueError(f"horizon total T * L = {horizon} * {per_stage_budget} = {total} bits is past 2^53, "
+                         "where the stage split's float64 rates stop being exact integers")
+    return total
+
+
 def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
     """Clear fractional parts within _SNAP_TOL of an integer."""
     rounded = np.round(relaxed)
@@ -184,7 +193,7 @@ def tvcoq_master(
     if not l_prime >= 0:
         raise ValueError(f"threshold must be nonnegative, got {l_prime}")
     L, T = int(per_stage_budget), int(horizon)
-    total = T * L
+    total = horizon_total(L, T)
     slope = -n * math.log2(alpha)  # > 0: later stages get more bits
     required = l_prime + slope * (T - 1) / 2.0
     in_regime = L >= required - 1e-9

@@ -652,6 +652,20 @@ REFUSED = {
         Refused("design-L3000-underflow", "design", dict(DESIGN, L=3000, norm=dict(DESIGN["norm"], per_block=[
             {"kind": "wmax", "a": [1e-300, 0.5]}, {"kind": "wmax", "a": [1.0]}])), (), "ticoq-wmax",
                 "rate must be a nonnegative integer below 1024, got 1075\n"),
+        # T = 2^70 ended in numpy's "Maximum allowed dimension exceeded" traceback, on either
+        # system and in both sweeps; a run keeps 16 (T + 1) n bytes of iterates and errors
+        Refused("simulate-T2^70", "simulate", dict(SIM, T=2**70), (), "T",
+                f"a run of {2**70} steps keeps {16 * (2**70 + 1) * 2} bytes of iterates and errors, "
+                "more than this host's "),
+        Refused("simulate-mimo-T2^70", "simulate", dict(MIMO, T=2**70), (), "T",
+                f"a run of {2**70} steps keeps {16 * (2**70 + 1) * 8} bytes of iterates and errors, "),
+        Refused("tradeoff-L-T2^70", "tradeoff", dict(SWEEPS["L"], T=2**70), (), "T", f"a run of {2**70} steps "),
+        Refused("tradeoff-T-2^70", "tradeoff", dict(SWEEPS["T"], values=[5, 2**70]), (), "values",
+                f"a run of {2**70} steps "),
+        # L = 2^70 at T = 5 ended in a RuntimeWarning from the master split's int cast
+        Refused("design-tvcoq-L2^70", "design", {**DESIGN, **_TVCOQ, "L": 2**70}, (), "L",
+                f"horizon total T * L = 5 * {2**70} = {5 * 2**70} bits is past 2^53, "
+                "where the stage split's float64 rates stop being exact integers\n"),
         # a game that is not certifiably contractive exited 2 before its design was read
         _choice_row("simulate-mimo-design-uncertified-game", "simulate", {
             **_MIMO_TICOQ, "design": "bogus", "game": dict(MIMO["game"], distances=[[100.0, 10.0], [10.0, 100.0]]),

@@ -317,6 +317,19 @@ def test_master_refuses_a_horizon_whose_discounts_overflow(alpha, first):
     assert 0 < tvcoq_master(alpha, 1, 0, first - 1).objective_value < math.inf
 
 
+def test_master_refuses_a_horizon_total_past_2_to_the_53():
+    """At T = 5 and L = 2^70 the split's floors overflowed the int cast, a RuntimeWarning. Every
+    integer up to 2^53 is a float64, so the split rounds a total of 2^53 bits exactly."""
+    part, spec, box = _wmax_problem()
+    for L, horizon in ((2**70, 5), (2**52 + 1, 2), (2**53 + 1, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"horizon total T * L = {horizon} * {L} = ")):
+            tvcoq_master(0.5, 3, L, horizon)
+        with pytest.raises(ValueError, match="is past 2\\^53, where the stage split's float64 rates"):
+            tvcoq_design(part, spec, box, L, horizon, 0.5, "sq-wmax")
+    sched = tvcoq_master(0.5, 1, 2**52, 2)
+    assert sched.rates == (2**52, 2**52) and sched.in_regime
+
+
 def test_json_export_round_trip_fields():
     sched = tvcoq_master(0.5, 1, 3, 2)
     doc = sched.as_dict()
