@@ -160,6 +160,8 @@ def _design_report(cfg: dict) -> tuple[dict, int]:
 
     if kind == "tvcoq":
         alpha = _need(cfg, "alpha", (int, float), "a number in (0, 1)")
+        if not (0.0 < alpha < 1.0):  # refuses True and False too
+            raise ConfigError(f"alpha: expected a number in (0, 1), got {alpha!r}")
         horizon = _need_int(cfg, "T", minimum=1)
         mode = _choice(cfg, "mode", _DESIGN_MODES)
         with _refusal("L"):

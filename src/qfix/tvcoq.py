@@ -7,10 +7,10 @@ T*L bits across the T stages to minimize the horizon-end error bound
 
     sum_t alpha^(-t) 2^(-L(t)/n),
 
-whose relaxed solution is linear in t — later stages earn more bits at
-a slope set by the contraction modulus.  Every stage rate L(t) then
-reads its time-invariant design off one rate frontier walked to the
-largest stage rate.
+whose relaxed solution is linear in t on the stages it funds — later
+stages earn more bits at a slope set by the contraction modulus — and 0
+before them.  Every stage rate L(t) then reads its time-invariant design
+off one rate frontier walked to the largest stage rate.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from .engine import accumulated_error
 from .norms import BlockPartition, BoxDomain, NormSpec
-from .ticoq import _max_term_order, bank_for_allocation, ticoq_frontier, tradeoff_threshold
+from .squant import _rate
+from .ticoq import bank_for_allocation, ticoq_frontier, tradeoff_threshold
 
-_SNAP_TOL = 1e-9
 _TIED_LISTED = 64  # tied alternates a schedule lists; it counts them all
 
 
@@ -120,35 +120,27 @@ def horizon_total(per_stage_budget: int, horizon: int) -> int:
     return total
 
 
-def _snap_integers(relaxed: np.ndarray) -> np.ndarray:
-    """Clear fractional parts within _SNAP_TOL of an integer."""
-    rounded = np.round(relaxed)
-    return np.maximum(np.where(np.abs(relaxed - rounded) <= _SNAP_TOL, rounded, relaxed), 0.0)
-
-
-def _round_by_fractions(
-    relaxed: np.ndarray, budget: int, rank_weight: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _round_by_fractions(relaxed: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Floor everywhere, then ceil the entries with the largest fractional parts.
 
-    The number of ceils is fixed by the budget (sum of fractional parts is
-    an integer in exact arithmetic); ties at the cutoff prefer the entry
-    with the larger rank weight, then the lower index.  Returns the integer
-    allocation and the indices that were ceiled, in ceiling order.
+    Fractional parts within 1e-9 of an integer are cleared first.  The
+    number of ceils is fixed by the budget (sum of fractional parts is an
+    integer in exact arithmetic); ties at the cutoff prefer the entry with
+    the larger rate (the later stage), then the lower index.  Returns the
+    integer allocation, the fractional parts and the indices that were
+    ceiled, in ceiling order.
     """
-    snapped = _snap_integers(relaxed)
+    rounded = np.round(relaxed)
+    snapped = np.maximum(np.where(np.abs(relaxed - rounded) <= 1e-9, rounded, relaxed), 0.0)
     floors = np.floor(snapped)
     fracs = snapped - floors
     extra = budget - int(np.round(float(np.sum(floors))))
     if extra < 0 or extra > relaxed.size:
         raise ValueError("relaxed solution violates the rate budget after snapping")
-    order = sorted(
-        range(relaxed.size), key=lambda m: (-fracs[m], -rank_weight[m], m)
-    )
-    ceiled = np.array(order[:extra], dtype=int)
+    ceiled = np.lexsort((-snapped, -fracs))[:extra]  # a stable sort: the lower index on full ties
     bits = floors.astype(int)
     bits[ceiled] += 1
-    return bits, ceiled
+    return bits, fracs, ceiled
 
 
 def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> tuple[list[tuple], int]:
@@ -162,14 +154,21 @@ def _tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray) -> tupl
     floored = np.ones(bits.size, dtype=bool)
     floored[ceiled] = False
     floored = np.flatnonzero(floored)
-    tied = np.abs(fracs[ceiled][:, None] - fracs[floored]) <= 1e-12
+    floored = floored[np.argsort(fracs[floored], kind="stable")]
+    # Candidates within 2e-12 in sorted order hold every tie, so the work grows with the ties, not T^2.
+    lo = np.searchsorted(fracs[floored], fracs[ceiled] - 2e-12)
+    width = np.searchsorted(fracs[floored], fracs[ceiled] + 2e-12, "right") - lo
+    rank = np.repeat(np.arange(ceiled.size), width)  # each candidate's i, in ceiling order
+    j = floored[np.arange(rank.size) + np.repeat(lo + width - np.cumsum(width), width)]
+    tied = np.abs(fracs[ceiled[rank]] - fracs[j]) <= 1e-12
+    rank, j = rank[tied], j[tied]
     alternates = []
-    for i, j in np.argwhere(tied)[:_TIED_LISTED]:
+    for k in np.lexsort((j, rank))[:_TIED_LISTED]:
         alt = bits.copy()
-        alt[ceiled[i]] -= 1
-        alt[floored[j]] += 1
+        alt[ceiled[rank[k]]] -= 1
+        alt[j[k]] += 1
         alternates.append(tuple(int(b) for b in alt))
-    return alternates, int(tied.sum())
+    return alternates, int(rank.size)
 
 
 def tvcoq_master(
@@ -181,13 +180,14 @@ def tvcoq_master(
 ) -> StageSchedule:
     """Split horizon*L bits across stages to minimize the horizon-end bound.
 
-    Inside the validity regime (budget large enough that even stage 0's
-    relaxed rate clears l_prime) the relaxed solution is the closed form
-    L(t) = L + n log2(alpha) ((horizon-1)/2 - t) and fractional-part
-    rounding of it is integer-optimal.  Outside the regime the split is
-    flagged and made by marginal analysis: each bit goes to the stage of
-    largest alpha^(-t) 2^(-L(t)/n), whose next bit saves the most, which is
-    exact for this separable convex objective.
+    The relaxed optimum is water-filling with a floor at zero.  With slope
+    s = -n log2(alpha) it funds the last m stages at
+    T L / m + s (t - (2T - m - 1) / 2), m the largest count whose first
+    funded stage is nonnegative, and gives earlier stages 0.  In the regime
+    (stage 0's relaxed rate clears l_prime) m = T: the paper's closed form
+    L + n log2(alpha) ((T-1)/2 - t), bit for bit.  The integer optimum is
+    ceil(s t - tau)^+ for a level tau within a bit of the relaxed one, so
+    fractional-part rounding is exact in both regimes.
     """
     _validate_master_args(alpha, n, per_stage_budget, horizon)
     if not l_prime >= 0:
@@ -198,22 +198,13 @@ def tvcoq_master(
     required = l_prime + slope * (T - 1) / 2.0
     in_regime = L >= required - 1e-9
 
-    t_idx = np.arange(T, dtype=float)
-    relaxed = L + n * math.log2(alpha) * ((T - 1) / 2.0 - t_idx)
-    objective = master_objective(alpha, n)
+    t_idx = np.arange(T, dtype=float)  # m = t + 1 stages fit if T L / m >= s (m - 1) / 2, as in_regime
+    m = int(np.count_nonzero(total / (t_idx + 1) >= slope * t_idx / 2.0 - 1e-9))
+    relaxed = np.where(t_idx >= T - m, total / m + slope * (t_idx - (2 * T - m - 1) / 2.0), 0.0)
+    bits, fracs, ceiled = _round_by_fractions(relaxed, total)
+    alternates, tied_total = _tied_swaps(bits, fracs, ceiled)
 
-    alternates, tied_total = [], 0
-    if in_regime:
-        # Ties at the cutoff prefer the larger snapped rate (the later
-        # stage), which keeps the schedule lexicographically smallest.
-        snapped = _snap_integers(relaxed)
-        bits, ceiled = _round_by_fractions(relaxed, total, snapped)
-        alternates, tied_total = _tied_swaps(bits, snapped - np.floor(snapped), ceiled)
-    else:
-        order = _max_term_order(alpha ** (-t_idx), np.full(T, float(n)), total)
-        bits = np.bincount(order, minlength=T)
-
-    value = float(objective(bits)[0])
+    value = float(master_objective(alpha, n)(bits)[0])
     return StageSchedule(
         alpha=alpha,
         n=n,
@@ -246,17 +237,22 @@ def tvcoq_design(
     eta * 2^(-L(t)/n) law whenever the budget allows.  One frontier walked
     to the largest stage rate yields every stage's design, since each prefix
     of the walk is its own budget's design.  Stages with equal rates share
-    one allocation and one bank; a bank's refusal (a coordinate rate of
-    1024 bits or more) names the first stage with that rate.
+    one allocation and one bank.  A stage rate whose even split puts 1024
+    bits or more on an entry is left out of the walk and refused, as is a
+    rate a bank refuses; either refusal names the first stage with its rate.
     """
-    l_prime = tradeoff_threshold(ticoq_frontier(part, spec, box, 0, mode).family)
-    schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=l_prime)
-    frontier = ticoq_frontier(part, spec, box, max(schedule.rates), mode)
-    allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(schedule.rates)}
+    family = ticoq_frontier(part, spec, box, 0, mode).family
+    schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=tradeoff_threshold(family))
+    entries = len(family.const)
+    walked = [L_t for L_t in schedule.rates if L_t <= 1023 * entries]  # even splits below 1024 bits an entry
+    frontier = ticoq_frontier(part, spec, box, max(walked, default=0), mode)
+    allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(walked)}
     banks = {}
     for t, L_t in enumerate(schedule.rates):
         if L_t not in banks:
             try:
+                if L_t not in allocs:  # left out of the walk: its even split fails the cap
+                    _rate(-(-L_t // entries))
                 banks[L_t] = bank_for_allocation(part, box, allocs[L_t])
             except ValueError as e:
                 T, L = schedule.horizon, schedule.per_stage_budget

@@ -523,7 +523,9 @@ def _tied_alternates(out):
 ACCEPTED = [
     Accepted("design", "design", DESIGN, check=_relaxed_spends(12)),
     Accepted("design-tvcoq", "design", {**DESIGN, **_TVCOQ}),
-    Accepted("design-tvcoq-L4", "design", {**DESIGN, **_TVCOQ, "L": 4}, code=2),
+    # out of regime, equal fractional parts go to the later stage: the oracle's (0, 0, 3, 7, 10), not (0, 1, 4, 6, 9)
+    Accepted("design-tvcoq-L4", "design", {**DESIGN, **_TVCOQ, "L": 4}, code=2,
+             check=lambda out: [s["L_t"] for s in json.loads(out)["stages"]] == [0, 0, 3, 7, 10]),
     Accepted("design-tvcoq-T1000", "design", _TVCOQ_1000, check=lambda out: _tied_alternates(out) == (64, 250_000)),
     Accepted("design-lp", "design", _DESIGN_LP, check=_relaxed_spends(9)),
     Accepted("design-vq", "design", dict(_DESIGN_LP, kind="ticoq-vq"), check=_relaxed_spends(9)),
@@ -666,6 +668,11 @@ REFUSED = {
         Refused("design-tvcoq-L2^70", "design", {**DESIGN, **_TVCOQ, "L": 2**70}, (), "L",
                 f"horizon total T * L = 5 * {2**70} = {5 * 2**70} bits is past 2^53, "
                 "where the stage split's float64 rates stop being exact integers\n"),
+        # a total under 2^53 whose stages need 1,024 bits or more an entry walked the frontier to
+        # its largest stage rate before a bank refused it, and did not finish in 15 s
+        Refused("design-tvcoq-L2^53/5", "design", {**DESIGN, **_TVCOQ, "L": 2**53 // 5}, (), "tvcoq",
+                f"stage 0 of T = 5 at L = {2**53 // 5}, with L(t) = {2**53 // 5 - 6} bits: "
+                f"rate must be a nonnegative integer below 1024, got {-(-(2**53 // 5 - 6) // 3)}\n"),
         # a game that is not certifiably contractive exited 2 before its design was read
         _choice_row("simulate-mimo-design-uncertified-game", "simulate", {
             **_MIMO_TICOQ, "design": "bogus", "game": dict(MIMO["game"], distances=[[100.0, 10.0], [10.0, 100.0]]),
@@ -734,7 +741,8 @@ REFUSED = {
     ],
     "test_bad_alpha_exit_one": [
         Refused(f"{alpha}-{command}", command, doc(alpha=alpha), (), "alpha", "")
-        for command, doc in (("simulate", _simulate_doc), ("tradeoff", _tradeoff_doc))
+        for command, doc in (("simulate", _simulate_doc), ("tradeoff", _tradeoff_doc),
+                             ("design", lambda alpha: _design_doc(kind="tvcoq", alpha=alpha, T=5, mode="sq-wmax")))
         for alpha in (1.5, 1.0, -0.1, True, "0.5")
     ],
     "test_simulate_mimo_refuses_a_non_finite_or_non_integral_game": [
