@@ -263,8 +263,9 @@ def _simulate_synthetic(cfg: dict, strategy: str, total_bits: int, steps: int):
 def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
     """Column names and the per-seed run of a MIMO simulation.
 
-    A seed whose game is not certifiably contractive is refused: its run
-    reports the sampled modulus on stderr and returns None.
+    A seed whose game is not certifiably contractive, or whose best responses
+    the library refuses, is refused: its run reports the sampled modulus or
+    the library's message on stderr and returns None.
     """
     game_obj = _need(cfg, "game", dict, "a game object")
     run_mode = _choice(cfg, "scheme", ("simultaneous", "sequential"), "simultaneous")
@@ -290,23 +291,25 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
     def run_seed(seed: int):
         game = make_game(seed)
         channels = mimo.ChannelSet.generate(game)
-        estimate = mimo.estimate_modulus(channels, rng=seed)
-        if not estimate.certified:
-            sys.stderr.write(
-                f"seed {seed}: sampled modulus alpha_hat = {estimate.alpha_hat:.4f} >= 1 "
-                f"(max ratio {estimate.max_ratio:.4f} over {estimate.samples} sampled pairs, "
-                f"safety factor {estimate.safety:g}); game not certifiably contractive\n"
-            )
-            return None
-        alpha = estimate.alpha_hat
-
         part, spec, box = mimo.game_partition(game), mimo.game_norm_spec(game), mimo.game_box(game)
-        with _refusal("quantizer"):
-            banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
-
-        reference = mimo.nash_reference(channels, alpha)
-        result = mimo.iwfa_run(channels, quantizers=banks, mode=run_mode, steps=steps, modulus=alpha,
-                               reference=reference)
+        try:  # a quantizer refusal is a ConfigError, so only the game's own refusals are caught
+            estimate = mimo.estimate_modulus(channels, rng=seed)
+            if not estimate.certified:
+                sys.stderr.write(
+                    f"seed {seed}: sampled modulus alpha_hat = {estimate.alpha_hat:.4f} >= 1 "
+                    f"(max ratio {estimate.max_ratio:.4f} over {estimate.samples} sampled pairs, "
+                    f"safety factor {estimate.safety:g}); game not certifiably contractive\n"
+                )
+                return None
+            alpha = estimate.alpha_hat
+            with _refusal("quantizer"):
+                banks = _banks_for(strategy, mode, part, spec, box, total_bits, steps, alpha)
+            reference = mimo.nash_reference(channels, alpha)
+            result = mimo.iwfa_run(channels, quantizers=banks, mode=run_mode, steps=steps, modulus=alpha,
+                                   reference=reference)
+        except ValueError as e:  # e.g. interference so strong that R_{-k}'s noise floor is lost to rounding
+            sys.stderr.write(f"seed {seed}: game not solved: {e}\n")
+            return None
         cert = engine.bound_certificate(result.trajectory, result.mapping, reference)
         return (result.throughputs, cert.dist, cert.bound), cert.ok
 

@@ -31,11 +31,8 @@ def _require_pd(lam: np.ndarray, scale=1.0) -> None:
         raise ValueError(f"matrix not positive definite (min eigenvalue {low[bad].min():.3e})")
 
 
-def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition A = U diag(lam) U^H of a Hermitian matrix or of each of a stack.
-
-    Returns (eigenvalues ascending, unitary U), shaped (..., n) and (..., n, n).
-    Raises ValueError on non-square, empty, non-finite or non-Hermitian input."""
+def _hermitian(a) -> np.ndarray:
+    """0.5 (A + A^H) of herm_eig's input, checked as its docstring says; A itself when exactly Hermitian."""
     A = np.asarray(a, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
         raise ValueError(f"expected non-empty square matrices, got shape {A.shape}")
@@ -50,8 +47,15 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
         bad = dev > _HERM_ATOL * np.maximum(absA.max(axis=(-2, -1)), 1.0)
         if bad.any():
             raise ValueError(f"matrix is not Hermitian (deviation {dev[bad].max():.3e})")
-    if worst:  # symmetrized exactly; an exactly Hermitian A is its own symmetrization
-        A = 0.5 * (A + AH)
+    return 0.5 * (A + AH) if worst else A  # an exactly Hermitian A is its own symmetrization
+
+
+def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = U diag(lam) U^H of a Hermitian matrix or of each of a stack.
+
+    Returns (eigenvalues ascending, unitary U), shaped (..., n) and (..., n, n).
+    Raises ValueError on non-square, empty, non-finite or non-Hermitian input."""
+    A = _hermitian(a)
     if A.shape[-1] == 1:
         return A[..., 0].real.copy(), np.ones(A.shape, dtype=complex)
     return np.linalg.eigh(A)  # exactly (0, I) for an all-zero matrix

@@ -29,7 +29,7 @@ from .engine import (
     reference_fixed_point,
     run_iteration,
 )
-from .linalg import _require_pd, conj_t, herm_eig, logdet_psd, psd_solve
+from .linalg import _hermitian, _require_pd, conj_t, herm_eig, logdet_psd, psd_solve
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _Frozen, _water_level, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -166,14 +166,20 @@ class ChannelSet(_Frozen):
         return frozenset(np.flatnonzero(self.direct_cond > _COND_GUARD).tolist())
 
     @cached_property
-    def direct_inverses(self) -> tuple:
-        """(H_kk^-1, H_kk^-H) per link, built once apart from `operands` (an ill-conditioned H_kk's are
-        NaN), so a set with one still serves interference sums and its other links."""
-        D = self.h[range(self.game.num_links), range(self.game.num_links)]
+    def congruence(self) -> tuple:
+        """(tx, B, c, cond(H_kk)^-2), built once: G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + x_{-k} B_k in real
+        pairs for profile vectors x, x_{-k} the blocks tx[k]; row m of B_k is F_jk E_m F_jk^H, F_jk =
+        H_kk^-1 H_jk, E_m = vec_to_mat(unit vector m), and c_k = noise_power H_kk^-1 H_kk^-H.  An
+        ill-conditioned H_kk's are NaN, so a set with one still serves its other links."""
+        K, N = self.game.num_links, self.game.num_antennas
+        tx, H, _, D, *_ = self.operands
         inv = np.full_like(D, np.nan)
         ok = np.flatnonzero(self.direct_cond <= _COND_GUARD)
         inv[ok] = np.linalg.inv(D[ok])
-        return inv, conj_t(inv)
+        F = (inv[:, None] @ H)[:, :, None]  # (K, K - 1, 1, N, N)
+        B = (F @ vec_to_mat(np.eye(N * N)) @ conj_t(F)).reshape(K, -1, N * N).view(float)
+        c = self.game.noise_power * inv @ conj_t(inv)
+        return tx, B, c.reshape(K, 1, N * N).view(float), self.direct_cond**-2.0
 
     @cached_property
     def operands(self) -> tuple:
@@ -253,17 +259,24 @@ def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np
     return 0.5 * (M + conj_t(M))  # exactly Hermitian, so herm_eig's cheap checks pass it as is
 
 
-def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
-    """(..., L, N, N) best responses of the links in `links`, from one eigendecomposition of
-    G_k = H_kk^-1 R_{-k} H_kk^-H.  As ||G|| <= ||H^-1||^2 ||R|| and min eig G >= min eig R / ||H||^2,
-    an R_{-k} above the positive-definite floor gives a G_k above it over cond(H_kk)^2."""
+def _waterfill(channels: ChannelSet, x: np.ndarray, links: slice) -> np.ndarray:
+    """(..., L, N, N) best responses of the links in `links` to profile vectors x (..., K N^2), from one
+    eigendecomposition of G_k = H_kk^-1 R_{-k} H_kk^-H (one gather, matmul and add: `congruence`).
+    As ||G|| <= ||H^-1||^2 ||R|| and min eig G >= min eig R / ||H||^2, an R_{-k} above the
+    positive-definite floor gives a G_k above it over cond(H_kk)^2."""
     if channels.ill_conditioned:  # empty for most games, which then build no link range
         ill = channels.ill_conditioned.intersection(range(channels.game.num_links)[links])
         if ill:
             raise ValueError(f"direct channel of link {min(ill)} is ill-conditioned")
-    inv, inv_h = channels.direct_inverses
-    g, U = herm_eig(inv[links] @ _interference(channels, P, links) @ inv_h[links])
-    _require_pd(g, channels.direct_cond[links] ** -2.0)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
+        raise ValueError("non-finite entries")
+    tx, B, c, floor = channels.congruence
+    K, N = channels.game.num_links, channels.game.num_antennas
+    others = x.reshape(x.shape[:-1] + (K, N * N))[..., tx[links], :]  # (..., L, K - 1, N^2)
+    G = c[links] + others.reshape(others.shape[:-2] + (1, -1)) @ B[links]  # (..., L, 1, 2 N^2)
+    g, U = herm_eig(G.view(complex).reshape(G.shape[:-2] + (N, N)))
+    _require_pd(g, floor[links])
     powers = project_simplex(-g, channels.game.budgets[links])
     Q = (U * powers[..., None, :]) @ conj_t(U)
     return 0.5 * (Q + conj_t(Q))
@@ -312,9 +325,11 @@ def waterfill(channels: ChannelSet, profile, k: int) -> np.ndarray:
     Diagonalizes G = H_kk^-1 R_{-k} H_kk^-H = M^-1, the inverse of the
     whitened channel M = H_kk^H R_{-k}^-1 H_kk, and projects the eigenvalues
     of -G onto the trace simplex; the projection shares G's eigenbasis,
-    which turns the matrix projection into a vector one.
+    which turns the matrix projection into a vector one.  A covariance that is
+    not Hermitian is refused, since the profile's vector keeps upper triangles.
     """
-    return _waterfill(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
+    P = _hermitian(_as_stack(profile))
+    return _waterfill(channels, profile_to_vec(P), slice(k, k + 1))[..., 0, :, :]
 
 
 def throughput(channels: ChannelSet, profile, k: int):
@@ -491,7 +506,7 @@ def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
 
 def _best_responses(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
     """Every link's waterfill against the profile x (..., K N^2), as vectors."""
-    return profile_to_vec(_waterfill(channels, _vec_to_stack(x, channels.game), slice(None)))
+    return profile_to_vec(_waterfill(channels, x, slice(None)))
 
 
 def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
@@ -507,7 +522,7 @@ def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
         domain=game_box(game),
         norm=game_norm_spec(game),
         modulus=modulus,
-        group_fn=lambda k: lambda x: mat_to_vec(waterfill(channels, _vec_to_stack(x, game), k)),
+        group_fn=lambda k: lambda x: profile_to_vec(_waterfill(channels, x, slice(k, k + 1))),
     )
 
 

@@ -583,6 +583,7 @@ def uniform_sq_allocation(n: int, total_bits: int) -> np.ndarray:
     """Equal split of the budget, leftovers to the lowest-indexed coordinates."""
     total_bits = _check_budget(total_bits)
     n = _count(n, "n", 1)
+    _rate(-(-total_bits // n))  # the largest share, refused before an array is filled with it
     base, extra = divmod(total_bits, n)
     bits = np.full(n, base, dtype=int)
     bits[:extra] += 1

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfix
 from qfix import engine, norms, ticoq, tvcoq
@@ -329,6 +335,21 @@ def test_simulate_mimo_refusal_reports_the_measured_modulus(tmp_path, capsys):
         "safety factor 1.05",
     ):
         assert figure in captured.err
+
+
+@pytest.mark.parametrize("game", [
+    {"distances": [[100.0, 1e-3], [500.0, 100.0]]},  # interference 1e-3 m from its receiver
+    {"power_dbm": 400.0},
+])
+def test_simulate_mimo_reports_a_game_whose_best_responses_are_refused(tmp_path, capsys, game):
+    """Interference so strong that R_{-k}'s noise floor is lost to rounding: the library refuses
+    the game's best responses, and the seed is reported with exit 2, not a traceback."""
+    doc = dict(MIMO, seeds=[3], game={**MIMO["game"], **game})
+    assert main(["simulate", "--config", _write(tmp_path, "mimo.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("seed 3: game not solved: matrix not positive definite (min eigenvalue -")
+    assert err.count("\n") == 1
 
 
 def _tradeoff_doc(**over):
@@ -664,6 +685,11 @@ REFUSED = {
         Refused("tradeoff-L-T2^70", "tradeoff", dict(SWEEPS["L"], T=2**70), (), "T", f"a run of {2**70} steps "),
         Refused("tradeoff-T-2^70", "tradeoff", dict(SWEEPS["T"], values=[5, 2**70]), (), "values",
                 f"a run of {2**70} steps "),
+        # a uniform split of L = 2^70 ended in an OverflowError traceback from filling the rates array
+        Refused("simulate-uniform-L2^70", "simulate", dict(SIM, quantizer="uniform", L=2**70), (), "quantizer",
+                f"rate must be a nonnegative integer below 1024, got {2**70 // 2}\n"),
+        Refused("simulate-mimo-uniform-L2^70", "simulate", dict(MIMO, quantizer="uniform", L=2**70), (),
+                "quantizer", f"rate must be a nonnegative integer below 1024, got {2**70 // 8}\n"),
         # L = 2^70 at T = 5 ended in a RuntimeWarning from the master split's int cast
         Refused("design-tvcoq-L2^70", "design", {**DESIGN, **_TVCOQ, "L": 2**70}, (), "L",
                 f"horizon total T * L = 5 * {2**70} = {5 * 2**70} bits is past 2^53, "
@@ -789,3 +815,58 @@ def _refusal_test(rows):
 
 for _name, _rows in REFUSED.items():
     globals()[_name] = _refusal_test(_rows)
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing, MIMO slice: the README MIMO config with one or two fields replaced by odd values
+# ---------------------------------------------------------------------------
+
+_ODD = [None, "x", [], {}, True, -1, 0, 1.5, math.nan, math.inf, -math.inf, 1e308, 1e-320, 2**70]
+_ODD_COUNTS = _ODD + [1, 2, 3, 2.0]  # small counts only: a valid N = 400 is slow, legitimate work
+_ODD_FIELDS = {  # where each field lives in the config, and values to put there
+    "K": (("game",), _ODD_COUNTS),
+    "N": (("game",), _ODD_COUNTS),
+    "distances": (("game",), _ODD + [[[100.0, 1e-3], [500.0, 100.0]], [[100.0, 200.0]], [[1.0] * 3] * 3,
+                                    [[100.0, math.nan], [500.0, 100.0]], [[100.0, 0.0], [500.0, 100.0]]]),
+    "gamma": (("game",), _ODD + [0.1, 10.0, 100.0, 400.0]),
+    "power_dbm": (("game",), _ODD + [400.0, -400.0, 3000.0, [10.0, 20.0], [10.0], [10.0, math.nan]]),
+    "T": ((), _ODD_COUNTS),
+    "quantizer": ((), _ODD + ["none", "uniform", "ticoq", "tvcoq", "bogus"]),
+    "L": ((), _ODD + [1, 7, 20, 8184, 8185]),
+    "scheme": ((), _ODD + ["simultaneous", "sequential", "jacobi"]),
+}
+
+
+@st.composite
+def _odd_mimo_configs(draw):
+    cfg = json.loads(json.dumps(MIMO))
+    for field in draw(st.lists(st.sampled_from(sorted(_ODD_FIELDS)), min_size=1, max_size=2, unique=True)):
+        path, values = _ODD_FIELDS[field]
+        where = cfg
+        for key in path:
+            where = where[key]
+        where[field] = draw(st.sampled_from(values))
+    return cfg
+
+
+@settings(max_examples=200)
+@given(_odd_mimo_configs())
+def test_an_odd_mimo_config_exits_with_one_of_three_outcomes(cfg):
+    """Exit 0 with no NaN or Infinity on stdout, exit 1 with an empty stdout and one
+    `config error: <field>:` line, or exit 2 with a report on stderr; never a traceback."""
+    with tempfile.TemporaryDirectory() as where:
+        path = os.path.join(where, "mimo.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", path])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out.startswith("t,sum_throughput,err,bound,certified\n")
+        assert not re.search(r"nan|inf", out, re.I)
+    elif code == 1:
+        assert out == "" and re.match(r"config error: [\w-]+: ", err) and err.count("\n") == 1
+    else:
+        assert code == 2 and out == "" and re.match(r"seed \d+: ", err)

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from _oracles import IdentityQuantizer, validate_profile
 from qfix import engine, mimo, norms
 from qfix.engine import QuantizerBank, Scheme, bound_certificate
+from qfix.linalg import herm_eig
 from qfix.mimo import (
     ChannelSet,
     GameConfig,
@@ -290,13 +291,90 @@ def test_waterfill_is_accurate_to_a_50_digit_evaluation():
         ch = ChannelSet.generate(game)
         rng = np.random.default_rng(100 + seed)
         profiles = [random_feasible_profile(game, rng) for _ in range(4)]
-        stacked = mimo._waterfill(ch, np.array([p.covariances for p in profiles]), slice(None))
+        stacked = mimo._waterfill(ch, profile_to_vec(np.array([p.covariances for p in profiles])), slice(None))
         for i, prof in enumerate(profiles):
             for k in range(game.num_links):
                 exact = _mp_best_response(mpmath, ch, prof.covariances, k)
                 for got in (waterfill(ch, prof, k), stacked[i, k]):
                     worst = max(worst, np.linalg.norm(got - exact) / np.linalg.norm(exact))
     assert worst <= 1e-14
+
+
+def _complex_path_congruence(ch, covariances, k):
+    """G_k by the complex path: R = noise I + sum_j H_jk P_j H_jk^H, then H_kk^-1 R H_kk^-H."""
+    R = ch.game.noise_power * np.eye(ch.game.num_antennas, dtype=complex)
+    for j in range(ch.game.num_links):
+        if j != k:
+            R = R + ch.h[j, k] @ covariances[j] @ ch.h[j, k].conj().T
+    inv = np.linalg.inv(ch.h[k, k])
+    return inv @ R @ inv.conj().T
+
+
+def _kernel_congruences(monkeypatch, ch, x):
+    """The (..., K, N, N) matrices G_k that the best-response kernel decomposes for vectors x."""
+    seen = []
+
+    def spy(a):
+        seen.append(np.array(a))
+        return herm_eig(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mimo, "herm_eig", spy)
+        mimo._best_responses(ch, x)
+    (G,) = seen
+    return G
+
+
+_THREE_LINKS = GameConfig(3, 3, [[100, 300, 400], [350, 100, 300], [500, 250, 100]], 3.5, 10.0, seed=5)
+
+
+@pytest.mark.parametrize("game", [paper_style_game(seed) for seed in range(32)] + [_THREE_LINKS],
+                         ids=[f"game{seed}" for seed in range(32)] + ["three-links"])
+def test_the_congruence_map_equals_the_complex_path(monkeypatch, game):
+    """G_k from the real-linear map is within 1e-13 relative (Frobenius) of the complex path on
+    four random feasible profiles, one at a time and stacked; a stack member equals its single call."""
+    ch = ChannelSet.generate(game)
+    P = mimo._random_covariances(game, np.random.default_rng(200 + game.seed), 4)
+    x = profile_to_vec(P)
+    stacked = _kernel_congruences(monkeypatch, ch, x)
+    for i in range(len(P)):
+        single = _kernel_congruences(monkeypatch, ch, x[i])
+        assert single.tobytes() == stacked[i].tobytes()
+        for k in range(game.num_links):
+            ref = _complex_path_congruence(ch, P[i], k)
+            assert np.linalg.norm(single[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_no_best_response_rebuilds_matrices_or_sums_interference(monkeypatch):
+    """Once a channel set has built its congruence map, the map, a group function and waterfill
+    never call vec_to_mat or the interference sum."""
+    game = paper_style_game(seed=4)
+    ch = ChannelSet.generate(game)
+    ch.congruence
+    prof = random_feasible_profile(game, np.random.default_rng(3))
+    x = profile_to_vec(prof)
+    expected = [game_mapping(ch, 0.5).eval_full(x), waterfill(ch, prof, 1)]
+
+    def refuse(*args):
+        raise AssertionError("called on the best-response path")
+
+    monkeypatch.setattr(mimo, "vec_to_mat", refuse)
+    monkeypatch.setattr(mimo, "_interference", refuse)
+    mapping = game_mapping(ch, 0.5)
+    assert mapping.eval_full(x).tobytes() == expected[0].tobytes()
+    assert mapping.eval_block(1, x).tobytes() == expected[0][4:].tobytes()
+    assert waterfill(ch, prof, 1).tobytes() == expected[1].tobytes()
+
+
+def test_waterfill_refuses_a_covariance_that_is_not_hermitian():
+    """The profile's vector keeps each covariance's upper triangle, so a lower entry off its mirror
+    would be dropped silently; waterfill refuses the profile instead, as herm_eig would."""
+    game = paper_style_game(seed=0)
+    ch = ChannelSet.generate(game)
+    covs = list(uniform_profile(game).covariances)
+    covs[1] = covs[1] + np.array([[0.0, 0.0], [0.5 * game.budgets[1], 0.0]])
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        waterfill(ch, StrategyProfile(covs), 0)
 
 
 def test_single_antenna_shannon_rate():
