@@ -24,6 +24,7 @@ import numpy as np
 
 from . import engine, mimo, norms, ticoq, tvcoq
 from .engine import Scheme
+from .linalg import IllConditioned
 
 
 class ConfigError(Exception):
@@ -263,9 +264,8 @@ def _simulate_synthetic(cfg: dict, strategy: str, total_bits: int, steps: int):
 def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
     """Column names and the per-seed run of a MIMO simulation.
 
-    A seed whose game is not certifiably contractive, or whose best responses
-    the library refuses, is refused: its run reports the sampled modulus or
-    the library's message on stderr and returns None.
+    A seed whose game is not certifiably contractive or is ill-conditioned is
+    refused: its run reports why on stderr and returns None.
     """
     game_obj = _need(cfg, "game", dict, "a game object")
     run_mode = _choice(cfg, "scheme", ("simultaneous", "sequential"), "simultaneous")
@@ -307,7 +307,7 @@ def _simulate_mimo(cfg: dict, strategy: str, total_bits: int, steps: int):
             reference = mimo.nash_reference(channels, alpha)
             result = mimo.iwfa_run(channels, quantizers=banks, mode=run_mode, steps=steps, modulus=alpha,
                                    reference=reference)
-        except ValueError as e:  # e.g. interference so strong that R_{-k}'s noise floor is lost to rounding
+        except IllConditioned as e:  # e.g. interference so strong that R_{-k}'s noise floor rounds away
             sys.stderr.write(f"seed {seed}: game not solved: {e}\n")
             return None
         cert = engine.bound_certificate(result.trajectory, result.mapping, reference)

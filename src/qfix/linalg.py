@@ -23,16 +23,23 @@ def conj_t(a: np.ndarray) -> np.ndarray:
     return np.conj(a).swapaxes(-1, -2)
 
 
+class IllConditioned(ValueError):
+    """A matrix too near singular: its least eigenvalue at the positive-definite floor, or past a cond guard."""
+
+
 def _require_pd(lam: np.ndarray, scale=1.0) -> None:
     # ||A||_F is the 2-norm of the eigenvalues (hypot does not underflow); `scale` lowers the floor.
     low = lam[..., 0]
     bad = low <= _PD_REL_FLOOR * scale * np.hypot.reduce(lam, axis=-1)
     if bad.any():
-        raise ValueError(f"matrix not positive definite (min eigenvalue {low[bad].min():.3e})")
+        raise IllConditioned(f"matrix not positive definite (min eigenvalue {low[bad].min():.3e})")
 
 
-def _hermitian(a) -> np.ndarray:
-    """0.5 (A + A^H) of herm_eig's input, checked as its docstring says; A itself when exactly Hermitian."""
+def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = U diag(lam) U^H of a Hermitian matrix or of each of a stack.
+
+    Returns (eigenvalues ascending, unitary U), shaped (..., n) and (..., n, n).
+    Raises ValueError on non-square, empty, non-finite or non-Hermitian input."""
     A = np.asarray(a, dtype=complex)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.size == 0:
         raise ValueError(f"expected non-empty square matrices, got shape {A.shape}")
@@ -47,15 +54,8 @@ def _hermitian(a) -> np.ndarray:
         bad = dev > _HERM_ATOL * np.maximum(absA.max(axis=(-2, -1)), 1.0)
         if bad.any():
             raise ValueError(f"matrix is not Hermitian (deviation {dev[bad].max():.3e})")
-    return 0.5 * (A + AH) if worst else A  # an exactly Hermitian A is its own symmetrization
-
-
-def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition A = U diag(lam) U^H of a Hermitian matrix or of each of a stack.
-
-    Returns (eigenvalues ascending, unitary U), shaped (..., n) and (..., n, n).
-    Raises ValueError on non-square, empty, non-finite or non-Hermitian input."""
-    A = _hermitian(a)
+    if worst:  # symmetrized exactly; an exactly Hermitian A is its own symmetrization
+        A = 0.5 * (A + AH)
     if A.shape[-1] == 1:
         return A[..., 0].real.copy(), np.ones(A.shape, dtype=complex)
     return np.linalg.eigh(A)  # exactly (0, I) for an all-zero matrix

@@ -29,7 +29,7 @@ from .engine import (
     reference_fixed_point,
     run_iteration,
 )
-from .linalg import _hermitian, _require_pd, conj_t, herm_eig, logdet_psd, psd_solve
+from .linalg import IllConditioned, _require_pd, conj_t, herm_eig, logdet_psd, psd_solve
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _Frozen, _water_level, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -167,19 +167,14 @@ class ChannelSet(_Frozen):
 
     @cached_property
     def congruence(self) -> tuple:
-        """(tx, B, c, cond(H_kk)^-2), built once: G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + x_{-k} B_k in real
-        pairs for profile vectors x, x_{-k} the blocks tx[k]; row m of B_k is F_jk E_m F_jk^H, F_jk =
-        H_kk^-1 H_jk, E_m = vec_to_mat(unit vector m), and c_k = noise_power H_kk^-1 H_kk^-H.  An
-        ill-conditioned H_kk's are NaN, so a set with one still serves its other links."""
-        K, N = self.game.num_links, self.game.num_antennas
-        tx, H, _, D, *_ = self.operands
+        """(F, F^H, c), built once: G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + sum_j F_jk P_j F_jk^H, j in tx[k],
+        F_jk = H_kk^-1 H_jk, c_k = noise_power H_kk^-1 H_kk^-H (H's sizes); an ill H_kk's are NaN."""
+        _, H, _, D, *_ = self.operands
         inv = np.full_like(D, np.nan)
         ok = np.flatnonzero(self.direct_cond <= _COND_GUARD)
         inv[ok] = np.linalg.inv(D[ok])
-        F = (inv[:, None] @ H)[:, :, None]  # (K, K - 1, 1, N, N)
-        B = (F @ vec_to_mat(np.eye(N * N)) @ conj_t(F)).reshape(K, -1, N * N).view(float)
-        c = self.game.noise_power * inv @ conj_t(inv)
-        return tx, B, c.reshape(K, 1, N * N).view(float), self.direct_cond**-2.0
+        F = inv[:, None] @ H  # (K, K - 1, N, N)
+        return F, conj_t(F), self.game.noise_power * inv @ conj_t(inv)
 
     @cached_property
     def operands(self) -> tuple:
@@ -242,14 +237,19 @@ def _as_stack(profile) -> np.ndarray:
     return np.asarray(getattr(profile, "covariances", profile), dtype=complex)
 
 
+def _congruence_sum(base: np.ndarray, A: np.ndarray, P: np.ndarray, AH: np.ndarray) -> np.ndarray:
+    """base + sum_i A_i P_i A_i^H over axis -3 of (..., L, K - 1, N, N) stacks, added in ascending i."""
+    terms = A @ P @ AH
+    S = base + (terms[..., 0, :, :] if terms.shape[-3] else np.zeros(terms.shape[:-3] + (1, 1)))
+    for i in range(1, terms.shape[-3]):
+        S = S + terms[..., i, :, :]
+    return S
+
+
 def _interference(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     """(..., L, N, N) noise plus interference at each receiver of `links`, not symmetrized."""
     tx, H, HH, _, _, noise = channels.operands
-    terms = H[links] @ P[..., tx[links], :, :] @ HH[links]  # (..., L, K - 1, N, N)
-    R = noise + (terms[..., 0, :, :] if tx.shape[1] else np.zeros(terms.shape[:-3] + (1, 1)))
-    for i in range(1, tx.shape[1]):  # after the noise, interferers in ascending order
-        R = R + terms[..., i, :, :]
-    return R
+    return _congruence_sum(noise, H[links], P[..., tx[links], :, :], HH[links])
 
 
 def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
@@ -259,24 +259,18 @@ def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np
     return 0.5 * (M + conj_t(M))  # exactly Hermitian, so herm_eig's cheap checks pass it as is
 
 
-def _waterfill(channels: ChannelSet, x: np.ndarray, links: slice) -> np.ndarray:
-    """(..., L, N, N) best responses of the links in `links` to profile vectors x (..., K N^2), from one
-    eigendecomposition of G_k = H_kk^-1 R_{-k} H_kk^-H (one gather, matmul and add: `congruence`).
-    As ||G|| <= ||H^-1||^2 ||R|| and min eig G >= min eig R / ||H||^2, an R_{-k} above the
-    positive-definite floor gives a G_k above it over cond(H_kk)^2."""
+def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
+    """(..., L, N, N) best responses of the links in `links`, from one eigendecomposition of
+    G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + sum_j F_jk P_j F_jk^H (`congruence`).  As ||G|| <= ||H^-1||^2 ||R||
+    and min eig G >= min eig R / ||H||^2, an R_{-k} above the floor gives a G_k above it over cond(H_kk)^2."""
     if channels.ill_conditioned:  # empty for most games, which then build no link range
         ill = channels.ill_conditioned.intersection(range(channels.game.num_links)[links])
         if ill:
-            raise ValueError(f"direct channel of link {min(ill)} is ill-conditioned")
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
-        raise ValueError("non-finite entries")
-    tx, B, c, floor = channels.congruence
-    K, N = channels.game.num_links, channels.game.num_antennas
-    others = x.reshape(x.shape[:-1] + (K, N * N))[..., tx[links], :]  # (..., L, K - 1, N^2)
-    G = c[links] + others.reshape(others.shape[:-2] + (1, -1)) @ B[links]  # (..., L, 1, 2 N^2)
-    g, U = herm_eig(G.view(complex).reshape(G.shape[:-2] + (N, N)))
-    _require_pd(g, floor[links])
+            raise IllConditioned(f"direct channel of link {min(ill)} is ill-conditioned")
+    F, FH, c = channels.congruence
+    others = P[..., channels.operands[0][links], :, :]  # (..., L, K - 1, N, N)
+    g, U = herm_eig(_congruence_sum(c[links], F[links], others, FH[links]))
+    _require_pd(g, channels.direct_cond[links] ** -2.0)
     powers = project_simplex(-g, channels.game.budgets[links])
     Q = (U * powers[..., None, :]) @ conj_t(U)
     return 0.5 * (Q + conj_t(Q))
@@ -325,11 +319,9 @@ def waterfill(channels: ChannelSet, profile, k: int) -> np.ndarray:
     Diagonalizes G = H_kk^-1 R_{-k} H_kk^-H = M^-1, the inverse of the
     whitened channel M = H_kk^H R_{-k}^-1 H_kk, and projects the eigenvalues
     of -G onto the trace simplex; the projection shares G's eigenbasis,
-    which turns the matrix projection into a vector one.  A covariance that is
-    not Hermitian is refused, since the profile's vector keeps upper triangles.
+    which turns the matrix projection into a vector one.
     """
-    P = _hermitian(_as_stack(profile))
-    return _waterfill(channels, profile_to_vec(P), slice(k, k + 1))[..., 0, :, :]
+    return _waterfill(channels, _as_stack(profile), slice(k, k + 1))[..., 0, :, :]
 
 
 def throughput(channels: ChannelSet, profile, k: int):
@@ -349,13 +341,17 @@ def sum_throughput(channels: ChannelSet, profile):
 
 @lru_cache(maxsize=None)
 def _vec_layout(N: int) -> tuple:
-    """(gather, scale, scatter): `gather` picks from a row-major N x N matrix's real view
-    the diagonal real parts, then (Re, Im) of each upper entry; `scale` holds the
-    sqrt(2)s; `scatter` puts [diagonal; upper; lower] entries back in row-major order."""
+    """(gather, scale, scatter, unpack, divisor): `gather` picks from a row-major N x N matrix's real
+    view the diagonal real parts, then (Re, Im) of each upper entry; `scale` holds the sqrt(2)s;
+    `scatter` puts [diagonal; upper; lower] entries back in row-major order; a vector's entries at
+    `unpack` over `divisor` are that real view (a diagonal's Im is v_i / inf, a zero)."""
     iu, ju = np.triu_indices(N, 1)
     order = np.concatenate([np.arange(N) * (N + 1), iu * N + ju, ju * N + iu])
     gather = np.concatenate([2 * order[:N], (2 * (iu * N + ju)[:, None] + [0, 1]).ravel()])
-    return gather, np.repeat([1.0, _SQRT2], [N, 2 * iu.size]), np.argsort(order)
+    scatter, re = np.argsort(order), np.concatenate([np.arange(N)] + [np.arange(N, N * N, 2)] * 2)
+    unpack = np.stack([re, re + (re >= N)], axis=-1)[scatter].ravel()  # (Re, Im) sources, entry by entry
+    divisor = np.repeat([[1.0, np.inf], [_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], [N, iu.size, iu.size], axis=0)
+    return gather, np.repeat([1.0, _SQRT2], [N, 2 * iu.size]), scatter, unpack, divisor[scatter].ravel()
 
 
 def mat_to_vec(P: np.ndarray) -> np.ndarray:
@@ -429,8 +425,14 @@ def profile_to_vec(profile) -> np.ndarray:
 
 
 def _vec_to_stack(x: np.ndarray, game: GameConfig) -> np.ndarray:
-    """(..., K, N, N) covariances of profile vectors x (..., K N^2)."""
-    return vec_to_mat(np.reshape(x, np.shape(x)[:-1] + (game.num_links, -1)))
+    """(..., K, N, N) covariances of profile vectors x (..., K N^2): vec_to_mat's, up to the sign of
+    zeros, in one gather and one division; non-finite entries are refused first, as there."""
+    x, N = np.asarray(x, dtype=float), game.num_antennas
+    if not np.isfinite(x).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
+        raise ValueError("non-finite entries")
+    *_, unpack, divisor = _vec_layout(N)
+    blocks = np.take(x.reshape(x.shape[:-1] + (game.num_links, N * N)), unpack, axis=-1) / divisor
+    return blocks.view(complex).reshape(blocks.shape[:-1] + (N, N))
 
 
 def vec_to_profile(x: np.ndarray, game: GameConfig) -> StrategyProfile:
@@ -506,7 +508,7 @@ def feasible_bank(bank: QuantizerBank, game: GameConfig) -> QuantizerBank:
 
 def _best_responses(channels: ChannelSet, x: np.ndarray) -> np.ndarray:
     """Every link's waterfill against the profile x (..., K N^2), as vectors."""
-    return profile_to_vec(_waterfill(channels, x, slice(None)))
+    return profile_to_vec(_waterfill(channels, _vec_to_stack(x, channels.game), slice(None)))
 
 
 def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
@@ -522,7 +524,7 @@ def game_mapping(channels: ChannelSet, modulus: float) -> BlockMapping:
         domain=game_box(game),
         norm=game_norm_spec(game),
         modulus=modulus,
-        group_fn=lambda k: lambda x: profile_to_vec(_waterfill(channels, x, slice(k, k + 1))),
+        group_fn=lambda k: lambda x: mat_to_vec(waterfill(channels, _vec_to_stack(x, game), k)),
     )
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfix
-from qfix import engine, norms, ticoq, tvcoq
+from qfix import engine, mimo, norms, ticoq, tvcoq
 from qfix.cli import main
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
@@ -350,6 +350,17 @@ def test_simulate_mimo_reports_a_game_whose_best_responses_are_refused(tmp_path,
     assert out == ""
     assert err.startswith("seed 3: game not solved: matrix not positive definite (min eigenvalue -")
     assert err.count("\n") == 1
+
+
+def test_simulate_mimo_lets_a_value_error_that_is_no_refusal_through(tmp_path, monkeypatch):
+    """Only the library's refusal of an ill-conditioned game is a per-seed report; any other
+    ValueError inside the run (a programming error, say) keeps its traceback."""
+    def broken(channels, modulus):
+        raise ValueError("partition does not match the bank")
+
+    monkeypatch.setattr(mimo, "nash_reference", broken)
+    with pytest.raises(ValueError, match="partition does not match the bank"):
+        main(["simulate", "--config", _write(tmp_path, "mimo.json", dict(MIMO, seeds=[0]))])
 
 
 def _tradeoff_doc(**over):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -291,7 +292,7 @@ def test_waterfill_is_accurate_to_a_50_digit_evaluation():
         ch = ChannelSet.generate(game)
         rng = np.random.default_rng(100 + seed)
         profiles = [random_feasible_profile(game, rng) for _ in range(4)]
-        stacked = mimo._waterfill(ch, profile_to_vec(np.array([p.covariances for p in profiles])), slice(None))
+        stacked = mimo._waterfill(ch, np.array([p.covariances for p in profiles]), slice(None))
         for i, prof in enumerate(profiles):
             for k in range(game.num_links):
                 exact = _mp_best_response(mpmath, ch, prof.covariances, k)
@@ -345,9 +346,9 @@ def test_the_congruence_map_equals_the_complex_path(monkeypatch, game):
             assert np.linalg.norm(single[k] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_no_best_response_rebuilds_matrices_or_sums_interference(monkeypatch):
-    """Once a channel set has built its congruence map, the map, a group function and waterfill
-    never call vec_to_mat or the interference sum."""
+def test_no_best_response_calls_vec_to_mat_or_the_interference_sum(monkeypatch):
+    """Once a channel set has built its congruence operands, the map, a group function and waterfill
+    call neither vec_to_mat (profile vectors are unpacked in one gather) nor the interference sum."""
     game = paper_style_game(seed=4)
     ch = ChannelSet.generate(game)
     ch.congruence
@@ -364,6 +365,23 @@ def test_no_best_response_rebuilds_matrices_or_sums_interference(monkeypatch):
     assert mapping.eval_full(x).tobytes() == expected[0].tobytes()
     assert mapping.eval_block(1, x).tobytes() == expected[0][4:].tobytes()
     assert waterfill(ch, prof, 1).tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize("N", [16, 32])
+def test_a_best_response_allocates_on_the_order_of_the_channels(N):
+    """Building the congruence operands and one map evaluation at N antennas allocate a few times
+    the channel set's own N^2-sized matrices, not an N^4 map (at N = 32 that map alone is 32 MB)."""
+    game = GameConfig(2, N, [[100.0, 200.0], [500.0, 100.0]], 3.5, 10.0, seed=1)
+    ch = ChannelSet.generate(game)
+    tracemalloc.start()
+    try:
+        ch.congruence
+        best = mimo._best_responses(ch, game._space.start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * ch.h.nbytes
+    assert best.shape == (2 * N * N,) and np.isfinite(best).all()
 
 
 def test_waterfill_refuses_a_covariance_that_is_not_hermitian():

@@ -28,3 +28,22 @@ def test_every_trace_target_exists_and_is_wrapped():
     finally:
         tracer.uninstall()
     assert not hasattr(mimo.waterfill, "__wrapped__")
+
+
+def test_a_sequential_tick_is_one_traced_waterfill():
+    """The game map's block function goes through `mimo.waterfill`, so the `mimo.waterfill` rows time
+    the best responses of sequential ticks: one span per block evaluation, inside it."""
+    game = mimo.paper_style_game(seed=0)
+    mapping = mimo.game_mapping(mimo.ChannelSet.generate(game), 0.5)
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for k in range(game.num_links):
+            mapping.eval_block(k, game._space.start)
+        mapping.eval_full(game._space.start)
+    finally:
+        tracer.uninstall()
+    names = {sid: name for sid, _, _, name, *_ in tracer.spans}
+    parents = [names.get(parent) for _, parent, _, name, *_ in tracer.spans if name == "mimo.waterfill"]
+    assert parents == ["engine.BlockMapping.eval_block"] * game.num_links
