@@ -29,7 +29,7 @@ from .engine import (
     reference_fixed_point,
     run_iteration,
 )
-from .linalg import IllConditioned, _require_pd, conj_t, herm_eig, logdet_psd, psd_solve
+from .linalg import IllConditioned, _require_pd, conj_t, herm_eig, logdet_psd
 from .norms import BlockPartition, BoxDomain, Lp, NormSpec, _Frozen, _water_level, block_norms
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -252,13 +252,6 @@ def _interference(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarr
     return _congruence_sum(noise, H[links], P[..., tx[links], :, :], HH[links])
 
 
-def _effective_channels(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
-    """(..., L, N, N) whitened direct channels M_k = H_kk^H R_{-k}^{-1} H_kk."""
-    _, _, _, D, DH, _ = channels.operands
-    M = DH[links] @ psd_solve(_interference(channels, P, links), D[links])
-    return 0.5 * (M + conj_t(M))  # exactly Hermitian, so herm_eig's cheap checks pass it as is
-
-
 def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     """(..., L, N, N) best responses of the links in `links`, from one eigendecomposition of
     G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + sum_j F_jk P_j F_jk^H (`congruence`).  As ||G|| <= ||H^-1||^2 ||R||
@@ -277,12 +270,11 @@ def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
 
 
 def _rates(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
-    """(..., L) rates log2 det(I + H^H R^{-1} H P_k) of the links in `links`."""
-    M = _effective_channels(channels, P, links)
-    lam, U = herm_eig(P[..., links, :, :])
-    S = (U * np.sqrt(np.maximum(lam, 0.0))[..., None, :]) @ conj_t(U)
-    A = np.eye(channels.game.num_antennas, dtype=complex) + S @ M @ S
-    return logdet_psd(A) / math.log(2.0)
+    """(..., L) rates log2 det(I + H^H R^-1 H P_k) of `links`, as log2 det(R + H P_k H^H) - log2 det(R), >= 0."""
+    _, _, _, D, DH, _ = channels.operands
+    R = _interference(channels, P, links)
+    rates = logdet_psd(R + D[links] @ P[..., links, :, :] @ DH[links]) - logdet_psd(R)
+    return np.maximum(rates, 0.0) / math.log(2.0)
 
 
 def interference_covariance(channels: ChannelSet, profile, k: int) -> np.ndarray:
@@ -325,7 +317,7 @@ def waterfill(channels: ChannelSet, profile, k: int) -> np.ndarray:
 
 
 def throughput(channels: ChannelSet, profile, k: int):
-    """Link-k rate log2 det(I + H^H R^{-1} H P_k) in bits per channel use."""
+    """Link-k rate log2 det(I + H^H R^-1 H P_k) in bits per channel use; covariances Hermitian PSD (README)."""
     return _rates(channels, _as_stack(profile), slice(k, k + 1))[..., 0][()]
 
 
@@ -341,17 +333,16 @@ def sum_throughput(channels: ChannelSet, profile):
 
 @lru_cache(maxsize=None)
 def _vec_layout(N: int) -> tuple:
-    """(gather, scale, scatter, unpack, divisor): `gather` picks from a row-major N x N matrix's real
-    view the diagonal real parts, then (Re, Im) of each upper entry; `scale` holds the sqrt(2)s;
-    `scatter` puts [diagonal; upper; lower] entries back in row-major order; a vector's entries at
-    `unpack` over `divisor` are that real view (a diagonal's Im is v_i / inf, a zero)."""
+    """(gather, scale, unpack, divisor): `gather` picks from a row-major N x N matrix's real view the diagonal
+    real parts, then (Re, Im) of each upper entry; `scale` holds the sqrt(2)s; a vector's entries at `unpack`
+    over `divisor` are that real view (a diagonal's Im is v_i / inf, a lower entry's v_b / -sqrt(2))."""
     iu, ju = np.triu_indices(N, 1)
     order = np.concatenate([np.arange(N) * (N + 1), iu * N + ju, ju * N + iu])
     gather = np.concatenate([2 * order[:N], (2 * (iu * N + ju)[:, None] + [0, 1]).ravel()])
     scatter, re = np.argsort(order), np.concatenate([np.arange(N)] + [np.arange(N, N * N, 2)] * 2)
     unpack = np.stack([re, re + (re >= N)], axis=-1)[scatter].ravel()  # (Re, Im) sources, entry by entry
     divisor = np.repeat([[1.0, np.inf], [_SQRT2, _SQRT2], [_SQRT2, -_SQRT2]], [N, iu.size, iu.size], axis=0)
-    return gather, np.repeat([1.0, _SQRT2], [N, 2 * iu.size]), scatter, unpack, divisor[scatter].ravel()
+    return gather, np.repeat([1.0, _SQRT2], [N, 2 * iu.size]), unpack, divisor[scatter].ravel()
 
 
 def mat_to_vec(P: np.ndarray) -> np.ndarray:
@@ -364,18 +355,22 @@ def mat_to_vec(P: np.ndarray) -> np.ndarray:
     return P.reshape(P.shape[:-2] + (N * N,)).view(float)[..., gather] * scale
 
 
+def _unpack(v: np.ndarray, N: int) -> np.ndarray:
+    """(..., N, N) matrices of (..., N^2) vectors in one gather and one division; refuses non-finite entries."""
+    if not np.isfinite(v).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
+        raise ValueError("non-finite entries")
+    _, _, unpack, divisor = _vec_layout(N)
+    m = np.take(v, unpack, axis=-1) / divisor
+    return m.view(complex).reshape(m.shape[:-1] + (N, N))
+
+
 def vec_to_mat(v: np.ndarray) -> np.ndarray:
     """Inverse of mat_to_vec, for one vector or a (..., N^2) stack; refuses non-finite entries."""
     v = np.asarray(v, dtype=float)
     N = math.isqrt(v.shape[-1])
     if N * N != v.shape[-1]:
         raise ValueError(f"vector of length {v.shape[-1]} is not an N^2 parameterization")
-    if not np.isfinite(v).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
-        raise ValueError("non-finite entries")
-    w = v[..., N:] / _SQRT2
-    re, im = w[..., 0::2], 1j * w[..., 1::2]
-    entries = np.concatenate([v[..., :N], re + im, re - im], axis=-1)
-    return entries[..., _vec_layout(N)[2]].reshape(v.shape[:-1] + (N, N))
+    return _unpack(v, N)
 
 
 class _ProfileSpace(NamedTuple):
@@ -425,14 +420,9 @@ def profile_to_vec(profile) -> np.ndarray:
 
 
 def _vec_to_stack(x: np.ndarray, game: GameConfig) -> np.ndarray:
-    """(..., K, N, N) covariances of profile vectors x (..., K N^2): vec_to_mat's, up to the sign of
-    zeros, in one gather and one division; non-finite entries are refused first, as there."""
+    """(..., K, N, N) covariances of profile vectors x (..., K N^2), block by block as vec_to_mat."""
     x, N = np.asarray(x, dtype=float), game.num_antennas
-    if not np.isfinite(x).all():  # inf would turn into NaN, with warnings, before herm_eig sees it
-        raise ValueError("non-finite entries")
-    *_, unpack, divisor = _vec_layout(N)
-    blocks = np.take(x.reshape(x.shape[:-1] + (game.num_links, N * N)), unpack, axis=-1) / divisor
-    return blocks.view(complex).reshape(blocks.shape[:-1] + (N, N))
+    return _unpack(x.reshape(x.shape[:-1] + (game.num_links, N * N)), N)
 
 
 def vec_to_profile(x: np.ndarray, game: GameConfig) -> StrategyProfile:

@@ -16,6 +16,10 @@ stays positive on entries near `np.finfo(float).tiny`, where
 specs the tests build their mappings and bounds on.  `tied_swaps` yields
 every tied alternate of a rounded stage split, unbounded, in the order the
 package lists its first ones.
+`sparse_contraction` draws affine maps whose rows read one to three blocks,
+scaled to an exact weighted-max modulus, and `adversarial_bank` is a bank
+whose every coordinate errs by its stated worst case, away from x* or along
+a given direction: together they make runs that reach their certificates.
 """
 
 import math
@@ -23,8 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
+from qfix.engine import QuantizerBank, affine_contraction
 from qfix.linalg import herm_eig
-from qfix.norms import BlockPartition, Lp, NormSpec, WeightedMax
+from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax, lp_norm
 
 
 class IdentityQuantizer:
@@ -145,3 +150,74 @@ def tied_swaps(bits: np.ndarray, fracs: np.ndarray, ceiled: np.ndarray):
                 alt[i] -= 1
                 alt[j] += 1
                 yield tuple(int(b) for b in alt)
+
+
+def sparse_contraction(part: BlockPartition, spec: NormSpec, box: BoxDomain, alpha: float, rng=None):
+    """A random affine map x -> A x + b of weighted-max modulus alpha, and its fixed point x* in the box.
+
+    Block row k reads 1 to 3 distinct blocks.  Each entry of a read block is
+    nonzero with probability 1/2, with a random sign and magnitude, and
+    every row and every read block keeps at least one.  Each row r is then
+    scaled so that sum_c |A_rc| c_c / c_r = alpha, where c_m = w_k a_m is
+    the weight of coordinate m of block k: that is the modulus of A in the
+    spec's norm, whose every block must be a `WeightedMax`.
+    """
+    rng = np.random.default_rng(rng)
+    c = np.concatenate([w * np.asarray(norm.a) for w, norm in zip(spec.block_weights, spec.per_block)])
+    K, n = part.num_blocks, part.n
+    A = np.zeros((n, n))
+    for k in range(K):
+        rows = np.arange(n)[part.block_slice(k)]
+        reads = rng.choice(K, size=int(rng.integers(1, min(3, K) + 1)), replace=False)
+        cols = np.concatenate([np.arange(n)[part.block_slice(j)] for j in reads])
+        sizes = np.array([part.block_sizes[j] for j in reads])
+        kept = rng.random((rows.size, cols.size)) < 0.5
+        kept[np.arange(rows.size), rng.integers(cols.size, size=rows.size)] = True
+        kept[rng.integers(rows.size, size=reads.size), np.cumsum(sizes) - sizes + rng.integers(sizes)] = True
+        magnitudes = rng.uniform(0.1, 1.0, kept.shape) * rng.choice([-1.0, 1.0], kept.shape)
+        A[np.ix_(rows, cols)] = np.where(kept, magnitudes, 0.0)
+    A *= (alpha * c / (np.abs(A) @ c))[:, None]
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    x_star = lo + rng.uniform(0.15, 0.85, n) * (hi - lo)
+    return affine_contraction(A, x_star - A @ x_star, part, box, spec, alpha), x_star
+
+
+class AdversarialQuantizer:
+    """A block quantizer that moves every coordinate by its radius: away from `center` (upward at a
+    tie) or, when a `direction` is given, along its signs.  Its stated worst case is the radii's
+    norm, which every step reaches up to the rounding of v + radius."""
+
+    def __init__(self, radius, center=None, direction=None):
+        self.radius = np.asarray(radius, dtype=float)
+        self.size = self.radius.size
+        self.center, self.direction = center, direction
+
+    def quantize(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if self.direction is not None:
+            return v + self.radius * np.sign(self.direction)
+        return v + self.radius * np.where(v >= self.center, 1.0, -1.0)
+
+    def worst_case_block_error(self, norm) -> float:
+        if isinstance(norm, WeightedMax):
+            return float(np.max(self.radius / np.asarray(norm.a)))
+        return lp_norm(self.radius, norm.p)
+
+
+def adversarial_bank(part: BlockPartition, spec: NormSpec, rho: float, center=None, direction=None):
+    """A bank of `AdversarialQuantizer`s whose every block errs by rho in the spec's block norm, on
+    every coordinate: by rho w_k a_m on coordinate m of a weighted-max block, by rho w_k / size^(1/p)
+    on an L_p block.  `center` (x*) or `direction` is one vector over all coordinates."""
+    blocks = []
+    for k, (w, norm) in enumerate(zip(spec.block_weights, spec.per_block)):
+        size, where = part.block_sizes[k], part.block_slice(k)
+        if isinstance(norm, WeightedMax):
+            radius = rho * w * np.asarray(norm.a)
+        else:
+            radius = np.full(size, rho * w / size ** (1.0 / norm.p))
+        blocks.append(AdversarialQuantizer(
+            radius,
+            None if center is None else np.asarray(center, dtype=float)[where],
+            None if direction is None else np.asarray(direction, dtype=float)[where],
+        ))
+    return QuantizerBank(blocks)

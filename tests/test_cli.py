@@ -546,6 +546,12 @@ def _relaxed_spends(budget):
     return lambda out: abs(math.fsum(json.loads(out)["relaxed"]) - budget) <= 1e-9
 
 
+def _rates_are_nonnegative(out):
+    """A MIMO CSV run's rows, each with a `sum_throughput` cell of at least 0."""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    return bool(rows) and all(float(row[1]) >= 0 for row in rows)
+
+
 def _tied_alternates(out):
     """A TVCOQ report's numbers of listed and of all tied alternates."""
     report = json.loads(out)
@@ -580,6 +586,9 @@ ACCEPTED = [
     Accepted("simulate-mimo-tvcoq", "simulate", dict(_MIMO_TICOQ, quantizer="tvcoq", scheme="simultaneous")),
     Accepted("simulate-mimo-vq-sequential", "simulate", dict(_MIMO_TICOQ, design="vq")),
     Accepted("simulate-mimo-vq", "simulate", dict(_MIMO_TICOQ, design="vq", scheme="simultaneous")),
+    # at -400 dBm the rates are about 1e-36 bits; a log-det of I + P^1/2 M P^1/2 printed them as -6.4e-16
+    Accepted("simulate-mimo-at-minus-400-dbm", "simulate", dict(MIMO, game={**MIMO["game"], "power_dbm": -400.0}),
+             check=_rates_are_nonnegative),
     *(
         Accepted(f"tradeoff-{sweep}-{fmt}", "tradeoff", doc, ("--format", fmt))
         for sweep, doc in SWEEPS.items()
@@ -863,8 +872,8 @@ def _odd_mimo_configs(draw):
 @settings(max_examples=200)
 @given(_odd_mimo_configs())
 def test_an_odd_mimo_config_exits_with_one_of_three_outcomes(cfg):
-    """Exit 0 with no NaN or Infinity on stdout, exit 1 with an empty stdout and one
-    `config error: <field>:` line, or exit 2 with a report on stderr; never a traceback."""
+    """Exit 0 with no NaN or Infinity and no negative rate on stdout, exit 1 with an empty stdout
+    and one `config error: <field>:` line, or exit 2 with a report on stderr; never a traceback."""
     with tempfile.TemporaryDirectory() as where:
         path = os.path.join(where, "mimo.json")
         with open(path, "w") as fh:
@@ -877,6 +886,7 @@ def test_an_odd_mimo_config_exits_with_one_of_three_outcomes(cfg):
     if code == 0:
         assert out.startswith("t,sum_throughput,err,bound,certified\n")
         assert not re.search(r"nan|inf", out, re.I)
+        assert _rates_are_nonnegative(out)
     elif code == 1:
         assert out == "" and re.match(r"config error: [\w-]+: ", err) and err.count("\n") == 1
     else:

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import IdentityQuantizer, uniform_l2_spec, uniform_wmax_spec
+from _oracles import (
+    IdentityQuantizer,
+    adversarial_bank,
+    sparse_contraction,
+    uniform_l2_spec,
+    uniform_wmax_spec,
+)
 from qfix import engine
 from qfix.engine import (
     BlockMapping,
@@ -243,12 +249,14 @@ def test_worst_case_bound_refuses_a_negative_or_nan_horizon(t):
 
 
 @st.composite
-def _contraction_runs(draw):
+def _contractions(draw, sparse=False):
+    """(part, spec, box, mapping, x*): a block permutation with ||A x|| = alpha ||x|| on weighted-max
+    and L2 blocks, or, if `sparse`, a map on weighted-max blocks whose rows read 1-3 blocks."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
     part = BlockPartition(sizes)
     weight = st.floats(0.25, 4.0)
     per_block = [
-        draw(st.sampled_from(["wmax", "l2"])) for _ in sizes
+        "wmax" if sparse else draw(st.sampled_from(["wmax", "l2"])) for _ in sizes
     ]
     spec = NormSpec(
         [draw(weight) for _ in sizes],
@@ -259,9 +267,14 @@ def _contraction_runs(draw):
     )
     box = BoxDomain([(-1.0, 1.0)] * part.n)
     alpha = draw(st.floats(0.05, 0.95))
-    mapping, x_star = random_affine_contraction(
-        part, spec, box, alpha, rng=draw(st.integers(0, 2**32 - 1))
-    )
+    family = sparse_contraction if sparse else random_affine_contraction
+    mapping, x_star = family(part, spec, box, alpha, rng=draw(st.integers(0, 2**32 - 1)))
+    return part, spec, box, mapping, x_star
+
+
+@st.composite
+def _contraction_runs(draw):
+    part, _, box, mapping, x_star = draw(_contractions())
     bits = draw(st.none() | st.lists(st.integers(0, 6), min_size=part.n, max_size=part.n))
     bank = None if bits is None else make_sq_bank(part, box, bits)
     x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=part.n, max_size=part.n)))
@@ -276,6 +289,45 @@ def test_certificate_holds_under_every_update_order(run):
     traj = run_iteration(mapping, bank, x0, steps, scheme)
     cert = bound_certificate(traj, mapping, x_star)
     assert cert.all_ok(), np.max(cert.dist - cert.bound)
+
+
+@st.composite
+def _worst_case_runs(draw):
+    """A map of either family, a bank that pushes every coordinate its stated worst case away
+    from x*, a start and a run length."""
+    part, spec, _, mapping, x_star = draw(_contractions(sparse=draw(st.booleans())))
+    bank = adversarial_bank(part, spec, draw(st.sampled_from([1e-3, 1e-2, 0.1])), center=x_star)
+    x0 = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=part.n, max_size=part.n)))
+    return mapping, x_star, bank, x0, draw(st.integers(1, 40))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@given(_worst_case_runs())
+def test_certificate_holds_under_worst_case_errors(scheme, run):
+    """Every update order gets its own examples: the certificate holds when every coordinate
+    errs by its stated worst case, on block permutations and on sparse maps."""
+    mapping, x_star, bank, x0, steps = run
+    traj = run_iteration(mapping, bank, x0, steps, scheme)
+    cert = bound_certificate(traj, mapping, x_star)
+    assert cert.all_ok(), np.max(cert.dist - cert.bound)
+
+
+def test_a_chain_map_meets_its_gauss_seidel_bound():
+    """Block k reads only block k - 1, with weight alpha, and every error is +rho along the chain.
+    From x* = 0, one Gauss-Seidel sweep carries block K - 1 to rho (1 - alpha^K) / (1 - alpha), the
+    depth-K bound itself: the certificate holds at every sweep and meets its bound at the first."""
+    K, alpha, rho = 8, 0.9, 0.01
+    part = BlockPartition([1] * K)
+    spec = uniform_wmax_spec(part)
+    mapping = affine_contraction(alpha * np.eye(K, k=-1), np.zeros(K), part, BoxDomain([(-1.0, 1.0)] * K),
+                                 spec, alpha)
+    assert len(mapping.sweep_groups) == K
+    bank = adversarial_bank(part, spec, rho, direction=np.ones(K))
+    traj = run_iteration(mapping, bank, np.zeros(K), 20, Scheme.GAUSS_SEIDEL)
+    cert = bound_certificate(traj, mapping, np.zeros(K))
+    assert cert.all_ok(), np.max(cert.dist - cert.bound)
+    assert abs(cert.dist[1] - cert.bound[1]) <= 4 * np.spacing(cert.bound[1])
+    assert cert.bound[1] > 5 * rho  # the depth-1 factor would bound it by rho
 
 
 def test_certificate_fails_for_understated_modulus():

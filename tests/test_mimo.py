@@ -301,6 +301,61 @@ def test_waterfill_is_accurate_to_a_50_digit_evaluation():
     assert worst <= 1e-14
 
 
+def _mp_rate(mpmath, ch, covariances, k):
+    """Link k's rate log2 det(I + H_kk^H R^-1 H_kk P_k) at 50 digits, from its definition."""
+    with mpmath.workdps(50):
+        N = ch.game.num_antennas
+
+        def mat(a):
+            return mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a])
+
+        R = mpmath.mpf(ch.game.noise_power) * mpmath.eye(N)
+        for j in range(ch.game.num_links):
+            if j != k:
+                R += mat(ch.h[j, k]) * mat(covariances[j]) * mat(ch.h[j, k]).H
+        D = mat(ch.h[k, k])
+        A = mpmath.eye(N) + D.H * mpmath.inverse(R) * D * mat(covariances[k])
+        return float(mpmath.log(mpmath.det(A).real, 2))
+
+
+def _rate_errors(mpmath, ch, profiles):
+    """Each link's rate, one profile at a time and stacked, with its absolute error in bits."""
+    stack = np.array([p.covariances for p in profiles])
+    rates, errors = [], []
+    for k in range(ch.game.num_links):
+        stacked = throughput(ch, stack, k)
+        for i, prof in enumerate(profiles):
+            exact = _mp_rate(mpmath, ch, prof.covariances, k)
+            for got in (throughput(ch, prof, k), stacked[i]):
+                rates.append(got)
+                errors.append(abs(got - exact))
+    return np.array(rates), np.array(errors)
+
+
+def test_rates_are_accurate_to_a_50_digit_evaluation():
+    """log2 det(R + H P H^H) - log2 det(R), clamped at 0, against the definition at 50 digits, one
+    profile at a time and stacked: within 1e-11 bits on both links of four random feasible profiles of
+    games 0-7 and of a set with a singular H_11 (finite there: the identity inverts no H_kk), and within
+    1e-13 bits, never negative, on game 0's uniform profile from -200 to -30 dBm."""
+    mpmath = pytest.importorskip("mpmath")
+    for seed in range(8):
+        game = paper_style_game(seed)
+        rng = np.random.default_rng(100 + seed)
+        profiles = [random_feasible_profile(game, rng) for _ in range(4)]
+        _, errors = _rate_errors(mpmath, ChannelSet.generate(game), profiles)
+        assert errors.max() <= 1e-11
+    game, ch = _identity_channel_game(num_links=2, power_dbm=30.0, noise=1.0)
+    h = ch.h.copy()
+    h[1, 1] = np.array([[1.0, 2.0], [0.5, 1.0]])  # rank 1
+    profiles = [uniform_profile(game), random_feasible_profile(game, 7)]
+    rates, errors = _rate_errors(mpmath, ChannelSet(game, h), profiles)
+    assert np.isfinite(rates).all() and errors.max() <= 1e-11
+    for dbm in (-200.0, -150.0, -100.0, -60.0, -30.0):
+        game = GameConfig(2, 2, [[100.0, 200.0], [500.0, 100.0]], 3.5, dbm, seed=0)
+        rates, errors = _rate_errors(mpmath, ChannelSet.generate(game), [uniform_profile(game)])
+        assert (rates >= 0).all() and errors.max() <= 1e-13
+
+
 def _complex_path_congruence(ch, covariances, k):
     """G_k by the complex path: R = noise I + sum_j H_jk P_j H_jk^H, then H_kk^-1 R H_kk^-H."""
     R = ch.game.noise_power * np.eye(ch.game.num_antennas, dtype=complex)
@@ -393,6 +448,21 @@ def test_waterfill_refuses_a_covariance_that_is_not_hermitian():
     covs[1] = covs[1] + np.array([[0.0, 0.0], [0.5 * game.budgets[1], 0.0]])
     with pytest.raises(ValueError, match="matrix is not Hermitian"):
         waterfill(ch, StrategyProfile(covs), 0)
+
+
+def test_a_rate_reads_its_own_covariance_through_the_received_power():
+    """P_k enters a rate only as H_kk P_k H_kk^H, so herm_eig's check on the received sum refuses a
+    skew there past its 1e-10 gate (0.5 budget at 10 dBm), and reads a smaller one (1e-3 budget, which
+    the old rate kernel's herm_eig on P_k refused) as P_k's Hermitian part."""
+    game = paper_style_game(seed=0)
+    ch = ChannelSet.generate(game)
+    covs = list(uniform_profile(game).covariances)
+    skew = np.array([[0.0, 0.0], [game.budgets[0], 0.0]])
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        throughput(ch, StrategyProfile([covs[0] + 0.5 * skew, covs[1]]), 0)
+    skewed = StrategyProfile([covs[0] + 1e-3 * skew, covs[1]])
+    hermitian = StrategyProfile([covs[0] + 0.5e-3 * (skew + skew.T), covs[1]])
+    assert throughput(ch, skewed, 0) == pytest.approx(throughput(ch, hermitian, 0), rel=0, abs=1e-12)
 
 
 def test_single_antenna_shannon_rate():
@@ -871,15 +941,17 @@ def _mat_to_vec_loop(P):
 
 
 def _vec_to_mat_loop(v):
+    """Entry by entry, Re = v_a / d_a and Im = v_b / d_b: a diagonal's Im is v_i / inf, and a lower
+    entry's Im divisor is -sqrt(2), so every zero keeps the sign its source's quotient gives."""
     N = int(round(math.sqrt(v.size)))
     P = np.zeros((N, N), dtype=complex)
-    P[np.diag_indices(N)] = v[:N]
+    for i in range(N):
+        P[i, i] = complex(v[i] / 1.0, v[i] / math.inf)
     pos = N
     for i in range(N):
         for j in range(i + 1, N):
-            re, im = v[pos] / math.sqrt(2.0), v[pos + 1] / math.sqrt(2.0)
-            P[i, j] = re + 1j * im
-            P[j, i] = re - 1j * im
+            P[i, j] = complex(v[pos] / math.sqrt(2.0), v[pos + 1] / math.sqrt(2.0))
+            P[j, i] = complex(v[pos] / math.sqrt(2.0), v[pos + 1] / -math.sqrt(2.0))
             pos += 2
     return P
 
