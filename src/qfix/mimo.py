@@ -161,11 +161,21 @@ class ChannelSet(_Frozen):
         return np.linalg.cond(self.h[range(K), range(K)])
 
     @cached_property
-    def ill_conditioned(self) -> frozenset:
-        """The links whose direct channel's condition number passes the guard, found once."""
-        return frozenset(np.flatnonzero(self.direct_cond > _COND_GUARD).tolist())
+    def ill_conditioned(self) -> dict:
+        """{link: why} for the links refused a best response, found once: a direct channel past the guard
+        (its operands are NaN), or a G_k that can overflow.  On the box an entry of F P F^H is at most
+        N budget ||F||_F^2, so N^2 (sum |c_k| + N sum_j budget_j ||F_jk||_F^2) bounds G_k's eigenvalues."""
+        F, _, c = self.congruence
+        N, budgets = self.game.num_antennas, self.game.budgets[self.operands[0]]
+        with np.errstate(over="ignore"):
+            F2 = (np.abs(F) ** 2).sum(axis=(2, 3))
+            bound = N * N * (np.abs(c).sum(axis=(1, 2)) + N * (budgets * F2).sum(axis=1))
+        return {k: f"direct channel of link {k} is ill-conditioned" if not self.direct_cond[k] <= _COND_GUARD
+                else f"whitened interference G_k of link {k} can overflow float64"
+                for k in np.flatnonzero(~np.isfinite(bound)).tolist()}
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow gives inf, which `ill_conditioned` flags
     def congruence(self) -> tuple:
         """(F, F^H, c), built once: G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + sum_j F_jk P_j F_jk^H, j in tx[k],
         F_jk = H_kk^-1 H_jk, c_k = noise_power H_kk^-1 H_kk^-H (H's sizes); an ill H_kk's are NaN."""
@@ -257,9 +267,9 @@ def _waterfill(channels: ChannelSet, P: np.ndarray, links: slice) -> np.ndarray:
     G_k = H_kk^-1 R_{-k} H_kk^-H = c_k + sum_j F_jk P_j F_jk^H (`congruence`).  As ||G|| <= ||H^-1||^2 ||R||
     and min eig G >= min eig R / ||H||^2, an R_{-k} above the floor gives a G_k above it over cond(H_kk)^2."""
     if channels.ill_conditioned:  # empty for most games, which then build no link range
-        ill = channels.ill_conditioned.intersection(range(channels.game.num_links)[links])
+        ill = channels.ill_conditioned.keys() & range(channels.game.num_links)[links]
         if ill:
-            raise IllConditioned(f"direct channel of link {min(ill)} is ill-conditioned")
+            raise IllConditioned(channels.ill_conditioned[min(ill)])
     F, FH, c = channels.congruence
     others = P[..., channels.operands[0][links], :, :]  # (..., L, K - 1, N, N)
     g, U = herm_eig(_congruence_sum(c[links], F[links], others, FH[links]))

@@ -11,20 +11,21 @@ the quantized iteration — is as small as possible.  Three variants:
 * L_p (p >= 2) block norms, dual-lattice vector quantizers: per-block
   water-filling.
 
-Each objective is a max over terms that fall in their own bits, so one
-exact integer step serves all three: every bit goes to the term that
-currently sets the max, lowest index on ties (marginal analysis: Fox,
+All three minimize one objective, max_k (sum_{m in M_k} c_m
+2^(-p L_m / s_m))^(1/p): weighted-max and lattice designs are its
+one-entry blocks at p = 1.  One exact integer walk serves all three:
+every bit goes to the block that sets the max and, inside it, to the
+entry of largest term, lowest index on ties (marginal analysis: Fox,
 Management Science 13(3), 1966; Ibaraki & Katoh, Resource Allocation
-Problems, 1988).  The walk starts from 0 bits and is exact at every
-prefix, so one walk to B bits is every budget's design up to B
-(`ticoq_frontier`).  A design's relaxed optimum is computed when read, at
-exact water levels (Palomar & Fonollosa, IEEE T-SP 53(2), 2005): the
-closed-form level of `norms._water_level`, which `mimo.project_simplex`
-shares, or for L_p blocks Newton's steps in log2 tau from the all-funded
-closed form.  An exhaustive oracle over integer allocations, kept as the
-reference the tests compare against, and the closed-form high-rate
-threshold L' (past which the relaxed optimum decays exactly like
-eta * 2^(-L/n)) round out the module.
+Problems, 1988).  It is exact at every prefix, so one walk to B bits is
+every budget's design up to B (`ticoq_frontier`).  A design's relaxed
+optimum is computed when read, at exact water levels (Palomar &
+Fonollosa, IEEE T-SP 53(2), 2005): the closed-form level of
+`norms._water_level`, which `mimo.project_simplex` shares, or for L_p
+blocks Newton's steps in log2 tau from the all-funded closed form.  The
+exhaustive oracle over integer allocations (the tests' reference) and
+the closed-form high-rate threshold L' (past which the relaxed optimum
+decays exactly like eta * 2^(-L/n)) round out the module.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ _ORACLE_GUARD = 10_000_000
 class DesignConstants(_Frozen):
     """One design family: its entry constants and entry sizes, checked once.
 
-    kind selects the family.  "sq-wmax" (one entry per coordinate, size 1)
-    and "vq" (one entry per block, of size n_k) minimize the max term
-    max_i const_i 2^(-L_i / sizes_i).  "sq-lp" (one entry per coordinate)
-    minimizes max_k (sum_{m in M_k} const_m 2^(-p L_m))^(1/p) over the
-    coordinate blocks `blocks`; only it reads p and blocks.
+    Every family minimizes max_k (sum_{m in M_k} const_m 2^(-p L_m / sizes_m))^(1/p) over
+    the entry blocks of `blocks`.  kind selects the relaxation: "sq-wmax" (one entry per
+    coordinate, size 1) and "vq" (one entry per block, of size n_k) keep the defaults, one-entry
+    blocks at p = 1; "sq-lp" (one entry per coordinate) takes its p and coordinate blocks.
     """
 
     _fields = ("kind", "const", "sizes", "p", "blocks")
@@ -74,6 +74,11 @@ class DesignConstants(_Frozen):
     def n(self) -> int:
         """Total quantized dimension."""
         return int(sum(self.sizes))
+
+    @property
+    def _counts(self) -> tuple:
+        """Each block's entry count: `blocks`, or one entry each."""
+        return self.blocks or (1,) * len(self.const)
 
 
 class RateAllocation(_Frozen):
@@ -134,46 +139,23 @@ class RateAllocation(_Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Objective evaluators (shared by the solvers and the oracle)
+# The objective (shared by the solvers and the oracle)
 # ---------------------------------------------------------------------------
 
-def max_term_objective(
-    const: Sequence[float], sizes: Sequence[int]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """max_i const_i 2^(-L_i / sizes_i) over rows of an allocation matrix."""
-    cv = np.asarray(const, dtype=float)
-    nv = np.asarray(sizes, dtype=float)
+def objective_for(family: DesignConstants) -> Callable[[np.ndarray], np.ndarray]:
+    """max_k (sum_{m in M_k} c_m 2^(-(p L_m) / s_m))^(1/p) over the rows of an allocation matrix."""
+    cv, sv, p = np.asarray(family.const, dtype=float), np.asarray(family.sizes, dtype=float), family.p
+    offsets = np.cumsum((0, *family._counts[:-1]))
+    slices = [slice(o, o + m) for o, m in zip(offsets, family._counts) if m > 1]
 
     def f(allocs: np.ndarray) -> np.ndarray:
         a = np.atleast_2d(np.asarray(allocs, dtype=float))
-        return np.max(cv * 2.0 ** (-a / nv), axis=1)
-
-    return f
-
-
-def sq_lp_objective(
-    c: Sequence[float], p: float, part: BlockPartition
-) -> Callable[[np.ndarray], np.ndarray]:
-    """max_k (sum_{m in M_k} c_m 2^(-p L_m))^(1/p) over allocation rows."""
-    cv = np.asarray(c, dtype=float)
-    offsets = np.asarray(part.offsets[:-1], dtype=int)
-    slices = [part.block_slice(k) for k in range(part.num_blocks)]
-
-    def f(allocs: np.ndarray) -> np.ndarray:
-        a = np.atleast_2d(np.asarray(allocs, dtype=float))
-        terms = cv * 2.0 ** (-p * a)
+        terms = cv * 2.0 ** (-(p * a) / sv)
         for sl in slices:  # ascending, so a block's terms sum to one float wherever they sit
             terms[:, sl].sort(axis=1)
-        block_sums = np.add.reduceat(terms, offsets, axis=1)
-        return np.max(block_sums, axis=1) ** (1.0 / p)
+        return np.max(np.add.reduceat(terms, offsets, axis=1), axis=1) ** (1.0 / p)
 
     return f
-
-
-def objective_for(family: DesignConstants) -> Callable[[np.ndarray], np.ndarray]:
-    if family.kind == "sq-lp":
-        return sq_lp_objective(family.const, family.p, BlockPartition(family.blocks))
-    return max_term_objective(family.const, family.sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -292,62 +274,34 @@ def _relax_lp(c: np.ndarray, p: float, part: BlockPartition, budget: int):
 # Exact integer step: one largest-term walk for every budget
 # ---------------------------------------------------------------------------
 
-def _walk(values: Sequence[float], budget: int, give_bit: Callable[[int], tuple]) -> np.ndarray:
-    """Give budget bits one at a time, each to the term of largest value, lowest index on ties.
+def _order(family: DesignConstants, budget: int) -> np.ndarray:
+    """The walk from 0 bits: the entry given each of `budget` bits.
 
-    give_bit(k) hands term k one more bit and returns the entry that took it
-    and the term's new value; the walk returns those entries in order.  When
-    every term is nonincreasing in its own bits, each prefix of the walk
-    minimizes the max over terms exactly at its own budget.
+    Each bit goes to the block of largest sum_{m in M_k} c_m 2^(-(p b_m) / s_m)
+    and, inside it, to the entry of largest term, lowest index on ties: the
+    optimal in-block split of a separable convex sum at every bit count.  As
+    each block sum falls in its own bits, every prefix is exact at its budget.
     """
-    heap = [(-v, k) for k, v in enumerate(values)]
-    heapq.heapify(heap)
+    consts, rates, p = np.asarray(family.const, dtype=float).tolist(), [float(s) for s in family.sizes], family.p
+    terms, bits = list(consts), [0] * len(consts)
+    blocks = [slice(end - m, end) for end, m in zip(itertools.accumulate(family._counts), family._counts)]
+    # Sorted lists are heaps; every key is distinct, so the walk never depends on their layout.
+    inner = [sorted((-terms[m], m) for m in range(b.start, b.stop)) for b in blocks]
+    outer = sorted((-math.fsum(terms[b]), k) for k, b in enumerate(blocks))
     order = []
     for _ in range(budget):
-        k = heap[0][1]
-        entry, value = give_bit(k)
-        order.append(entry)
-        heapq.heapreplace(heap, (-value, k))
+        k = outer[0][1]
+        m = inner[k][0][1]
+        bits[m] += 1
+        term = terms[m] = consts[m] * 2.0 ** (-(p * bits[m]) / rates[m])
+        if len(inner[k]) > 1:  # a one-entry block's heap is that entry, and its sum is its term
+            heapq.heapreplace(inner[k], (-term, m))
+            term = math.fsum(terms[blocks[k]])
+        heapq.heapreplace(outer, (-term, k))
+        order.append(m)
     order = np.array(order, dtype=np.intp)
     order.flags.writeable = False
     return order
-
-
-def _max_term_order(const: np.ndarray, sizes: np.ndarray, budget: int) -> np.ndarray:
-    """The walk for max_k const_k 2^(-b_k / sizes_k) from b = 0: the term given each bit."""
-    consts, rates = const.tolist(), sizes.tolist()
-    bits = [0] * len(consts)
-
-    def give_bit(k: int) -> tuple:
-        bits[k] += 1
-        return k, consts[k] * 2.0 ** (-bits[k] / rates[k])
-
-    return _walk(consts, budget, give_bit)
-
-
-def _lp_order(c: np.ndarray, p: float, part: BlockPartition, budget: int) -> np.ndarray:
-    """The walk for max_k sum_{m in M_k} c_m 2^(-p b_m): the coordinate given each bit.
-
-    Each block's bits go to its coordinate of largest c_m 2^(-p b_m) (lowest
-    index on ties), the optimal in-block split at every bit count for this
-    separable convex sum; the blocks then share the budget by the walk.
-    """
-    consts = c.tolist()
-    terms = list(consts)
-    bits = [0] * part.n
-    blocks = [range(part.offsets[k], part.offsets[k + 1]) for k in range(part.num_blocks)]
-    heaps = [[(-terms[m], m) for m in block] for block in blocks]
-    for heap in heaps:
-        heapq.heapify(heap)
-
-    def give_bit(k: int) -> tuple:
-        m = heaps[k][0][1]
-        bits[m] += 1
-        terms[m] = consts[m] * 2.0 ** (-p * bits[m])
-        heapq.heapreplace(heaps[k], (-terms[m], m))
-        return m, math.fsum(terms[i] for i in blocks[k])
-
-    return _walk([math.fsum(terms[m] for m in block) for block in blocks], budget, give_bit)
 
 
 class RateFrontier(_Frozen):
@@ -383,34 +337,33 @@ def _check_budget(total_bits: int) -> int:
     return int(total_bits)
 
 
+def _family(part: BlockPartition, spec: NormSpec, box: BoxDomain, mode: str) -> DesignConstants:
+    """The "sq-wmax", "sq-lp" or "vq" constants of a box under a norm; lattices take the smallest L_p exponent."""
+    if mode == "sq-lp":
+        c, p = sq_lp_constants(part, spec, box)
+        return DesignConstants(mode, tuple(c), (1,) * part.n, p, part.block_sizes)
+    if mode == "sq-wmax":
+        return DesignConstants(mode, tuple(sq_wmax_constants(part, spec, box)), (1,) * part.n)
+    if mode != "vq":
+        raise ValueError(f"unknown design mode {mode!r}")
+    if not all(isinstance(norm, Lp) for norm in spec.per_block):
+        raise ValueError("lattice designs require L_p block norms")
+    p = min(norm.p for norm in spec.per_block)
+    if not (p >= 2.0):
+        raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
+    return DesignConstants(mode, tuple(vq_constants(part, spec.block_weights, box)), part.block_sizes)
+
+
 def ticoq_frontier(
     part: BlockPartition, spec: NormSpec, box: BoxDomain, max_bits: int, mode: str
 ) -> RateFrontier:
-    """Every "sq-wmax", "sq-lp" or "vq" design for budgets 0..max_bits, from one walk.
+    """Every "sq-wmax", "sq-lp" or "vq" design for budgets 0..max_bits, from one walk (`_order`).
 
-    Each bit goes to the term that sets the max (a coordinate for "sq-wmax",
-    a block otherwise, lowest index on ties; inside an L_p block, the
-    coordinate of largest term), which is exact at every prefix.  Lattices
-    take the smallest L_p exponent.
+    A bit goes to a coordinate for "sq-wmax", a lattice block for "vq", and an L_p block's coordinate.
     """
     max_bits = _check_budget(max_bits)
-    if mode == "sq-lp":
-        c, p = sq_lp_constants(part, spec, box)
-        family = DesignConstants(mode, tuple(c), (1,) * part.n, p, part.block_sizes)
-        return RateFrontier(family, _lp_order(c, p, part, max_bits))
-    if mode == "sq-wmax":
-        family = DesignConstants(mode, tuple(sq_wmax_constants(part, spec, box)), (1,) * part.n)
-    elif mode == "vq":
-        if not all(isinstance(norm, Lp) for norm in spec.per_block):
-            raise ValueError("lattice designs require L_p block norms")
-        p = min(norm.p for norm in spec.per_block)
-        if not (p >= 2.0):
-            raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
-        family = DesignConstants(mode, tuple(vq_constants(part, spec.block_weights, box)), part.block_sizes)
-    else:
-        raise ValueError(f"unknown design mode {mode!r}")
-    order = _max_term_order(np.asarray(family.const), np.asarray(family.sizes, dtype=float), max_bits)
-    return RateFrontier(family, order)
+    family = _family(part, spec, box, mode)
+    return RateFrontier(family, _order(family, max_bits))
 
 
 def ticoq_design(
@@ -547,15 +500,12 @@ def _log_terms(family: DesignConstants) -> tuple[np.ndarray, np.ndarray, float]:
     """(log2 constants, entry sizes, p) of the high-rate law.
 
     Past the threshold the relaxed optimum is 2^(sum_i s_i log_i / (p n)) *
-    2^(-L/n) with n = sum_i s_i.  Max-term entries enter as they are, with
-    p = 1; the L_p design weights coordinate m of block k by n_k and divides
-    the exponent by p.
+    2^(-L/n) with n = sum_i s_i, where entry m of block M_k enters as
+    log2(|M_k| c_m): log2 c_m for one-entry blocks.
     """
-    const, sizes = np.asarray(family.const), np.asarray(family.sizes, dtype=float)
-    if family.kind == "sq-lp":
-        blocks = np.asarray(family.blocks, dtype=int)
-        return np.log2(np.repeat(blocks, blocks) * const), sizes, family.p
-    return np.log2(const), sizes, 1.0
+    counts = np.asarray(family._counts)
+    logs = np.log2(np.repeat(counts, counts) * np.asarray(family.const))
+    return logs, np.asarray(family.sizes, dtype=float), family.p
 
 
 def tradeoff_threshold(family: DesignConstants) -> float:

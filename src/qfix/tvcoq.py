@@ -23,7 +23,7 @@ import numpy as np
 from .engine import accumulated_error
 from .norms import BlockPartition, BoxDomain, NormSpec
 from .squant import _rate
-from .ticoq import bank_for_allocation, ticoq_frontier, tradeoff_threshold
+from .ticoq import RateFrontier, _family, _order, bank_for_allocation, tradeoff_threshold
 
 _TIED_LISTED = 64  # tied alternates a schedule lists; it counts them all
 
@@ -241,11 +241,11 @@ def tvcoq_design(
     bits or more on an entry is left out of the walk and refused, as is a
     rate a bank refuses; either refusal names the first stage with its rate.
     """
-    family = ticoq_frontier(part, spec, box, 0, mode).family
+    family = _family(part, spec, box, mode)
     schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=tradeoff_threshold(family))
     entries = len(family.const)
     walked = [L_t for L_t in schedule.rates if L_t <= 1023 * entries]  # even splits below 1024 bits an entry
-    frontier = ticoq_frontier(part, spec, box, max(walked, default=0), mode)
+    frontier = RateFrontier(family, _order(family, max(walked, default=0)))
     allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(walked)}
     banks = {}
     for t, L_t in enumerate(schedule.rates):

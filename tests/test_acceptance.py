@@ -46,12 +46,12 @@ from qfix.mimo import (
 )
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
 from qfix.ticoq import (
+    DesignConstants,
     allocation_oracle,
     bank_for_allocation,
     make_sq_bank,
-    max_term_objective,
+    objective_for,
     relaxed_eta,
-    sq_lp_objective,
     ticoq_sq_lp,
     ticoq_sq_wmax,
     ticoq_vq_lattice,
@@ -121,7 +121,7 @@ def test_c01_wmax_rate_design_matches_exhaustive_oracle():
         L = int(rng.integers(0, 13))
         alloc = ticoq_sq_wmax(part, spec, box, L)
         oracle = allocation_oracle(
-            max_term_objective(np.asarray(alloc.family.const), [1] * part.n), part.n, L
+            objective_for(DesignConstants("sq-wmax", alloc.family.const, (1,) * part.n)), part.n, L
         )
         # Bit-level equality of the optimal max-error value.
         assert alloc.integer_value == oracle.value, (
@@ -144,7 +144,7 @@ def test_c02_lattice_rate_design_matches_exhaustive_oracle():
         L = int(rng.integers(0, 10))
         alloc = ticoq_vq_lattice(part, w, box, L)
         oracle = allocation_oracle(
-            max_term_objective(np.asarray(alloc.family.const), part.block_sizes),
+            objective_for(DesignConstants("vq", alloc.family.const, part.block_sizes)),
             part.num_blocks,
             L,
         )
@@ -222,7 +222,8 @@ def test_c04_lp_relaxation_kkt_and_integer_optimum():
                     resid = float(np.max(np.abs(lv - tau_k))) / tau_k
                     worst_resid = max(worst_resid, resid)
 
-        oracle = allocation_oracle(sq_lp_objective(c, p, part), part.n, L)
+        family = DesignConstants("sq-lp", tuple(c), (1,) * part.n, p, part.block_sizes)
+        oracle = allocation_oracle(objective_for(family), part.n, L)
         if alloc.integer_value != oracle.value:
             off_oracle.append((alloc.integer_value, oracle.value))
 

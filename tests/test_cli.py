@@ -337,18 +337,25 @@ def test_simulate_mimo_refusal_reports_the_measured_modulus(tmp_path, capsys):
         assert figure in captured.err
 
 
-@pytest.mark.parametrize("game", [
-    {"distances": [[100.0, 1e-3], [500.0, 100.0]]},  # interference 1e-3 m from its receiver
-    {"power_dbm": 400.0},
-])
-def test_simulate_mimo_reports_a_game_whose_best_responses_are_refused(tmp_path, capsys, game):
-    """Interference so strong that R_{-k}'s noise floor is lost to rounding: the library refuses
-    the game's best responses, and the seed is reported with exit 2, not a traceback."""
+_NOT_PD = "matrix not positive definite (min eigenvalue -"
+
+
+@pytest.mark.parametrize("game, message", [
+    ({"distances": [[100.0, 1e-3], [500.0, 100.0]]}, _NOT_PD),  # interference 1e-3 m from its receiver
+    ({"power_dbm": 400.0}, _NOT_PD),
+    # a gain of 1e300 overflowed G_1 in a matmul: a RuntimeWarning, then a "non-finite entries" traceback
+    ({"distances": [[100.0, 1e-3], [500.0, 100.0]], "gamma": 100.0},
+     "whitened interference G_k of link 1 can overflow float64\n"),
+], ids=["game0", "game1", "game2"])
+def test_simulate_mimo_reports_a_game_whose_best_responses_are_refused(tmp_path, capsys, game, message):
+    """Interference so strong that R_{-k}'s noise floor is lost to rounding, or that G_k would
+    overflow: the library refuses the game's best responses, and the seed is reported with exit 2,
+    not a warning or a traceback."""
     doc = dict(MIMO, seeds=[3], game={**MIMO["game"], **game})
     assert main(["simulate", "--config", _write(tmp_path, "mimo.json", doc)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("seed 3: game not solved: matrix not positive definite (min eigenvalue -")
+    assert err.startswith(f"seed 3: game not solved: {message}")
     assert err.count("\n") == 1
 
 

@@ -249,10 +249,10 @@ def test_worst_case_bound_refuses_a_negative_or_nan_horizon(t):
 
 
 @st.composite
-def _contractions(draw, sparse=False):
+def _contractions(draw, sparse=False, min_blocks=1):
     """(part, spec, box, mapping, x*): a block permutation with ||A x|| = alpha ||x|| on weighted-max
     and L2 blocks, or, if `sparse`, a map on weighted-max blocks whose rows read 1-3 blocks."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=min_blocks, max_size=6))
     part = BlockPartition(sizes)
     weight = st.floats(0.25, 4.0)
     per_block = [
@@ -308,6 +308,26 @@ def test_certificate_holds_under_worst_case_errors(scheme, run):
     errs by its stated worst case, on block permutations and on sparse maps."""
     mapping, x_star, bank, x0, steps = run
     traj = run_iteration(mapping, bank, x0, steps, scheme)
+    cert = bound_certificate(traj, mapping, x_star)
+    assert cert.all_ok(), np.max(cert.dist - cert.bound)
+
+
+@st.composite
+def _chained_worst_case_runs(draw):
+    """A sparse map, a bank that pushes every coordinate its stated worst case away from x*, and a
+    run length: a run from x* itself, where each block's error has the sign of the errors it reads,
+    so the errors of a sweep add along every chain of reads."""
+    part, spec, _, mapping, x_star = draw(_contractions(sparse=True, min_blocks=2))
+    bank = adversarial_bank(part, spec, draw(st.sampled_from([1e-3, 1e-2, 0.1])), center=x_star)
+    return mapping, x_star, bank, draw(st.integers(1, 40))
+
+
+@given(_chained_worst_case_runs())
+def test_gauss_seidel_certificate_holds_when_errors_add_along_chains_of_reads(run):
+    """From d0 = 0 the bound is the sweep's error term alone, which a chain of two or more reads
+    of new values exceeds unless the sweep is charged past depth 1."""
+    mapping, x_star, bank, steps = run
+    traj = run_iteration(mapping, bank, x_star, steps, Scheme.GAUSS_SEIDEL)
     cert = bound_certificate(traj, mapping, x_star)
     assert cert.all_ok(), np.max(cert.dist - cert.bound)
 

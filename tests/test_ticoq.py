@@ -15,11 +15,9 @@ from qfix.ticoq import (
     bank_for_allocation,
     make_sq_bank,
     make_vq_bank,
-    max_term_objective,
     objective_for,
     relaxed_eta,
     sq_lp_constants,
-    sq_lp_objective,
     sq_wmax_constants,
     ticoq_design,
     ticoq_frontier,
@@ -32,6 +30,11 @@ from qfix.ticoq import (
 )
 from qfix.tvcoq import tvcoq_design, tvcoq_master
 from qfix.vquant import covering_radius, fundamental_volume
+
+
+def _max_term(c, sizes=None):
+    """max_i c_i 2^(-L_i / sizes_i) over allocation rows: one-entry blocks at p = 1."""
+    return objective_for(DesignConstants("vq", tuple(c), (1,) * len(c) if sizes is None else tuple(sizes)))
 
 
 def _wmax_problem(c):
@@ -91,7 +94,7 @@ def test_wmax_fraction_rounding_beats_value_ranking():
     alloc = ticoq_sq_wmax(part, spec, box, 3)
     assert alloc.bits == (2, 1)
     assert alloc.integer_value == pytest.approx(2.0)
-    oracle = allocation_oracle(max_term_objective([8.0, 3.0], [1, 1]), 2, 3)
+    oracle = allocation_oracle(_max_term([8.0, 3.0]), 2, 3)
     assert alloc.integer_value == oracle.value
 
 
@@ -119,7 +122,7 @@ def test_wmax_matches_oracle_batch():
         total = int(rng.integers(0, 13))
         alloc = ticoq_sq_wmax(part, spec, box, total)
         c = sq_wmax_constants(part, spec, box)
-        oracle = allocation_oracle(max_term_objective(c, [1] * len(c)), part.n, total)
+        oracle = allocation_oracle(_max_term(c), part.n, total)
         assert alloc.integer_value == oracle.value
 
 
@@ -204,7 +207,8 @@ def test_lp_integer_value_matches_oracle():
         total = int(rng.integers(0, 9))
         alloc = ticoq_sq_lp(part, spec, box, total)
         c, p = sq_lp_constants(part, spec, box)
-        oracle = allocation_oracle(sq_lp_objective(c, p, part), part.n, total)
+        family = DesignConstants("sq-lp", tuple(c), (1,) * part.n, p, part.block_sizes)
+        oracle = allocation_oracle(objective_for(family), part.n, total)
         assert alloc.integer_value == oracle.value
 
 
@@ -304,6 +308,25 @@ def _relaxed_start_bits(alloc: ticoq.RateAllocation) -> list:
         bits[k] += 1
         heapq.heapreplace(heap, (-consts[k] * 2.0 ** (-bits[k] / sizes[k]), k))
     return bits
+
+
+_WMAX_21 = NormSpec([1.0, 1.0], [WeightedMax([1.0, 1.0]), WeightedMax([1.0])])
+
+
+@pytest.mark.parametrize("mode, sizes, spec, box, order", [
+    # equal constants: the bits go round the coordinates in index order
+    ("sq-wmax", [2, 1], _WMAX_21, [(-1.0, 1.0)] * 3, [0, 1, 2, 0, 1, 2, 0, 1, 2]),
+    # lattice blocks of 2, 1 and 2 coordinates: blocks 0 and 2 tie at every bit
+    ("vq", [2, 1, 2], NormSpec([1.0] * 3, [Lp(2.0)] * 3), [(0.0, 1.0)] * 5, [0, 2, 1, 0, 2, 0, 2, 1, 0, 2, 0, 2]),
+    # L_1.5 blocks whose sums tie, and whose terms tie inside them
+    ("sq-lp", [2, 2], NormSpec([1.0, 1.0], [Lp(1.5)] * 2), [(0.0, 2.0)] * 4, [0, 2, 1, 3, 0, 2, 1, 3, 0, 2]),
+    ("sq-lp", [1, 3], NormSpec([1.0, 2.0], [Lp(1.5)] * 2), [(0.0, 2.0), (0.0, 4.0), (0.0, 4.0), (-1.0, 1.0)],
+     [1, 2, 1, 0, 2, 3, 3, 0, 1, 2]),
+], ids=["sq-wmax-equal", "vq-blocks-2-1-2", "sq-lp-2-2", "sq-lp-1-3"])
+def test_frontier_orders_on_exact_ties_are_pinned(mode, sizes, spec, box, order):
+    """Every family's walk, bit by bit, on small problems whose terms and block sums tie exactly."""
+    frontier = ticoq_frontier(BlockPartition(sizes), spec, BoxDomain(box), len(order), mode)
+    assert frontier.order.tobytes() == np.array(order, dtype=np.intp).tobytes()
 
 
 @given(st.data(), st.sampled_from(["sq-wmax", "sq-lp", "vq"]), st.integers(0, 40))
@@ -412,7 +435,7 @@ def test_vq_equal_blocks_match_oracle():
         alloc = ticoq_vq_lattice(part, w, box, total)
         d = vq_constants(part, w, box)
         oracle = allocation_oracle(
-            max_term_objective(d, part.block_sizes), num_blocks, total
+            _max_term(d, part.block_sizes), num_blocks, total
         )
         assert alloc.integer_value == oracle.value
 
@@ -423,7 +446,7 @@ def test_vq_unequal_blocks_match_oracle():
     box = BoxDomain([(0.0, 1.0)] * 4)
     alloc = ticoq_vq_lattice(part, w, box, 5)
     d = vq_constants(part, w, box)
-    oracle = allocation_oracle(max_term_objective(d, part.block_sizes), 2, 5)
+    oracle = allocation_oracle(_max_term(d, part.block_sizes), 2, 5)
     assert alloc.integer_value == oracle.value
 
 
@@ -435,11 +458,11 @@ def test_vq_rejects_low_p():
 
 
 def test_oracle_basics():
-    obj = max_term_objective([0.5, 2.0], [1, 1])
+    obj = _max_term([0.5, 2.0])
     res = allocation_oracle(obj, 2, 2)
     assert res.allocation == (0, 2)
     assert res.value == 0.5
-    res1 = allocation_oracle(max_term_objective([1.0], [1]), 1, 7)
+    res1 = allocation_oracle(_max_term([1.0]), 1, 7)
     assert res1.allocation == (7,)
     # constant objective: lexicographically smallest allocation wins
     flat = allocation_oracle(lambda a: np.zeros(np.atleast_2d(a).shape[0]), 3, 2)
@@ -462,7 +485,7 @@ def test_oracle_refuses_a_row_only_objective():
 
 def test_oracle_enumeration_guard():
     with pytest.raises(ValueError):
-        allocation_oracle(max_term_objective([1.0] * 12, [1] * 12), 12, 40)
+        allocation_oracle(_max_term([1.0] * 12), 12, 40)
 
 
 def test_threshold_worked_values():
@@ -524,7 +547,7 @@ def _sq_wmax_objective(c):
 def test_max_term_objective_at_unit_sizes_is_the_weighted_max_objective(data, c):
     rows = st.lists(st.integers(0, 1100), min_size=len(c), max_size=len(c))
     allocs = np.array(data.draw(st.lists(rows, min_size=1, max_size=5), label="allocs"))
-    assert _hex(max_term_objective(c, [1] * len(c))(allocs)) == _hex(_sq_wmax_objective(c)(allocs))
+    assert _hex(_max_term(c)(allocs)) == _hex(_sq_wmax_objective(c)(allocs))
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.5, -1])
@@ -534,14 +557,14 @@ def test_budgets_refuse_non_integers_with_their_own_message(bad):
     with pytest.raises(ValueError, match="total rate must be a nonnegative integer"):
         ticoq_design(part, spec, box, bad, "sq-wmax")
     with pytest.raises(ValueError, match="total rate must be a nonnegative integer"):
-        allocation_oracle(max_term_objective([0.5, 2.0], [1, 1]), 2, bad)
+        allocation_oracle(_max_term([0.5, 2.0]), 2, bad)
     with pytest.raises(ValueError, match="total rate must be a nonnegative integer"):
         uniform_sq_allocation(2, bad)
 
 
 def test_allocation_counts_take_integral_floats():
     """A count of 2.0 once raised numpy's TypeError from np.full and math.comb."""
-    objective = max_term_objective([0.5, 2.0], [1, 1])
+    objective = _max_term([0.5, 2.0])
     assert list(uniform_sq_allocation(2.0, 8)) == list(uniform_sq_allocation(2, 8)) == [4, 4]
     assert allocation_oracle(objective, 2.0, 4) == allocation_oracle(objective, 2, 4)
 
@@ -551,7 +574,7 @@ def test_allocation_counts_refuse_non_integers_and_zero(bad):
     with pytest.raises(ValueError, match="n must be an integer >= 1"):
         uniform_sq_allocation(bad, 8)
     with pytest.raises(ValueError, match="dims must be an integer >= 1"):
-        allocation_oracle(max_term_objective([0.5, 2.0], [1, 1]), bad, 4)
+        allocation_oracle(_max_term([0.5, 2.0]), bad, 4)
 
 
 @pytest.mark.parametrize("mode", ["sq-wmax", "sq-lp", "vq"])
@@ -569,12 +592,9 @@ def test_designs_refuse_a_box_of_another_dimension_with_the_banks_message(mode):
 def test_objective_for_dispatch():
     cw = DesignConstants("sq-wmax", (0.5, 2.0), (1, 1))
     a = np.array([[0, 2], [1, 1]])
-    assert np.allclose(objective_for(cw)(a), max_term_objective([0.5, 2.0], [1, 1])(a))
+    assert np.allclose(objective_for(cw)(a), _sq_wmax_objective([0.5, 2.0])(a))
     cl = DesignConstants("sq-lp", (1.0, 2.0), (1, 1), p=2.0, blocks=(2,))
-    part2 = BlockPartition([2])
-    assert np.allclose(
-        objective_for(cl)(a), sq_lp_objective([1.0, 2.0], 2.0, part2)(a)
-    )
+    assert np.allclose(objective_for(cl)(a), np.sqrt(np.sum([1.0, 2.0] * 2.0 ** (-2.0 * a), axis=1)))
 
 
 def test_bank_construction_consistency():

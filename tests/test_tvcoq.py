@@ -13,11 +13,11 @@ from qfix import tvcoq
 from qfix.engine import accumulated_error
 from qfix.norms import BlockPartition, BoxDomain, Lp, NormSpec, WeightedMax
 from qfix.ticoq import (
-    _max_term_order,
+    DesignConstants,
+    _order,
     allocation_oracle,
     relaxed_eta,
     ticoq_design,
-    ticoq_frontier,
     tradeoff_threshold,
 )
 from qfix.tvcoq import (
@@ -98,7 +98,7 @@ def test_master_split_equals_the_per_bit_walk_in_both_regimes(alpha, n, L, T):
     separable convex objective. The split matches its value to float rounding of exactly tied terms."""
     sched = tvcoq_master(alpha, n, L, T)
     t = np.arange(T, dtype=float)
-    walk = np.bincount(_max_term_order(alpha ** -t, np.full(T, float(n)), T * L), minlength=T)
+    walk = np.bincount(_order(DesignConstants("vq", tuple(alpha ** -t), (n,) * T), T * L), minlength=T)
     value = master_objective(alpha, n)(walk)[0]
     assert abs(sched.objective_value - value) <= 4 * math.ulp(value)
 
@@ -271,13 +271,13 @@ def test_design_walks_one_frontier_for_every_distinct_rate(monkeypatch, mode, L,
     box = BoxDomain([(0.0, 1.0), (-1.0, 3.0), (0.0, 2.0), (0.0, 0.5)])
     walks = []
 
-    def counting(part, spec, box, max_bits, mode):
-        walks.append(max_bits)
-        return ticoq_frontier(part, spec, box, max_bits, mode)
+    def counting(family, budget):
+        walks.append(budget)
+        return _order(family, budget)
 
-    monkeypatch.setattr(tvcoq, "ticoq_frontier", counting)
+    monkeypatch.setattr(tvcoq, "_order", counting)
     sched = tvcoq_design(part, spec, box, L, T, alpha, mode)
-    assert walks == [0, max(sched.rates)]  # the 0-bit frontier gives the threshold's constants
+    assert walks == [max(sched.rates)]  # the threshold's constants need no walk
     for t, rate in enumerate(sched.rates):
         first = sched.rates.index(rate)
         assert sched.allocations[t] is sched.allocations[first]
