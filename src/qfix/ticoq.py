@@ -51,8 +51,8 @@ class DesignConstants(_Frozen):
 
     Every family minimizes max_k (sum_{m in M_k} const_m 2^(-p L_m / sizes_m))^(1/p) over
     the entry blocks of `blocks`.  kind selects the relaxation: "sq-wmax" (one entry per
-    coordinate, size 1) and "vq" (one entry per block, of size n_k) keep the defaults, one-entry
-    blocks at p = 1; "sq-lp" (one entry per coordinate) takes its p and coordinate blocks.
+    coordinate, size 1) and "vq" (one entry per block, of size n_k) take only the defaults,
+    one-entry blocks at p = 1; "sq-lp" (one entry per coordinate) takes its p and coordinate blocks.
     """
 
     _fields = ("kind", "const", "sizes", "p", "blocks")
@@ -68,6 +68,8 @@ class DesignConstants(_Frozen):
             raise ValueError("all design constants must be positive and finite")
         if kind == "sq-lp" and not (p >= 1.0 and blocks is not None and sum(blocks) == len(const)):
             raise ValueError("sq-lp constants need p >= 1 and blocks covering every coordinate")
+        if kind != "sq-lp" and (p != 1.0 or blocks is not None):
+            raise ValueError(f"{kind} constants are one-entry blocks at p = 1: they take no p or blocks")
         self._set(kind=kind, const=const, sizes=sizes, p=p, blocks=blocks)
 
     @property

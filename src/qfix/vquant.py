@@ -21,8 +21,9 @@ its codebook holds every lattice point within covering distance of the
 box.  That set is a conservative superset of the points whose cells
 meet the box — it may graze a few extra boundary points, which only
 enlarges the reported effective rate — and it provably contains the
-true nearest lattice point of every in-box input, so encoding is exact
-and never scans.
+true nearest lattice point of every in-box input.  So the codebook is
+counted, never tabulated, and quantizing decodes the clamped input and
+checks that the point is in reach of the box.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def _box_lengths(box) -> np.ndarray:
 
 
 class LatticeQuantizer:
-    """A scaled A*_n quantizer with a finite, deterministically indexed codebook; `size` is n."""
+    """A scaled A*_n quantizer whose codebook is counted, never tabulated; `size` is n."""
 
     def __init__(self, box, bits: int):
         box = [(float(lo), float(hi)) for lo, hi in box]
@@ -155,21 +156,22 @@ class LatticeQuantizer:
         self._glue = glue_vectors(n)
         self._lo = np.array([lo for lo, _ in box])
         self._hi = np.array([hi for _, hi in box])
-        self._build_codebook()
+        self.codebook_size = self._count_codebook()
 
     @property
     def worst_case_error(self) -> float:
         return self.scale * covering_radius(self.n)
 
     @property
-    def codebook_size(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def effective_bits(self) -> float:
         return math.log2(self.codebook_size)
 
-    def _build_codebook(self):
+    def _in_reach(self, pts: np.ndarray) -> np.ndarray:
+        """Which rows of pts lie within covering distance of the box: the codebook's membership test."""
+        gap = np.maximum(np.maximum(self._lo - pts, pts - self._hi), 0.0)
+        return np.sqrt(np.sum(gap**2, axis=1)) <= self.worst_case_error * (1.0 + 1e-9)
+
+    def _count_codebook(self) -> int:
         n = self.n
         reach = self.worst_case_error
         ylo = (self._lo - reach) / self.scale
@@ -189,30 +191,27 @@ class LatticeQuantizer:
                     f"(guard {_ENUM_GUARD}); lower the rate or split the block"
                 )
 
-        keys, points = [], []
+        size = 0
         for i, g in enumerate(self._glue):
             grid = np.indices(spans[i]).reshape(n, -1).T + f_lo[i, :n]
             last = -grid.sum(axis=1)
             ok = (last >= f_lo[i, n]) & (last <= f_hi[i, n])
             f = np.column_stack([grid[ok], last[ok]])
-            pts = self.scale * ((g + f) @ self.basis.T)
-            gap = np.maximum(np.maximum(self._lo - pts, pts - self._hi), 0.0)
-            near = np.sqrt(np.sum(gap**2, axis=1)) <= reach * (1.0 + 1e-9)
-            keys.append(np.column_stack([np.full(near.sum(), i), f[near]]))
-            points.append(pts[near])
-
-        keys = np.concatenate(keys)
-        order = np.lexsort(keys.T[::-1])
-        self.keys = tuple(map(tuple, keys[order].tolist()))
-        self.points = np.concatenate(points)[order]
-        self._index = dict(zip(self.keys, range(len(self.keys))))
+            size += int(np.count_nonzero(self._in_reach(self.scale * ((g + f) @ self.basis.T))))
+        return size
 
     def clamp(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
 
     def quantize(self, v: np.ndarray) -> np.ndarray:
-        """Round-trip decode(encode(v))."""
-        return vq_decode(self, vq_encode(self, v))
+        """The nearest lattice point to clamp(v, box), which is a codebook point."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,) or not np.isfinite(v).all():
+            raise ValueError(f"expected a finite length-{self.n} vector, got {v!r}")
+        points, _, _ = _decode_batch(self.clamp(v)[None, :], self.scale, self.basis, self._glue)
+        if not self._in_reach(points)[0]:  # the membership proof the count relies on
+            raise ValueError(f"decoded point {points[0]} is outside the codebook's reach of the box")
+        return points[0]
 
     def worst_case_block_error(self, norm) -> float:
         """The Euclidean bound, which also bounds every L_p norm with p >= 2."""
@@ -222,27 +221,8 @@ class LatticeQuantizer:
 
 
 def vq_design(box, n: int, bits: int) -> LatticeQuantizer:
-    """Scale A*_n so 2^bits cells cover the box volume and enumerate the codebook."""
+    """Scale A*_n so 2^bits cells cover the box volume and count the codebook."""
     box = list(box)
     if len(box) != n:
         raise ValueError(f"box has {len(box)} intervals for dimension {n}")
     return LatticeQuantizer(box, bits)
-
-
-def vq_encode(q: LatticeQuantizer, x) -> int:
-    """Index of the nearest codebook point to clamp(x, box)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (q.n,):
-        raise ValueError(f"expected a length-{q.n} vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    # The nearest point of a clamped input lies within covering distance of the
-    # box, so it is in the codebook.
-    _, coset, f = _decode_batch(q.clamp(x)[None, :], q.scale, q.basis, q._glue)
-    return q._index[(int(coset[0]), *f[0].tolist())]
-
-
-def vq_decode(q: LatticeQuantizer, index: int) -> np.ndarray:
-    if not (0 <= index < q.codebook_size):
-        raise ValueError(f"index {index} out of range (codebook size {q.codebook_size})")
-    return q.points[index].copy()

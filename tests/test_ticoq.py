@@ -511,6 +511,9 @@ def test_tradeoff_value_matches_solver_above_threshold():
         )
 
 
+_ONE_ENTRY = "constants are one-entry blocks at p = 1: they take no p or blocks"
+
+
 @pytest.mark.parametrize(
     "args, kwargs, message",
     [
@@ -525,6 +528,13 @@ def test_tradeoff_value_matches_solver_above_threshold():
         (("sq-lp", (1.0, 2.0), (1, 1)), {"p": 2.0, "blocks": (5,)}, "sq-lp constants need p >= 1"),
         # a 1e-320 weighted-max weight once gave an infinite constant, then NaN rates
         (("sq-wmax", (1.0, math.inf), (1, 1)), {}, "all design constants must be positive and finite"),
+        # the max-term kinds are one-entry blocks at p = 1: an "sq-lp" record's p and blocks once
+        # gave an integer value of 0.5 beside a relaxed 0.79, blocks of 5 entries over 2 lattice
+        # constants ended the walk in an IndexError, and blocks (1,) over two constants walked
+        # every bit to the first entry
+        (("sq-wmax", (1.0, 2.0, 4.0), (1, 1, 1)), {"p": 2.0, "blocks": (2, 1)}, _ONE_ENTRY),
+        (("vq", (1.0, 2.0), (2, 3)), {"blocks": (5,)}, _ONE_ENTRY),
+        (("sq-wmax", (1.0, 2.0), (1, 1)), {"blocks": (1,)}, _ONE_ENTRY),
     ],
 )
 def test_design_constants_refuse_inconsistent_records(args, kwargs, message):

@@ -158,7 +158,8 @@ def test_values_are_equal_exactly_when_every_field_is(cls, data):
 
 _FAMILY = DesignConstants("sq-lp", (1.0, 2.0, 4.0), (1, 1, 1), 2.0, (2, 1))
 # One construction per value type, then per field one that differs from it in that field, and in
-# no other unless the constructor's checks tie them (a game's link count and its distances).
+# no other unless the constructor's checks tie them (a game's link count and its distances, a
+# design's kind and its p and blocks).
 VARIANTS = {
     BlockPartition: [((2, 1),), ((1, 2),)],
     WeightedMax: [((1.0, 0.25),), ((1.0, 0.5),)],
@@ -181,7 +182,7 @@ VARIANTS = {
     ],
     DesignConstants: [
         ("sq-lp", (1.0, 2.0, 4.0), (1, 1, 1), 2.0, (2, 1)),
-        ("sq-wmax", (1.0, 2.0, 4.0), (1, 1, 1), 2.0, (2, 1)),
+        ("sq-wmax", (1.0, 2.0, 4.0), (1, 1, 1)),
         ("sq-lp", (1.0, 2.0, 3.0), (1, 1, 1), 2.0, (2, 1)),
         ("sq-lp", (1.0, 2.0, 4.0), (1, 1, 2), 2.0, (2, 1)),
         ("sq-lp", (1.0, 2.0, 4.0), (1, 1, 1), 3.0, (2, 1)),

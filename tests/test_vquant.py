@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _lattice_oracle import brute_nearest_distance, enumerate_codebook, scan_decode
 from _oracles import sq_worst_case_error
+from qfix import vquant
 from qfix.vquant import (
     LatticeQuantizer,
     _decode_batch,
@@ -17,9 +18,7 @@ from qfix.vquant import (
     glue_vectors,
     lattice_scale,
     nearest_point_a_star,
-    vq_decode,
     vq_design,
-    vq_encode,
 )
 
 
@@ -155,8 +154,10 @@ def test_quantizer_interior_points_hit_codebook(box, bits):
         # encoding is exact: the codebook contains the true nearest point
         assert np.allclose(out, ref, atol=1e-11)
         assert np.linalg.norm(out - q.clamp(x)) <= q.worst_case_error + 1e-12
-        idx = vq_encode(q, x)
-        assert np.array_equal(vq_decode(q, idx), out)
+        # the output is the decoder's point, and a codebook member: in reach of the box
+        points, _, _ = _decode_batch(q.clamp(x)[None, :], q.scale, q.basis, q._glue)
+        assert out.tobytes() == points[0].tobytes()
+        assert q._in_reach(out[None, :])[0]
 
 
 def test_quantizer_clamps_far_inputs():
@@ -170,7 +171,23 @@ def test_quantizer_clamps_far_inputs():
 def test_construction_is_deterministic():
     a = LatticeQuantizer([(-1.0, 2.0), (0.5, 2.5), (0.0, 1.0)], 5)
     b = LatticeQuantizer([(-1.0, 2.0), (0.5, 2.5), (0.0, 1.0)], 5)
-    assert np.array_equal(a.points, b.points)
+    assert a.codebook_size == b.codebook_size
+    for x in np.random.default_rng(4).uniform(-2.0, 3.0, size=(200, 3)):
+        assert a.quantize(x).tobytes() == b.quantize(x).tobytes()
+
+
+def test_quantize_refuses_a_decode_out_of_reach(monkeypatch):
+    # Membership is distance to the box <= reach (1 + 1e-9), boundary included: a forged decode
+    # at exactly that distance is returned, and one a float further is refused.  With hi = 0
+    # the computed distance of a 1-D point r is r itself, since sqrt(r * r) == r in IEEE.
+    q = LatticeQuantizer([(-1.0, 0.0)], 3)
+    edge = q.worst_case_error * (1.0 + 1e-9)
+    beyond = np.nextafter(edge, np.inf)
+    monkeypatch.setattr(vquant, "_decode_batch", lambda *args: (np.array([[edge]]), None, None))
+    assert q.quantize(np.array([0.0]))[0] == edge
+    monkeypatch.setattr(vquant, "_decode_batch", lambda *args: (np.array([[beyond]]), None, None))
+    with pytest.raises(ValueError, match="outside the codebook's reach"):
+        q.quantize(np.array([0.0]))
 
 
 def test_enumeration_guard(monkeypatch):
@@ -194,10 +211,9 @@ def test_rejects_bad_inputs():
             LatticeQuantizer([(0.0, 1.0)], bits)
     q = LatticeQuantizer([(0.0, 1.0), (0.0, 1.0)], 2.0)
     assert q.bits == 2 and type(q.bits) is int
-    with pytest.raises(ValueError):
-        vq_encode(q, np.array([0.1, 0.2, 0.3]))
-    with pytest.raises(ValueError):
-        vq_decode(q, q.codebook_size)
+    for bad in (np.array([0.1, 0.2, 0.3]), np.array([0.1, np.inf]), np.array([np.nan, 0.2])):
+        with pytest.raises(ValueError, match="expected a finite length-2 vector"):
+            q.quantize(bad)
     with pytest.raises(ValueError):
         nearest_point_a_star(np.array([0.1, np.nan]), 1.0)
 
@@ -246,11 +262,27 @@ def _boxes(draw):
 
 
 @settings(max_examples=40)
-@given(_boxes())
-def test_codebook_equals_the_reference_enumeration(case):
+@given(_boxes(), st.integers(0, 2**16))
+def test_codebook_equals_the_reference_enumeration(case, seed):
     q = LatticeQuantizer(*case)
     keys, points = enumerate_codebook(q)
-    assert q.keys == keys
-    assert q.points.tobytes() == points.tobytes()
     assert q.codebook_size == len(keys)
-    assert q._index == {key: pos for pos, key in enumerate(keys)}
+    # Clamped inputs inside, outside and at the corners of the box decode to a codebook key,
+    # and quantize returns that decode's point.
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(q.box).T
+    xs = np.concatenate(
+        [
+            rng.uniform(lo, hi, size=(20, q.n)),
+            rng.uniform(2.0 * lo - hi, 2.0 * hi - lo, size=(20, q.n)),
+            np.array(list(itertools.product(*q.box))),
+        ]
+    )
+    index = {key: pos for pos, key in enumerate(keys)}
+    for x in xs:
+        point, coset, f = _decode_batch(q.clamp(x)[None, :], q.scale, q.basis, q._glue)
+        key = (int(coset[0]), *f[0].tolist())
+        assert key in index
+        ref = points[index[key]]
+        assert np.max(np.abs(point[0] - ref)) <= 1e-12 * (q.scale + np.max(np.abs(ref)))
+        assert q.quantize(x).tobytes() == point[0].tobytes()
