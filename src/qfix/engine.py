@@ -231,7 +231,7 @@ class BlockMapping(_Frozen):
             block_reads.flags.writeable = False
         self._set(
             fn=fn, partition=partition, domain=domain, norm=norm, modulus=modulus,
-            group_fn=group_fn, block_reads=block_reads,
+            group_fn=group_fn, block_reads=block_reads, _update_groups={},
         )
 
     @cached_property
@@ -244,11 +244,6 @@ class BlockMapping(_Frozen):
         if self.block_reads is None:
             return tuple(range(self.partition.num_blocks))
         return sweep_groups_of(self.block_reads)
-
-    @cached_property
-    def _update_groups(self) -> dict:
-        """The record of every group asked for (None, a block k or a tuple of blocks)."""
-        return {}
 
     def _update_group(self, blocks) -> _UpdateGroup:
         """The record of `blocks`, built the first time it is asked for."""
@@ -286,23 +281,16 @@ class Trajectory:
     """A run's iterates (steps+1, n), errors (steps, n) and error norms (steps,).
 
     `dist_to_ref` (steps+1,) holds the distances to `reference` in the norm
-    `dist_norm` (partition, norm) when a reference was given;
-    `repeated_steps` counts the steps served from an earlier step.
+    `dist_norm` (partition, norm), all three None until a run with a reference
+    sets them; `repeated_steps` counts the steps served from an earlier step.
     """
 
-    def __init__(
-        self,
-        iterates: np.ndarray,
-        errors: np.ndarray,
-        error_norms: np.ndarray,
-        scheme: Scheme,
-        dist_to_ref: Optional[np.ndarray] = None,
-        reference: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, iterates: np.ndarray, errors: np.ndarray, error_norms: np.ndarray, scheme: Scheme):
         if iterates.shape[0] != errors.shape[0] + 1:
             raise ValueError("iterates must contain exactly one more row than errors")
         self.iterates, self.errors, self.error_norms, self.scheme = iterates, errors, error_norms, scheme
-        self.dist_to_ref, self.reference = dist_to_ref, reference
+        self.dist_to_ref: Optional[np.ndarray] = None
+        self.reference: Optional[np.ndarray] = None
         self.dist_norm: Optional[tuple] = None
         self.repeated_steps = 0
 
@@ -346,9 +334,9 @@ def run_iteration(
 ) -> Trajectory:
     """Iterate x(t+1) = T(x(t)) + e(t) for `steps` steps.
 
-    A run's groups are the one group of all blocks (Jacobi), the mapping's
-    `sweep_groups` (Gauss-Seidel) or each block (sequential), and a sweep
-    is P steps (`_sweep`).  Every step copies x(t) into x(t+1), then updates
+    A run's groups and its sweep of P steps come from `_sweep`: the one group
+    of all blocks (Jacobi), the mapping's `sweep_groups` (Gauss-Seidel) or
+    each block (sequential).  Every step copies x(t) into x(t+1), then updates
     groups[t mod P :: P] in turn, each with one evaluation at x(t+1) and one
     bank pass: a Gauss-Seidel sweep every group, a sequential tick block
     t mod K.  A later group reads the *quantized* values of the earlier
@@ -377,20 +365,13 @@ def run_iteration(
         raise ValueError("x0 lies outside the box domain")
 
     banks = _bank_schedule(quantizers, steps)
-    K = part.num_blocks
     iterates = np.empty((steps + 1, part.n))
     errors = np.zeros((steps, part.n))
     iterates[0] = x
 
-    if scheme == Scheme.JACOBI:
-        groups = (None,)
-    elif scheme == Scheme.SEQUENTIAL:
-        groups = range(K)
-    else:
-        groups = mapping.sweep_groups
+    groups, period, _ = _sweep(scheme, mapping)
     records = [mapping._update_group(blocks) for blocks in groups]
     plans = {}  # id(bank) -> (group record, its quantizer) per group, resolved once per run
-    period = _sweep(scheme, K)[0]
     first = {}  # (hash of x(t)'s bytes, id(bank), t mod period) -> the first step t with that key
     t = repeated = 0
     while t < steps:
@@ -455,18 +436,19 @@ def _row_norms(mapping: BlockMapping, rows: np.ndarray, ref=0.0) -> np.ndarray:
     return np.concatenate([block_norms(chunk - ref, part, spec) for chunk in _row_chunks(rows)])
 
 
-def _sweep(scheme: Scheme, num_blocks: int) -> tuple:
-    """(P, D): a sweep is P steps, and a step's error passes through at most D of its updates.
+def _sweep(scheme: Scheme, mapping: BlockMapping) -> tuple:
+    """(groups, P, D): a run updates `groups`, a sweep is P steps, and an error passes D updates at most.
 
-    Jacobi (1, 1), Gauss-Seidel (1, K) and sequential runs (K, K): K ticks,
-    one per block in turn, are one Gauss-Seidel sweep.
+    Jacobi ((None,), 1, 1), Gauss-Seidel (mapping.sweep_groups, 1, K) and sequential
+    runs (range(K), K, K): K ticks, one per block in turn, are one Gauss-Seidel sweep.
     """
+    K = mapping.partition.num_blocks
     if scheme == Scheme.JACOBI:
-        return 1, 1
+        return (None,), 1, 1
     if scheme == Scheme.GAUSS_SEIDEL:
-        return 1, num_blocks
+        return mapping.sweep_groups, 1, K
     if scheme == Scheme.SEQUENTIAL:
-        return num_blocks, num_blocks
+        return range(K), K, K
     raise ValueError(f"unknown scheme {scheme}")
 
 
@@ -547,7 +529,7 @@ def bound_certificate(traj: Trajectory, mapping: BlockMapping, x_star) -> BoundC
     d = traj.dist_to_ref  # measured by run_iteration, if in this norm and to this reference
     if traj.dist_norm != (mapping.partition, mapping.norm) or not np.array_equal(traj.reference, ref):
         d = _row_norms(mapping, traj.iterates, ref)
-    ticks, depth = _sweep(traj.scheme, mapping.partition.num_blocks)
+    _, ticks, depth = _sweep(traj.scheme, mapping)
     steps, sweeps = traj.steps, traj.steps // ticks
     rows = np.zeros((sweeps + 1, ticks))  # row s: sweep s's step norms, padded with +0.0
     rows.reshape(-1)[:steps] = traj.error_norms

@@ -15,16 +15,19 @@ import numpy as np
 from .norms import WeightedMax, lp_norm
 
 
-def _rate(bits):
-    """Rates as ints (an array's as an int array); ValueError unless each is in 0..1023.
+_RATE_CAP = 1024  # a rate is below this, where 2.0 ** L overflows float64
 
-    A rate is an integer (2.0 is, 1.5 is not) below 1024, where 2.0 ** L overflows.
+
+def _rate(bits):
+    """Rates as ints (an array's as an int array); ValueError unless each is in 0.._RATE_CAP - 1.
+
+    A rate is an integer (2.0 is, 1.5 is not) below _RATE_CAP.
     """
     given = np.asarray(bits)
     rates = given.astype(float)
-    ok = (rates >= 0) & (rates < 1024) & (rates == np.floor(rates))
+    ok = (rates >= 0) & (rates < _RATE_CAP) & (rates == np.floor(rates))
     if not ok.all():
-        raise ValueError(f"rate must be a nonnegative integer below 1024, got {given[~ok].flat[0]}")
+        raise ValueError(f"rate must be a nonnegative integer below {_RATE_CAP}, got {given[~ok].flat[0]}")
     return rates.astype(int) if rates.ndim else int(rates)
 
 

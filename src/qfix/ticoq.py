@@ -164,73 +164,57 @@ def objective_for(family: DesignConstants) -> Callable[[np.ndarray], np.ndarray]
 # Design constants from a box + norm specification
 # ---------------------------------------------------------------------------
 
-def _quiet(builder):
-    """A constant builder whose overflow gives inf and underflow 0, unwarned: DesignConstants refuses both."""
-    return np.errstate(over="ignore", divide="ignore", invalid="ignore")(builder)
-
-
 def _check_box(part: BlockPartition, box: BoxDomain) -> None:
     if box.n != part.n:
         raise ValueError(f"a box of dimension {box.n} for a partition of dimension {part.n}")
 
 
-def _box_lengths(part: BlockPartition, box: BoxDomain) -> np.ndarray:
-    """The side lengths of a design's box, checked against its partition."""
+def design_constants(part: BlockPartition, spec: NormSpec, box: BoxDomain, mode: str) -> DesignConstants:
+    """The "sq-wmax", "sq-lp" or "vq" family of a box under a norm, checked once.
+
+    * "sq-wmax": c_m = |X_m| / (2 a_m w_k(m)), one entry per coordinate;
+    * "sq-lp": c_m = |X_m|^p / (2^p w_k(m)^p) at the blocks' common exponent p,
+      one entry per coordinate, in the partition's blocks;
+    * "vq": d_k = (vol_k / V_nk)^(1/n_k) * R_nk / w_k, the worst-case lattice error of
+      block k's unit-rate cell over w_k (R, V the covering radius and fundamental volume
+      of the n_k-dimensional dual lattice), one entry of size n_k per block, so the
+      block-norm error at L_k bits is exactly d_k 2^(-L_k/n_k).  Lattices take the
+      smallest L_p exponent, which must be at least 2.
+
+    Overflow gives inf and underflow 0, unwarned: DesignConstants refuses both.
+    """
+    if mode not in ("sq-wmax", "sq-lp", "vq"):
+        raise ValueError(f"unknown design mode {mode!r}")
+    spec.check_partition(part)
     _check_box(part, box)
     lengths = box.lengths
     if np.any(lengths <= 0):
         raise ValueError("every interval must have positive length")
-    return lengths
-
-
-@_quiet
-def sq_wmax_constants(part: BlockPartition, spec: NormSpec, box: BoxDomain) -> np.ndarray:
-    """c_m = |X_m| / (2 a_m w_k(m)) for weighted-max blocks."""
-    spec.check_partition(part)
-    lengths = _box_lengths(part, box)
+    kind, name = (WeightedMax, "a weighted-max") if mode == "sq-wmax" else (Lp, "an L_p")
     for k, norm_k in enumerate(spec.per_block):
-        if not isinstance(norm_k, WeightedMax):
-            raise ValueError(f"block {k} does not carry a weighted-max norm")
-    a = np.concatenate([norm_k.a for norm_k in spec.per_block])
-    return lengths / (2.0 * a * np.repeat(spec.block_weights, part.block_sizes))
-
-
-@_quiet
-def sq_lp_constants(
-    part: BlockPartition, spec: NormSpec, box: BoxDomain
-) -> tuple[np.ndarray, float]:
-    """c_m = |X_m|^p / (2^p w_k(m)^p) and the common exponent p."""
-    spec.check_partition(part)
-    lengths = _box_lengths(part, box)
-    p = None
-    for k, norm_k in enumerate(spec.per_block):
-        if not isinstance(norm_k, Lp):
-            raise ValueError(f"block {k} does not carry an L_p norm")
-        if p is None:
-            p = norm_k.p
-        elif norm_k.p != p:
-            raise ValueError(f"blocks mix exponents {p} and {norm_k.p}")
-    c = (lengths / (2.0 * np.repeat(spec.block_weights, part.block_sizes))) ** p
-    return c, float(p)
-
-
-@_quiet
-def vq_constants(part: BlockPartition, w: Sequence[float], box: BoxDomain) -> np.ndarray:
-    """d_k: worst-case lattice error of block k's unit-rate cell, over w_k.
-
-    d_k = (vol_k / V_nk)^(1/n_k) * R_nk / w_k with R, V the covering radius
-    and fundamental volume of the n_k-dimensional dual lattice, so the
-    block-norm error at L_k bits is exactly d_k 2^(-L_k/n_k).
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (part.num_blocks,) or np.any(w <= 0):
-        raise ValueError("need one positive weight per block")
-    lengths = _box_lengths(part, box)
-    d = np.empty(part.num_blocks)
-    for k in range(part.num_blocks):
-        scale = lattice_scale(lengths[part.block_slice(k)], 0)
-        d[k] = scale * covering_radius(part.block_sizes[k]) / w[k]
-    return d
+        if not isinstance(norm_k, kind):
+            raise ValueError("lattice designs require L_p block norms" if mode == "vq"
+                             else f"block {k} does not carry {name} norm")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if mode == "sq-wmax":
+            a = np.concatenate([norm_k.a for norm_k in spec.per_block])
+            c = lengths / (2.0 * a * np.repeat(spec.block_weights, part.block_sizes))
+            return DesignConstants(mode, tuple(c), (1,) * part.n)
+        exponents = [norm_k.p for norm_k in spec.per_block]
+        if mode == "sq-lp":
+            p = exponents[0]
+            for q in exponents:
+                if q != p:
+                    raise ValueError(f"blocks mix exponents {p} and {q}")
+            c = (lengths / (2.0 * np.repeat(spec.block_weights, part.block_sizes))) ** p
+            return DesignConstants(mode, tuple(c), (1,) * part.n, float(p), part.block_sizes)
+        p = min(exponents)
+        if not (p >= 2.0):
+            raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
+        w = np.asarray(spec.block_weights, dtype=float)
+        scales = [lattice_scale(lengths[part.block_slice(k)], 0) for k in range(part.num_blocks)]
+        d = [scale * covering_radius(n_k) / w_k for scale, n_k, w_k in zip(scales, part.block_sizes, w)]
+        return DesignConstants(mode, tuple(d), part.block_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +323,6 @@ def _check_budget(total_bits: int) -> int:
     return int(total_bits)
 
 
-def _family(part: BlockPartition, spec: NormSpec, box: BoxDomain, mode: str) -> DesignConstants:
-    """The "sq-wmax", "sq-lp" or "vq" constants of a box under a norm; lattices take the smallest L_p exponent."""
-    if mode == "sq-lp":
-        c, p = sq_lp_constants(part, spec, box)
-        return DesignConstants(mode, tuple(c), (1,) * part.n, p, part.block_sizes)
-    if mode == "sq-wmax":
-        return DesignConstants(mode, tuple(sq_wmax_constants(part, spec, box)), (1,) * part.n)
-    if mode != "vq":
-        raise ValueError(f"unknown design mode {mode!r}")
-    if not all(isinstance(norm, Lp) for norm in spec.per_block):
-        raise ValueError("lattice designs require L_p block norms")
-    p = min(norm.p for norm in spec.per_block)
-    if not (p >= 2.0):
-        raise ValueError(f"lattice designs require an L_p block norm with p >= 2, got p={p}")
-    return DesignConstants(mode, tuple(vq_constants(part, spec.block_weights, box)), part.block_sizes)
-
-
 def ticoq_frontier(
     part: BlockPartition, spec: NormSpec, box: BoxDomain, max_bits: int, mode: str
 ) -> RateFrontier:
@@ -364,7 +331,7 @@ def ticoq_frontier(
     A bit goes to a coordinate for "sq-wmax", a lattice block for "vq", and an L_p block's coordinate.
     """
     max_bits = _check_budget(max_bits)
-    family = _family(part, spec, box, mode)
+    family = design_constants(part, spec, box, mode)
     return RateFrontier(family, _order(family, max_bits))
 
 

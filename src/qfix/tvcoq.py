@@ -22,8 +22,8 @@ import numpy as np
 
 from .engine import accumulated_error
 from .norms import BlockPartition, BoxDomain, NormSpec
-from .squant import _rate
-from .ticoq import RateFrontier, _family, _order, bank_for_allocation, tradeoff_threshold
+from .squant import _RATE_CAP, _rate
+from .ticoq import RateFrontier, _order, bank_for_allocation, design_constants, tradeoff_threshold
 
 _TIED_LISTED = 64  # tied alternates a schedule lists; it counts them all
 
@@ -241,10 +241,10 @@ def tvcoq_design(
     bits or more on an entry is left out of the walk and refused, as is a
     rate a bank refuses; either refusal names the first stage with its rate.
     """
-    family = _family(part, spec, box, mode)
+    family = design_constants(part, spec, box, mode)
     schedule = tvcoq_master(alpha, part.n, per_stage_budget, horizon, l_prime=tradeoff_threshold(family))
     entries = len(family.const)
-    walked = [L_t for L_t in schedule.rates if L_t <= 1023 * entries]  # even splits below 1024 bits an entry
+    walked = [L_t for L_t in schedule.rates if L_t <= (_RATE_CAP - 1) * entries]  # even splits below the cap
     frontier = RateFrontier(family, _order(family, max(walked, default=0)))
     allocs = {L_t: frontier.allocation(L_t) for L_t in dict.fromkeys(walked)}
     banks = {}

@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,11 @@ from qfix.ticoq import (
     DesignConstants,
     allocation_oracle,
     bank_for_allocation,
+    design_constants,
     make_sq_bank,
     make_vq_bank,
     objective_for,
     relaxed_eta,
-    sq_lp_constants,
-    sq_wmax_constants,
     ticoq_design,
     ticoq_frontier,
     ticoq_sq_lp,
@@ -26,7 +26,6 @@ from qfix.ticoq import (
     ticoq_vq_lattice,
     tradeoff_threshold,
     uniform_sq_allocation,
-    vq_constants,
 )
 from qfix.tvcoq import tvcoq_design, tvcoq_master
 from qfix.vquant import covering_radius, fundamental_volume
@@ -65,7 +64,7 @@ def _random_wmax_problem(rng, max_n=6, max_blocks=3):
 def test_wmax_worked_instance():
     part, spec, box = _wmax_problem([0.5, 2.0])
     alloc = ticoq_sq_wmax(part, spec, box, 2)
-    assert np.allclose(sq_wmax_constants(part, spec, box), [0.5, 2.0])
+    assert np.allclose(design_constants(part, spec, box, "sq-wmax").const, [0.5, 2.0])
     assert alloc.bits == (0, 2)
     assert alloc.integer_value == pytest.approx(0.5)
     assert alloc.tau == pytest.approx(0.5, abs=1e-9)
@@ -107,7 +106,7 @@ def test_wmax_budget_constraint_and_water_level():
         relaxed = np.asarray(alloc.relaxed)
         assert abs(relaxed.sum() - total) <= 1e-9
         assert sum(alloc.bits) == total
-        c = sq_wmax_constants(part, spec, box)
+        c = np.asarray(design_constants(part, spec, box, "sq-wmax").const)
         tau = alloc.tau
         active = relaxed > 1e-9
         # every coordinate holding bits sits exactly at the water level
@@ -121,7 +120,7 @@ def test_wmax_matches_oracle_batch():
         part, spec, box = _random_wmax_problem(rng)
         total = int(rng.integers(0, 13))
         alloc = ticoq_sq_wmax(part, spec, box, total)
-        c = sq_wmax_constants(part, spec, box)
+        c = design_constants(part, spec, box, "sq-wmax").const
         oracle = allocation_oracle(_max_term(c), part.n, total)
         assert alloc.integer_value == oracle.value
 
@@ -171,7 +170,8 @@ def test_lp_relaxed_kkt_residuals():
         part, spec, box = _random_lp_problem(rng)
         total = int(rng.integers(0, 10))
         alloc = ticoq_sq_lp(part, spec, box, total)
-        c, p = sq_lp_constants(part, spec, box)
+        family = design_constants(part, spec, box, "sq-lp")
+        c, p = np.asarray(family.const), family.p
         relaxed = np.asarray(alloc.relaxed)
         assert abs(relaxed.sum() - total) <= 1e-9
         tau = alloc.tau
@@ -206,8 +206,7 @@ def test_lp_integer_value_matches_oracle():
         part, spec, box = _random_lp_problem(rng)
         total = int(rng.integers(0, 9))
         alloc = ticoq_sq_lp(part, spec, box, total)
-        c, p = sq_lp_constants(part, spec, box)
-        family = DesignConstants("sq-lp", tuple(c), (1,) * part.n, p, part.block_sizes)
+        family = design_constants(part, spec, box, "sq-lp")
         oracle = allocation_oracle(objective_for(family), part.n, total)
         assert alloc.integer_value == oracle.value
 
@@ -408,7 +407,7 @@ def test_vq_worked_instance():
     part = BlockPartition([2, 2])
     w = (1.0, 1.0)
     box = BoxDomain([(0.0, 1.0)] * 4)
-    d = vq_constants(part, w, box)
+    d = design_constants(part, NormSpec(w, (Lp(2.0), Lp(2.0))), box, "vq").const
     expected = (1.0 / fundamental_volume(2)) ** 0.5 * covering_radius(2)
     assert np.allclose(d, expected)
     assert expected == pytest.approx(0.62040, abs=5e-6)
@@ -433,7 +432,7 @@ def test_vq_equal_blocks_match_oracle():
         )
         total = int(rng.integers(0, 10))
         alloc = ticoq_vq_lattice(part, w, box, total)
-        d = vq_constants(part, w, box)
+        d = design_constants(part, NormSpec(w, [Lp(2.0)] * num_blocks), box, "vq").const
         oracle = allocation_oracle(
             _max_term(d, part.block_sizes), num_blocks, total
         )
@@ -445,7 +444,7 @@ def test_vq_unequal_blocks_match_oracle():
     w = (1.0, 1.0)
     box = BoxDomain([(0.0, 1.0)] * 4)
     alloc = ticoq_vq_lattice(part, w, box, 5)
-    d = vq_constants(part, w, box)
+    d = design_constants(part, NormSpec(w, (Lp(2.0), Lp(2.0))), box, "vq").const
     oracle = allocation_oracle(_max_term(d, part.block_sizes), 2, 5)
     assert alloc.integer_value == oracle.value
 
@@ -455,6 +454,51 @@ def test_vq_rejects_low_p():
     box = BoxDomain([(0.0, 1.0)] * 2)
     with pytest.raises(ValueError, match="lattice designs require an L_p block norm with p >= 2"):
         ticoq_design(part, NormSpec((1.0,), (Lp(1.5),)), box, 4, "vq")
+
+
+_UNIT3 = [(0.0, 1.0)] * 3
+_LP2 = (Lp(2.0), Lp(2.0))
+
+
+@pytest.mark.parametrize(
+    "mode, weights, per_block, intervals, message",
+    [
+        ("sq-fancy", (1.0, 1.0), _LP2, _UNIT3, "unknown design mode 'sq-fancy'"),
+        ("sq-wmax", (1.0, 1.0), (WeightedMax([1.0, 1.0]), Lp(2.0)), _UNIT3,
+         "block 1 does not carry a weighted-max norm"),
+        ("sq-lp", (1.0, 1.0), (Lp(2.0), WeightedMax([1.0])), _UNIT3, "block 1 does not carry an L_p norm"),
+        ("sq-lp", (1.0, 1.0), (Lp(2.0), Lp(3.0)), _UNIT3, "blocks mix exponents 2.0 and 3.0"),
+        ("vq", (1.0, 1.0), (Lp(2.0), WeightedMax([1.0])), _UNIT3, "lattice designs require L_p block norms"),
+        ("vq", (1.0, 1.0), (Lp(3.0), Lp(1.5)), _UNIT3,
+         "lattice designs require an L_p block norm with p >= 2, got p=1.5"),
+        ("sq-lp", (1.0, 1.0), _LP2, [(0.0, 1.0), (0.5, 0.5), (0.0, 1.0)],
+         "every interval must have positive length"),
+        ("sq-lp", (1.0, 1.0), _LP2, [(0.0, 1.0)] * 4, "a box of dimension 4 for a partition of dimension 3"),
+        # a lattice spec's weight count is checked with the partition, as the scalar families' is
+        ("vq", (1.0, 1.0, 1.0), (Lp(2.0),) * 3, _UNIT3, "3 block norms for 2 blocks"),
+    ],
+)
+def test_design_constants_refuse_each_fault_with_its_message(mode, weights, per_block, intervals, message):
+    spec, box = NormSpec(weights, per_block), BoxDomain(intervals)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        design_constants(BlockPartition([2, 1]), spec, box, mode)
+
+
+@pytest.mark.parametrize(
+    "mode, per_block, const, sizes, p, blocks",
+    [
+        ("sq-wmax", (WeightedMax([1.0, 0.5]), WeightedMax([2.0])), (0.5, 2.0, 0.5), (1, 1, 1), 1.0, None),
+        ("sq-lp", (Lp(3.0), Lp(3.0)), (0.125, 1.0, 1.0), (1, 1, 1), 3.0, (2, 1)),
+        # the smallest exponent decides a lattice design, and its record is one-entry blocks at p = 1
+        ("vq", (Lp(4.5), Lp(2.0)), ((2.0 / fundamental_volume(2)) ** 0.5 * covering_radius(2), 1.0),
+         (2, 1), 1.0, None),
+    ],
+)
+def test_design_constants_build_each_familys_record(mode, per_block, const, sizes, p, blocks):
+    box = BoxDomain([(0.0, 1.0), (-1.0, 1.0), (0.0, 4.0)])
+    family = design_constants(BlockPartition([2, 1]), NormSpec((1.0, 2.0), per_block), box, mode)
+    assert (family.kind, family.sizes, family.p, family.blocks) == (mode, sizes, p, blocks)
+    assert family.const == pytest.approx(const, rel=1e-14)
 
 
 def test_oracle_basics():
